@@ -136,8 +136,11 @@ class Ske:
 def ske_from_json(data: dict, group: FiniteGroup | None = None) -> Ske:
     from .groups import group_from_json
 
-    G = group if group is not None else group_from_json(data["group"])
-    sig = Signature(data["signature"]["genus"], tuple(data["signature"]["periods"]))
+    try:
+        G = group if group is not None else group_from_json(data["group"])
+        sig = Signature(data["signature"]["genus"], tuple(data["signature"]["periods"]))
+    except KeyError as exc:
+        raise ValueError(f"ske JSON has no {exc.args[0]!r} key") from None
     hyp = tuple(G.element(nm) for nm in data.get("hyperbolic", []))
     ell = tuple(G.element(nm) for nm in data.get("elliptic", []))
     return Ske(G, sig, hyp, ell)
@@ -311,26 +314,53 @@ class OrbitReport:
 
 @lru_cache(maxsize=None)
 def _aut_perms(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    return tuple(a.perm for a in automorphisms(G))
+    """A generating set of Aut(G), picked greedily from `automorphisms(G)`.
+
+    Orbits of a group are the connected components of its Schreier graph on
+    any generating set, so these few moves give the orbits of all of Aut(G).
+    """
+    auts = automorphisms(G)
+    identity = tuple(range(G.order))
+    gens: list[tuple[int, ...]] = []
+    span = {identity}
+    for a in auts:
+        if a.perm not in span:
+            gens.append(a.perm)
+            span = _orbit(identity, [_relabel(p) for p in gens])
+    if len(span) != len(auts):
+        raise RuntimeError("the chosen automorphisms do not span Aut(G)")
+    return tuple(gens)
+
+
+def _orbit_moves(G: FiniteGroup, sig: Signature):
+    """Braids (gamma 0) or the two elementary moves (gamma 1), with Aut(G)."""
+    if sig.gamma == 0:
+        return _braid_moves(G, len(sig.periods)) + _aut_moves(G)
+    if sig.gamma == 1 and len(sig.periods) == 1:
+        return _genus_one_moves(G) + _aut_moves(G)
+    raise UnsupportedMove(f"classification not implemented for signature {sig}")
 
 
 def classify(G: FiniteGroup, sig: Signature, max_candidates: int = 5_000_000) -> OrbitReport:
     """Orbits of valid skes under braids (gamma 0) or the two elementary moves
     (gamma 1), both combined with Aut(G)."""
+    moves = _orbit_moves(G, sig)
     if sig.gamma == 0:
         nodes = set()
         for arrangement in sorted(set(itertools.permutations(sig.periods))):
             for t in iter_valid_tuples(G, arrangement, max_candidates):
                 nodes.add(t)
-        moves = _braid_moves(G, len(sig.periods)) + _aut_moves(G)
         node_of = lambda t: Ske(G, Signature(0, tuple(G.orders[g] for g in t)), (), t)
-    elif sig.gamma == 1 and len(sig.periods) == 1:
-        nodes = set(iter_genus_one_triples(G, sig.periods[0]))
-        moves = _genus_one_moves(G) + _aut_moves(G)
-        node_of = lambda t: Ske(G, sig, (t[0], t[1]), (t[2],))
     else:
-        raise UnsupportedMove(f"classification not implemented for signature {sig}")
-    orbits = _orbit_partition(nodes, moves)
+        nodes = set(iter_genus_one_triples(G, sig.periods[0]))
+        node_of = lambda t: Ske(G, sig, (t[0], t[1]), (t[2],))
+    orbits = []
+    unvisited = set(nodes)
+    while unvisited:
+        orbit = _orbit(unvisited.pop(), moves, nodes)
+        unvisited -= orbit
+        orbits.append(orbit)
+    orbits.sort(key=min)
     reps = tuple(node_of(min(orbit)) for orbit in orbits)
     return OrbitReport(
         signature=sig,
@@ -369,41 +399,34 @@ def _genus_one_moves(G: FiniteGroup):
     return [m1, m2]
 
 
+def _relabel(p: tuple[int, ...]):
+    def move(t):
+        return tuple(p[g] for g in t)
+
+    return move
+
+
 def _aut_moves(G: FiniteGroup):
-    perms = _aut_perms(G)
-
-    def make(p):
-        def move(t):
-            return tuple(p[g] for g in t)
-
-        return move
-
-    return [make(p) for p in perms]
+    return [_relabel(p) for p in _aut_perms(G)]
 
 
-def _orbit_partition(nodes: set, moves) -> list[set]:
-    """Connected components under the given bijective moves."""
-    unvisited = set(nodes)
-    orbits = []
-    while unvisited:
-        start = unvisited.pop()
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for t in frontier:
-                for mv in moves:
-                    u = mv(t)
-                    if u not in orbit:
-                        # moves stay inside the valid set; a miss means a bug
-                        if u not in nodes:
-                            raise RuntimeError("orbit move left the valid ske set")
-                        orbit.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        unvisited -= orbit
-        orbits.append(orbit)
-    return sorted(orbits, key=min)
+def _orbit(start: tuple, moves, valid: set | None = None) -> set:
+    """The orbit of `start` under the given bijective moves.
+
+    With `valid`, the moves must stay inside it; leaving it means a bug.
+    """
+    orbit = {start}
+    stack = [start]
+    while stack:
+        t = stack.pop()
+        for mv in moves:
+            u = mv(t)
+            if u not in orbit:
+                if valid is not None and u not in valid:
+                    raise RuntimeError("orbit move left the valid ske set")
+                orbit.add(u)
+                stack.append(u)
+    return orbit
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +686,10 @@ def _tuples_parallel(G: FiniteGroup, periods, jobs: int):
     if len(periods) < 3 or not first or G.kind != "quaternion":
         yield from iter_valid_tuples(G, periods)
         return
-    args = [(G.params["n"], periods, g) for g in first]
+    n = G.params["n"]
+    args = [(n, periods, g) for g in first]
+    # forked workers inherit this lattice instead of each rebuilding it
+    _maximal_masks(_quaternion(n))
     with mp.Pool(jobs) as pool:
         for chunk in pool.imap(_scan_chunk, args):
             yield from chunk
@@ -943,7 +969,9 @@ def check_extension(theta: Ske, theta_prime: Ske, words) -> ExtensionReport:
         tuple(mapped[2 * gamma:]),
     )
     valid, _ = validate_ske(restricted)
-    equivalent = valid and _in_same_orbit(theta, restricted)
+    equivalent = valid and restricted.hyperbolic + restricted.elliptic in _orbit(
+        theta.hyperbolic + theta.elliptic, _orbit_moves(theta.group, theta.signature)
+    )
     return ExtensionReport(
         ok=bool(mu_ok and valid and equivalent),
         index=index,
@@ -954,32 +982,6 @@ def check_extension(theta: Ske, theta_prime: Ske, words) -> ExtensionReport:
         equivalent_to_theta=equivalent,
         restriction=tuple(theta.group.names[v] for v in mapped),
     )
-
-
-def _in_same_orbit(theta: Ske, other: Ske) -> bool:
-    G = theta.group
-    if theta.signature.gamma == 0:
-        moves = _braid_moves(G, len(theta.elliptic)) + _aut_moves(G)
-        start = theta.elliptic
-        target = other.elliptic
-    else:
-        moves = _genus_one_moves(G) + _aut_moves(G)
-        start = theta.hyperbolic + theta.elliptic
-        target = other.hyperbolic + other.elliptic
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for mv in moves:
-                u = mv(t)
-                if u not in orbit:
-                    orbit.add(u)
-                    nxt.append(u)
-        frontier = nxt
-        if target in orbit:
-            return True
-    return target in orbit
 
 
 def extension_data(n: int, family: str, supergroup: str):

@@ -1,7 +1,8 @@
 """Command-line front end: subcommands for every verification surface, with
 JSON (default), markdown and CSV emitters and golden-file reproduction.
 
-Exit codes: 0 success, 1 a verification ran and failed, 2 usage error.
+Exit codes: 0 success, 1 a verification ran and failed, 2 usage or input
+error.
 Reports are deterministic for fixed inputs and --seed; wall-clock timings are
 only attached when --timings is passed so that byte-level comparison of
 reports stays meaningful.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -25,6 +27,7 @@ from .decomp import (
     multiplicities_from_quotient_genera,
 )
 from .actions import (
+    BudgetExceeded,
     Signature,
     check_extension,
     classify,
@@ -47,6 +50,13 @@ def _parse_signature(text: str) -> Signature:
 
 def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v != "")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _load_json(path: str) -> dict:
@@ -160,7 +170,8 @@ def cmd_genus_zero(args) -> tuple[int, dict]:
     if args.exhaustive:
         from .actions import genus_zero_exhaustive_scan
 
-        scan = genus_zero_exhaustive_scan(args.n, args.max_periods, jobs=args.jobs)
+        jobs = min(args.jobs, os.cpu_count() or 1)
+        scan = genus_zero_exhaustive_scan(args.n, args.max_periods, jobs=jobs)
         out["exhaustive_scan"] = scan.to_json()
         ok = ok and scan.ok
     return (0 if ok else 1), out
@@ -406,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--csv", action="store_true", help="CSV output")
     common.add_argument("--out", help="write the report to this path")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized numerics")
-    common.add_argument("--jobs", type=int, default=1, help="worker cap for enumeration")
+    common.add_argument("--jobs", type=_positive_int, default=1,
+                        help="worker cap for enumeration (at most the CPU count)")
     common.add_argument("--timings", action="store_true", help="attach wall-clock runtime")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -486,7 +498,7 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (GroupError, ValueError, FileNotFoundError) as exc:
+    except (GroupError, ValueError, FileNotFoundError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = {

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,9 +10,11 @@ from qact.actions import (
     Signature,
     Ske,
     UnsupportedMove,
-    _orbit_partition,
-    _braid_moves,
     _aut_moves,
+    _aut_perms,
+    _braid_moves,
+    _genus_one_moves,
+    _orbit,
     braid,
     check_extension,
     classify,
@@ -23,6 +26,7 @@ from qact.actions import (
     genus_zero_exhaustive_scan,
     is_genus_zero_action,
     is_sigma_b,
+    iter_genus_one_triples,
     iter_valid_tuples,
     one_dimensional_families,
     quotient_data,
@@ -33,7 +37,7 @@ from qact.actions import (
     z_branch_count,
     _tuples_for_scan,
 )
-from qact.groups import Subgroup, build_quaternion, named_subgroups
+from qact.groups import Subgroup, automorphisms, build_quaternion, named_subgroups
 
 from paper_tables import (
     expected_prym_dims,
@@ -195,15 +199,109 @@ def test_classification_is_deterministic():
     assert [r.elliptic for r in a.representatives] == [r.elliptic for r in b.representatives]
 
 
+def _partition(nodes, moves, order=None):
+    """The orbits of `nodes`, by looping the orbit helper over them."""
+    parts = []
+    unvisited = set(nodes)
+    for start in order or nodes:
+        if start in unvisited:
+            orbit = _orbit(start, moves, nodes)
+            unvisited -= orbit
+            parts.append(frozenset(orbit))
+    return parts
+
+
+def _union_find_partition(nodes, moves):
+    """Reference partition from every edge t -- move(t), without any BFS."""
+    parent = {t: t for t in nodes}
+
+    def root(t):
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
+    for t in nodes:
+        for mv in moves:
+            parent[root(t)] = root(mv(t))
+    parts = {}
+    for t in nodes:
+        parts.setdefault(root(t), set()).add(t)
+    return {frozenset(p) for p in parts.values()}
+
+
 def test_orbit_partition_independent_of_enumeration_order():
     G = Q(4)
     nodes = set(iter_valid_tuples(G, (4, 4, 4, 4)))
     moves = _braid_moves(G, 4) + _aut_moves(G)
-    base = _orbit_partition(nodes, moves)
+    base = _partition(nodes, moves)
     shuffled = list(nodes)
     random.Random(5).shuffle(shuffled)
-    again = _orbit_partition(set(shuffled), list(reversed(moves)))
+    again = _partition(set(shuffled), list(reversed(moves)), order=shuffled)
     assert sorted(map(min, base)) == sorted(map(min, again))
+
+
+@pytest.mark.parametrize("n,order", [(3, 24), (4, 32), (5, 128), (6, 512)])
+def test_aut_generators_span_aut(n, order):
+    G = Q(n)
+    gens = _aut_perms(G)
+    span = {tuple(range(G.order))}
+    stack = list(span)
+    while stack:
+        p = stack.pop()
+        for g in gens:
+            q = tuple(g[i] for i in p)
+            if q not in span:
+                span.add(q)
+                stack.append(q)
+    assert len(span) == order
+    assert span == {a.perm for a in automorphisms(G)}
+    assert len(gens) <= 3
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_generator_orbits_equal_full_aut_orbits(n):
+    """For every census signature, the orbits under the Aut generators are
+    the orbits under all of Aut(G), and classify reports exactly those."""
+    G = Q(n)
+    full_aut = [lambda t, p=a.perm: tuple(p[g] for g in t) for a in automorphisms(G)]
+    gammas = set()
+    for fam in one_dimensional_families(n):
+        sig = fam.signature
+        if sig.gamma == 0:
+            arrangements = set(itertools.permutations(sig.periods))
+            nodes = {t for arr in arrangements for t in iter_valid_tuples(G, arr)}
+            base = _braid_moves(G, len(sig.periods))
+        else:
+            nodes = set(iter_genus_one_triples(G, sig.periods[0]))
+            base = _genus_one_moves(G)
+        reference = _union_find_partition(nodes, base + full_aut)
+        assert set(_partition(nodes, base + _aut_moves(G))) == reference, sig
+        ordered = sorted(reference, key=min)
+        report = classify(G, sig)
+        assert report.orbit_sizes == tuple(len(o) for o in ordered)
+        assert [r.hyperbolic + r.elliptic for r in report.representatives] == [min(o) for o in ordered]
+        gammas.add(sig.gamma)
+    assert gammas == {0, 1}
+
+
+def test_orbit_move_leaving_valid_set_raises(monkeypatch):
+    G = Q(4)
+    nodes = set(iter_valid_tuples(G, (4, 4, 4, 4)))
+    start = min(nodes)
+    moves = _braid_moves(G, 4) + _aut_moves(G)
+    neighbour = next(mv(start) for mv in moves if mv(start) != start)
+    with pytest.raises(RuntimeError, match="left the valid ske set"):
+        _orbit(start, moves, nodes - {neighbour})
+
+    dropped = max(nodes)
+    real = iter_valid_tuples
+    monkeypatch.setattr(
+        "qact.actions.iter_valid_tuples",
+        lambda *args: (t for t in real(*args) if t != dropped),
+    )
+    with pytest.raises(RuntimeError, match="left the valid ske set"):
+        classify(G, Signature(0, (4, 4, 4, 4)))
 
 
 def test_budget_guard():
@@ -251,9 +349,7 @@ def test_census_n3():
     assert all(f.orbit_count == 1 for f in fams)
 
 
-@pytest.mark.skipif("not __import__('os').environ.get('QACT_SLOW')",
-                    reason="n=6 census takes ~40s; set QACT_SLOW=1 to run")
-def test_census_n6_slow():
+def test_census_n6():
     fams = one_dimensional_families(6)
     assert len(fams) == 7
     by_label = {f.label: f for f in fams}
@@ -264,6 +360,11 @@ def test_census_n6_slow():
     assert by_label["F0"].orbit_count == 1
     assert by_label["F1"].orbit_count == 1
     assert by_label["C5"].orbit_count == 1
+    # exact values of the full-Aut(G) engine
+    orbits = {"F0": 1, "F1": 1, "F2": 5, "C2": 4, "C3": 2, "C4": 1, "C5": 1}
+    skes = {"F0": 1536, "F1": 24576, "F2": 49152, "C2": 49152, "C3": 24576, "C4": 12288, "C5": 6144}
+    assert {l: f.orbit_count for l, f in by_label.items()} == orbits
+    assert {l: f.ske_count for l, f in by_label.items()} == skes
 
 
 def test_census_excludes_empty_signatures():
@@ -285,12 +386,11 @@ def test_census_excludes_empty_signatures():
 
 def test_family_representatives_live_in_their_orbits():
     # the two printed F1 skes are braid x Aut equivalent; record that here
-    from qact.actions import _in_same_orbit
-
     for n in (4, 5):
         a = family_representative(n, "F1")
         b = family_representative(n, "F1'")
-        assert _in_same_orbit(a, b)
+        G = a.group
+        assert b.elliptic in _orbit(a.elliptic, _braid_moves(G, 4) + _aut_moves(G))
 
 
 # -- genus-zero actions ----------------------------------------------------------

@@ -234,3 +234,51 @@ def test_timings_flag_adds_runtime(capsys):
     code, rep = run_json(capsys, "families", "--n", "3", "--timings")
     assert code == 0
     assert "runtime_s" in rep
+
+
+def test_ske_file_without_signature_exits_2(tmp_path, capsys):
+    data = family_representative(4, "F1").to_json()
+    del data["signature"]
+    path = tmp_path / "ske.json"
+    path.write_text(json.dumps(data))
+    code = main(["quotient", "--ske", str(path), "--subgroup", "Z"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == ["error: ske JSON has no 'signature' key"]
+
+
+def test_exceeded_budget_exits_2(capsys):
+    code = main(["classify", "--n", "4", "--signature", "0:4,4,4,4", "--budget", "10"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "budget" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2(capsys, jobs):
+    with pytest.raises(SystemExit) as err:
+        main(["genus-zero", "--n", "3", "--jobs", jobs])
+    assert err.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_jobs_capped_at_cpu_count(monkeypatch, capsys):
+    import multiprocessing
+    import os
+
+    real_pool = multiprocessing.Pool
+    sizes = []
+
+    def pool(processes, *args, **kwargs):
+        sizes.append(processes)
+        return real_pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    code, rep = run_json(
+        capsys, "genus-zero", "--n", "3", "--max-b", "1",
+        "--exhaustive", "--max-periods", "4", "--jobs", "64",
+    )
+    assert code == 0
+    assert rep["results"]["exhaustive_scan"]["ok"]
+    assert sizes and set(sizes) == {2}
