@@ -17,6 +17,7 @@ maximal-subgroup bitmask for the surjectivity check.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,9 +134,18 @@ class Ske:
         return f"Ske{self.signature}({', '.join(parts)})"
 
 
+_JSON_TYPES = {
+    list: "an array", str: "a string", int: "a number", float: "a number",
+    bool: "a boolean", type(None): "null",
+}
+
+
 def ske_from_json(data: dict, group: FiniteGroup | None = None) -> Ske:
     from .groups import group_from_json
 
+    if not isinstance(data, dict):
+        kind = _JSON_TYPES.get(type(data), type(data).__name__)
+        raise ValueError(f"ske JSON must be an object, not {kind}")
     try:
         G = group if group is not None else group_from_json(data["group"])
         sig = Signature(data["signature"]["genus"], tuple(data["signature"]["periods"]))
@@ -609,56 +619,54 @@ def genus_zero_exhaustive_scan(n: int, max_periods: int = 7, jobs: int = 1) -> G
     """Confirm over every valid ske with gamma = 0 and at most `max_periods`
     periods that the genus-zero property holds iff the signature is a sigma_b.
 
-    The per-ske check goes through the cheap Z-quotient first (Z is contained
-    in every nontrivial subgroup, so a nonrational S_Z already refutes the
-    genus-zero property) and only then sweeps the full subgroup transversal.
+    The cheap Z-quotient comes first (Z is contained in every nontrivial
+    subgroup, so a nonrational S_Z already refutes the genus-zero property);
+    only skes with a rational S_Z sweep the full subgroup transversal.  An
+    element's cycle count on G/Z depends on its order alone (checked by
+    `_z_cycles_by_order`), so the S_Z genus is computed once per signature;
+    every ske is still enumerated and counted.
     """
     G = _quaternion(n)
     subs = named_subgroups(G)
-    transversal = [subs[l] for l in sorted(subs) if l not in ("Z", "N1", "N2", "N3")]
-    zsub = subs["Z"]
-    ncyc = {id(K): _ncycles_table(G, K) for K in transversal}
-    zcyc = _ncycles_table(G, zsub)
-    indices = {id(K): G.order // K.order for K in transversal}
+    transversal = [
+        (G.order // subs[l].order, _ncycles_table(G, subs[l]))
+        for l in sorted(subs) if l not in ("Z", "N1", "N2", "N3")
+    ]
+    zcyc = _z_cycles_by_order(G, subs["Z"])
 
     avail = sorted({G.orders[g] for g in range(1, G.order)})
     sigs = 0
     checked = 0
     mismatches: list[dict] = []
     seen_b: set[int] = set()
-    for s in range(3, max_periods + 1):
-        for multiset in itertools.combinations_with_replacement(avail, s):
-            sig = Signature(0, multiset)
-            genus = genus_from_signature(G.order, sig)
-            if genus is None:
-                continue
-            sigs += 1
-            b = is_sigma_b(n, sig)
-            expected = b is not None
-            zi = G.order // 2
-            for t in _tuples_for_scan(G, multiset, jobs):
-                checked += 1
-                # genus of S_Z from the precomputed coset cycle counts
-                defect = sum(zi - zcyc[g] for g in t)
-                gz = (zi * (-2) + defect) // 2 + 1
-                if gz == 0:
-                    genus_zero = all(
-                        (indices[id(K)] * (-2) + sum(indices[id(K)] - ncyc[id(K)][g] for g in t)) // 2 + 1 == 0
-                        for K in transversal
+    with _scan_pool(jobs) as pool:
+        for s in range(3, max_periods + 1):
+            for multiset in itertools.combinations_with_replacement(avail, s):
+                sig = Signature(0, multiset)
+                genus = genus_from_signature(G.order, sig)
+                if genus is None:
+                    continue
+                sigs += 1
+                b = is_sigma_b(n, sig)
+                expected = b is not None
+                gz = _genus_from_cycles(G.order // 2, [zcyc[k] for k in multiset])
+                for t in _tuples_for_scan(G, multiset, pool):
+                    checked += 1
+                    genus_zero = gz == 0 and all(
+                        _genus_from_cycles(index, [ncyc[g] for g in t]) == 0
+                        for index, ncyc in transversal
                     )
-                else:
-                    genus_zero = False
-                if genus_zero != expected:
-                    mismatches.append(
-                        {
-                            "signature": sig.to_json(),
-                            "ske": [G.names[g] for g in t],
-                            "genus_zero": genus_zero,
-                            "sigma_b": b,
-                        }
-                    )
-                elif expected:
-                    seen_b.add(b)
+                    if genus_zero != expected:
+                        mismatches.append(
+                            {
+                                "signature": sig.to_json(),
+                                "ske": [G.names[g] for g in t],
+                                "genus_zero": genus_zero,
+                                "sigma_b": b,
+                            }
+                        )
+                    elif expected:
+                        seen_b.add(b)
     return GenusZeroScan(
         n=n,
         max_periods=max_periods,
@@ -669,30 +677,44 @@ def genus_zero_exhaustive_scan(n: int, max_periods: int = 7, jobs: int = 1) -> G
     )
 
 
-def _tuples_for_scan(G: FiniteGroup, periods, jobs: int = 1):
-    """Sorted-order tuples suffice for property scans: braid moves sort the
-    periods of any valid ske without changing the action."""
-    if jobs > 1:
-        yield from _tuples_parallel(G, periods, jobs)
-    else:
-        yield from iter_valid_tuples(G, periods)
+def _genus_from_cycles(index: int, cycle_counts) -> int:
+    """Riemann-Hurwitz for S_K over a genus-zero quotient, from the number of
+    cycles of each elliptic image on the [G:K] cosets."""
+    return (index * -2 + sum(index - c for c in cycle_counts)) // 2 + 1
 
 
-def _tuples_parallel(G: FiniteGroup, periods, jobs: int):
-    """Split the first slot across processes; results merge deterministically."""
+def _z_cycles_by_order(G: FiniteGroup, zsub: Subgroup) -> dict[int, int]:
+    """The number of cycles on G/Z of an element of each order.
+
+    Z lies in every nontrivial cyclic subgroup, so the count should depend on
+    the order alone; this raises unless it does.
+    """
+    out: dict[int, int] = {}
+    for g, c in enumerate(_ncycles_table(G, zsub)):
+        if out.setdefault(G.orders[g], c) != c:
+            raise RuntimeError("the cycle count on G/Z is not a function of the element order")
+    return out
+
+
+def _scan_pool(jobs: int):
+    """One worker pool for a whole scan (a null context when serial)."""
+    if jobs <= 1:
+        return contextlib.nullcontext()
     import multiprocessing as mp
 
-    first = [g for g in range(G.order) if G.orders[g] == periods[0]]
-    if len(periods) < 3 or not first or G.kind != "quaternion":
+    return mp.Pool(jobs)
+
+
+def _tuples_for_scan(G: FiniteGroup, periods, pool=None):
+    """Sorted-order tuples suffice for property scans: braid moves sort the
+    periods of any valid ske without changing the action.  With a pool, the
+    first slot is split across its workers; results merge deterministically."""
+    if pool is None or len(periods) < 3 or G.kind != "quaternion":
         yield from iter_valid_tuples(G, periods)
         return
-    n = G.params["n"]
-    args = [(n, periods, g) for g in first]
-    # forked workers inherit this lattice instead of each rebuilding it
-    _maximal_masks(_quaternion(n))
-    with mp.Pool(jobs) as pool:
-        for chunk in pool.imap(_scan_chunk, args):
-            yield from chunk
+    args = [(G.params["n"], periods, g) for g in range(G.order) if G.orders[g] == periods[0]]
+    for chunk in pool.imap(_scan_chunk, args):
+        yield from chunk
 
 
 def _scan_chunk(arg):

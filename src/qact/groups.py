@@ -8,9 +8,10 @@ evaluates to the identity, so a mistake in a product rule cannot survive
 construction.
 
 Generic machinery (conjugacy classes, subgroup lattice, automorphism group,
-isomorphism testing) works on the table alone and is brute force throughout;
-that is entirely adequate at order <= 64 and keeps the code free of any
-computational-group-theory cleverness that would need its own verification.
+isomorphism testing) works on the table alone and is brute force; that is
+entirely adequate at order <= 64.  The one shortcut is for maximal subgroups of
+2-groups, which are the kernels of the maps onto C2; the tests check them
+against the brute-force lattice.
 """
 
 from __future__ import annotations
@@ -264,24 +265,31 @@ class FiniteGroup:
 
     @lru_cache(maxsize=None)
     def maximal_subgroups(self) -> tuple[frozenset, ...]:
-        subs = all_subgroups(self)
-        proper = [s for s in subs if len(s) < self.order]
-        maxim = [
-            s for s in proper
-            if not any(s < t for t in proper)
-        ]
-        return tuple(maxim)
+        """The kernels of the nonzero homomorphisms G -> C2 (2-groups only).
 
-    def generates(self, elems) -> bool:
-        """True iff the given elements generate the whole group."""
-        return all(
-            any(e not in m for e in elems) for m in self.maximal_subgroups()
-        )
+        Every maximal subgroup of a 2-group is normal of index 2, hence such a
+        kernel, and every such kernel has index 2.  A nonzero 0/1 assignment
+        on the generators is kept only if `extend_homomorphism` extends it
+        across every edge of the Cayley graph.
+        """
+        if self.order & (self.order - 1):
+            raise GroupError(f"maximal subgroups are implemented for 2-groups only, not {self.name}")
+        out = []
+        for bits in itertools.product((0, 1), repeat=len(self.generators)):
+            if not any(bits):
+                continue
+            phi = extend_homomorphism(self, _C2, bits)
+            if phi is not None:
+                out.append(frozenset(g for g in range(self.order) if phi[g] == 0))
+        return tuple(out)
 
     def to_json(self) -> dict:
         out = {"name": self.name, "order": self.order}
         out.update({k: v for k, v in self.params.items() if k != "letters"})
         return out
+
+
+_C2 = FiniteGroup("C2", ["1", "t"], [[0, 1], [1, 0]], [1])
 
 
 @dataclass(frozen=True)
@@ -531,9 +539,9 @@ def _build_d4xc2_rtimes_c2() -> FiniteGroup:
 
 
 def build_dihedral(m: int) -> FiniteGroup:
-    """Dihedral group <r,s : r^m, s^2, (sr)^2> of order 2m."""
-    if m < 1 or 2 * m > MAX_ORDER:
-        raise GroupError(f"dihedral parameter {m} out of range")
+    """Dihedral group <r,s : r^m, s^2, (sr)^2> of order 2m, m >= 2."""
+    if m < 2 or 2 * m > MAX_ORDER:
+        raise GroupError(f"dihedral parameter {m} out of range 2..{MAX_ORDER // 2}")
 
     def mult(u, v):
         p1, q1 = u

@@ -35,6 +35,7 @@ from qact.actions import (
     validate_ske,
     witness_eta,
     z_branch_count,
+    _scan_pool,
     _tuples_for_scan,
 )
 from qact.groups import Subgroup, automorphisms, build_quaternion, named_subgroups
@@ -311,8 +312,9 @@ def test_budget_guard():
 
 def test_parallel_scan_agrees_with_serial():
     G = Q(4)
-    serial = set(_tuples_for_scan(G, (4, 4, 4, 4), jobs=1))
-    parallel = set(_tuples_for_scan(G, (4, 4, 4, 4), jobs=2))
+    serial = set(_tuples_for_scan(G, (4, 4, 4, 4)))
+    with _scan_pool(2) as pool:
+        parallel = set(_tuples_for_scan(G, (4, 4, 4, 4), pool))
     assert serial == parallel
 
 
@@ -432,22 +434,68 @@ def test_exhaustive_scan_small():
 
 
 def test_scan_fast_path_matches_coset_machinery():
-    """The scan's precomputed cycle tables must agree with quotient_data."""
-    from qact.actions import _ncycles_table
+    """The scan's per-signature S_Z genus and per-tuple transversal genera agree
+    with quotient_data on every valid tuple of sigma_b and non-sigma_b signatures."""
+    from qact.actions import _genus_from_cycles, _ncycles_table, _z_cycles_by_order
 
     G = Q(4)
     subs = named_subgroups(G)
     zsub = subs["Z"]
-    zcyc = _ncycles_table(G, zsub)
-    zi = G.order // zsub.order
-    count = 0
-    for t in iter_valid_tuples(G, (4, 4, 4, 4)):
-        ske = Ske(G, Signature(0, (4, 4, 4, 4)), (), t)
-        fast = (zi * -2 + sum(zi - zcyc[g] for g in t)) // 2 + 1
-        assert fast == quotient_data(ske, zsub).genus
-        count += 1
-        if count >= 50:
-            break
+    zcyc = _z_cycles_by_order(G, zsub)
+    others = [subs[l] for l in ("H2", "K3", "Ht3")]
+    z_genera = {}
+    signatures = [
+        (4, 4, 8), (2, 4, 4, 8), (2, 2, 4, 4, 8),  # sigma_0, sigma_1, sigma_2
+        (4, 4, 4, 4), (4, 4, 4, 8), (4, 4, 8, 8), (2, 4, 4, 4, 8),
+    ]
+    for periods in signatures:
+        gz = _genus_from_cycles(G.order // zsub.order, [zcyc[k] for k in periods])
+        count = 0
+        for t in iter_valid_tuples(G, periods):
+            ske = Ske(G, Signature(0, periods), (), t)
+            assert quotient_data(ske, zsub).genus == gz
+            for K in others:
+                ncyc = _ncycles_table(G, K)
+                fast = _genus_from_cycles(G.order // K.order, [ncyc[g] for g in t])
+                assert fast == quotient_data(ske, K).genus
+            count += 1
+        assert count > 0
+        z_genera[periods] = gz
+    assert sorted(set(z_genera.values())) == [0, 1, 2, 3]
+
+
+def test_scan_raises_if_z_cycles_depend_on_more_than_order(monkeypatch):
+    from qact import actions
+
+    real = actions._ncycles_table
+    x = Q(4).generators[0]
+
+    def skewed(G, K):
+        table = list(real(G, K))
+        if K.label == "Z":
+            table[x] += 1
+        return tuple(table)
+
+    monkeypatch.setattr(actions, "_ncycles_table", skewed)
+    with pytest.raises(RuntimeError, match="not a function of the element order"):
+        genus_zero_exhaustive_scan(4, max_periods=4)
+
+
+def test_parallel_scan_opens_one_pool(monkeypatch):
+    import multiprocessing
+
+    real_pool = multiprocessing.Pool
+    opened = []
+
+    def pool(*args, **kwargs):
+        opened.append(args)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    parallel = genus_zero_exhaustive_scan(4, max_periods=5, jobs=2)
+    assert len(opened) == 1
+    assert parallel.signatures_checked > 1
+    assert parallel.to_json() == genus_zero_exhaustive_scan(4, max_periods=5).to_json()
 
 
 def test_non_sigma_b_fails_genus_zero():

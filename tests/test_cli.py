@@ -247,6 +247,22 @@ def test_ske_file_without_signature_exits_2(tmp_path, capsys):
     assert err.splitlines() == ["error: ske JSON has no 'signature' key"]
 
 
+def test_ske_file_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "ske.json"
+    path.write_text("[1, 2]")
+    code = main(["quotient", "--ske", str(path), "--subgroup", "Z"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == ["error: ske JSON must be an object, not an array"]
+
+
+def test_dihedral_with_m_below_2_exits_2(capsys):
+    code = main(["groups", "--name", "Dihedral", "--m", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == ["error: dihedral parameter 1 out of range 2..32"]
+
+
 def test_exceeded_budget_exits_2(capsys):
     code = main(["classify", "--n", "4", "--signature", "0:4,4,4,4", "--budget", "10"])
     err = capsys.readouterr().err

@@ -156,6 +156,46 @@ def test_two_generated_enumeration_vs_join_closure():
     )
 
 
+# Every catalogue 2-group, with its number of maximal subgroups 2^d - 1, where
+# d is the size of a minimal generating set.
+CATALOGUE_2_GROUPS = [
+    ("Q8", {}, 3), ("Q16", {}, 3), ("Q32", {}, 3),
+    ("G1", {"n": 4}, 7), ("G2", {"n": 4}, 7), ("G1", {"n": 5}, 7), ("G2", {"n": 5}, 7),
+    ("QD16", {}, 3), ("C4xC2_rtimes_C2", {}, 7), ("D4xC2_rtimes_C2", {}, 7),
+    ("Dihedral", {"m": 2}, 3), ("Dihedral", {"m": 4}, 3), ("Dihedral", {"m": 8}, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "name, params, count", CATALOGUE_2_GROUPS,
+    ids=[f"{nm}{''.join(f'-{k}{v}' for k, v in p.items())}" for nm, p, _ in CATALOGUE_2_GROUPS],
+)
+def test_maximal_subgroups_match_the_lattice(name, params, count):
+    """The kernels onto C2 are exactly the maximal elements of the brute-force lattice."""
+    G = build_named(name, **params)
+    proper = [s for s in all_subgroups(G) if len(s) < G.order]
+    oracle = {s for s in proper if not any(s < t for t in proper)}
+    maximal = G.maximal_subgroups()
+    assert len(maximal) == len(set(maximal)) == count
+    assert set(maximal) == oracle
+
+
+def test_maximal_subgroups_q64():
+    G = build_quaternion(6)
+    assert sorted(len(m) for m in G.maximal_subgroups()) == [32, 32, 32]
+
+
+def test_maximal_subgroups_need_a_2_group():
+    with pytest.raises(GroupError, match="2-groups"):
+        build_dihedral(3).maximal_subgroups()
+
+
+def test_dihedral_needs_m_at_least_2():
+    for m in (1, 0, -2):
+        with pytest.raises(GroupError, match="out of range"):
+            build_dihedral(m)
+
+
 def test_normality_by_conjugation():
     G = build_quaternion(4)
     subs = named_subgroups(G)
