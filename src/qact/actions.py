@@ -27,9 +27,11 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     automorphisms,
+    build_named,
     build_quaternion,
     find_isomorphism,
     group_from_cayley,
+    group_from_json,
     named_subgroups,
 )
 
@@ -135,25 +137,51 @@ class Ske:
 
 
 _JSON_TYPES = {
-    list: "an array", str: "a string", int: "a number", float: "a number",
-    bool: "a boolean", type(None): "null",
+    dict: "an object", list: "an array", str: "a string", int: "an integer",
+    float: "a number", bool: "a boolean", type(None): "null",
 }
 
 
-def ske_from_json(data: dict, group: FiniteGroup | None = None) -> Ske:
-    from .groups import group_from_json
+def _json_kind(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
 
+
+def _expect(value, kind: type, key: str):
+    """`value` if its JSON type is exactly `kind` (a boolean is no integer)."""
+    if type(value) is not kind:
+        raise ValueError(f"ske JSON key {key!r} must be {_JSON_TYPES[kind]}, not {_json_kind(value)}")
+    return value
+
+
+def _expect_items(value, kind: type, key: str) -> list:
+    """The items of the JSON array `value`, each of JSON type `kind`."""
+    return [_expect(item, kind, f"{key}[{i}]") for i, item in enumerate(_expect(value, list, key))]
+
+
+def ske_from_json(data: dict, group: FiniteGroup | None = None) -> Ske:
+    """Read a ske written by `Ske.to_json`; malformed input raises ValueError."""
     if not isinstance(data, dict):
-        kind = _JSON_TYPES.get(type(data), type(data).__name__)
-        raise ValueError(f"ske JSON must be an object, not {kind}")
+        raise ValueError(f"ske JSON must be an object, not {_json_kind(data)}")
     try:
-        G = group if group is not None else group_from_json(data["group"])
-        sig = Signature(data["signature"]["genus"], tuple(data["signature"]["periods"]))
+        if group is None:
+            group_data = _expect(data["group"], dict, "group")
+            _expect(group_data["name"], str, "group.name")
+            for key in ("n", "m"):
+                if group_data.get(key) is not None:
+                    _expect(group_data[key], int, f"group.{key}")
+            group = group_from_json(group_data)
+        sig_data = _expect(data["signature"], dict, "signature")
+        sig = Signature(
+            _expect(sig_data["genus"], int, "signature.genus"),
+            tuple(_expect_items(sig_data["periods"], int, "signature.periods")),
+        )
     except KeyError as exc:
         raise ValueError(f"ske JSON has no {exc.args[0]!r} key") from None
-    hyp = tuple(G.element(nm) for nm in data.get("hyperbolic", []))
-    ell = tuple(G.element(nm) for nm in data.get("elliptic", []))
-    return Ske(G, sig, hyp, ell)
+    hyp, ell = (
+        tuple(map(group.element, _expect_items(data.get(key, []), str, key)))
+        for key in ("hyperbolic", "elliptic")
+    )
+    return Ske(group, sig, hyp, ell)
 
 
 def long_relation_value(ske: Ske) -> int:
@@ -563,7 +591,7 @@ class GenusZeroRecord:
 
 def genus_zero_actions(n: int, max_b: int) -> list[GenusZeroRecord]:
     """sigma_b data with validated witnesses for 0 <= b <= max_b."""
-    G = _quaternion(n)
+    G = build_quaternion(n)
     out = []
     for b in range(max_b + 1):
         sig = sigma_b(n, b)
@@ -581,11 +609,6 @@ def genus_zero_actions(n: int, max_b: int) -> list[GenusZeroRecord]:
             )
         )
     return out
-
-
-@lru_cache(maxsize=None)
-def _quaternion(n: int) -> FiniteGroup:
-    return build_quaternion(n)
 
 
 @dataclass
@@ -626,7 +649,7 @@ def genus_zero_exhaustive_scan(n: int, max_periods: int = 7, jobs: int = 1) -> G
     `_z_cycles_by_order`), so the S_Z genus is computed once per signature;
     every ske is still enumerated and counted.
     """
-    G = _quaternion(n)
+    G = build_quaternion(n)
     subs = named_subgroups(G)
     transversal = [
         (G.order // subs[l].order, _ncycles_table(G, subs[l]))
@@ -719,7 +742,7 @@ def _tuples_for_scan(G: FiniteGroup, periods, pool=None):
 
 def _scan_chunk(arg):
     n, periods, g0 = arg
-    G = _quaternion(n)
+    G = build_quaternion(n)
     masks, _ = _maximal_masks(G)
     return list(_dfs_tuples(G, periods[1:], (g0,), g0, masks[g0]))
 
@@ -809,7 +832,7 @@ def one_dimensional_families(n: int, max_candidates: int = 5_000_000) -> list[Fa
     valid ske: (0; k1..k4) and (1; k)."""
     if not 3 <= n <= 6:
         raise ValueError("census supported for 3 <= n <= 6")
-    G = _quaternion(n)
+    G = build_quaternion(n)
     avail = sorted({G.orders[g] for g in range(1, G.order)})
     out = []
     for multiset in itertools.combinations_with_replacement(avail, 4):
@@ -857,7 +880,7 @@ def one_dimensional_families(n: int, max_candidates: int = 5_000_000) -> list[Fa
 
 def family_representative(n: int, label: str) -> Ske:
     """The paper's explicit representative ske of each one-dimensional family."""
-    G = _quaternion(n)
+    G = build_quaternion(n)
     x, y = G.generators
     half = 2 ** (n - 1)
     quarter = 2 ** (n - 2)
@@ -1012,8 +1035,6 @@ def extension_data(n: int, family: str, supergroup: str):
     Returns (theta, theta_prime, words);  theta is the family representative
     the restriction must be equivalent to.
     """
-    from .groups import build_named
-
     Gp = build_named(supergroup, n=n)
     z = Gp.element("z")
     x = Gp.element("x")

@@ -20,10 +20,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class ArithmeticError_(ZeroDivisionError):
-    """Division by zero in a cyclotomic field."""
-
-
 def _is_power_of_two(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
 
@@ -136,26 +132,20 @@ class Cyclotomic:
         return self.__mul__(other)
 
     def inverse(self) -> Cyclotomic:
-        """Field inverse via extended Euclid in Q[x]/(x^(m/2)+1)."""
+        """Field inverse by the tower norm (Pornin-Prest, PKC 2019).
+
+        N(a) = a(zeta) * a(-zeta) is fixed by zeta -> -zeta, so it lies in
+        Q(zeta^2), and 1/a = a(-zeta) / N(a) recurses down to Q.
+        """
         if self.is_zero():
-            raise ArithmeticError_("division by zero in Q(zeta)")
-        d = self.m // 2
-        # modulus x^d + 1
-        mod = [_ZERO] * (d + 1)
-        mod[0] = _ONE
-        mod[d] = _ONE
-        r0, r1 = mod, list(self.coeffs)
-        s0, s1 = [_ZERO], [_ONE]
-        while any(r1):
-            q, rem = _polydivmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1))
-        # r0 = gcd, a nonzero constant since x^d+1 is irreducible
-        lead = next(c for c in r0 if c)
-        inv = [c / lead for c in s0]
-        inv = inv[: d] + [_ZERO] * max(0, d - len(inv))
-        # reduce any degree overflow (cannot happen: deg s0 < d)
-        return Cyclotomic(self.m, tuple(inv[:d]))
+            raise ZeroDivisionError("division by zero in Q(zeta)")
+        if self.m == 2:
+            return Cyclotomic(2, (1 / self.coeffs[0],))
+        conj = self.galois(self.m // 2 + 1)
+        norm = self * conj
+        if any(norm.coeffs[1::2]):
+            raise RuntimeError(f"tower norm of {self} does not lie in Q(zeta_{self.m // 2})")
+        return Cyclotomic(self.m // 2, norm.coeffs[0::2]).inverse().lift(self.m) * conj
 
     def __truediv__(self, other) -> Cyclotomic:
         other = _coerce(other, self.m)
@@ -269,64 +259,6 @@ def _coerce(x, m: int) -> Cyclotomic:
     if isinstance(x, (int, Fraction)):
         return Cyclotomic.from_rational(x, m)
     raise TypeError(f"cannot coerce {type(x)} into Q(zeta)")
-
-
-def cyc_arith(a: Cyclotomic, b: Cyclotomic, op: str) -> Cyclotomic:
-    """Dispatch form of +,-,*,/ used by the CLI layer."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def galois_apply(a: Cyclotomic, t: int) -> Cyclotomic:
-    return a.galois(t)
-
-
-# -- dense rational polynomial helpers (internal, coefficient lists) ---------
-
-
-def _polytrim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _polysub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else _ZERO) - (b[i] if i < len(b) else _ZERO) for i in range(n)]
-    return _polytrim(out)
-
-
-def _polymul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _polytrim(out)
-
-
-def _polydivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = _polytrim(list(a))
-    b = _polytrim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [_ZERO] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        shift = len(a) - len(b)
-        factor = a[-1] / b[-1]
-        q[shift] = factor
-        a = _polysub(a, [_ZERO] * shift + [factor * c for c in b])
-    return _polytrim(q), a
 
 
 # -- sparse multivariate polynomials over Q(zeta) -----------------------------
@@ -511,7 +443,3 @@ class PolyMatrix:
         if same and (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
 
-
-def poly_matrix_identity_zero(mat: PolyMatrix) -> bool:
-    """True iff every entry normalizes to the zero polynomial."""
-    return mat.is_zero()

@@ -18,15 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .groups import Subgroup, named_subgroups
+from .groups import Subgroup, build_quaternion, named_subgroups
 from .reptheory import (
+    _irreducibles_cached,
     fixed_dim_table,
     fixed_subspace_dim,
     galois_orbit,
-    quaternion_group,
-    rep_matrix,
 )
-from .cyclo import Cyclotomic
 
 
 class InvalidMultiplicities(ValueError):
@@ -172,8 +170,6 @@ def dim_fixed_subvariety(mv: MultiplicityVector, K: Subgroup) -> int:
         for lbl, mult in chars:
             if mult(mv) == 0:
                 continue
-            from .reptheory import _irreducibles_cached
-
             ch = next(c for c in _irreducibles_cached(mv.n) if c.label == lbl)
             total += mult(mv) * fixed_subspace_dim(ch, K)
         return total
@@ -249,7 +245,7 @@ def is_trivial_decomposition(mv: MultiplicityVector) -> TrivialityReport:
         and all(d == 0 for d in table.dim_prym_N)
         and all(d == 0 for _, d in table.dim_prym_H)
     )
-    G = quaternion_group(n)
+    G = build_quaternion(n)
     subs = named_subgroups(G)
     flag2 = dim_fixed_subvariety(mv, subs["Z"]) == 0
     flag3 = all(
@@ -265,32 +261,30 @@ def is_trivial_decomposition(mv: MultiplicityVector) -> TrivialityReport:
 
 
 def _fixed_point_free(mv: MultiplicityVector) -> bool:
-    """No rho_a(g), g != 1, has eigenvalue 1: det(rho_a(g) - I) != 0 exactly.
+    """No rho_a(g), g != 1, has eigenvalue 1.
 
-    The determinant factors over the irreducible blocks that actually occur,
-    so an eigenvalue 1 shows up in some single block; blocks are materialized
-    once per (n, label) and the verdict cached.
+    rho_a(g) has eigenvalue 1 exactly when some irreducible V occurring in
+    rho_a has a vector fixed by g, that is when
+
+        dim V^<g> = (1/|g|) * sum_(k = 0 .. |g|-1) chi_V(g^k) > 0.
+
+    Every g != 1 is checked for every such V; the per-(n, label) sets are cached.
     """
     n = mv.n
     labels = [f"chi{i}" for i in range(1, 5) if mv.a[i - 1] > 0]
     labels += [f"theta{s}" for s in range(1, 2 ** (n - 2)) if mv.b_at(s) > 0]
-    return not any(_block_has_fixed_vector(n, lbl) for lbl in labels)
+    return not any(_elements_with_fixed_vector(n, lbl) for lbl in labels)
 
 
 @lru_cache(maxsize=None)
-def _block_has_fixed_vector(n: int, label: str) -> bool:
-    """Whether det(rho_label(g) - I) = 0 for some nontrivial g, exactly."""
-    G = quaternion_group(n)
-    one = Cyclotomic.one(2)
-    for g in range(1, G.order):
-        M = rep_matrix(n, label, g)
-        if len(M) == 1:
-            det = M[0][0] - one
-        else:
-            det = (M[0][0] - one) * (M[1][1] - one) - M[0][1] * M[1][0]
-        if det.is_zero():
-            return True
-    return False
+def _elements_with_fixed_vector(n: int, label: str) -> tuple[int, ...]:
+    """The g != 1 with dim V^<g> > 0, V the irreducible `label`, from its character."""
+    G = build_quaternion(n)
+    ch = next(c for c in _irreducibles_cached(n) if c.label == label)
+    return tuple(
+        g for g in range(1, G.order)
+        if fixed_subspace_dim(ch, Subgroup.generated(G, [g]))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ exponents) and a closed-form product rule read off its defining relations.  The
 constructor then materializes the full Cayley table and re-verifies, element by
 element, that the table is a Latin square and that every defining relation
 evaluates to the identity, so a mistake in a product rule cannot survive
-construction.
+construction.  Each catalogue group is built once per parameter value and
+shared, because subgroups and skes compare their groups by identity.
 
 Generic machinery (conjugacy classes, subgroup lattice, automorphism group,
 isomorphism testing) works on the table alone and is brute force; that is
@@ -16,9 +17,10 @@ against the brute-force lattice.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 
 MAX_ORDER = 64
@@ -31,32 +33,6 @@ class GroupError(ValueError):
 # ---------------------------------------------------------------------------
 # core types
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """A group element as (owning group, index into the element list)."""
-
-    group: "FiniteGroup"
-    index: int
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if other.group is not self.group:
-            raise GroupError("elements belong to different groups")
-        return GroupElement(self.group, self.group.mul(self.index, other.index))
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.group, self.group.inv[self.index])
-
-    def order(self) -> int:
-        return self.group.element_order(self.index)
-
-    @property
-    def name(self) -> str:
-        return self.group.names[self.index]
-
-    def __repr__(self):
-        return f"<{self.name} in {self.group.name}>"
 
 
 class FiniteGroup:
@@ -97,17 +73,16 @@ class FiniteGroup:
         for i in range(n):
             if self.cayley[0][i] != i or self.cayley[i][0] != i:
                 raise GroupError("index 0 is not a two-sided identity")
-        # associativity spot-check is exhaustive at these orders
-        if n <= MAX_ORDER:
-            c = self.cayley
-            for a in range(n):
-                ca = c[a]
-                for b in range(n):
-                    cab = c[ca[b]]
-                    cb = c[b]
-                    for d in range(n):
-                        if cab[d] != ca[cb[d]]:
-                            raise GroupError("Cayley table is not associative")
+        # associativity is checked exhaustively: the constructor caps the order
+        c = self.cayley
+        for a in range(n):
+            ca = c[a]
+            for b in range(n):
+                cab = c[ca[b]]
+                cb = c[b]
+                for d in range(n):
+                    if cab[d] != ca[cb[d]]:
+                        raise GroupError("Cayley table is not associative")
 
     def _inverses(self):
         inv = [None] * self.order
@@ -197,9 +172,6 @@ class FiniteGroup:
                 raise GroupError(f"unknown generator {sym!r} in {self.name}")
             out = self.cayley[out][self.power(self.generators[letters.index(sym)], k)]
         return out
-
-    def wrap(self, i: int) -> GroupElement:
-        return GroupElement(self, i)
 
     def __iter__(self):
         return iter(range(self.order))
@@ -329,6 +301,23 @@ class Subgroup:
 # ---------------------------------------------------------------------------
 
 
+def _memoised(builder):
+    """Build each catalogue group once per parameter value.
+
+    Subgroups and skes compare their groups by identity, so a second build of
+    the same group would be a different group.  The cache is keyed on the
+    bound arguments, so positional and keyword calls share it.
+    """
+    signature = inspect.signature(builder)
+    cached = lru_cache(maxsize=None)(builder)
+
+    @wraps(builder)
+    def build(*args, **kwargs):
+        return cached(*signature.bind(*args, **kwargs).args)
+
+    return build
+
+
 def _materialize(name, elems, mult, namer, gen_elems, relations, kind, params):
     index = {e: i for i, e in enumerate(elems)}
     cayley = [[index[mult(a, b)] for b in elems] for a in elems]
@@ -372,6 +361,7 @@ def quaternion_mul(n: int):
     return mult
 
 
+@_memoised
 def build_quaternion(n: int) -> FiniteGroup:
     """The generalized quaternion group of order 2^n, n >= 3."""
     if n < 3:
@@ -394,6 +384,7 @@ def build_quaternion(n: int) -> FiniteGroup:
     )
 
 
+@_memoised
 def _build_g1_g2(n: int, variant: int) -> FiniteGroup:
     """Supergroups G1/G2 of Q(2^n) of order 2^(n+1): elements x^a y^e z^f.
 
@@ -442,6 +433,7 @@ def _build_g1_g2(n: int, variant: int) -> FiniteGroup:
     )
 
 
+@_memoised
 def _build_qd16() -> FiniteGroup:
     """Quasi-dihedral group of order 32: <u,v : u^16, v^2, v u v u^-7>."""
     def mult(p, q):
@@ -464,6 +456,7 @@ def _build_qd16() -> FiniteGroup:
     )
 
 
+@_memoised
 def _build_c4xc2_rtimes_c2() -> FiniteGroup:
     """<a,b,c : a^2, b^2, c^4, bcbc^3, acac^3, abac^2b> of order 16.
 
@@ -493,6 +486,7 @@ def _build_c4xc2_rtimes_c2() -> FiniteGroup:
     )
 
 
+@_memoised
 def _build_d4xc2_rtimes_c2() -> FiniteGroup:
     """<r,s,a,b> of order 32 with D4 = <r,s>, a central in <r,s,a>, and
     b acting by r -> r, s -> s r a, a -> a r^2.
@@ -538,6 +532,7 @@ def _build_d4xc2_rtimes_c2() -> FiniteGroup:
     )
 
 
+@_memoised
 def build_dihedral(m: int) -> FiniteGroup:
     """Dihedral group <r,s : r^m, s^2, (sr)^2> of order 2m, m >= 2."""
     if m < 2 or 2 * m > MAX_ORDER:

@@ -26,12 +26,7 @@ def _as_group(G_or_n) -> FiniteGroup:
         if G_or_n.kind != "quaternion":
             raise GroupError("character theory here is for quaternion groups")
         return G_or_n
-    return quaternion_group(int(G_or_n))
-
-
-@lru_cache(maxsize=None)
-def quaternion_group(n: int) -> FiniteGroup:
-    return build_quaternion(n)
+    return build_quaternion(int(G_or_n))
 
 
 def quaternion_coords(G: FiniteGroup, i: int) -> tuple[int, int]:
@@ -56,7 +51,7 @@ class ClassData:
 
 @lru_cache(maxsize=None)
 def class_data(n: int) -> ClassData:
-    G = quaternion_group(n)
+    G = build_quaternion(n)
     quarter = 2 ** (n - 2)
     x, y = G.generators
     reps = [G.power(x, a) for a in range(quarter + 1)] + [y, G.cayley[x][y]]
@@ -172,7 +167,7 @@ def theta_matrices(n: int, s: int):
 
 def rep_matrix(n: int, label: str, g: int):
     """The representing matrix of the irreducible `label` at element g."""
-    G = quaternion_group(n)
+    G = build_quaternion(n)
     a, e = quaternion_coords(G, g)
     if label.startswith("chi"):
         k = int(label[3:])
@@ -367,7 +362,7 @@ def fixed_dim_table(n: int) -> dict:
     """dim V^K for every irreducible V and every named subgroup K (plus 1, G)."""
     from .groups import named_subgroups
 
-    G = quaternion_group(n)
+    G = build_quaternion(n)
     subs = dict(named_subgroups(G))
     subs["1"] = Subgroup(G, (0,), "1")
     subs["G"] = Subgroup(G, tuple(range(G.order)), "G")

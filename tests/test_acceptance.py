@@ -24,7 +24,6 @@ from qact.reptheory import (
     inner_product,
     irreducible_characters,
     permutation_character,
-    quaternion_group,
     rational_irreducibles,
 )
 from qact.decomp import (
@@ -90,7 +89,7 @@ def _triv(G):
 def test_acceptance_01_character_theory():
     t0 = time.monotonic()
     for n in (3, 4, 5, 6):
-        G = quaternion_group(n)
+        G = build_quaternion(n)
         chars = irreducible_characters(n)
         assert len(chars) == 2 ** (n - 2) + 3
         assert sum(int(c.degree) ** 2 for c in chars) == 2**n
@@ -123,7 +122,7 @@ def test_acceptance_01_character_theory():
 def test_acceptance_02_dimension_table():
     rng = random.Random(20240)
     for n in (3, 4, 5):
-        G = quaternion_group(n)
+        G = build_quaternion(n)
         subs = named_subgroups(G)
         whole, triv = _whole(G), _triv(G)
         for _ in range(200):
@@ -140,9 +139,9 @@ def test_acceptance_02_dimension_table():
                 assert d == dims[f"H{j}"] - dims[f"H{j + 1}"]
     # matrix-averaging rank cross-check at n = 4
     n = 4
-    subs = dict(named_subgroups(quaternion_group(n)))
-    subs["G"] = _whole(quaternion_group(n))
-    subs["1"] = _triv(quaternion_group(n))
+    subs = dict(named_subgroups(build_quaternion(n)))
+    subs["G"] = _whole(build_quaternion(n))
+    subs["1"] = _triv(build_quaternion(n))
     for ch in irreducible_characters(n):
         for lbl, K in subs.items():
             assert fixed_subspace_dim(ch, K) == fixed_dim_by_averaging(n, ch.label, K)

@@ -256,6 +256,29 @@ def test_ske_file_not_an_object_exits_2(tmp_path, capsys):
     assert err.splitlines() == ["error: ske JSON must be an object, not an array"]
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("signature", 3, "'signature' must be an object, not an integer"),
+        ("signature", {"genus": 0, "periods": 4}, "'signature.periods' must be an array, not an integer"),
+        ("group", "Q16", "'group' must be an object, not a string"),
+        ("elliptic", [1, 2, 3, 4], "'elliptic[0]' must be a string, not an integer"),
+        ("signature", {"genus": "0", "periods": [4, 4, 4, 4]}, "'signature.genus' must be an integer, not a string"),
+        ("group", {"name": 16}, "'group.name' must be a string, not an integer"),
+        ("group", {"name": "G1", "n": "4"}, "'group.n' must be an integer, not a string"),
+    ],
+)
+def test_ske_file_with_wrong_json_type_exits_2(tmp_path, capsys, key, value, message):
+    data = family_representative(4, "F1").to_json()
+    data[key] = value
+    path = tmp_path / "ske.json"
+    path.write_text(json.dumps(data))
+    code = main(["quotient", "--ske", str(path), "--subgroup", "Z"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [f"error: ske JSON key {message}"]
+
+
 def test_dihedral_with_m_below_2_exits_2(capsys):
     code = main(["groups", "--name", "Dihedral", "--m", "1"])
     err = capsys.readouterr().err

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qact.cyclo import Cyclotomic, CycloPoly, PolyMatrix, cyc_arith, galois_apply, poly_matrix_identity_zero
+from qact.cyclo import Cyclotomic, CycloPoly, PolyMatrix
 
 
 def rand_cyc(rng, m, height=9):
@@ -30,12 +30,12 @@ def test_gaussian_product():
     assert one_plus_i * one_minus_i == Cyclotomic.from_rational(2, 4)
 
 
-def test_cyc_arith_dispatch_and_division_by_zero():
+def test_subtraction_and_division_by_zero():
     a = Cyclotomic.zeta(8)
     z = Cyclotomic.zero(8)
-    assert cyc_arith(a, a, "-").is_zero()
+    assert (a - a).is_zero()
     with pytest.raises(ZeroDivisionError):
-        cyc_arith(a, z, "/")
+        a / z
 
 
 def test_mixed_conductor_lift():
@@ -68,6 +68,25 @@ def test_exact_division_roundtrip():
         checked += 1
 
 
+@pytest.mark.parametrize("m", [2, 32, 64])
+def test_inverse_at_small_and_large_conductors(m):
+    rng = random.Random(m)
+    for _ in range(5):
+        a = rand_cyc(rng, m, 6)
+        if not a.is_zero():
+            assert a * a.inverse() == 1
+    with pytest.raises(ZeroDivisionError):
+        Cyclotomic.zero(m).inverse()
+
+
+def test_inverse_checks_that_the_tower_norm_lies_in_the_subfield(monkeypatch):
+    # with zeta -> -zeta replaced by the identity the "norm" is a^2, which
+    # has odd-position coefficients for a = 1 + zeta_8
+    monkeypatch.setattr(Cyclotomic, "galois", lambda self, t: self)
+    with pytest.raises(RuntimeError, match="tower norm"):
+        (Cyclotomic.one(8) + Cyclotomic.zeta(8)).inverse()
+
+
 def test_embedding_is_ring_homomorphism():
     rng = random.Random(3)
     for _ in range(200):
@@ -79,15 +98,15 @@ def test_embedding_is_ring_homomorphism():
 
 def test_galois_identity_and_example():
     c = Cyclotomic.zeta(8) + Cyclotomic.zeta(8, -1)
-    assert galois_apply(c, 1) == c
-    assert galois_apply(c, 3) == -c
+    assert c.galois(1) == c
+    assert c.galois(3) == -c
     with pytest.raises(ValueError):
-        galois_apply(c, 2)
+        c.galois(2)
 
 
 def test_galois_orbit_of_zeta8_has_size_four():
     z = Cyclotomic.zeta(8)
-    orbit = {galois_apply(z, t) for t in (1, 3, 5, 7)}
+    orbit = {z.galois(t) for t in (1, 3, 5, 7)}
     assert len(orbit) == 4
 
 
@@ -96,12 +115,12 @@ def test_galois_is_multiplicative_with_bounded_order():
     m = 16
     for t in (3, 5, 7, 9, 15):
         a, b = rand_cyc(rng, m), rand_cyc(rng, m)
-        assert galois_apply(a * b, t) == galois_apply(a, t) * galois_apply(b, t)
+        assert (a * b).galois(t) == a.galois(t) * b.galois(t)
         # order of the automorphism divides phi(m)
         x = Cyclotomic.zeta(m)
         y = x
         for _ in range(m // 2):
-            y = galois_apply(y, t)
+            y = y.galois(t)
         assert y == x
 
 
@@ -139,8 +158,8 @@ def test_poly_matrix_zero_detection():
     t = _t_poly()
     one = CycloPoly.constant(1, Cyclotomic.one(4))
     zero_m = PolyMatrix.make([[t - t, CycloPoly.zero(1)], [CycloPoly.zero(1), one - one]])
-    assert poly_matrix_identity_zero(zero_m)
-    assert not poly_matrix_identity_zero(PolyMatrix.make([[t]]))
+    assert zero_m.is_zero()
+    assert not PolyMatrix.make([[t]]).is_zero()
 
 
 def test_poly_matrix_products_and_symmetry():

@@ -2,21 +2,24 @@ import random
 
 import pytest
 
+from qact.cyclo import Cyclotomic
 from qact.decomp import (
     InvalidMultiplicities,
     MultiplicityVector,
+    _elements_with_fixed_vector,
+    _fixed_point_free,
     dim_fixed_subvariety,
     factor_dimensions,
     is_trivial_decomposition,
     multiplicities_from_quotient_genera,
 )
-from qact.groups import Subgroup, named_subgroups
-from qact.reptheory import quaternion_group
+from qact.groups import Subgroup, build_quaternion, named_subgroups
+from qact.reptheory import irreducible_characters, rep_matrix
 from qact.actions import family_representative
 
 
 def _subs(n):
-    return named_subgroups(quaternion_group(n))
+    return named_subgroups(build_quaternion(n))
 
 
 def test_factor_dimensions_thm8_1():
@@ -77,7 +80,7 @@ def test_dimension_conservation_random():
 def test_dim_fixed_subvariety_examples():
     n = 4
     subs = _subs(n)
-    G = quaternion_group(n)
+    G = build_quaternion(n)
     mv = MultiplicityVector(4, (0, 1, 0, 0), (2, 0, 2))  # the (0;4,4,4,4) family
     whole = Subgroup(G, tuple(range(G.order)), "G")
     triv = Subgroup(G, (0,), "1")
@@ -89,7 +92,7 @@ def test_dim_fixed_subvariety_examples():
 
 def test_dim_fixed_subvariety_unlabeled_subgroup():
     n = 4
-    G = quaternion_group(n)
+    G = build_quaternion(n)
     mv = MultiplicityVector(4, (1, 0, 0, 0), (1, 1, 1))
     conj = Subgroup.generated(G, [G.conjugate(G.generators[1], G.generators[0])])
     named = _subs(n)["H2"]
@@ -103,6 +106,26 @@ def test_triviality_flags_agree_on_random_vectors():
             mv = MultiplicityVector.random_valid(n, rng, max_mult=3)
             rep = is_trivial_decomposition(mv)
             assert rep.agree, (mv, rep.flags())
+
+
+def _has_eigenvalue_one(n, label, g):
+    """det(rho(g) - I) = 0, from the explicit matrices."""
+    M = rep_matrix(n, label, g)
+    one = Cyclotomic.one(2)
+    if len(M) == 1:
+        return (M[0][0] - one).is_zero()
+    return ((M[0][0] - one) * (M[1][1] - one) - M[0][1] * M[1][0]).is_zero()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_fixed_vectors_from_characters_match_determinants(n):
+    G = build_quaternion(n)
+    for ch in irreducible_characters(n):
+        expected = tuple(g for g in range(1, G.order) if _has_eigenvalue_one(n, ch.label, g))
+        assert _elements_with_fixed_vector(n, ch.label) == expected, ch.label
+        a = tuple(int(ch.label == f"chi{i}") for i in range(1, 5))
+        b = tuple(int(ch.label == f"theta{s}") for s in range(1, 2 ** (n - 2)))
+        assert _fixed_point_free(MultiplicityVector(n, a, b)) == (not expected), ch.label
 
 
 def test_triviality_specific_cases():
@@ -181,7 +204,7 @@ def test_factor_table_oracle_against_inner_products():
     """Closed-form factor dimensions == inner-product oracle differences."""
     rng = random.Random(12)
     for n in (3, 4, 5):
-        G = quaternion_group(n)
+        G = build_quaternion(n)
         subs = _subs(n)
         whole = Subgroup(G, tuple(range(G.order)), "G")
         triv = Subgroup(G, (0,), "1")

@@ -248,15 +248,20 @@ def test_g1_n3_vs_c4xc2_recorded():
     assert isomorphic(G13, build_named("C4xC2_rtimes_C2"))
 
 
-def test_group_element_wrapper():
+def test_element_products_inverses_and_orders():
     G = build_quaternion(4)
-    x = G.wrap(G.generators[0])
-    y = G.wrap(G.generators[1])
-    assert (x * y).name == "x*y"
-    assert (y * y).index == G.power(G.generators[0], 4)
-    assert x.order() == 8 and x.inverse().order() == 8
-    with pytest.raises(GroupError):
-        x * build_quaternion(3).wrap(1)
+    x, y = G.generators
+    assert G.names[G.mul(x, y)] == "x*y"
+    assert G.mul(y, y) == G.power(x, 4)
+    assert G.element_order(x) == 8 and G.element_order(G.inv[x]) == 8
+
+
+def test_catalogue_groups_are_built_once():
+    assert build_named("Q16") is build_quaternion(4) is build_quaternion(n=4)
+    assert build_named("G1", n=4) is build_named("G1", n=4) is build_named("G1", 4)
+    assert build_named("G1", n=4) is not build_named("G2", n=4)
+    assert build_named("Dihedral", m=4) is build_dihedral(4) is build_dihedral(m=4)
+    assert build_named("QD16") is build_named("QD16")
 
 
 def test_group_from_json_descriptors():

@@ -1,5 +1,6 @@
+from qact.actions import family_representative, ske_from_json
 from qact.cyclo import Cyclotomic
-from qact.groups import Subgroup, named_subgroups
+from qact.groups import Subgroup, build_quaternion, named_subgroups
 from qact.reptheory import (
     class_data,
     fixed_dim_by_averaging,
@@ -9,23 +10,22 @@ from qact.reptheory import (
     inner_product,
     irreducible_characters,
     permutation_character,
-    quaternion_group,
     rational_irreducibles,
     rep_matrix,
 )
 
 
 def _subs(n):
-    return named_subgroups(quaternion_group(n))
+    return named_subgroups(build_quaternion(n))
 
 
 def _whole(n):
-    G = quaternion_group(n)
+    G = build_quaternion(n)
     return Subgroup(G, tuple(range(G.order)), "G")
 
 
 def _triv(n):
-    return Subgroup(quaternion_group(n), (0,), "1")
+    return Subgroup(build_quaternion(n), (0,), "1")
 
 
 def test_counts_and_degrees():
@@ -39,7 +39,7 @@ def test_counts_and_degrees():
 
 def test_theta_at_central_involution():
     for n in (3, 4, 5):
-        G = quaternion_group(n)
+        G = build_quaternion(n)
         theta1 = irreducible_characters(n)[4]
         central = G.power(G.generators[0], 2 ** (n - 2))
         assert theta1.value_at(central) == Cyclotomic.from_rational(-2, 2)
@@ -47,7 +47,7 @@ def test_theta_at_central_involution():
 
 def test_chi3_values():
     n = 4
-    G = quaternion_group(n)
+    G = build_quaternion(n)
     chi3 = irreducible_characters(n)[2]
     assert chi3.value_at(G.generators[0]) == Cyclotomic.from_rational(-1, 2)
     assert chi3.value_at(G.generators[1]) == Cyclotomic.from_rational(1, 2)
@@ -82,7 +82,7 @@ def test_galois_generator_is_deterministic_smallest():
 
 def test_permutation_characters_extremes():
     n = 4
-    G = quaternion_group(n)
+    G = build_quaternion(n)
     rho_G = permutation_character(G, _whole(n))
     assert all(v == Cyclotomic.from_rational(1, 2) for v in rho_G.values)
     rho_1 = permutation_character(G, _triv(n))
@@ -90,9 +90,19 @@ def test_permutation_characters_extremes():
     assert all(v.is_zero() for v in rho_1.values[1:])
 
 
+def test_permutation_character_of_a_ske_read_from_json():
+    # the ske's group is rebuilt from its JSON descriptor: the same object
+    ske = ske_from_json(family_representative(4, "F1").to_json())
+    G = build_quaternion(4)
+    assert ske.group is G
+    rho_z = permutation_character(G, named_subgroups(ske.group)["Z"])
+    assert int(rho_z.degree) == 8
+    assert inner_product(rho_z, irreducible_characters(4)[0]) == 1
+
+
 def test_rho_N1_decomposition():
     for n in (4, 5):
-        G = quaternion_group(n)
+        G = build_quaternion(n)
         subs = _subs(n)
         chars = irreducible_characters(n)
         rho_n1 = permutation_character(G, subs["N1"])
@@ -102,7 +112,7 @@ def test_rho_N1_decomposition():
 
 def test_inner_product_examples():
     n = 4
-    G = quaternion_group(n)
+    G = build_quaternion(n)
     chars = irreducible_characters(n)
     subs = _subs(n)
     theta1 = chars[4]
@@ -111,7 +121,7 @@ def test_inner_product_examples():
     assert inner_product(theta1, rho_h2) == 0
     # <Theta_(2^(l-1)), rho_(H_j)> = 1 iff l >= j
     for n2 in (4, 5):
-        G2 = quaternion_group(n2)
+        G2 = build_quaternion(n2)
         chars2 = irreducible_characters(n2)
         subs2 = _subs(n2)
         for l in range(2, n2 - 1):
@@ -131,7 +141,7 @@ def test_orthogonality_small():
 
 def test_regular_character_decomposition():
     for n in (3, 4, 5):
-        G = quaternion_group(n)
+        G = build_quaternion(n)
         rho_1 = permutation_character(G, _triv(n))
         for ch in irreducible_characters(n):
             assert inner_product(rho_1, ch) == ch.degree
@@ -150,7 +160,7 @@ def test_fixed_subspace_dims():
 def test_eight_rho_K_identities():
     """The displayed induced-character decompositions, as exact class functions."""
     for n in (3, 4, 5):
-        G = quaternion_group(n)
+        G = build_quaternion(n)
         subs = _subs(n)
         chars = {c.label: c for c in irreducible_characters(n)}
         rats = {r.label: r.character for r in rational_irreducibles(n)}
@@ -203,7 +213,7 @@ def test_galois_invariance_of_fixed_dims():
 
 def test_rep_matrices_match_characters():
     n = 4
-    G = quaternion_group(n)
+    G = build_quaternion(n)
     for ch in irreducible_characters(n):
         for g in range(G.order):
             M = rep_matrix(n, ch.label, g)
@@ -213,7 +223,7 @@ def test_rep_matrices_match_characters():
 
 def test_character_values_constant_on_classes():
     n = 5
-    G = quaternion_group(n)
+    G = build_quaternion(n)
     cd = class_data(n)
     for ch in irreducible_characters(n):
         for g in range(G.order):
