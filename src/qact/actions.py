@@ -17,7 +17,6 @@ maximal-subgroup bitmask for the surjectivity check.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -270,31 +269,17 @@ def iter_valid_tuples(G: FiniteGroup, periods, max_candidates: int | None = None
     if s < 2:
         return
     if max_candidates is not None:
-        if count_tuple_candidates(G, periods) > max_candidates:
-            raise BudgetExceeded(
-                f"{count_tuple_candidates(G, periods)} candidates exceed budget {max_candidates}"
-            )
-    yield from _dfs_tuples(G, periods, (), 0, (1 << 62) - 1)
-
-
-def _dfs_tuples(G: FiniteGroup, periods, prefix, prod, mask):
-    """DFS suffix enumeration: extend `prefix` (with running product `prod`
-    and generation mask `mask`) by elements of the given exact orders so that
-    the total product is 1 and the whole tuple generates."""
+        candidates = count_tuple_candidates(G, periods)
+        if candidates > max_candidates:
+            raise BudgetExceeded(f"{candidates} candidates exceed budget {max_candidates}")
     cayley = G.cayley
     inv = G.inv
     orders = G.orders
-    masks, _full = _maximal_masks(G)
+    masks, full = _maximal_masks(G)
     buckets = [[g for g in range(G.order) if orders[g] == k] for k in periods]
     if any(not b for b in buckets):
         return
-    s = len(periods)
     k_last = periods[-1]
-    if s == 1:
-        last = inv[prod]
-        if orders[last] == k_last and not (mask & masks[last]):
-            yield prefix + (last,)
-        return
 
     def rec(slot: int, pre: tuple[int, ...], pr: int, mk: int):
         bucket = buckets[slot]
@@ -311,7 +296,7 @@ def _dfs_tuples(G: FiniteGroup, periods, prefix, prod, mask):
         for g in bucket:
             yield from rec(slot + 1, pre + (g,), cayley[pr][g], mk & masks[g])
 
-    yield from rec(0, prefix, prod, mask)
+    yield from rec(0, (), 0, full)
 
 
 def iter_genus_one_triples(G: FiniteGroup, k: int):
@@ -638,7 +623,7 @@ class GenusZeroScan:
         }
 
 
-def genus_zero_exhaustive_scan(n: int, max_periods: int = 7, jobs: int = 1) -> GenusZeroScan:
+def genus_zero_exhaustive_scan(n: int, max_periods: int = 7) -> GenusZeroScan:
     """Confirm over every valid ske with gamma = 0 and at most `max_periods`
     periods that the genus-zero property holds iff the signature is a sigma_b.
 
@@ -647,7 +632,9 @@ def genus_zero_exhaustive_scan(n: int, max_periods: int = 7, jobs: int = 1) -> G
     only skes with a rational S_Z sweep the full subgroup transversal.  An
     element's cycle count on G/Z depends on its order alone (checked by
     `_z_cycles_by_order`), so the S_Z genus is computed once per signature;
-    every ske is still enumerated and counted.
+    every ske is still enumerated and counted.  Tuples in sorted period order
+    suffice: braid moves sort the periods of any valid ske without changing
+    the action.
     """
     G = build_quaternion(n)
     subs = named_subgroups(G)
@@ -662,34 +649,33 @@ def genus_zero_exhaustive_scan(n: int, max_periods: int = 7, jobs: int = 1) -> G
     checked = 0
     mismatches: list[dict] = []
     seen_b: set[int] = set()
-    with _scan_pool(jobs) as pool:
-        for s in range(3, max_periods + 1):
-            for multiset in itertools.combinations_with_replacement(avail, s):
-                sig = Signature(0, multiset)
-                genus = genus_from_signature(G.order, sig)
-                if genus is None:
-                    continue
-                sigs += 1
-                b = is_sigma_b(n, sig)
-                expected = b is not None
-                gz = _genus_from_cycles(G.order // 2, [zcyc[k] for k in multiset])
-                for t in _tuples_for_scan(G, multiset, pool):
-                    checked += 1
-                    genus_zero = gz == 0 and all(
-                        _genus_from_cycles(index, [ncyc[g] for g in t]) == 0
-                        for index, ncyc in transversal
+    for s in range(3, max_periods + 1):
+        for multiset in itertools.combinations_with_replacement(avail, s):
+            sig = Signature(0, multiset)
+            genus = genus_from_signature(G.order, sig)
+            if genus is None:
+                continue
+            sigs += 1
+            b = is_sigma_b(n, sig)
+            expected = b is not None
+            gz = _genus_from_cycles(G.order // 2, [zcyc[k] for k in multiset])
+            for t in iter_valid_tuples(G, multiset):
+                checked += 1
+                genus_zero = gz == 0 and all(
+                    _genus_from_cycles(index, [ncyc[g] for g in t]) == 0
+                    for index, ncyc in transversal
+                )
+                if genus_zero != expected:
+                    mismatches.append(
+                        {
+                            "signature": sig.to_json(),
+                            "ske": [G.names[g] for g in t],
+                            "genus_zero": genus_zero,
+                            "sigma_b": b,
+                        }
                     )
-                    if genus_zero != expected:
-                        mismatches.append(
-                            {
-                                "signature": sig.to_json(),
-                                "ske": [G.names[g] for g in t],
-                                "genus_zero": genus_zero,
-                                "sigma_b": b,
-                            }
-                        )
-                    elif expected:
-                        seen_b.add(b)
+                elif expected:
+                    seen_b.add(b)
     return GenusZeroScan(
         n=n,
         max_periods=max_periods,
@@ -717,34 +703,6 @@ def _z_cycles_by_order(G: FiniteGroup, zsub: Subgroup) -> dict[int, int]:
         if out.setdefault(G.orders[g], c) != c:
             raise RuntimeError("the cycle count on G/Z is not a function of the element order")
     return out
-
-
-def _scan_pool(jobs: int):
-    """One worker pool for a whole scan (a null context when serial)."""
-    if jobs <= 1:
-        return contextlib.nullcontext()
-    import multiprocessing as mp
-
-    return mp.Pool(jobs)
-
-
-def _tuples_for_scan(G: FiniteGroup, periods, pool=None):
-    """Sorted-order tuples suffice for property scans: braid moves sort the
-    periods of any valid ske without changing the action.  With a pool, the
-    first slot is split across its workers; results merge deterministically."""
-    if pool is None or len(periods) < 3 or G.kind != "quaternion":
-        yield from iter_valid_tuples(G, periods)
-        return
-    args = [(G.params["n"], periods, g) for g in range(G.order) if G.orders[g] == periods[0]]
-    for chunk in pool.imap(_scan_chunk, args):
-        yield from chunk
-
-
-def _scan_chunk(arg):
-    n, periods, g0 = arg
-    G = build_quaternion(n)
-    masks, _ = _maximal_masks(G)
-    return list(_dfs_tuples(G, periods[1:], (g0,), g0, masks[g0]))
 
 
 @lru_cache(maxsize=None)

@@ -24,12 +24,6 @@ class DegenerateParameter(ValueError):
     """t in {0, 1} does not give a curve in the family."""
 
 
-def _poly_x(n_conductor: int, nvars: int = 1) -> CycloPoly:
-    return CycloPoly.make(
-        nvars, {tuple([1] + [0] * (nvars - 1)): Cyclotomic.one(n_conductor)}
-    )
-
-
 def model_polynomial(n: int, t: Cyclotomic | None, conductor: int = 4) -> CycloPoly:
     """f as an exact polynomial: in X alone (t exact) or in (X, t) (t None)."""
     q = 2 ** (n - 2)

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -346,16 +344,6 @@ class CycloPoly:
             total += v
         return total
 
-    def eval_exact(self, point: Iterable[Cyclotomic]) -> Cyclotomic:
-        pt = list(point)
-        total = Cyclotomic.zero(4)
-        for e, c in self.terms:
-            v = c
-            for x, k in zip(pt, e):
-                v = v * x**k
-            total = total + v
-        return total
-
     def to_json(self) -> list:
         return [{"exp": list(e), "coeff": c.to_json()} for e, c in self.terms]
 
@@ -423,11 +411,6 @@ class PolyMatrix:
                 row.append(acc)
             out.append(row)
         return PolyMatrix.make(out)
-
-    def transpose(self) -> PolyMatrix:
-        return PolyMatrix.make(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)

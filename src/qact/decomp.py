@@ -18,13 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .groups import Subgroup, build_quaternion, named_subgroups
-from .reptheory import (
-    _irreducibles_cached,
-    fixed_dim_table,
-    fixed_subspace_dim,
-    galois_orbit,
-)
+from .groups import GroupError, Subgroup, build_quaternion, named_subgroups, subgroup_by_label
+from .reptheory import _irreducibles_cached, fixed_dims, fixed_subspace_dim, galois_orbit
 
 
 class InvalidMultiplicities(ValueError):
@@ -64,13 +59,6 @@ class MultiplicityVector:
                 raise InvalidMultiplicities(
                     f"b is not constant on the Galois orbit {orbit}"
                 )
-
-    def is_galois_consistent(self) -> bool:
-        try:
-            self.check_galois()
-        except InvalidMultiplicities:
-            return False
-        return True
 
     @staticmethod
     def from_orbit_values(n: int, a, orbit_b) -> "MultiplicityVector":
@@ -161,40 +149,9 @@ def factor_dimensions(mv: MultiplicityVector) -> FactorTable:
 
 def dim_fixed_subvariety(mv: MultiplicityVector, K: Subgroup) -> int:
     """dim A_K = <rho_a, rho_K> = sum of multiplicities times fixed-space dims."""
-    table = fixed_dim_table(mv.n)
-    label = K.label if K.label else None
-    if label is None or (label not in _known_labels(mv.n)):
-        # fall back to averaging the character over an explicit subgroup
-        total = 0
-        chars = _irr_labels(mv.n)
-        for lbl, mult in chars:
-            if mult(mv) == 0:
-                continue
-            ch = next(c for c in _irreducibles_cached(mv.n) if c.label == lbl)
-            total += mult(mv) * fixed_subspace_dim(ch, K)
-        return total
-    total = mv.a[0] * table[("chi1", label)]
-    for i in (2, 3, 4):
-        total += mv.a[i - 1] * table[(f"chi{i}", label)]
-    for s in range(1, 2 ** (mv.n - 2)):
-        bs = mv.b_at(s)
-        if bs:
-            total += bs * table[(f"theta{s}", label)]
-    return total
-
-
-def _known_labels(n: int) -> set[str]:
-    labels = {"1", "G", "Z", "N1", "N2", "N3"}
-    labels.update(f"H{j}" for j in range(2, n))
-    labels.update(f"Ht{j}" for j in range(2, n))
-    labels.update(f"K{i}" for i in range(2, n + 1))
-    return labels
-
-
-def _irr_labels(n: int):
-    out = [(f"chi{i}", (lambda mv, i=i: mv.a[i - 1])) for i in range(1, 5)]
-    out += [(f"theta{s}", (lambda mv, s=s: mv.b_at(s))) for s in range(1, 2 ** (n - 2))]
-    return out
+    if K.group is not build_quaternion(mv.n):
+        raise GroupError(f"subgroup of {K.group.name}, not of Q{2 ** mv.n}")
+    return sum(m * d for m, d in zip((*mv.a, *mv.b), fixed_dims(mv.n, K.as_set())))
 
 
 # ---------------------------------------------------------------------------
@@ -311,21 +268,18 @@ def multiplicities_from_quotient_genera(ske) -> MultiplicityVector:
     if G.kind != "quaternion":
         raise ValueError("multiplicities are defined for Q(2^n) actions")
     n = G.params["n"]
-    table = fixed_dim_table(n)
     subs = dict(named_subgroups(G))
-    subs["1"] = Subgroup(G, (0,), "1")
-    subs["G"] = Subgroup(G, tuple(range(G.order)), "G")
+    for lbl in ("1", "G"):
+        subs[lbl] = subgroup_by_label(G, lbl)
 
     unknowns = 4 + (n - 2)
     rows, rhs = [], []
     for lbl, K in sorted(subs.items()):
-        row = [Fraction(table[(f"chi{i}", lbl)]) for i in range(1, 5)]
+        dims = fixed_dims(n, K.as_set())
+        row = [Fraction(d) for d in dims[:4]]
         for l in range(1, n - 1):
-            row.append(
-                Fraction(
-                    sum(table[(f"theta{s}", lbl)] for s in galois_orbit(n, 2 ** (l - 1)))
-                )
-            )
+            # Theta_s sits at index 3 + s, after chi1..chi4
+            row.append(Fraction(sum(dims[3 + s] for s in galois_orbit(n, 2 ** (l - 1)))))
         rows.append(row)
         rhs.append(Fraction(quotient_data(ske, K).genus))
     solution = _solve_exact(rows, rhs, unknowns)

@@ -210,14 +210,6 @@ class FiniteGroup:
         return tuple(classes)
 
     @lru_cache(maxsize=None)
-    def class_index(self) -> tuple[int, ...]:
-        idx = [0] * self.order
-        for c, cls in enumerate(self.conjugacy_classes()):
-            for x in cls:
-                idx[x] = c
-        return tuple(idx)
-
-    @lru_cache(maxsize=None)
     def center(self) -> frozenset:
         return frozenset(
             g for g in range(self.order)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .groups import build_named, build_quaternion, named_subgroups
+from .groups import build_named, build_quaternion, named_subgroups, subgroup_by_label
 from .decomp import factor_dimensions, is_trivial_decomposition, multiplicities_from_quotient_genera
 from .actions import (
     check_extension,
@@ -90,7 +90,7 @@ def _dimension_tables(n: int) -> dict:
             quot[lbl] = {"genus": qd.genus, "periods": list(qd.periods)}
         tables[fam] = {
             "representative": ske.element_names(),
-            "surface_genus": quotient_data(ske, _trivial_subgroup(G)).genus,
+            "surface_genus": quotient_data(ske, subgroup_by_label(G, "1")).genus,
             "multiplicities": mv.to_json(),
             "factors": table.to_json(),
             "quotients": quot,
@@ -98,12 +98,6 @@ def _dimension_tables(n: int) -> dict:
             and trivial.to_json()["dim_AZ_zero"],
         }
     return tables
-
-
-def _trivial_subgroup(G):
-    from .groups import Subgroup
-
-    return Subgroup(G, (0,), "1")
 
 
 def _extensions(n: int) -> dict:

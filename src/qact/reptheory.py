@@ -358,16 +358,8 @@ def fixed_dim_by_averaging(n: int, label: str, K: Subgroup) -> int:
 
 
 @lru_cache(maxsize=None)
-def fixed_dim_table(n: int) -> dict:
-    """dim V^K for every irreducible V and every named subgroup K (plus 1, G)."""
-    from .groups import named_subgroups
-
-    G = build_quaternion(n)
-    subs = dict(named_subgroups(G))
-    subs["1"] = Subgroup(G, (0,), "1")
-    subs["G"] = Subgroup(G, tuple(range(G.order)), "G")
-    table = {}
-    for ch in _irreducibles_cached(n):
-        for lbl, K in subs.items():
-            table[(ch.label, lbl)] = fixed_subspace_dim(ch, K)
-    return table
+def fixed_dims(n: int, kset: frozenset) -> tuple[int, ...]:
+    """dim V^K for every irreducible V of Q(2^n), in `irreducible_characters`
+    order, for the subgroup K with element set `kset`."""
+    K = Subgroup(build_quaternion(n), tuple(sorted(kset)))
+    return tuple(fixed_subspace_dim(ch, K) for ch in _irreducibles_cached(n))

@@ -35,8 +35,6 @@ from qact.actions import (
     validate_ske,
     witness_eta,
     z_branch_count,
-    _scan_pool,
-    _tuples_for_scan,
 )
 from qact.groups import Subgroup, automorphisms, build_quaternion, named_subgroups
 
@@ -310,12 +308,26 @@ def test_budget_guard():
         classify(Q(4), Signature(0, (4, 4, 4, 4)), max_candidates=10)
 
 
-def test_parallel_scan_agrees_with_serial():
-    G = Q(4)
-    serial = set(_tuples_for_scan(G, (4, 4, 4, 4)))
-    with _scan_pool(2) as pool:
-        parallel = set(_tuples_for_scan(G, (4, 4, 4, 4), pool))
-    assert serial == parallel
+def test_enumerator_matches_brute_force():
+    """The DFS yields each valid tuple once, and exactly the tuples of the
+    order buckets that validate_ske accepts, for every ordered arrangement of
+    3 and 4 periods at n = 3 and 4."""
+    total = 0
+    for n in (3, 4):
+        G = Q(n)
+        orders = sorted({G.orders[g] for g in range(1, G.order)})
+        for s in (3, 4):
+            for periods in itertools.product(orders, repeat=s):
+                found = list(iter_valid_tuples(G, periods))
+                assert len(found) == len(set(found)), periods
+                buckets = [[g for g in range(G.order) if G.orders[g] == k] for k in periods]
+                brute = {
+                    t for t in itertools.product(*buckets)
+                    if validate_ske(Ske(G, Signature(0, periods), (), t))[0]
+                }
+                assert set(found) == brute, periods
+                total += len(found)
+    assert total == 2664
 
 
 # -- the family census ----------------------------------------------------------
@@ -479,23 +491,6 @@ def test_scan_raises_if_z_cycles_depend_on_more_than_order(monkeypatch):
     monkeypatch.setattr(actions, "_ncycles_table", skewed)
     with pytest.raises(RuntimeError, match="not a function of the element order"):
         genus_zero_exhaustive_scan(4, max_periods=4)
-
-
-def test_parallel_scan_opens_one_pool(monkeypatch):
-    import multiprocessing
-
-    real_pool = multiprocessing.Pool
-    opened = []
-
-    def pool(*args, **kwargs):
-        opened.append(args)
-        return real_pool(*args, **kwargs)
-
-    monkeypatch.setattr(multiprocessing, "Pool", pool)
-    parallel = genus_zero_exhaustive_scan(4, max_periods=5, jobs=2)
-    assert len(opened) == 1
-    assert parallel.signatures_checked > 1
-    assert parallel.to_json() == genus_zero_exhaustive_scan(4, max_periods=5).to_json()
 
 
 def test_non_sigma_b_fails_genus_zero():

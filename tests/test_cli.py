@@ -90,13 +90,17 @@ def test_genus_zero_command(capsys):
 
 
 def test_genus_zero_exhaustive_with_jobs(capsys):
-    code, rep = run_json(
-        capsys, "genus-zero", "--n", "3", "--max-b", "1",
-        "--exhaustive", "--max-periods", "4", "--jobs", "2",
-    )
+    argv = ("genus-zero", "--n", "3", "--max-b", "1", "--exhaustive", "--max-periods", "4")
+    code, rep = run_json(capsys, *argv, "--jobs", "2")
     assert code == 0
     scan = rep["results"]["exhaustive_scan"]
     assert scan["ok"] and scan["mismatches"] == []
+    # --jobs is accepted and echoed, and changes nothing else in the report
+    assert rep["inputs"]["jobs"] == 2
+    default_code, default = run_json(capsys, *argv)
+    assert default_code == 0 and default["inputs"].pop("jobs") == 1
+    rep["inputs"].pop("jobs")
+    assert rep == default
 
 
 def test_report_echoes_inputs_and_fixture_checksums(capsys):
@@ -300,24 +304,3 @@ def test_jobs_below_one_exits_2(capsys, jobs):
     assert err.value.code == 2
     assert "--jobs" in capsys.readouterr().err
 
-
-def test_jobs_capped_at_cpu_count(monkeypatch, capsys):
-    import multiprocessing
-    import os
-
-    real_pool = multiprocessing.Pool
-    sizes = []
-
-    def pool(processes, *args, **kwargs):
-        sizes.append(processes)
-        return real_pool(processes, *args, **kwargs)
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(multiprocessing, "Pool", pool)
-    code, rep = run_json(
-        capsys, "genus-zero", "--n", "3", "--max-b", "1",
-        "--exhaustive", "--max-periods", "4", "--jobs", "64",
-    )
-    assert code == 0
-    assert rep["results"]["exhaustive_scan"]["ok"]
-    assert sizes and set(sizes) == {2}

@@ -13,7 +13,7 @@ from qact.decomp import (
     is_trivial_decomposition,
     multiplicities_from_quotient_genera,
 )
-from qact.groups import Subgroup, build_quaternion, named_subgroups
+from qact.groups import GroupError, Subgroup, build_quaternion, named_subgroups
 from qact.reptheory import irreducible_characters, rep_matrix
 from qact.actions import family_representative
 
@@ -97,6 +97,21 @@ def test_dim_fixed_subvariety_unlabeled_subgroup():
     conj = Subgroup.generated(G, [G.conjugate(G.generators[1], G.generators[0])])
     named = _subs(n)["H2"]
     assert dim_fixed_subvariety(mv, conj) == dim_fixed_subvariety(mv, named)
+
+
+def test_dim_fixed_subvariety_ignores_the_label():
+    G = build_quaternion(4)
+    mv = MultiplicityVector(4, (1, 1, 1, 1), (1, 1, 1))
+    mislabelled = Subgroup(G, (0,), "Z")
+    assert dim_fixed_subvariety(mv, mislabelled) == mv.total_dimension() == 10
+    assert dim_fixed_subvariety(mv, Subgroup(G, _subs(4)["Z"].elements)) == 6
+
+
+def test_dim_fixed_subvariety_rejects_a_foreign_group():
+    mv = MultiplicityVector(4, (1, 1, 1, 1), (1, 1, 1))
+    for K in (_subs(5)["Z"], Subgroup(build_quaternion(5), _subs(5)["Z"].elements)):
+        with pytest.raises(GroupError, match="Q16"):
+            dim_fixed_subvariety(mv, K)
 
 
 def test_triviality_flags_agree_on_random_vectors():
