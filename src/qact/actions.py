@@ -28,6 +28,7 @@ from .groups import (
     automorphisms,
     build_named,
     build_quaternion,
+    coset_cycles,
     find_isomorphism,
     group_from_cayley,
     group_from_json,
@@ -466,62 +467,28 @@ class QuotientData:
         return {"genus": self.genus, "periods": list(self.periods)}
 
 
-@lru_cache(maxsize=None)
-def _coset_structure(G: FiniteGroup, kset: frozenset) -> tuple[tuple[int, ...], int]:
-    """coset index per element for the left cosets gK, plus the index [G:K]."""
-    coset_of = [-1] * G.order
-    count = 0
-    for g in range(G.order):
-        if coset_of[g] >= 0:
-            continue
-        for k in kset:
-            coset_of[G.cayley[g][k]] = count
-        count += 1
-    return tuple(coset_of), count
-
-
 def quotient_data(ske: Ske, K: Subgroup) -> QuotientData:
     """Genus and branch periods of S_K from the cycle structure on G/K."""
-    G = ske.group
-    coset_of, index = _coset_structure(G, K.as_set())
-    reps = [0] * index
-    seen = [False] * index
-    for g in range(G.order):
-        c = coset_of[g]
-        if not seen[c]:
-            seen[c] = True
-            reps[c] = g
-    defect = 0
+    cycles = coset_cycles(ske.group, K.as_set())
     branch: list[int] = []
     for g, k in zip(ske.elliptic, ske.signature.periods):
-        perm = [coset_of[G.cayley[g][reps[c]]] for c in range(index)]
-        for cyc_len in _cycle_lengths(perm):
-            defect += cyc_len - 1
+        for cyc_len in cycles[g]:
             if k % cyc_len != 0:
                 raise RuntimeError("cycle length does not divide the period")
             if k // cyc_len > 1:
                 branch.append(k // cyc_len)
-    rhs = index * (2 * ske.signature.gamma - 2) + defect
-    if rhs % 2 != 0:
-        raise RuntimeError("Riemann-Hurwitz parity failure")
-    genus = rhs // 2 + 1
+    counts = [len(cycles[g]) for g in ske.elliptic]
+    genus = _genus_from_cycles(len(cycles[0]), ske.signature.gamma, counts)
     return QuotientData(genus, tuple(sorted(branch)))
 
 
-def _cycle_lengths(perm) -> list[int]:
-    seen = [False] * len(perm)
-    out = []
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        out.append(length)
-    return out
+def _genus_from_cycles(index: int, gamma: int, cycle_counts) -> int:
+    """Riemann-Hurwitz for S_K, 2 g_K - 2 = [G:K](2 gamma - 2) + sum([G:K] - c),
+    from the number c of cycles of each elliptic image on the [G:K] cosets."""
+    rhs = index * (2 * gamma - 2) + sum(index - c for c in cycle_counts)
+    if rhs % 2 != 0:
+        raise RuntimeError("Riemann-Hurwitz parity failure")
+    return rhs // 2 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +515,13 @@ def is_genus_zero_action(ske: Ske) -> bool:
     if ske.signature.gamma != 0:
         return False
     subs = named_subgroups(ske.group)
-    if quotient_data(ske, subs["Z"]).genus != 0:
-        return False
-    transversal = [l for l in sorted(subs) if l not in ("Z", "N1", "N2", "N3")]
-    return all(quotient_data(ske, subs[l]).genus == 0 for l in transversal)
+    return all(quotient_data(ske, K).genus == 0 for K in [subs["Z"], *_transversal(subs)])
+
+
+def _transversal(subs: dict[str, Subgroup]) -> list[Subgroup]:
+    """The named subgroups the genus-zero check sweeps after Z: every label
+    but the aliases Z, N1, N2 and N3 of K2, Kn, H_(n-1) and Ht_(n-1)."""
+    return [subs[l] for l in sorted(subs) if l not in ("Z", "N1", "N2", "N3")]
 
 
 @dataclass(frozen=True)
@@ -638,10 +608,7 @@ def genus_zero_exhaustive_scan(n: int, max_periods: int = 7) -> GenusZeroScan:
     """
     G = build_quaternion(n)
     subs = named_subgroups(G)
-    transversal = [
-        (G.order // subs[l].order, _ncycles_table(G, subs[l]))
-        for l in sorted(subs) if l not in ("Z", "N1", "N2", "N3")
-    ]
+    transversal = [coset_cycles(G, K.as_set()) for K in _transversal(subs)]
     zcyc = _z_cycles_by_order(G, subs["Z"])
 
     avail = sorted({G.orders[g] for g in range(1, G.order)})
@@ -658,12 +625,12 @@ def genus_zero_exhaustive_scan(n: int, max_periods: int = 7) -> GenusZeroScan:
             sigs += 1
             b = is_sigma_b(n, sig)
             expected = b is not None
-            gz = _genus_from_cycles(G.order // 2, [zcyc[k] for k in multiset])
+            gz = _genus_from_cycles(G.order // 2, 0, [zcyc[k] for k in multiset])
             for t in iter_valid_tuples(G, multiset):
                 checked += 1
                 genus_zero = gz == 0 and all(
-                    _genus_from_cycles(index, [ncyc[g] for g in t]) == 0
-                    for index, ncyc in transversal
+                    _genus_from_cycles(len(cycles[0]), 0, [len(cycles[g]) for g in t]) == 0
+                    for cycles in transversal
                 )
                 if genus_zero != expected:
                     mismatches.append(
@@ -686,12 +653,6 @@ def genus_zero_exhaustive_scan(n: int, max_periods: int = 7) -> GenusZeroScan:
     )
 
 
-def _genus_from_cycles(index: int, cycle_counts) -> int:
-    """Riemann-Hurwitz for S_K over a genus-zero quotient, from the number of
-    cycles of each elliptic image on the [G:K] cosets."""
-    return (index * -2 + sum(index - c for c in cycle_counts)) // 2 + 1
-
-
 def _z_cycles_by_order(G: FiniteGroup, zsub: Subgroup) -> dict[int, int]:
     """The number of cycles on G/Z of an element of each order.
 
@@ -699,30 +660,10 @@ def _z_cycles_by_order(G: FiniteGroup, zsub: Subgroup) -> dict[int, int]:
     the order alone; this raises unless it does.
     """
     out: dict[int, int] = {}
-    for g, c in enumerate(_ncycles_table(G, zsub)):
-        if out.setdefault(G.orders[g], c) != c:
+    for g, cycles in enumerate(coset_cycles(G, zsub.as_set())):
+        if out.setdefault(G.orders[g], len(cycles)) != len(cycles):
             raise RuntimeError("the cycle count on G/Z is not a function of the element order")
     return out
-
-
-@lru_cache(maxsize=None)
-def _ncycles_table_cached(G: FiniteGroup, kset: frozenset) -> tuple[int, ...]:
-    coset_of, index = _coset_structure(G, kset)
-    reps = []
-    seen = set()
-    for g in range(G.order):
-        if coset_of[g] not in seen:
-            seen.add(coset_of[g])
-            reps.append(g)
-    table = []
-    for g in range(G.order):
-        perm = [coset_of[G.cayley[g][r]] for r in reps]
-        table.append(len(_cycle_lengths(perm)))
-    return tuple(table)
-
-
-def _ncycles_table(G: FiniteGroup, K: Subgroup) -> tuple[int, ...]:
-    return _ncycles_table_cached(G, K.as_set())
 
 
 def z_branch_count(ske: Ske) -> int:
@@ -792,29 +733,10 @@ def one_dimensional_families(n: int, max_candidates: int = 5_000_000) -> list[Fa
         raise ValueError("census supported for 3 <= n <= 6")
     G = build_quaternion(n)
     avail = sorted({G.orders[g] for g in range(1, G.order)})
+    sigs = [Signature(0, ks) for ks in itertools.combinations_with_replacement(avail, 4)]
+    sigs += [Signature(1, (k,)) for k in avail]
     out = []
-    for multiset in itertools.combinations_with_replacement(avail, 4):
-        sig = Signature(0, multiset)
-        genus = genus_from_signature(G.order, sig)
-        if genus is None:
-            continue
-        report = classify(G, sig, max_candidates)
-        if report.total == 0:
-            continue
-        label = family_label(n, sig)
-        out.append(
-            FamilyRecord(
-                label=label,
-                signature=sig,
-                genus=genus,
-                stratum_bound=stratum_bound(n, label),
-                orbit_count=report.orbit_count,
-                ske_count=report.total,
-                representative=report.representatives[0],
-            )
-        )
-    for k in avail:
-        sig = Signature(1, (k,))
+    for sig in sigs:
         genus = genus_from_signature(G.order, sig)
         if genus is None:
             continue
@@ -920,15 +842,8 @@ class InvalidEmbedding(ValueError):
 
 def evaluate_words(theta_prime: Ske, words) -> list[int]:
     """Evaluate words in the Fuchsian generators of theta_prime's domain."""
-    Gp = theta_prime.group
     images = list(theta_prime.hyperbolic) + list(theta_prime.elliptic)
-    out = []
-    for word in words:
-        v = 0
-        for slot, exp in word:
-            v = Gp.cayley[v][Gp.power(images[slot], exp)]
-        out.append(v)
-    return out
+    return [theta_prime.group.evaluate_word(word, images) for word in words]
 
 
 def subgroup_as_group(Gp: FiniteGroup, elems: frozenset, gens: list[int]) -> tuple[FiniteGroup, dict]:

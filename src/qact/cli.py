@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -56,6 +57,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
     return value
 
 
@@ -264,7 +272,8 @@ def cmd_siegel(args) -> tuple[int, dict]:
 
 
 def cmd_curve(args) -> tuple[int, dict]:
-    t = complex(args.t.replace("i", "j")) if args.t else None
+    # a trailing i is the imaginary unit; "inf" and "nan" keep their letters
+    t = complex(args.t[:-1] + "j" if args.t.endswith("i") else args.t) if args.t else None
     if args.verify and t is None:
         raise SystemExit2("--verify needs a numeric --t")
     model = cv.build_model(args.n, t)
@@ -470,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("action", choices=["verify", "group", "locus"])
     q.add_argument("--fixture", required=True)
     q.add_argument("--starts", type=int, default=8)
-    q.add_argument("--tol", type=float, default=1e-9)
+    q.add_argument("--tol", type=_positive_float, default=1e-9)
     q.set_defaults(fn=cmd_siegel)
 
     q = sub.add_parser("curve", parents=[common], help="hyperelliptic model verification")
@@ -492,12 +501,22 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         code, results = args.fn(args)
+        text = _render(args, results, t0)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
     except SystemExit2 as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (GroupError, ValueError, FileNotFoundError, BudgetExceeded) as exc:
+    except (GroupError, ValueError, OSError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if not args.out:
+        sys.stdout.write(text)
+    return code
+
+
+def _render(args, results: dict, t0: float) -> str:
     report = {
         "command": args.command,
         "version": __version__,
@@ -514,17 +533,10 @@ def main(argv=None) -> int:
     if args.timings:
         report["runtime_s"] = round(time.time() - t0, 3)
     if args.markdown:
-        text = _emit_markdown(report["results"])
-    elif args.csv:
-        text = _emit_csv(report["results"])
-    else:
-        text = json.dumps(report, indent=1, sort_keys=True, default=_json_default) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return code
+        return _emit_markdown(report["results"])
+    if args.csv:
+        return _emit_csv(report["results"])
+    return json.dumps(report, indent=1, sort_keys=True, default=_json_default) + "\n"
 
 
 def _json_default(obj):

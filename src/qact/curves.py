@@ -111,8 +111,8 @@ def build_model(n: int, t) -> HyperellipticModel:
         raise TypeError(f"unsupported parameter type {type(t)}")
     if exact_t is not None and (exact_t == 0 or exact_t == 1):
         raise DegenerateParameter("t must avoid 0 and 1")
-    if numeric_t is not None and (abs(numeric_t) < 1e-12 or abs(numeric_t - 1) < 1e-12):
-        raise DegenerateParameter("t must avoid 0 and 1")
+    if numeric_t is not None:
+        _check_numeric_t(numeric_t)
 
     q = 2 ** (n - 2)
     xi = cmath.exp(2j * cmath.pi / 2 ** (n - 1))
@@ -131,6 +131,13 @@ def build_model(n: int, t) -> HyperellipticModel:
             eta = cmath.sqrt(-lam)
     return HyperellipticModel(n=n, t=t if t is None or exact_t is None else exact_t,
                               f_exact=f_exact, f_coeffs=f_coeffs, xi=xi, lam=lam, eta=eta)
+
+
+def _check_numeric_t(t: complex):
+    if not cmath.isfinite(t):
+        raise DegenerateParameter(f"t must be finite, got {t}")
+    if abs(t) < 1e-12 or abs(t - 1) < 1e-12:
+        raise DegenerateParameter("t must avoid 0 and 1")
 
 
 def _numeric_coeffs(n: int, t: complex) -> list[complex]:
@@ -445,8 +452,7 @@ def branch_configuration(n: int, t: complex) -> BranchConfiguration:
     of f they annihilate: 0, infinity, the q-th roots of 1, of t, and the
     2q-th roots of t split by the sign of X^q."""
     t = complex(t)
-    if abs(t) < 1e-12 or abs(t - 1) < 1e-12:
-        raise DegenerateParameter("t must avoid 0 and 1")
+    _check_numeric_t(t)
     q = 2 ** (n - 2)
     w = cmath.exp(2j * cmath.pi / q)
     lam2 = cmath.exp(cmath.log(t) / q)

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .groups import GroupError, Subgroup, build_quaternion, named_subgroups, subgroup_by_label
-from .reptheory import _irreducibles_cached, fixed_dims, fixed_subspace_dim, galois_orbit
+from .reptheory import fixed_dims, galois_orbit
 
 
 class InvalidMultiplicities(ValueError):
@@ -218,30 +217,15 @@ def is_trivial_decomposition(mv: MultiplicityVector) -> TrivialityReport:
 
 
 def _fixed_point_free(mv: MultiplicityVector) -> bool:
-    """No rho_a(g), g != 1, has eigenvalue 1.
+    """No rho_a(g), g != 1, has eigenvalue 1: dim A_<g> = 0 for every g != 1.
 
-    rho_a(g) has eigenvalue 1 exactly when some irreducible V occurring in
-    rho_a has a vector fixed by g, that is when
-
-        dim V^<g> = (1/|g|) * sum_(k = 0 .. |g|-1) chi_V(g^k) > 0.
-
-    Every g != 1 is checked for every such V; the per-(n, label) sets are cached.
+    dim A_<g> is the sum of m_V dim V^<g> over the irreducibles V of rho_a,
+    so it is positive exactly when g fixes a vector; it is read from the same
+    fixed-dimension cache as every dim A_K.  Every g != 1 is checked, with no
+    shortcut through Z, so this flag stays independent of flag 2.
     """
-    n = mv.n
-    labels = [f"chi{i}" for i in range(1, 5) if mv.a[i - 1] > 0]
-    labels += [f"theta{s}" for s in range(1, 2 ** (n - 2)) if mv.b_at(s) > 0]
-    return not any(_elements_with_fixed_vector(n, lbl) for lbl in labels)
-
-
-@lru_cache(maxsize=None)
-def _elements_with_fixed_vector(n: int, label: str) -> tuple[int, ...]:
-    """The g != 1 with dim V^<g> > 0, V the irreducible `label`, from its character."""
-    G = build_quaternion(n)
-    ch = next(c for c in _irreducibles_cached(n) if c.label == label)
-    return tuple(
-        g for g in range(1, G.order)
-        if fixed_subspace_dim(ch, Subgroup.generated(G, [g]))
-    )
+    G = build_quaternion(mv.n)
+    return all(dim_fixed_subvariety(mv, Subgroup.generated(G, [g])) == 0 for g in range(1, G.order))
 
 
 # ---------------------------------------------------------------------------

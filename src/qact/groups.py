@@ -8,11 +8,11 @@ evaluates to the identity, so a mistake in a product rule cannot survive
 construction.  Each catalogue group is built once per parameter value and
 shared, because subgroups and skes compare their groups by identity.
 
-Generic machinery (conjugacy classes, subgroup lattice, automorphism group,
-isomorphism testing) works on the table alone and is brute force; that is
-entirely adequate at order <= 64.  The one shortcut is for maximal subgroups of
-2-groups, which are the kernels of the maps onto C2; the tests check them
-against the brute-force lattice.
+Generic machinery (conjugacy classes, the action on cosets, subgroup lattice,
+automorphism group, isomorphism testing) works on the table alone and is brute
+force; that is entirely adequate at order <= 64.  The one shortcut is for
+maximal subgroups of 2-groups, which are the kernels of the maps onto C2; the
+tests check them against the brute-force lattice.
 """
 
 from __future__ import annotations
@@ -620,6 +620,46 @@ def subgroup_by_label(G: FiniteGroup, label: str) -> Subgroup:
     if label not in table:
         raise GroupError(f"unknown subgroup label {label!r}")
     return table[label]
+
+
+# ---------------------------------------------------------------------------
+# the action on left cosets
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def coset_cycles(G: FiniteGroup, kset: frozenset) -> tuple[tuple[int, ...], ...]:
+    """For each element g, the lengths of g's cycles on the left cosets G/K.
+
+    `kset` is the element set of K.  The identity's row has one 1 per coset,
+    so `len(cycles[0])` is the index [G:K]; `cycles[g].count(1)` is the
+    number of cosets g fixes.  Quotient genera, the genus-zero scan and
+    permutation characters all read this one table.
+    """
+    if any(G.cayley[a][b] not in kset for a in kset for b in kset):
+        raise GroupError("K is not closed under products")
+    coset_of = [-1] * G.order
+    reps: list[int] = []
+    for g in range(G.order):
+        if coset_of[g] < 0:
+            for k in kset:
+                coset_of[G.cayley[g][k]] = len(reps)
+            reps.append(g)
+    table = []
+    for row in G.cayley:
+        perm = [coset_of[row[r]] for r in reps]
+        seen = [False] * len(perm)
+        lengths = []
+        for start in range(len(perm)):
+            c, length = start, 0
+            while not seen[c]:
+                seen[c] = True
+                c = perm[c]
+                length += 1
+            if length:
+                lengths.append(length)
+        table.append(tuple(lengths))
+    return tuple(table)
 
 
 def all_subgroups(G: FiniteGroup) -> frozenset[frozenset]:

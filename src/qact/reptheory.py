@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import Cyclotomic
-from .groups import FiniteGroup, GroupError, Subgroup, build_quaternion
+from .groups import FiniteGroup, GroupError, Subgroup, build_quaternion, coset_cycles
 
 
 def _as_group(G_or_n) -> FiniteGroup:
@@ -56,14 +56,13 @@ def class_data(n: int) -> ClassData:
     x, y = G.generators
     reps = [G.power(x, a) for a in range(quarter + 1)] + [y, G.cayley[x][y]]
     rep_class = {r: c for c, r in enumerate(reps)}
-    class_of = [None] * G.order
+    class_of = [0] * G.order
     sizes = [0] * len(reps)
-    for g in range(G.order):
-        orbit = {G.conjugate(g, h) for h in range(G.order)}
-        rep = next(r for r in reps if r in orbit)
-        class_of[g] = rep_class[rep]
-    for g in range(G.order):
-        sizes[class_of[g]] += 1
+    for cls in G.conjugacy_classes():
+        c = next(rep_class[g] for g in cls if g in rep_class)
+        sizes[c] = len(cls)
+        for g in cls:
+            class_of[g] = c
     inverse_class = tuple(class_of[G.inv[r]] for r in reps)
     return ClassData(G, tuple(reps), tuple(sizes), tuple(class_of), inverse_class)
 
@@ -281,30 +280,14 @@ def rational_irreducibles(G_or_n) -> list[RationalIrreducible]:
 
 
 def permutation_character(G: FiniteGroup, K: Subgroup) -> Character:
-    """The character of the action of G on the left cosets of K."""
+    """The character of the action of G on the left cosets of K: the number
+    of cosets each class representative fixes."""
     if K.group is not G:
         raise GroupError("subgroup belongs to a different group")
-    kset = K.as_set()
-    if any(G.cayley[a][b] not in kset for a in K.elements for b in K.elements):
-        raise GroupError("K is not closed under products")
     n = G.params["n"]
-    cd = class_data(n)
-    reps = _coset_reps(G, kset)
-    values = []
-    for g in cd.reps:
-        fixed = sum(1 for a in reps if G.cayley[G.cayley[G.inv[a]][g]][a] in kset)
-        values.append(Cyclotomic.from_rational(fixed, 2))
-    return Character(n, f"rho_{K.label or 'K'}", tuple(values))
-
-
-def _coset_reps(G: FiniteGroup, kset: frozenset) -> list[int]:
-    seen, reps = set(), []
-    for g in range(G.order):
-        if g in seen:
-            continue
-        reps.append(g)
-        seen.update(G.cayley[g][k] for k in kset)
-    return reps
+    cycles = coset_cycles(G, K.as_set())
+    values = tuple(Cyclotomic.from_rational(cycles[g].count(1), 2) for g in class_data(n).reps)
+    return Character(n, f"rho_{K.label or 'K'}", values)
 
 
 def inner_product(chi: Character, psi: Character) -> Fraction:

@@ -448,7 +448,8 @@ def test_exhaustive_scan_small():
 def test_scan_fast_path_matches_coset_machinery():
     """The scan's per-signature S_Z genus and per-tuple transversal genera agree
     with quotient_data on every valid tuple of sigma_b and non-sigma_b signatures."""
-    from qact.actions import _genus_from_cycles, _ncycles_table, _z_cycles_by_order
+    from qact.actions import _genus_from_cycles, _z_cycles_by_order
+    from qact.groups import coset_cycles
 
     G = Q(4)
     subs = named_subgroups(G)
@@ -461,14 +462,14 @@ def test_scan_fast_path_matches_coset_machinery():
         (4, 4, 4, 4), (4, 4, 4, 8), (4, 4, 8, 8), (2, 4, 4, 4, 8),
     ]
     for periods in signatures:
-        gz = _genus_from_cycles(G.order // zsub.order, [zcyc[k] for k in periods])
+        gz = _genus_from_cycles(G.order // zsub.order, 0, [zcyc[k] for k in periods])
         count = 0
         for t in iter_valid_tuples(G, periods):
             ske = Ske(G, Signature(0, periods), (), t)
             assert quotient_data(ske, zsub).genus == gz
             for K in others:
-                ncyc = _ncycles_table(G, K)
-                fast = _genus_from_cycles(G.order // K.order, [ncyc[g] for g in t])
+                cycles = coset_cycles(G, K.as_set())
+                fast = _genus_from_cycles(G.order // K.order, 0, [len(cycles[g]) for g in t])
                 assert fast == quotient_data(ske, K).genus
             count += 1
         assert count > 0
@@ -479,18 +480,47 @@ def test_scan_fast_path_matches_coset_machinery():
 def test_scan_raises_if_z_cycles_depend_on_more_than_order(monkeypatch):
     from qact import actions
 
-    real = actions._ncycles_table
-    x = Q(4).generators[0]
+    real = actions.coset_cycles
+    G = Q(4)
+    x = G.generators[0]
+    zset = named_subgroups(G)["Z"].as_set()
 
-    def skewed(G, K):
-        table = list(real(G, K))
-        if K.label == "Z":
-            table[x] += 1
+    def skewed(G, kset):
+        table = list(real(G, kset))
+        if kset == zset:
+            table[x] += (1,)
         return tuple(table)
 
-    monkeypatch.setattr(actions, "_ncycles_table", skewed)
+    monkeypatch.setattr(actions, "coset_cycles", skewed)
     with pytest.raises(RuntimeError, match="not a function of the element order"):
         genus_zero_exhaustive_scan(4, max_periods=4)
+
+
+def test_scan_raises_on_riemann_hurwitz_parity_failure(monkeypatch):
+    """An odd Riemann-Hurwitz numerator is an error, not a floored genus."""
+    from qact import actions
+
+    real = actions.coset_cycles
+    G = Q(3)
+    zset = named_subgroups(G)["Z"].as_set()
+
+    def skewed(G, kset):
+        # one more cycle for every element of order 4 on G/Z: (0; 4,4,4) goes odd
+        table = list(real(G, kset))
+        if kset == zset:
+            table = [c + (1,) if G.orders[g] == 4 else c for g, c in enumerate(table)]
+        return tuple(table)
+
+    monkeypatch.setattr(actions, "coset_cycles", skewed)
+    with pytest.raises(RuntimeError, match="Riemann-Hurwitz parity failure"):
+        genus_zero_exhaustive_scan(3, max_periods=3)
+
+
+@pytest.mark.parametrize("n, signatures, skes", [(3, 11, 1320), (4, 41, 9440), (5, 105, 113536)])
+def test_scan_counts(n, signatures, skes):
+    scan = genus_zero_exhaustive_scan(n, max_periods=5)
+    assert scan.ok
+    assert (scan.signatures_checked, scan.skes_checked) == (signatures, skes)
 
 
 def test_non_sigma_b_fails_genus_zero():

@@ -304,3 +304,38 @@ def test_jobs_below_one_exits_2(capsys, jobs):
     assert err.value.code == 2
     assert "--jobs" in capsys.readouterr().err
 
+
+
+def test_ske_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    code = main(["quotient", "--ske", str(tmp_path), "--subgroup", "Z"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "Is a directory" in err
+
+
+def test_out_path_in_a_missing_directory_exits_2(tmp_path, capsys):
+    code = main(["groups", "--name", "Q16", "--out", str(tmp_path / "missing" / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+    assert "No such file or directory" in captured.err
+
+
+@pytest.mark.parametrize("t", ["nan", "1e400", "-inf", "inf+1i", "1-nani"])
+@pytest.mark.parametrize("verify", [False, True])
+def test_curve_with_a_non_finite_t_exits_2(capsys, t, verify):
+    argv = ["curve", "--n", "3", f"--t={t}"] + (["--verify", "--samples", "5"] if verify else [])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: t must be finite")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9", "tiny"])
+def test_siegel_tol_must_be_finite_and_positive(capsys, tol):
+    with pytest.raises(SystemExit) as err:
+        main(["siegel", "verify", "--fixture", "prop13", "--tol", tol])
+    assert err.value.code == 2
+    assert "--tol" in capsys.readouterr().err

@@ -55,6 +55,11 @@ def test_degenerate_parameters_rejected():
         build_model(4, complex(1.0))
     with pytest.raises(DegenerateParameter):
         branch_configuration(3, 0j)
+    for t in (float("nan"), float("inf"), complex(2.0, float("-inf")), complex(float("nan"), 1.0)):
+        with pytest.raises(DegenerateParameter, match="finite"):
+            build_model(3, t)
+        with pytest.raises(DegenerateParameter, match="finite"):
+            branch_configuration(3, t)
 
 
 def test_squarefree_for_exact_parameters():

@@ -6,7 +6,6 @@ from qact.cyclo import Cyclotomic
 from qact.decomp import (
     InvalidMultiplicities,
     MultiplicityVector,
-    _elements_with_fixed_vector,
     _fixed_point_free,
     dim_fixed_subvariety,
     factor_dimensions,
@@ -137,10 +136,14 @@ def test_fixed_vectors_from_characters_match_determinants(n):
     G = build_quaternion(n)
     for ch in irreducible_characters(n):
         expected = tuple(g for g in range(1, G.order) if _has_eigenvalue_one(n, ch.label, g))
-        assert _elements_with_fixed_vector(n, ch.label) == expected, ch.label
         a = tuple(int(ch.label == f"chi{i}") for i in range(1, 5))
         b = tuple(int(ch.label == f"theta{s}") for s in range(1, 2 ** (n - 2)))
-        assert _fixed_point_free(MultiplicityVector(n, a, b)) == (not expected), ch.label
+        mv = MultiplicityVector(n, a, b)
+        fixed = tuple(
+            g for g in range(1, G.order) if dim_fixed_subvariety(mv, Subgroup.generated(G, [g]))
+        )
+        assert fixed == expected, ch.label
+        assert _fixed_point_free(mv) == (not expected), ch.label
 
 
 def test_triviality_specific_cases():

@@ -7,6 +7,7 @@ from qact.groups import (
     build_dihedral,
     build_named,
     build_quaternion,
+    coset_cycles,
     isomorphic,
     named_subgroups,
     two_generated_subgroups,
@@ -338,3 +339,38 @@ def test_dihedral_quotient_of_quaternion():
                           [remap[index[frozenset(G.cayley[G.generators[0]][k] for k in z)]],
                            remap[index[frozenset(G.cayley[G.generators[1]][k] for k in z)]]])
     assert isomorphic(Q, build_dihedral(4))
+
+
+def _brute_coset_cycles(G, kset, g):
+    """Sorted cycle lengths of g acting on explicit coset frozensets."""
+    cosets = {frozenset(G.cayley[a][k] for k in kset) for a in range(G.order)}
+    image = {c: frozenset(G.cayley[g][a] for a in c) for c in cosets}
+    seen, lengths = set(), []
+    for c in cosets:
+        length = 0
+        while c not in seen:
+            seen.add(c)
+            c = image[c]
+            length += 1
+        if length:
+            lengths.append(length)
+    return sorted(lengths), len(cosets)
+
+
+@pytest.mark.parametrize("name", ["Q16", "D4xC2_rtimes_C2"])
+def test_coset_cycles_match_the_action_on_coset_sets(name):
+    G = build_named(name)
+    for kset in all_subgroups(G):
+        cycles = coset_cycles(G, kset)
+        assert len(cycles) == G.order
+        for g in range(G.order):
+            lengths, index = _brute_coset_cycles(G, kset, g)
+            assert sorted(cycles[g]) == lengths, (sorted(kset), g)
+            assert sum(cycles[g]) == index == len(cycles[0])
+
+
+def test_coset_cycles_need_a_subgroup():
+    G = build_quaternion(3)
+    x = G.generators[0]
+    with pytest.raises(GroupError, match="not closed under products"):
+        coset_cycles(G, frozenset({0, x}))

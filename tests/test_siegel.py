@@ -271,3 +271,23 @@ def test_period_equivalence_checker():
     M = np.eye(2)
     assert check_period_equivalence(M, R, Z, Z)
     assert not check_period_equivalence(2 * M, R, Z, Z)
+
+
+def test_make_fixtures_rewrites_the_committed_fixtures(tmp_path, monkeypatch):
+    """tools/make_fixtures.py still writes exactly the packaged fixtures."""
+    import importlib.util
+    from pathlib import Path
+
+    import qact
+
+    tool = Path(__file__).resolve().parent.parent / "tools" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "OUT", tmp_path)
+    module.main()
+    committed = Path(qact.__file__).resolve().parent / "fixtures"
+    written = sorted(p.name for p in tmp_path.glob("*.json"))
+    assert written == sorted(p.name for p in committed.glob("*.json")) == ["prop13.json", "thm10.json", "thm11.json"]
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (committed / name).read_bytes(), name
