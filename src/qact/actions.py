@@ -510,18 +510,15 @@ def witness_eta(G: FiniteGroup, b: int) -> Ske:
 
 
 def is_genus_zero_action(ske: Ske) -> bool:
-    """True iff S_K is rational for every nontrivial subgroup K (checked on a
-    conjugacy transversal; quotient genus is conjugation-invariant)."""
+    """True iff S_K is rational for every nontrivial subgroup K.
+
+    Z is the unique subgroup of order 2, so it lies in every nontrivial K and
+    S_K is a quotient of S_Z; a quotient of a rational curve is rational
+    (Lüroth), so the genus of S_Z decides.
+    """
     if ske.signature.gamma != 0:
         return False
-    subs = named_subgroups(ske.group)
-    return all(quotient_data(ske, K).genus == 0 for K in [subs["Z"], *_transversal(subs)])
-
-
-def _transversal(subs: dict[str, Subgroup]) -> list[Subgroup]:
-    """The named subgroups the genus-zero check sweeps after Z: every label
-    but the aliases Z, N1, N2 and N3 of K2, Kn, H_(n-1) and Ht_(n-1)."""
-    return [subs[l] for l in sorted(subs) if l not in ("Z", "N1", "N2", "N3")]
+    return quotient_data(ske, named_subgroups(ske.group)["Z"]).genus == 0
 
 
 @dataclass(frozen=True)
@@ -597,19 +594,15 @@ def genus_zero_exhaustive_scan(n: int, max_periods: int = 7) -> GenusZeroScan:
     """Confirm over every valid ske with gamma = 0 and at most `max_periods`
     periods that the genus-zero property holds iff the signature is a sigma_b.
 
-    The cheap Z-quotient comes first (Z is contained in every nontrivial
-    subgroup, so a nonrational S_Z already refutes the genus-zero property);
-    only skes with a rational S_Z sweep the full subgroup transversal.  An
+    The verdict is the genus of S_Z (see `is_genus_zero_action`).  An
     element's cycle count on G/Z depends on its order alone (checked by
-    `_z_cycles_by_order`), so the S_Z genus is computed once per signature;
+    `_z_cycles_by_order`), so that genus is computed once per signature;
     every ske is still enumerated and counted.  Tuples in sorted period order
     suffice: braid moves sort the periods of any valid ske without changing
     the action.
     """
     G = build_quaternion(n)
-    subs = named_subgroups(G)
-    transversal = [coset_cycles(G, K.as_set()) for K in _transversal(subs)]
-    zcyc = _z_cycles_by_order(G, subs["Z"])
+    zcyc = _z_cycles_by_order(G, named_subgroups(G)["Z"])
 
     avail = sorted({G.orders[g] for g in range(1, G.order)})
     sigs = 0
@@ -625,13 +618,9 @@ def genus_zero_exhaustive_scan(n: int, max_periods: int = 7) -> GenusZeroScan:
             sigs += 1
             b = is_sigma_b(n, sig)
             expected = b is not None
-            gz = _genus_from_cycles(G.order // 2, 0, [zcyc[k] for k in multiset])
+            genus_zero = _genus_from_cycles(G.order // 2, 0, [zcyc[k] for k in multiset]) == 0
             for t in iter_valid_tuples(G, multiset):
                 checked += 1
-                genus_zero = gz == 0 and all(
-                    _genus_from_cycles(len(cycles[0]), 0, [len(cycles[g]) for g in t]) == 0
-                    for cycles in transversal
-                )
                 if genus_zero != expected:
                     mismatches.append(
                         {

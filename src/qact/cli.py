@@ -60,6 +60,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value) or value <= 0:
@@ -457,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("genus-zero", parents=[common], help="sigma_b census with witnesses")
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--max-b", type=int, default=4)
+    q.add_argument("--max-b", type=_nonnegative_int, default=4)
     q.add_argument("--exhaustive", action="store_true",
                    help="also scan every valid ske up to --max-periods periods")
     q.add_argument("--max-periods", type=int, default=7)
@@ -486,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--t", help="complex parameter, e.g. -1 or 0.3+1.1i")
     q.add_argument("--verify", action="store_true")
-    q.add_argument("--samples", type=int, default=200)
+    q.add_argument("--samples", type=_positive_int, default=200)
     q.set_defaults(fn=cmd_curve)
 
     q = sub.add_parser("reproduce", parents=[common], help="regenerate and diff golden tables")

@@ -22,6 +22,7 @@ from importlib import resources
 import numpy as np
 
 from .cyclo import Cyclotomic, CycloPoly, PolyMatrix
+from .actions import BudgetExceeded
 from .groups import FiniteGroup, find_isomorphism, group_from_cayley
 
 
@@ -146,35 +147,45 @@ def verify_fixed_family(generators, family: PolyMatrix) -> FixedFamilyReport:
 
 
 def matrix_group_closure(generators, budget: int = 4096):
-    """All products of the generators, by breadth-first closure."""
+    """All products of the generators, by breadth-first closure: the elements
+    in visiting order, `right[i][j]` = index of elems[i] * generators[j], and
+    the BFS tree, `tree[i] = (p, j)` if element i was first reached as
+    elems[p] * generators[j]."""
     gens = [as_int_matrix(g) for g in generators]
-    n = len(gens[0])
-    ident = identity_matrix(n)
+    ident = identity_matrix(len(gens[0]))
     elems = [ident]
     index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for M in frontier:
-            for Gm in gens:
-                P = mat_mul(M, Gm)
-                if P not in index:
-                    if len(elems) >= budget:
-                        raise RuntimeError(f"matrix group closure exceeded budget {budget}")
-                    index[P] = len(elems)
-                    elems.append(P)
-                    nxt.append(P)
-        frontier = nxt
-    return elems, index
+    right = []
+    tree = [None]
+    # elems grows while it is walked, so it is the BFS queue
+    for i, M in enumerate(elems):
+        row = []
+        for j, Gm in enumerate(gens):
+            P = mat_mul(M, Gm)
+            if P not in index:
+                if len(elems) >= budget:
+                    raise BudgetExceeded(f"matrix group closure exceeded budget {budget}")
+                index[P] = len(elems)
+                elems.append(P)
+                tree.append((i, j))
+            row.append(index[P])
+        right.append(row)
+    return elems, right, tree
 
 
-def matrix_group_as_finite_group(generators, budget: int = 4096) -> tuple[FiniteGroup, list[int]]:
-    """The generated matrix group as a FiniteGroup (plus generator indices)."""
-    elems, index = matrix_group_closure(generators, budget)
-    cayley = [[index[mat_mul(a, b)] for b in elems] for a in elems]
+def matrix_group_as_finite_group(generators, budget: int = 4096) -> tuple[FiniteGroup, list]:
+    """The generated matrix group as a FiniteGroup (its generators in input
+    order) and the closure's BFS tree.  Row a of the Cayley table is read
+    along the tree, a * (p * g_j) = (a * p) * g_j, with no matrix product."""
+    elems, right, tree = matrix_group_closure(generators, budget)
+    cayley = []
+    for a in range(len(elems)):
+        row = [a]
+        for p, j in tree[1:]:
+            row.append(right[row[p]][j])
+        cayley.append(row)
     names = [f"m{i}" for i in range(len(elems))]
-    gen_idx = [index[as_int_matrix(g)] for g in generators]
-    return group_from_cayley("matrix-group", names, cayley, gen_idx), gen_idx
+    return group_from_cayley("matrix-group", names, cayley, right[0]), tree
 
 
 @dataclass(frozen=True)
@@ -219,10 +230,10 @@ def verify_group_data(generators, relations=None, target: FiniteGroup | None = N
     printed generators themselves fail the literal relations.
     """
     sympl = tuple(is_symplectic(R) for R in generators)
-    Gm, gen_idx = matrix_group_as_finite_group(generators, budget)
+    Gm, tree = matrix_group_as_finite_group(generators, budget)
     rel_flags = []
     for word in relations or []:
-        rel_flags.append(Gm.evaluate_word(word, images=gen_idx) == 0)
+        rel_flags.append(Gm.evaluate_word(word) == 0)
     iso = None
     witness = None
     if target is not None:
@@ -230,8 +241,10 @@ def verify_group_data(generators, relations=None, target: FiniteGroup | None = N
         iso = back is not None
         if back is not None:
             names = gen_names or [f"g{i}" for i in range(len(generators))]
-            word_names = _element_words(Gm, gen_idx, names)
-            witness = tuple(word_names[back[g]] for g in target.generators)
+            words = ["1"]  # shortest words, read off the BFS tree
+            for p, j in tree[1:]:
+                words.append(names[j] if p == 0 else f"{words[p]}*{names[j]}")
+            witness = tuple(words[back[g]] for g in target.generators)
     return GroupDataReport(
         order=Gm.order,
         generators_symplectic=sympl,
@@ -240,23 +253,6 @@ def verify_group_data(generators, relations=None, target: FiniteGroup | None = N
         target=target.name if target is not None else None,
         presentation_witness=witness,
     )
-
-
-def _element_words(Gm: FiniteGroup, gen_idx, names) -> list[str]:
-    """Shortest word in the given generators for every element of Gm."""
-    words = [None] * Gm.order
-    words[0] = "1"
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for gi, nm in zip(gen_idx, names):
-                h = Gm.cayley[g][gi]
-                if words[h] is None:
-                    words[h] = nm if words[g] == "1" else f"{words[g]}*{nm}"
-                    nxt.append(h)
-        frontier = nxt
-    return words
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +435,15 @@ class FixtureError(ValueError):
     """Missing or corrupted fixture data."""
 
 
-def _canonical_payload(data: dict) -> bytes:
-    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
-
-
 def fixture_checksum(data: dict) -> str:
-    return hashlib.sha256(_canonical_payload(data)).hexdigest()
+    return hashlib.sha256(json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def _is_int_matrix(m, n: int) -> bool:
+    """Whether m is an n x n list of lists of integers."""
+    return isinstance(m, list) and len(m) == n and all(
+        isinstance(row, list) and len(row) == n and all(isinstance(v, int) for v in row) for row in m
+    )
 
 
 def load_fixture(name_or_path: str) -> dict:
@@ -458,8 +457,15 @@ def load_fixture(name_or_path: str) -> dict:
         if not ref.is_file():
             raise FixtureError(f"no fixture named {base!r}")
         raw = json.loads(ref.read_text())
+    data = raw.get("data") if isinstance(raw, dict) else None
+    if not (isinstance(data, dict) and isinstance(raw.get("name"), str)):
+        raise FixtureError(f"fixture {name_or_path} is not an object with a name and a data object")
+    gens = data.get("generators")
+    n = len(gens[0]) if isinstance(gens, list) and gens and isinstance(gens[0], list) else 0
+    if n == 0 or n % 2 or not all(_is_int_matrix(m, n) for m in gens):
+        raise FixtureError(f"fixture {raw['name']} needs data.generators: integer matrices of one even size")
     expected = raw.get("sha256")
-    actual = fixture_checksum(raw["data"])
+    actual = fixture_checksum(data)
     if expected != actual:
         raise FixtureError(
             f"fixture {raw.get('name')} checksum mismatch: {actual} != {expected}"
@@ -488,12 +494,8 @@ def family_from_fixture(data: dict) -> PolyMatrix:
 def family_with_variant(data: dict) -> PolyMatrix:
     """The family with the alternative printed entry substituted in."""
     var = data["family_variant"]
-    fam = data["family"]
-    nv = len(fam["params"])
-    entries = [
-        [_poly_from_fixture(nv, cell) for cell in row] for row in fam["entries"]
-    ]
-    entries[var["row"]][var["col"]] = _poly_from_fixture(nv, var["terms"])
+    entries = [list(row) for row in family_from_fixture(data).entries]
+    entries[var["row"]][var["col"]] = _poly_from_fixture(len(data["family"]["params"]), var["terms"])
     return PolyMatrix.make(entries)
 
 

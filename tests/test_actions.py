@@ -439,6 +439,31 @@ def test_z_quotient_period_count_identity():
             assert d == 2 * 2 ** (n - 2) + b * 2 ** (n - 1) + 2
 
 
+def test_genus_zero_from_s_z_matches_the_subgroup_sweep():
+    """The definition as an oracle: on every valid gamma = 0 tuple at n = 3 (up
+    to 5 periods) and n = 4 (up to 4), S_K is rational for every named
+    subgroup K exactly when is_genus_zero_action (S_Z alone) says so."""
+    tuples = 0
+    verdicts = set()
+    for n, max_periods in ((3, 5), (4, 4)):
+        G = Q(n)
+        subs = list(named_subgroups(G).values())
+        avail = sorted({G.orders[g] for g in range(1, G.order)})
+        for s in range(3, max_periods + 1):
+            for periods in itertools.combinations_with_replacement(avail, s):
+                sig = Signature(0, periods)
+                if genus_from_signature(G.order, sig) is None:
+                    continue
+                for t in iter_valid_tuples(G, periods):
+                    ske = Ske(G, sig, (), t)
+                    swept = all(quotient_data(ske, K).genus == 0 for K in subs)
+                    assert swept == is_genus_zero_action(ske), (n, t)
+                    verdicts.add(swept)
+                    tuples += 1
+    assert tuples == 2088
+    assert verdicts == {True, False}
+
+
 def test_exhaustive_scan_small():
     scan = genus_zero_exhaustive_scan(3, max_periods=5)
     assert scan.ok
@@ -446,8 +471,9 @@ def test_exhaustive_scan_small():
 
 
 def test_scan_fast_path_matches_coset_machinery():
-    """The scan's per-signature S_Z genus and per-tuple transversal genera agree
-    with quotient_data on every valid tuple of sigma_b and non-sigma_b signatures."""
+    """The scan's per-signature S_Z genus, and the coset-cycle genus at other
+    subgroups, agree with quotient_data on every valid tuple of sigma_b and
+    non-sigma_b signatures."""
     from qact.actions import _genus_from_cycles, _z_cycles_by_order
     from qact.groups import coset_cycles
 

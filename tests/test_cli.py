@@ -4,6 +4,7 @@ import pytest
 
 from qact.cli import main
 from qact.actions import family_representative
+from qact.siegel import fixture_checksum
 
 
 def run(capsys, *argv):
@@ -295,6 +296,56 @@ def test_exceeded_budget_exits_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "budget" in err
+
+
+def _signed_fixture(data):
+    return {"name": "x", "sha256": fixture_checksum(data), "data": data}
+
+
+_MALFORMED_FIXTURES = {
+    "array": ([1, 2], "not an object with a name and a data object"),
+    "no-data": ({"name": "x", "sha256": "0"}, "not an object with a name and a data object"),
+    "no-generators": (_signed_fixture({"g": 1}), "needs data.generators"),
+    "ragged-generator": (_signed_fixture({"generators": [[[1, 0], [0]]]}), "needs data.generators"),
+    "null-entry": (_signed_fixture({"generators": [[[1, 0], [0, None]]]}), "needs data.generators"),
+}
+
+
+@pytest.mark.parametrize("action, raw, message", [
+    *[pytest.param(action, raw, message, id=f"{action}-{case}")
+      for case, (raw, message) in _MALFORMED_FIXTURES.items()
+      for action in ("group", "verify", "locus")],
+    # [[1, 1], [0, 1]] generates an infinite group
+    pytest.param("group", _signed_fixture({"generators": [[[1, 1], [0, 1]]]}),
+                 "matrix group closure exceeded budget 4096", id="group-over-budget"),
+])
+def test_malformed_fixture_exits_2(tmp_path, capsys, action, raw, message):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(raw))
+    code = main(["siegel", action, "--fixture", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["curve", "--n", "3", "--t", "2", "--verify", "--samples", "0"], "--samples"),
+    (["curve", "--n", "3", "--t", "2", "--verify", "--samples", "-4"], "--samples"),
+    (["genus-zero", "--n", "3", "--max-b", "-1"], "--max-b"),
+])
+def test_counts_that_would_check_nothing_exit_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_genus_zero_with_max_b_0_checks_one_record(capsys):
+    code, rep = run_json(capsys, "genus-zero", "--n", "3", "--max-b", "0")
+    assert code == 0
+    assert [r["b"] for r in rep["results"]["records"]] == [0]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

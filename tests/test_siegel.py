@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qact.cyclo import Cyclotomic, CycloPoly, PolyMatrix
-from qact.groups import build_named
+from qact.groups import build_named, find_isomorphism
 from qact.siegel import (
     FixtureError,
     act,
@@ -19,6 +19,7 @@ from qact.siegel import (
     load_fixture,
     mat_mul,
     matrix_group_as_finite_group,
+    matrix_group_closure,
     prop13_period_matrix,
     check_period_equivalence,
     symplectic_form,
@@ -48,10 +49,8 @@ def test_fixture_generators_symplectic():
 
 
 def test_symplectic_closure_under_products_and_inverses():
-    from qact.siegel import matrix_group_closure
-
     gens = fixture_generators(load_fixture("thm10")["data"])
-    elems, _ = matrix_group_closure(gens)
+    elems, _, _ = matrix_group_closure(gens)
     for M in elems:
         assert is_symplectic(M)
 
@@ -195,6 +194,57 @@ def test_prop13_group_data_records_erratum():
     # the structural facts behind the failure
     assert np.array_equal(B @ B, -np.eye(8, dtype=int))
     assert np.array_equal(np.linalg.matrix_power(A, 8), -np.eye(8, dtype=int))
+
+
+def _bfs_depths(gens):
+    """Word length of every matrix in the generated group, by a BFS of its own."""
+    ident = identity_matrix(len(gens[0]))
+    depth = {ident: 0}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for M in frontier:
+            for g in gens:
+                P = mat_mul(M, g)
+                if P not in depth:
+                    depth[P] = depth[M] + 1
+                    nxt.append(P)
+        frontier = nxt
+    return depth
+
+
+@pytest.mark.parametrize("name", ["thm10", "thm11", "prop13"])
+def test_cayley_table_from_the_tree_matches_matrix_products(name):
+    gens = fixture_generators(load_fixture(name)["data"])
+    Gm, _ = matrix_group_as_finite_group(gens)
+    elems, _, _ = matrix_group_closure(gens)
+    index = {M: i for i, M in enumerate(elems)}
+    assert Gm.generators == [index[g] for g in gens]
+    for a, A in enumerate(elems):
+        assert Gm.cayley[a] == [index[mat_mul(A, B)] for B in elems], (name, a)
+
+
+@pytest.mark.parametrize("name", ["thm10", "thm11", "prop13"])
+def test_tree_steps_and_witness_words_are_shortest_products(name):
+    data = load_fixture(name)["data"]
+    gens = fixture_generators(data)
+    names = data["generator_names"]
+    elems, _, tree = matrix_group_closure(gens)
+    depth = _bfs_depths(gens)
+    assert len(depth) == len(elems)
+    for i, (p, j) in enumerate(tree[1:], start=1):
+        assert elems[i] == mat_mul(elems[p], gens[j])
+        assert depth[elems[i]] == depth[elems[p]] + 1
+    target = build_named(data["target_group"])
+    rep = verify_group_data(gens, [], target, gen_names=names)
+    back = find_isomorphism(target, matrix_group_as_finite_group(gens)[0])
+    assert len(rep.presentation_witness) == len(target.generators)
+    for g, word in zip(target.generators, rep.presentation_witness):
+        M = identity_matrix(len(gens[0]))
+        for factor in word.split("*"):
+            M = mat_mul(M, gens[names.index(factor)])
+        assert M == elems[back[g]], (name, word)
+        assert len(word.split("*")) == depth[M], (name, word)
 
 
 # -- prop13 period matrix ---------------------------------------------------------
