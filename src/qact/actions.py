@@ -10,9 +10,10 @@ relabelings; over a genus-one quotient the two elementary moves
 S_K are handled through the action on cosets G/K: the cycle structure of each
 elliptic image determines the branch data and hence the genus, for any gamma.
 
-Enumeration is plain depth-first search over element tuples with the last
-slot solved from the long relation, an order filter per slot and a
-maximal-subgroup bitmask for the surjectivity check.
+Enumeration is depth-first search over element tuples with the last slot
+solved from the long relation, an order filter per slot and a
+maximal-subgroup bitmask for the surjectivity check; the valid last two
+slots are cached per (running product, mask).
 """
 
 from __future__ import annotations
@@ -263,8 +264,15 @@ def count_tuple_candidates(G: FiniteGroup, periods) -> int:
 def iter_valid_tuples(G: FiniteGroup, periods, max_candidates: int | None = None):
     """All (g_1..g_s) with the given exact orders, product 1, generating G.
 
-    The last slot is solved from the long relation; the DFS keeps a running
-    product and a running maximal-subgroup mask.
+    Each slot ranges over its order bucket in increasing element index, so
+    the tuples come in lexicographic order.  A recursive prefix walk covers
+    the first s - 3 slots, keeping the running product and the running
+    maximal-subgroup mask (`_maximal_masks`); the loop over slot s - 3 is
+    inline.  The last two slots depend only on (product, mask) after slot
+    s - 3: their valid pairs (g, last), with `last` solved from the long
+    relation and kept in bucket order, are computed once per key into a
+    per-call tail cache.  Each tuple is the prefix through slot s - 3 joined
+    to one cached pair, so it costs one generator resumption.
     """
     s = len(periods)
     if s < 2:
@@ -282,22 +290,37 @@ def iter_valid_tuples(G: FiniteGroup, periods, max_candidates: int | None = None
         return
     k_last = periods[-1]
 
-    def rec(slot: int, pre: tuple[int, ...], pr: int, mk: int):
-        bucket = buckets[slot]
-        if slot == s - 2:
-            row = cayley[pr]
-            for g in bucket:
-                last = inv[row[g]]
-                if orders[last] != k_last:
-                    continue
-                if mk & masks[g] & masks[last]:
-                    continue
-                yield pre + (g, last)
-            return
-        for g in bucket:
-            yield from rec(slot + 1, pre + (g,), cayley[pr][g], mk & masks[g])
+    def tail(pr: int, mk: int) -> list[tuple[int, int]]:
+        row = cayley[pr]
+        pairs = []
+        for g in buckets[-2]:
+            last = inv[row[g]]
+            if orders[last] == k_last and not mk & masks[g] & masks[last]:
+                pairs.append((g, last))
+        return pairs
 
-    yield from rec(0, (), 0, full)
+    if s == 2:
+        yield from tail(0, full)
+        return
+
+    def walk(slot: int, pre: tuple[int, ...], pr: int, mk: int):
+        if slot == s - 3:
+            yield pre, pr, mk
+            return
+        for g in buckets[slot]:
+            yield from walk(slot + 1, pre + (g,), cayley[pr][g], mk & masks[g])
+
+    tails: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    bucket = buckets[s - 3]
+    for pre, pr, mk in walk(0, (), 0, full):
+        row = cayley[pr]
+        for g in bucket:
+            key = (row[g], mk & masks[g])
+            pairs = tails.get(key)
+            if pairs is None:
+                pairs = tails[key] = tail(*key)
+            if pairs:
+                yield from map((pre + (g,)).__add__, pairs)
 
 
 def iter_genus_one_triples(G: FiniteGroup, k: int):

@@ -53,18 +53,17 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v != "")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers no smaller than `low`."""
 
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -225,12 +224,21 @@ def cmd_extend(args) -> tuple[int, dict]:
     }
 
 
+def _require(fx: dict, *keys: str) -> None:
+    """Raise FixtureError unless the fixture's data holds one of `keys`, so
+    that a command never passes having checked nothing."""
+    if all(fx["data"].get(key) is None for key in keys):
+        names = " or ".join(f"data.{key}" for key in keys)
+        raise sg.FixtureError(f"fixture {fx['name']} has no {names} to check")
+
+
 def cmd_siegel(args) -> tuple[int, dict]:
     fx = sg.load_fixture(args.fixture)
     data = fx["data"]
     gens = sg.fixture_generators(data)
     base = {"fixture": fx["name"], "sha256": fx["sha256"]}
     if args.action == "verify":
+        _require(fx, "family", "period_matrix")
         out = dict(base)
         code = 0
         if "family" in data:
@@ -257,12 +265,15 @@ def cmd_siegel(args) -> tuple[int, dict]:
         rep = sg.verify_group_data(
             gens, data.get("relations"), target, gen_names=data.get("generator_names")
         )
+        # after the closure: generators that never close report that first
+        _require(fx, "expected_order")
         out = dict(base)
         out["group_data"] = rep.to_json()
         out["expected_order"] = data.get("expected_order")
         code = 0 if (rep.ok and rep.order == data.get("expected_order")) else 1
         return code, out
     if args.action == "locus":
+        _require(fx, "expected_dimension")
         rep = sg.fixed_locus_dimension(
             gens, starts=args.starts, rank_tol=args.tol, rng_seed=args.seed
         )
@@ -430,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--csv", action="store_true", help="CSV output")
     common.add_argument("--out", help="write the report to this path")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized numerics")
-    common.add_argument("--jobs", type=_positive_int, default=1,
+    common.add_argument("--jobs", type=_int_at_least(1), default=1,
                         help="accepted and echoed in the report; the scan runs serially")
     common.add_argument("--timings", action="store_true", help="attach wall-clock runtime")
     sub = p.add_subparsers(dest="command", required=True)
@@ -464,10 +475,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("genus-zero", parents=[common], help="sigma_b census with witnesses")
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--max-b", type=_nonnegative_int, default=4)
+    q.add_argument("--max-b", type=_int_at_least(0), default=4)
     q.add_argument("--exhaustive", action="store_true",
                    help="also scan every valid ske up to --max-periods periods")
-    q.add_argument("--max-periods", type=int, default=7)
+    q.add_argument("--max-periods", type=_int_at_least(3), default=7)
     q.set_defaults(fn=cmd_genus_zero)
 
     q = sub.add_parser("quotient", parents=[common], help="quotient genus and branch data")
@@ -493,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--t", help="complex parameter, e.g. -1 or 0.3+1.1i")
     q.add_argument("--verify", action="store_true")
-    q.add_argument("--samples", type=_positive_int, default=200)
+    q.add_argument("--samples", type=_int_at_least(1), default=200)
     q.set_defaults(fn=cmd_curve)
 
     q = sub.add_parser("reproduce", parents=[common], help="regenerate and diff golden tables")

@@ -14,6 +14,7 @@ from qact.actions import (
     _aut_perms,
     _braid_moves,
     _genus_one_moves,
+    _maximal_masks,
     _orbit,
     braid,
     check_extension,
@@ -330,6 +331,59 @@ def test_enumerator_matches_brute_force():
     assert total == 2664
 
 
+def _reference_tuples(G, periods):
+    """The enumerator before its tail cache, kept as the reference: plain
+    recursive DFS, one `yield from` frame per slot, the last slot solved
+    from the long relation (its budget check omitted)."""
+    s = len(periods)
+    if s < 2:
+        return
+    cayley = G.cayley
+    inv = G.inv
+    orders = G.orders
+    masks, full = _maximal_masks(G)
+    buckets = [[g for g in range(G.order) if orders[g] == k] for k in periods]
+    if any(not b for b in buckets):
+        return
+    k_last = periods[-1]
+
+    def rec(slot: int, pre: tuple[int, ...], pr: int, mk: int):
+        bucket = buckets[slot]
+        if slot == s - 2:
+            row = cayley[pr]
+            for g in bucket:
+                last = inv[row[g]]
+                if orders[last] != k_last:
+                    continue
+                if mk & masks[g] & masks[last]:
+                    continue
+                yield pre + (g, last)
+            return
+        for g in bucket:
+            yield from rec(slot + 1, pre + (g,), cayley[pr][g], mk & masks[g])
+
+    yield from rec(0, (), 0, full)
+
+
+def test_enumerator_sequence_matches_the_reference_dfs():
+    """Same tuples in the same (lexicographic) order as the plain DFS, for
+    every sorted multiset of up to 5 periods at n = 3..5, every ordered
+    arrangement of 2 periods, and periods with an empty order bucket."""
+    total = 0
+    for n in (3, 4, 5):
+        G = Q(n)
+        orders = sorted({G.orders[g] for g in range(1, G.order)})
+        cases = [ms for s in range(1, 6) for ms in itertools.combinations_with_replacement(orders, s)]
+        cases += list(itertools.product(orders, repeat=2))
+        cases += [(3, 4, 4), (4, 4, 2 * G.order), (4, 3)]
+        for periods in cases:
+            found = list(iter_valid_tuples(G, periods))
+            assert found == list(_reference_tuples(G, periods)), (n, periods)
+            assert found == sorted(found), (n, periods)
+            total += len(found)
+    assert total == 124296
+
+
 # -- the family census ----------------------------------------------------------
 
 
@@ -542,7 +596,10 @@ def test_scan_raises_on_riemann_hurwitz_parity_failure(monkeypatch):
         genus_zero_exhaustive_scan(3, max_periods=3)
 
 
-@pytest.mark.parametrize("n, signatures, skes", [(3, 11, 1320), (4, 41, 9440), (5, 105, 113536)])
+@pytest.mark.parametrize("n, signatures, skes", [
+    (3, 11, 1320), (4, 41, 9440), (5, 105, 113536),
+    (6, 224, 1535488),  # the benchmark's scan-n6 workload
+])
 def test_scan_counts(n, signatures, skes):
     scan = genus_zero_exhaustive_scan(n, max_periods=5)
     assert scan.ok

@@ -330,16 +330,35 @@ def test_malformed_fixture_exits_2(tmp_path, capsys, action, raw, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("action, missing", [
+    ("verify", "data.family or data.period_matrix"),
+    ("group", "data.expected_order"),
+    ("locus", "data.expected_dimension"),
+], ids=["verify", "group", "locus"])
+def test_fixture_without_what_the_action_checks_exits_2(tmp_path, capsys, action, missing):
+    # generators alone: a rotation of order 4, so the closure itself succeeds
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(_signed_fixture({"generators": [[[0, -1], [1, 0]]]})))
+    code = main(["siegel", action, "--fixture", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: fixture x has no {missing} to check"]
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["curve", "--n", "3", "--t", "2", "--verify", "--samples", "0"], "--samples"),
     (["curve", "--n", "3", "--t", "2", "--verify", "--samples", "-4"], "--samples"),
     (["genus-zero", "--n", "3", "--max-b", "-1"], "--max-b"),
+    (["genus-zero", "--n", "3", "--exhaustive", "--max-periods", "2"], "--max-periods"),
+    (["genus-zero", "--n", "3", "--exhaustive", "--max-periods", "-1"], "--max-periods"),
 ])
 def test_counts_that_would_check_nothing_exit_2(capsys, argv, flag):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
-    assert flag in capsys.readouterr().err
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and flag in errors[0]
 
 
 def test_genus_zero_with_max_b_0_checks_one_record(capsys):

@@ -341,3 +341,28 @@ def test_make_fixtures_rewrites_the_committed_fixtures(tmp_path, monkeypatch):
     assert written == sorted(p.name for p in committed.glob("*.json")) == ["prop13.json", "thm10.json", "thm11.json"]
     for name in written:
         assert (tmp_path / name).read_bytes() == (committed / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("arg", ["--help", "x.json"])
+def test_make_fixtures_with_an_argument_exits_2_and_writes_nothing(tmp_path, arg):
+    """A copy of the tool writes next to itself (tmp/src/qact/fixtures), so
+    running the copy exercises the real entry point without touching the
+    package."""
+    import os
+    import shutil
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qact
+
+    repo = Path(__file__).resolve().parent.parent
+    tool = tmp_path / "tools" / "make_fixtures.py"
+    tool.parent.mkdir()
+    shutil.copy(repo / "tools" / "make_fixtures.py", tool)
+    env = {**os.environ, "PYTHONPATH": str(Path(qact.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, str(tool), arg], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: make_fixtures.py")
+    assert not (tmp_path / "src").exists()

@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """One-time transcription of the printed symplectic data into checksummed
 JSON fixtures.  Re-running overwrites src/qact/fixtures/*.json in place.
+
+Usage: python3 tools/make_fixtures.py   (takes no arguments)
 """
 
 import json
@@ -268,14 +270,20 @@ PROP13 = {
 }
 
 
-def main():
+def main(argv=()):
+    if argv:
+        print("usage: make_fixtures.py\n"
+              "rewrites src/qact/fixtures/*.json from the transcribed data; takes no arguments",
+              file=sys.stderr)
+        return 2
     OUT.mkdir(parents=True, exist_ok=True)
     for fixture in (THM10, THM11, PROP13):
         fixture["sha256"] = fixture_checksum(fixture["data"])
         path = OUT / f"{fixture['name']}.json"
         path.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path} ({fixture['sha256'][:12]})")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main(sys.argv[1:]))
