@@ -624,6 +624,8 @@ def genus_zero_exhaustive_scan(n: int, max_periods: int = 7) -> GenusZeroScan:
     suffice: braid moves sort the periods of any valid ske without changing
     the action.
     """
+    if max_periods < 3:
+        raise ValueError(f"max_periods must be at least 3, not {max_periods}")
     G = build_quaternion(n)
     zcyc = _z_cycles_by_order(G, named_subgroups(G)["Z"])
 

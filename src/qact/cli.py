@@ -24,7 +24,7 @@ from .decomp import (
     MultiplicityVector,
     factor_dimensions,
     is_trivial_decomposition,
-    multiplicities_from_quotient_genera,
+    multiplicities,
 )
 from .actions import (
     BudgetExceeded,
@@ -139,7 +139,7 @@ def cmd_decompose(args) -> tuple[int, dict]:
         ok, msg = validate_ske(ske)
         if not ok:
             return 1, {"error": f"invalid ske: {msg}"}
-        mv = multiplicities_from_quotient_genera(ske)
+        mv = multiplicities(ske)
         source = {"ske": ske.to_json()}
     else:
         if args.a is None or args.b is None:
@@ -460,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, default=4)
     q.add_argument("--a", help="a1,a2,a3,a4")
     q.add_argument("--b", help="b1,...,b_(2^(n-2)-1)")
-    q.add_argument("--ske", help="ske JSON file (multiplicities from quotient genera)")
+    q.add_argument("--ske", help="ske JSON file (multiplicities by the Chevalley-Weil formula)")
     q.set_defaults(fn=cmd_decompose)
 
     q = sub.add_parser("classify", parents=[common], help="braid x Aut orbit classification")

@@ -6,18 +6,21 @@ the geometric factors
 
     A_G,  Prym(A_N_i / A_G),  Prym(A / A_Z),  Prym(A_H_j / A_H_(j+1))^2,
 
-checks the five equivalent triviality conditions, and inverts the linear
-system dim A_K = <rho_a, rho_K> to recover the multiplicities from quotient
-genera of a concrete surface action.  For n = 3 the factor list has no
-H-steps; that case is handled as its own branch throughout.
+checks the five equivalent triviality conditions, and reads the
+multiplicities of a concrete surface action off its elliptic images c_i by
+the Chevalley-Weil formula: mu_1 = gamma, and for nontrivial V
+
+    mu_V = d_V (gamma - 1) + (1/2) sum_i (d_V - dim V^<c_i>).
+
+For n = 3 the factor list has no H-steps; that case is handled as its own
+branch throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .groups import GroupError, Subgroup, build_quaternion, named_subgroups, subgroup_by_label
+from .groups import GroupError, Subgroup, build_quaternion, named_subgroups
 from .reptheory import fixed_dims, galois_orbit
 
 
@@ -229,77 +232,32 @@ def _fixed_point_free(mv: MultiplicityVector) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# multiplicities from quotient genera
+# multiplicities of a Jacobian action
 # ---------------------------------------------------------------------------
 
 
-class UnderdeterminedSystem(ValueError):
-    """The quotient-genus system does not pin down the multiplicities."""
+def multiplicities(ske) -> MultiplicityVector:
+    """(a; b) of the analytic representation of a Jacobian action, by the
+    Chevalley-Weil formula.
 
-
-def multiplicities_from_quotient_genera(ske) -> MultiplicityVector:
-    """Recover (a; b) of a Jacobian action from the genera of its quotients.
-
-    Sets up dim A_K = <rho_a, rho_K> over K in {1, named subgroups, G} with
-    dim A_K = genus(S_K) computed by the coset-action machinery, and solves
-    the exact linear system in the orbit variables (a_1..a_4, c_1..c_(n-2)).
-    Inconsistency means a bug (the genera come from an actual action);
-    an underdetermined system is reported as such.
+    Every irreducible V of Q(2^n) is real-valued, so V occurs in rho_a half
+    as often as in H^1(S, C): gamma times if V is trivial, and otherwise
+    d_V (gamma - 1) + (1/2) sum_i (d_V - dim V^<c_i>) times, over the
+    elliptic images c_i (Rojas, Rev. Mat. Iberoam. 23 (2007); Breuer,
+    Characters and Automorphism Groups of Compact Riemann Surfaces (2000)).
+    dim V^<c_i> is read from the `fixed_dims` cache.  An odd doubled
+    multiplicity means a bug, like a Riemann-Hurwitz parity failure.
     """
-    from .actions import quotient_data
-
     G = ske.group
     if G.kind != "quaternion":
         raise ValueError("multiplicities are defined for Q(2^n) actions")
-    n = G.params["n"]
-    subs = dict(named_subgroups(G))
-    for lbl in ("1", "G"):
-        subs[lbl] = subgroup_by_label(G, lbl)
-
-    unknowns = 4 + (n - 2)
-    rows, rhs = [], []
-    for lbl, K in sorted(subs.items()):
-        dims = fixed_dims(n, K.as_set())
-        row = [Fraction(d) for d in dims[:4]]
-        for l in range(1, n - 1):
-            # Theta_s sits at index 3 + s, after chi1..chi4
-            row.append(Fraction(sum(dims[3 + s] for s in galois_orbit(n, 2 ** (l - 1)))))
-        rows.append(row)
-        rhs.append(Fraction(quotient_data(ske, K).genus))
-    solution = _solve_exact(rows, rhs, unknowns)
-    a = tuple(int(v) for v in solution[:4])
-    orbit_b = [int(v) for v in solution[4:]]
-    if any(v != int(v) for v in solution) or any(v < 0 for v in solution):
-        raise RuntimeError(f"non-integral or negative multiplicities {solution}")
-    return MultiplicityVector.from_orbit_values(n, a, orbit_b)
-
-
-def _solve_exact(rows, rhs, unknowns) -> list[Fraction]:
-    """Exact Gaussian elimination; raises on inconsistency/underdetermination."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    m = len(aug)
-    pivots = []
-    r = 0
-    for c in range(unknowns):
-        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if aug[i][unknowns] != 0:
-            raise RuntimeError("inconsistent quotient-genus system (internal error)")
-    if len(pivots) < unknowns:
-        free = [c for c in range(unknowns) if c not in pivots]
-        raise UnderdeterminedSystem(f"free variables at positions {free}")
-    out = [Fraction(0)] * unknowns
-    for i, c in enumerate(pivots):
-        out[c] = aug[i][unknowns]
-    return out
+    n, gamma = G.params["n"], ske.signature.gamma
+    degrees = fixed_dims(n, frozenset((0,)))
+    fixed = [fixed_dims(n, G.closure((c,))) for c in ske.elliptic]
+    doubled = [2 * gamma] + [
+        2 * d * (gamma - 1) + sum(d - f[v] for f in fixed) for v, d in enumerate(degrees) if v
+    ]
+    if any(m % 2 for m in doubled):
+        raise RuntimeError(f"odd doubled multiplicities {doubled}")
+    mults = [m // 2 for m in doubled]
+    return MultiplicityVector(n, tuple(mults[:4]), tuple(mults[4:]))

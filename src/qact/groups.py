@@ -575,7 +575,14 @@ def build_named(name: str, n: int | None = None, m: int | None = None) -> Finite
 
 
 def group_from_json(data: dict) -> FiniteGroup:
-    return build_named(data["name"], n=data.get("n"), m=data.get("m"))
+    """The group of a `FiniteGroup.to_json` object or of a catalogue
+    descriptor such as {"name": "G1", "n": 4}."""
+    name, n, m = data["name"], data.get("n"), data.get("m")
+    if name in (f"G1(n={n})", f"G2(n={n})"):
+        name = name[:2]
+    elif name == f"D{m}":
+        name = "Dihedral"
+    return build_named(name, n=n, m=m)
 
 
 # ---------------------------------------------------------------------------

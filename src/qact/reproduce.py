@@ -13,7 +13,7 @@ import json
 from importlib import resources
 
 from .groups import build_named, build_quaternion, named_subgroups, subgroup_by_label
-from .decomp import factor_dimensions, is_trivial_decomposition, multiplicities_from_quotient_genera
+from .decomp import factor_dimensions, is_trivial_decomposition, multiplicities
 from .actions import (
     check_extension,
     extension_data,
@@ -81,7 +81,7 @@ def _dimension_tables(n: int) -> dict:
     tables = {}
     for fam in _family_labels(n):
         ske = family_representative(n, fam)
-        mv = multiplicities_from_quotient_genera(ske)
+        mv = multiplicities(ske)
         table = factor_dimensions(mv)
         trivial = is_trivial_decomposition(mv)
         quot = {}

@@ -154,53 +154,6 @@ def _irreducibles_cached(n: int) -> tuple[Character, ...]:
     return tuple(irreducible_characters(n))
 
 
-def theta_matrices(n: int, s: int):
-    """The printed 2x2 matrices of Theta_s on (x, y), over Q(zeta_(2^(n-1)))."""
-    m = 2 ** (n - 1)
-    zero = Cyclotomic.zero(m)
-    one = Cyclotomic.one(m)
-    X = ((Cyclotomic.zeta(m, s), zero), (zero, Cyclotomic.zeta(m, -s)))
-    Y = ((zero, one if s % 2 == 0 else -one), (one, zero))
-    return X, Y
-
-
-def rep_matrix(n: int, label: str, g: int):
-    """The representing matrix of the irreducible `label` at element g."""
-    G = build_quaternion(n)
-    a, e = quaternion_coords(G, g)
-    if label.startswith("chi"):
-        k = int(label[3:])
-        sx = -1 if k in (3, 4) else 1
-        sy = -1 if k in (2, 4) else 1
-        return ((Cyclotomic.from_rational(sx**a * sy**e, 2),),)
-    s = int(label[5:])
-    X, Y = theta_matrices(n, s)
-    M = _mat_pow(X, a, n)
-    if e:
-        M = _mat_mul(M, Y)
-    return M
-
-
-def _mat_mul(A, B):
-    size = len(A)
-    return tuple(
-        tuple(sum((A[i][k] * B[k][j] for k in range(size)), Cyclotomic.zero(2)) for j in range(size))
-        for i in range(size)
-    )
-
-
-def _mat_pow(A, k, n):
-    m = 2 ** (n - 1)
-    size = len(A)
-    out = tuple(
-        tuple(Cyclotomic.one(m) if i == j else Cyclotomic.zero(m) for j in range(size))
-        for i in range(size)
-    )
-    for _ in range(k):
-        out = _mat_mul(out, A)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Galois orbits and rational irreducibles
 # ---------------------------------------------------------------------------
@@ -315,29 +268,6 @@ def fixed_subspace_dim(V: Character, K: Subgroup) -> int:
     if d.denominator != 1 or d < 0:
         raise ValueError(f"fixed-space dimension came out as {d}")
     return int(d)
-
-
-def fixed_dim_by_averaging(n: int, label: str, K: Subgroup) -> int:
-    """Independent cross-check: rank of the exact projector (1/|K|) sum_K rho(k)."""
-    mats = [rep_matrix(n, label, k) for k in K.elements]
-    size = len(mats[0])
-    m = 2 ** (n - 1)
-    avg = [[Cyclotomic.zero(m) for _ in range(size)] for _ in range(size)]
-    for M in mats:
-        for i in range(size):
-            for j in range(size):
-                avg[i][j] = avg[i][j] + M[i][j]
-    inv_k = Fraction(1, len(K.elements))
-    avg = [[inv_k * avg[i][j] for j in range(size)] for i in range(size)]
-    # rank of a matrix of size <= 2 over a field
-    if size == 1:
-        return 0 if avg[0][0].is_zero() else 1
-    det = avg[0][0] * avg[1][1] - avg[0][1] * avg[1][0]
-    if not det.is_zero():
-        return 2
-    if any(not avg[i][j].is_zero() for i in range(2) for j in range(2)):
-        return 1
-    return 0
 
 
 @lru_cache(maxsize=None)

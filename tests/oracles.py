@@ -1,0 +1,169 @@
+"""Independent references that the tests compare the program against.
+
+- The paper's own route to the multiplicities of a Jacobian action:
+  dim A_K = <rho_a, rho_K> = genus(S_K) over every named subgroup K, solved
+  exactly.  `qact.decomp.multiplicities` uses the Chevalley-Weil formula.
+- The explicit representing matrices of the irreducibles of Q(2^n), and
+  fixed-space dimensions as ranks of averaged projectors.  `qact.reptheory`
+  works with characters only.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from qact.actions import quotient_data
+from qact.cyclo import Cyclotomic
+from qact.decomp import MultiplicityVector
+from qact.groups import Subgroup, build_quaternion, named_subgroups, subgroup_by_label
+from qact.reptheory import fixed_dims, galois_orbit, quaternion_coords
+
+
+# ---------------------------------------------------------------------------
+# multiplicities from quotient genera
+# ---------------------------------------------------------------------------
+
+
+class UnderdeterminedSystem(ValueError):
+    """The quotient-genus system does not pin down the multiplicities."""
+
+
+def multiplicities_from_quotient_genera(ske) -> MultiplicityVector:
+    """Recover (a; b) of a Jacobian action from the genera of its quotients.
+
+    Sets up dim A_K = <rho_a, rho_K> over K in {1, named subgroups, G} with
+    dim A_K = genus(S_K) computed by the coset-action machinery, and solves
+    the exact linear system in the orbit variables (a_1..a_4, c_1..c_(n-2)).
+    Inconsistency means a bug (the genera come from an actual action);
+    an underdetermined system is reported as such.
+    """
+    G = ske.group
+    if G.kind != "quaternion":
+        raise ValueError("multiplicities are defined for Q(2^n) actions")
+    n = G.params["n"]
+    subs = dict(named_subgroups(G))
+    for lbl in ("1", "G"):
+        subs[lbl] = subgroup_by_label(G, lbl)
+
+    unknowns = 4 + (n - 2)
+    rows, rhs = [], []
+    for lbl, K in sorted(subs.items()):
+        dims = fixed_dims(n, K.as_set())
+        row = [Fraction(d) for d in dims[:4]]
+        for l in range(1, n - 1):
+            # Theta_s sits at index 3 + s, after chi1..chi4
+            row.append(Fraction(sum(dims[3 + s] for s in galois_orbit(n, 2 ** (l - 1)))))
+        rows.append(row)
+        rhs.append(Fraction(quotient_data(ske, K).genus))
+    solution = _solve_exact(rows, rhs, unknowns)
+    a = tuple(int(v) for v in solution[:4])
+    orbit_b = [int(v) for v in solution[4:]]
+    if any(v != int(v) for v in solution) or any(v < 0 for v in solution):
+        raise RuntimeError(f"non-integral or negative multiplicities {solution}")
+    return MultiplicityVector.from_orbit_values(n, a, orbit_b)
+
+
+def _solve_exact(rows, rhs, unknowns) -> list[Fraction]:
+    """Exact Gaussian elimination; raises on inconsistency/underdetermination."""
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    m = len(aug)
+    pivots = []
+    r = 0
+    for c in range(unknowns):
+        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        pv = aug[r][c]
+        aug[r] = [v / pv for v in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    for i in range(r, m):
+        if aug[i][unknowns] != 0:
+            raise RuntimeError("inconsistent quotient-genus system (internal error)")
+    if len(pivots) < unknowns:
+        free = [c for c in range(unknowns) if c not in pivots]
+        raise UnderdeterminedSystem(f"free variables at positions {free}")
+    out = [Fraction(0)] * unknowns
+    for i, c in enumerate(pivots):
+        out[c] = aug[i][unknowns]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# representing matrices
+# ---------------------------------------------------------------------------
+
+
+def theta_matrices(n: int, s: int):
+    """The printed 2x2 matrices of Theta_s on (x, y), over Q(zeta_(2^(n-1)))."""
+    m = 2 ** (n - 1)
+    zero = Cyclotomic.zero(m)
+    one = Cyclotomic.one(m)
+    X = ((Cyclotomic.zeta(m, s), zero), (zero, Cyclotomic.zeta(m, -s)))
+    Y = ((zero, one if s % 2 == 0 else -one), (one, zero))
+    return X, Y
+
+
+def rep_matrix(n: int, label: str, g: int):
+    """The representing matrix of the irreducible `label` at element g."""
+    G = build_quaternion(n)
+    a, e = quaternion_coords(G, g)
+    if label.startswith("chi"):
+        k = int(label[3:])
+        sx = -1 if k in (3, 4) else 1
+        sy = -1 if k in (2, 4) else 1
+        return ((Cyclotomic.from_rational(sx**a * sy**e, 2),),)
+    s = int(label[5:])
+    X, Y = theta_matrices(n, s)
+    M = _mat_pow(X, a, n)
+    if e:
+        M = _mat_mul(M, Y)
+    return M
+
+
+def _mat_mul(A, B):
+    size = len(A)
+    return tuple(
+        tuple(sum((A[i][k] * B[k][j] for k in range(size)), Cyclotomic.zero(2)) for j in range(size))
+        for i in range(size)
+    )
+
+
+def _mat_pow(A, k, n):
+    m = 2 ** (n - 1)
+    size = len(A)
+    out = tuple(
+        tuple(Cyclotomic.one(m) if i == j else Cyclotomic.zero(m) for j in range(size))
+        for i in range(size)
+    )
+    for _ in range(k):
+        out = _mat_mul(out, A)
+    return out
+
+
+def fixed_dim_by_averaging(n: int, label: str, K: Subgroup) -> int:
+    """Independent cross-check: rank of the exact projector (1/|K|) sum_K rho(k)."""
+    mats = [rep_matrix(n, label, k) for k in K.elements]
+    size = len(mats[0])
+    m = 2 ** (n - 1)
+    avg = [[Cyclotomic.zero(m) for _ in range(size)] for _ in range(size)]
+    for M in mats:
+        for i in range(size):
+            for j in range(size):
+                avg[i][j] = avg[i][j] + M[i][j]
+    inv_k = Fraction(1, len(K.elements))
+    avg = [[inv_k * avg[i][j] for j in range(size)] for i in range(size)]
+    # rank of a matrix of size <= 2 over a field
+    if size == 1:
+        return 0 if avg[0][0].is_zero() else 1
+    det = avg[0][0] * avg[1][1] - avg[0][1] * avg[1][0]
+    if not det.is_zero():
+        return 2
+    if any(not avg[i][j].is_zero() for i in range(2) for j in range(2)):
+        return 1
+    return 0

@@ -19,7 +19,6 @@ import numpy as np
 
 from qact.groups import Subgroup, build_named, build_quaternion, named_subgroups
 from qact.reptheory import (
-    fixed_dim_by_averaging,
     fixed_subspace_dim,
     inner_product,
     irreducible_characters,
@@ -31,7 +30,6 @@ from qact.decomp import (
     dim_fixed_subvariety,
     factor_dimensions,
     is_trivial_decomposition,
-    multiplicities_from_quotient_genera,
 )
 from qact.actions import (
     Signature,
@@ -49,6 +47,7 @@ from qact.actions import (
 from qact import siegel as sg
 from qact import curves as cv
 
+from oracles import fixed_dim_by_averaging, multiplicities_from_quotient_genera
 from paper_tables import (
     expected_multiplicities,
     expected_prym_dims,

@@ -596,6 +596,12 @@ def test_scan_raises_on_riemann_hurwitz_parity_failure(monkeypatch):
         genus_zero_exhaustive_scan(3, max_periods=3)
 
 
+@pytest.mark.parametrize("max_periods", [2, 0, -1])
+def test_scan_needs_at_least_three_periods(max_periods):
+    with pytest.raises(ValueError, match=f"at least 3, not {max_periods}$"):
+        genus_zero_exhaustive_scan(4, max_periods=max_periods)
+
+
 @pytest.mark.parametrize("n, signatures, skes", [
     (3, 11, 1320), (4, 41, 9440), (5, 105, 113536),
     (6, 224, 1535488),  # the benchmark's scan-n6 workload
@@ -738,3 +744,10 @@ def test_ske_json_roundtrip():
     assert back.elliptic == ske.elliptic
     assert back.signature == ske.signature
     assert family_label(4, back.signature) == "C2"
+
+
+@pytest.mark.parametrize("sup", ["G1", "G2"])
+def test_supergroup_ske_json_roundtrip(sup):
+    """The theta_prime ske that `qact extend` prints reads back as itself."""
+    _, theta_prime, _ = extension_data(4, "F2", sup)
+    assert ske_from_json(theta_prime.to_json()) == theta_prime

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from qact.cli import main
-from qact.actions import family_representative
+from qact.actions import extension_data, family_representative
 from qact.siegel import fixture_checksum
 
 
@@ -250,6 +250,17 @@ def test_ske_file_without_signature_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.splitlines() == ["error: ske JSON has no 'signature' key"]
+
+
+def test_decompose_on_a_printed_supergroup_ske_exits_2(tmp_path, capsys):
+    """The theta_prime ske of `qact extend` reads back; decomposition is for Q(2^n)."""
+    _, theta_prime, _ = extension_data(4, "F2", "G1")
+    path = tmp_path / "ske.json"
+    path.write_text(json.dumps(theta_prime.to_json()))
+    code = main(["decompose", "--ske", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == ["error: multiplicities are defined for Q(2^n) actions"]
 
 
 def test_ske_file_not_an_object_exits_2(tmp_path, capsys):

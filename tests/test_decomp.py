@@ -10,11 +10,20 @@ from qact.decomp import (
     dim_fixed_subvariety,
     factor_dimensions,
     is_trivial_decomposition,
-    multiplicities_from_quotient_genera,
+    multiplicities,
 )
 from qact.groups import GroupError, Subgroup, build_quaternion, named_subgroups
-from qact.reptheory import irreducible_characters, rep_matrix
-from qact.actions import family_representative
+from qact.reptheory import irreducible_characters
+from qact.actions import (
+    Signature,
+    Ske,
+    family_representative,
+    iter_valid_tuples,
+    witness_eta,
+)
+
+from oracles import multiplicities_from_quotient_genera, rep_matrix
+from paper_tables import family_labels
 
 
 def _subs(n):
@@ -173,28 +182,52 @@ def test_multiplicities_from_family_representatives():
         ("C2", 3): ((0, 0, 0, 0), (2,)),
     }
     for (fam, n), (a, b) in expected.items():
-        mv = multiplicities_from_quotient_genera(family_representative(n, fam))
+        mv = multiplicities(family_representative(n, fam))
         assert (mv.a, mv.b) == (a, b), (fam, n, mv)
 
 
 def test_c42_dimension_claims():
-    mv = multiplicities_from_quotient_genera(family_representative(4, "C2"))
+    mv = multiplicities(family_representative(4, "C2"))
     subs = _subs(4)
     assert dim_fixed_subvariety(mv, subs["H2"]) == 1
     t = factor_dimensions(mv)
     assert t.dim_prym_A_over_AZ == 8
 
 
-def test_solver_flags_underdetermined_and_inconsistent_systems():
-    from fractions import Fraction
+def _oracle_skes():
+    """The census representatives and the sigma_b witnesses (b = 0..3) for
+    n = 3..6, then every valid tuple of a few genus-zero signatures."""
+    for n in (3, 4, 5, 6):
+        G = build_quaternion(n)
+        for label in family_labels(n):
+            yield family_representative(n, label)
+        for b in range(4):
+            yield witness_eta(G, b)
+    for n, periods in (
+        (3, (4, 4, 4)), (3, (2, 4, 4, 4)), (3, (4, 4, 4, 4)),
+        (4, (4, 4, 8)), (4, (2, 4, 4, 8)), (4, (4, 4, 4, 4)),
+        (5, (4, 4, 16)),
+    ):
+        G = build_quaternion(n)
+        for t in iter_valid_tuples(G, periods):
+            yield Ske(G, Signature(0, periods), (), t)
 
-    from qact.decomp import UnderdeterminedSystem, _solve_exact
 
-    one, zero = Fraction(1), Fraction(0)
-    with pytest.raises(UnderdeterminedSystem):
-        _solve_exact([[one, one]], [one], 2)
-    with pytest.raises(RuntimeError):
-        _solve_exact([[one, zero], [one, zero]], [one, Fraction(2)], 2)
+def test_chevalley_weil_matches_the_quotient_genera_oracle():
+    count = 0
+    for ske in _oracle_skes():
+        assert multiplicities(ske) == multiplicities_from_quotient_genera(ske), ske
+        count += 1
+    assert count == 37 + 768
+
+
+def test_multiplicities_raise_on_an_odd_doubled_multiplicity():
+    # gamma = 1 and one elliptic image x of order 4: not a ske, and
+    # d_V - dim V^<x> = 1 is odd for chi3
+    G = build_quaternion(3)
+    x = G.generators[0]
+    with pytest.raises(RuntimeError, match="odd doubled multiplicities"):
+        multiplicities(Ske(G, Signature(1, (4,)), (0, 0), (x,)))
 
 
 def test_isogeny_bookkeeping_K_vs_H_chains():

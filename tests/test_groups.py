@@ -8,6 +8,7 @@ from qact.groups import (
     build_named,
     build_quaternion,
     coset_cycles,
+    group_from_json,
     isomorphic,
     named_subgroups,
     two_generated_subgroups,
@@ -272,6 +273,26 @@ def test_group_from_json_descriptors():
     assert group_from_json({"name": "G1", "n": 4}).order == 32
     G = group_from_json({"name": "Q8"})
     assert G.to_json() == {"name": "Q8", "order": 8, "n": 3}
+
+
+CATALOGUE = (
+    [build_quaternion(n) for n in (3, 4, 5, 6)]
+    + [build_named(v, n=n) for v in ("G1", "G2") for n in (3, 4, 5)]
+    + [build_named(name) for name in ("QD16", "C4xC2_rtimes_C2", "D4xC2_rtimes_C2")]
+    + [build_dihedral(m) for m in (2, 3, 4, 8, 32)]
+)
+
+
+@pytest.mark.parametrize("G", CATALOGUE, ids=lambda G: G.name)
+def test_group_json_round_trip(G):
+    assert group_from_json(G.to_json()) is G
+
+
+def test_group_from_json_rejects_a_mismatched_parameter():
+    with pytest.raises(GroupError, match="unknown group name"):
+        group_from_json({"name": "G1(n=4)", "order": 64, "n": 5})
+    with pytest.raises(GroupError, match="unknown group name"):
+        group_from_json({"name": "D4", "order": 16, "m": 8})
 
 
 def test_element_name_parsing_roundtrip():

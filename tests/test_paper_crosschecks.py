@@ -102,20 +102,20 @@ def test_genus_zero_actions_have_trivial_decompositions():
     rho_a = (b+1)(Theta_1 + Theta_3 + ...), all five flags true; the
     non-genus-zero family representatives all come out nontrivial."""
     from qact.actions import family_representative, witness_eta
-    from qact.decomp import is_trivial_decomposition, multiplicities_from_quotient_genera
+    from qact.decomp import is_trivial_decomposition, multiplicities
     from paper_tables import family_labels
 
     for n in (3, 4):
         G = build_quaternion(n)
         for b in range(4):
-            mv = multiplicities_from_quotient_genera(witness_eta(G, b))
+            mv = multiplicities(witness_eta(G, b))
             assert mv.a == (0, 0, 0, 0)
             for s in range(1, 2 ** (n - 2)):
                 assert mv.b_at(s) == ((b + 1) if s % 2 == 1 else 0)
             rep = is_trivial_decomposition(mv)
             assert rep.agree and all(rep.flags())
         for label in family_labels(n):
-            mv = multiplicities_from_quotient_genera(family_representative(n, label))
+            mv = multiplicities(family_representative(n, label))
             rep = is_trivial_decomposition(mv)
             assert rep.agree
             expected_trivial = label == f"C{n - 1}"

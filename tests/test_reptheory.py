@@ -3,7 +3,6 @@ from qact.cyclo import Cyclotomic
 from qact.groups import Subgroup, build_quaternion, named_subgroups
 from qact.reptheory import (
     class_data,
-    fixed_dim_by_averaging,
     fixed_subspace_dim,
     galois_generator,
     galois_orbit,
@@ -11,8 +10,9 @@ from qact.reptheory import (
     irreducible_characters,
     permutation_character,
     rational_irreducibles,
-    rep_matrix,
 )
+
+from oracles import fixed_dim_by_averaging, rep_matrix
 
 
 def _subs(n):
