@@ -6,7 +6,9 @@ generators (one per period) subject to the order, long-relation and
 surjectivity constraints.  Topological classification over a genus-zero
 quotient is the orbit structure under braid moves combined with Aut(G)
 relabelings; over a genus-one quotient the two elementary moves
-(a,b,g) -> (a, ba, g) and (ab, b, g) are used instead.  Quotient surfaces
+(a,b,g) -> (a, ba, g) and (ab, b, g) are used instead.  Both commute with
+Aut(G), which acts freely on generating tuples, so the orbit search runs on
+Aut-classes, each held by one canonical relabelling.  Quotient surfaces
 S_K are handled through the action on cosets G/K: the cycle structure of each
 elliptic image determines the branch data and hence the genus, for any gamma.
 
@@ -19,6 +21,7 @@ slots are cached per (running product, mask).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -360,61 +363,84 @@ class OrbitReport:
 
 
 @lru_cache(maxsize=None)
-def _aut_perms(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """A generating set of Aut(G), picked greedily from `automorphisms(G)`.
-
-    Orbits of a group are the connected components of its Schreier graph on
-    any generating set, so these few moves give the orbits of all of Aut(G).
-    """
+def _aut_table(G: FiniteGroup) -> tuple[list[tuple[int, ...]], dict]:
+    """Aut(G), and for each generating pair the automorphism taking it to the
+    least pair of its Aut-orbit, unique as Aut(G) acts freely on such pairs.
+    An orbit's first pair in lex order is its least; p^-1 takes p(pair) back."""
     auts = automorphisms(G)
-    identity = tuple(range(G.order))
-    gens: list[tuple[int, ...]] = []
-    span = {identity}
-    for a in auts:
-        if a.perm not in span:
-            gens.append(a.perm)
-            span = _orbit(identity, [_relabel(p) for p in gens])
-    if len(span) != len(auts):
-        raise RuntimeError("the chosen automorphisms do not span Aut(G)")
-    return tuple(gens)
+    masks, _ = _maximal_masks(G)
+    inverses = [tuple(sorted(range(G.order), key=p.__getitem__)) for p in auts]
+    table: dict[tuple[int, int], tuple[int, ...]] = {}
+    for g, h in itertools.product(range(G.order), repeat=2):
+        if not masks[g] & masks[h] and (g, h) not in table:
+            for p, q in zip(auts, inverses):
+                table[p[g], p[h]] = q
+    return auts, table
+
+
+def _canon(G: FiniteGroup, t: tuple[int, ...]) -> tuple[int, ...]:
+    """t relabelled by the `_aut_table` entry of its first generating slot
+    pair, one form for its whole Aut-class: automorphisms permute the maximal
+    subgroups, so they keep which slot pairs generate.  Q(2^n) is 2-generated,
+    so every generating tuple has such a pair."""
+    masks, _ = _maximal_masks(G)
+    _, table = _aut_table(G)
+    p = next(
+        table[t[i], t[k]]
+        for i, k in itertools.combinations(range(len(t)), 2)
+        if not masks[t[i]] & masks[t[k]]
+    )
+    return tuple(p[g] for g in t)
 
 
 def _orbit_moves(G: FiniteGroup, sig: Signature):
-    """Braids (gamma 0) or the two elementary moves (gamma 1), with Aut(G)."""
+    """Braids (gamma 0) or the two elementary moves (gamma 1), each followed
+    by `_canon`: both commute with Aut(G), so they act on Aut-classes."""
     if sig.gamma == 0:
-        return _braid_moves(G, len(sig.periods)) + _aut_moves(G)
-    if sig.gamma == 1 and len(sig.periods) == 1:
-        return _genus_one_moves(G) + _aut_moves(G)
-    raise UnsupportedMove(f"classification not implemented for signature {sig}")
+        moves = _braid_moves(G, len(sig.periods))
+    elif sig.gamma == 1 and len(sig.periods) == 1:
+        moves = _genus_one_moves(G)
+    else:
+        raise UnsupportedMove(f"classification not implemented for signature {sig}")
+    return [lambda t, mv=mv: _canon(G, mv(t)) for mv in moves]
 
 
 def classify(G: FiniteGroup, sig: Signature, max_candidates: int = 5_000_000) -> OrbitReport:
     """Orbits of valid skes under braids (gamma 0) or the two elementary moves
-    (gamma 1), both combined with Aut(G)."""
+    (gamma 1), both combined with Aut(G).
+
+    Aut(G) acts freely on valid skes, so each orbit is a union of Aut-classes
+    of |Aut| skes.  The search runs on the `_canon` forms of the classes; an
+    orbit's representative, its least ske, is the least relabelling of them.
+    """
     moves = _orbit_moves(G, sig)
     if sig.gamma == 0:
-        nodes = set()
-        for arrangement in sorted(set(itertools.permutations(sig.periods))):
-            for t in iter_valid_tuples(G, arrangement, max_candidates):
-                nodes.add(t)
+        tuples = itertools.chain.from_iterable(
+            iter_valid_tuples(G, arrangement, max_candidates)
+            for arrangement in sorted(set(itertools.permutations(sig.periods)))
+        )
         node_of = lambda t: Ske(G, Signature(0, tuple(G.orders[g] for g in t)), (), t)
     else:
-        nodes = set(iter_genus_one_triples(G, sig.periods[0]))
+        tuples = iter_genus_one_triples(G, sig.periods[0])
         node_of = lambda t: Ske(G, sig, (t[0], t[1]), (t[2],))
+    auts, _ = _aut_table(G)
+    nodes = Counter(_canon(G, t) for t in tuples)
+    total = nodes.total()
+    if total != len(auts) * len(nodes):
+        raise RuntimeError(f"{total} valid skes do not fill {len(nodes)} classes of {len(auts)}")
     orbits = []
     unvisited = set(nodes)
     while unvisited:
         orbit = _orbit(unvisited.pop(), moves, nodes)
         unvisited -= orbit
-        orbits.append(orbit)
-    orbits.sort(key=min)
-    reps = tuple(node_of(min(orbit)) for orbit in orbits)
+        orbits.append((min(tuple(p[g] for g in c) for c in orbit for p in auts), len(orbit)))
+    orbits.sort()
     return OrbitReport(
         signature=sig,
-        total=len(nodes),
+        total=total,
         orbit_count=len(orbits),
-        representatives=reps,
-        orbit_sizes=tuple(len(o) for o in orbits),
+        representatives=tuple(node_of(rep) for rep, _ in orbits),
+        orbit_sizes=tuple(size * len(auts) for _, size in orbits),
     )
 
 
@@ -444,17 +470,6 @@ def _genus_one_moves(G: FiniteGroup):
         return (cayley[a][b], b, g)
 
     return [m1, m2]
-
-
-def _relabel(p: tuple[int, ...]):
-    def move(t):
-        return tuple(p[g] for g in t)
-
-    return move
-
-
-def _aut_moves(G: FiniteGroup):
-    return [_relabel(p) for p in _aut_perms(G)]
 
 
 def _orbit(start: tuple, moves, valid: set | None = None) -> set:
@@ -901,9 +916,7 @@ def check_extension(theta: Ske, theta_prime: Ske, words) -> ExtensionReport:
         tuple(mapped[2 * gamma:]),
     )
     valid, _ = validate_ske(restricted)
-    equivalent = valid and restricted.hyperbolic + restricted.elliptic in _orbit(
-        theta.hyperbolic + theta.elliptic, _orbit_moves(theta.group, theta.signature)
-    )
+    equivalent = valid and _in_class_orbit(restricted, theta)
     return ExtensionReport(
         ok=bool(mu_ok and valid and equivalent),
         index=index,
@@ -914,6 +927,17 @@ def check_extension(theta: Ske, theta_prime: Ske, words) -> ExtensionReport:
         equivalent_to_theta=equivalent,
         restriction=tuple(theta.group.names[v] for v in mapped),
     )
+
+
+def _in_class_orbit(ske: Ske, theta: Ske) -> bool:
+    """Whether the valid ske lies in theta's orbit.  The moves keep a tuple
+    generating, so a theta that does not generate has no valid ske in it."""
+    G = theta.group
+    moves = _orbit_moves(G, theta.signature)
+    t = theta.hyperbolic + theta.elliptic
+    if len(G.closure(t)) != G.order:
+        return False
+    return _canon(G, ske.hyperbolic + ske.elliptic) in _orbit(_canon(G, t), moves)
 
 
 def extension_data(n: int, family: str, supergroup: str):

@@ -204,6 +204,8 @@ def cmd_quotient(args) -> tuple[int, dict]:
 
 def cmd_extend(args) -> tuple[int, dict]:
     ske = ske_from_json(_load_json(args.ske)) if args.ske else None
+    if ske is not None and ske.group.kind != "quaternion":
+        raise ValueError(f"extend --ske needs a Q(2^n) ske, not one of {ske.group.name}")
     n = ske.group.params["n"] if ske else args.n
     if n is None:
         raise SystemExit2("extend needs --ske or --n")

@@ -9,8 +9,9 @@ construction.  Each catalogue group is built once per parameter value and
 shared, because subgroups and skes compare their groups by identity.
 
 Generic machinery (conjugacy classes, the action on cosets, subgroup lattice,
-automorphism group, isomorphism testing) works on the table alone and is brute
-force; that is entirely adequate at order <= 64.  The one shortcut is for
+and one generator-image search that yields both the automorphism group and
+isomorphisms) works on the table alone and is brute force; that is entirely
+adequate at order <= 64.  The one shortcut is for
 maximal subgroups of 2-groups, which are the kernels of the maps onto C2; the
 tests check them against the brute-force lattice.
 """
@@ -111,12 +112,6 @@ class FiniteGroup:
             raise GroupError(f"distinguished generators do not generate {self.name}")
 
     # -- basic operations ------------------------------------------------------
-
-    def mul(self, i: int, j: int) -> int:
-        return self.cayley[i][j]
-
-    def element_order(self, i: int) -> int:
-        return self.orders[i]
 
     def power(self, i: int, k: int) -> int:
         if k < 0:
@@ -242,7 +237,7 @@ class FiniteGroup:
         for bits in itertools.product((0, 1), repeat=len(self.generators)):
             if not any(bits):
                 continue
-            phi = extend_homomorphism(self, _C2, bits)
+            phi = extend_homomorphism(self, _C2, self.generators, bits)
             if phi is not None:
                 out.append(frozenset(g for g in range(self.order) if phi[g] == 0))
         return tuple(out)
@@ -710,8 +705,8 @@ def two_generated_subgroups(G: FiniteGroup) -> frozenset[frozenset]:
 # ---------------------------------------------------------------------------
 
 
-def extend_homomorphism(G: FiniteGroup, H: FiniteGroup, gen_images) -> list[int] | None:
-    """Extend images of G.generators to a homomorphism G -> H, or None.
+def extend_homomorphism(G: FiniteGroup, H: FiniteGroup, gens, gen_images) -> list[int] | None:
+    """Extend gens -> gen_images to a homomorphism G -> H, or None.
 
     A breadth-first sweep checks phi(g * gen) = phi(g) * phi(gen) across every
     (element, generator) edge of the Cayley graph, which forces the
@@ -724,7 +719,7 @@ def extend_homomorphism(G: FiniteGroup, H: FiniteGroup, gen_images) -> list[int]
         nxt = []
         for g in queue:
             hg = m[g]
-            for gi, hi in zip(G.generators, gen_images):
+            for gi, hi in zip(gens, gen_images):
                 g2 = G.cayley[g][gi]
                 h2 = H.cayley[hg][hi]
                 if m[g2] is None:
@@ -738,41 +733,6 @@ def extend_homomorphism(G: FiniteGroup, H: FiniteGroup, gen_images) -> list[int]
     return m  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class Automorphism:
-    group: FiniteGroup
-    perm: tuple[int, ...]
-
-    @property
-    def images(self) -> tuple[int, ...]:
-        return tuple(self.perm[g] for g in self.group.generators)
-
-    def __call__(self, i: int) -> int:
-        return self.perm[i]
-
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        return Automorphism(self.group, tuple(self.perm[other.perm[i]] for i in range(len(self.perm))))
-
-
-def automorphisms(G: FiniteGroup) -> list[Automorphism]:
-    """The full automorphism group, by brute force over generator images."""
-    candidates = []
-    for gi in G.generators:
-        o = G.orders[gi]
-        candidates.append([h for h in range(G.order) if G.orders[h] == o])
-    out = []
-    seen = set()
-    for images in itertools.product(*candidates):
-        m = extend_homomorphism(G, G, images)
-        if m is None or len(set(m)) != G.order:
-            continue
-        perm = tuple(m)
-        if perm not in seen:
-            seen.add(perm)
-            out.append(Automorphism(G, perm))
-    return out
-
-
 def _generating_tuple(G: FiniteGroup, max_size: int = 3) -> list[int]:
     """A small generating tuple found greedily (distinguished generators work,
     but a minimal pair keeps isomorphism searches tight)."""
@@ -783,45 +743,29 @@ def _generating_tuple(G: FiniteGroup, max_size: int = 3) -> list[int]:
     return list(G.generators)
 
 
-def isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
-    return find_isomorphism(G, H) is not None
+def _isomorphisms(G: FiniteGroup, H: FiniteGroup):
+    """Every isomorphism G -> H as an index map, by brute force over the
+    images of a small generating tuple of G, after fast rejects on order,
+    element-order histogram, center size and abelianization size."""
+    invariants = lambda K: (K.order, K.order_histogram(), len(K.center()), len(K.commutator_subgroup()))
+    if invariants(G) != invariants(H):
+        return
+    gens = _generating_tuple(G)
+    cand = [[h for h in range(H.order) if H.orders[h] == G.orders[g]] for g in gens]
+    for images in itertools.product(*cand):
+        m = extend_homomorphism(G, H, gens, images)
+        if m is not None and len(set(m)) == G.order:
+            yield m
+
+
+def automorphisms(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """The full automorphism group, each member as a permutation tuple."""
+    return [tuple(m) for m in _isomorphisms(G, G)]
 
 
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> list[int] | None:
-    """An explicit isomorphism G -> H as an index map, or None.
-
-    Fast-rejects on order, element-order histogram, center size and
-    abelianization size before the generator-image search.
-    """
-    if G.order != H.order:
-        return None
-    if G.order_histogram() != H.order_histogram():
-        return None
-    if len(G.center()) != len(H.center()):
-        return None
-    if len(G.commutator_subgroup()) != len(H.commutator_subgroup()):
-        return None
-    gens = _generating_tuple(G)
-    Gsmall = G
-    if gens != list(G.generators):
-        # reuse the walk with an ad-hoc generator list
-        Gsmall = _with_generators(G, gens)
-    cand = [
-        [h for h in range(H.order) if H.orders[h] == Gsmall.orders[g]]
-        for g in Gsmall.generators
-    ]
-    for images in itertools.product(*cand):
-        m = extend_homomorphism(Gsmall, H, images)
-        if m is not None and len(set(m)) == G.order:
-            return m
-    return None
-
-
-def _with_generators(G: FiniteGroup, gens) -> FiniteGroup:
-    clone = object.__new__(FiniteGroup)
-    clone.__dict__.update(G.__dict__)
-    clone.generators = list(gens)
-    return clone
+    """An explicit isomorphism G -> H as an index map, or None."""
+    return next(_isomorphisms(G, H), None)
 
 
 def group_from_cayley(name: str, names, cayley, generators) -> FiniteGroup:

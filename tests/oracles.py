@@ -3,6 +3,9 @@
 - The paper's own route to the multiplicities of a Jacobian action:
   dim A_K = <rho_a, rho_K> = genus(S_K) over every named subgroup K, solved
   exactly.  `qact.decomp.multiplicities` uses the Chevalley-Weil formula.
+- The orbit classification on every valid tuple, with braid (or elementary)
+  moves and a generating set of Aut(G) as relabelling moves.
+  `qact.actions.classify` searches on Aut-classes instead.
 - The explicit representing matrices of the irreducibles of Q(2^n), and
   fixed-space dimensions as ranks of averaged projectors.  `qact.reptheory`
   works with characters only.
@@ -10,12 +13,25 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from functools import lru_cache
 
-from qact.actions import quotient_data
+from qact.actions import (
+    OrbitReport,
+    Signature,
+    Ske,
+    UnsupportedMove,
+    _braid_moves,
+    _genus_one_moves,
+    _orbit,
+    iter_genus_one_triples,
+    iter_valid_tuples,
+    quotient_data,
+)
 from qact.cyclo import Cyclotomic
 from qact.decomp import MultiplicityVector
-from qact.groups import Subgroup, build_quaternion, named_subgroups, subgroup_by_label
+from qact.groups import Subgroup, automorphisms, build_quaternion, named_subgroups, subgroup_by_label
 from qact.reptheory import fixed_dims, galois_orbit, quaternion_coords
 
 
@@ -92,6 +108,68 @@ def _solve_exact(rows, rhs, unknowns) -> list[Fraction]:
     for i, c in enumerate(pivots):
         out[c] = aug[i][unknowns]
     return out
+
+
+# ---------------------------------------------------------------------------
+# orbits on full tuples
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def aut_generators(G) -> tuple[tuple[int, ...], ...]:
+    """A generating set of Aut(G), picked greedily from `automorphisms(G)`.
+
+    Orbits of a group are the connected components of its Schreier graph on
+    any generating set, so these few moves give the orbits of all of Aut(G).
+    """
+    auts = automorphisms(G)
+    identity = tuple(range(G.order))
+    gens: list[tuple[int, ...]] = []
+    span = {identity}
+    for p in auts:
+        if p not in span:
+            gens.append(p)
+            span = _orbit(identity, aut_moves(gens))
+    if len(span) != len(auts):
+        raise RuntimeError("the chosen automorphisms do not span Aut(G)")
+    return tuple(gens)
+
+
+def aut_moves(perms):
+    """Relabelling moves t -> p(t), one per permutation."""
+    return [lambda t, p=p: tuple(p[g] for g in t) for p in perms]
+
+
+def classify_on_tuples(G, sig: Signature, max_candidates: int = 5_000_000) -> OrbitReport:
+    """Orbits of every valid ske under braids (gamma 0) or the two elementary
+    moves (gamma 1), with the relabellings by `aut_generators` as moves."""
+    if sig.gamma == 0:
+        base = _braid_moves(G, len(sig.periods))
+        nodes = set()
+        for arrangement in sorted(set(itertools.permutations(sig.periods))):
+            nodes.update(iter_valid_tuples(G, arrangement, max_candidates))
+        node_of = lambda t: Ske(G, Signature(0, tuple(G.orders[g] for g in t)), (), t)
+    elif sig.gamma == 1 and len(sig.periods) == 1:
+        base = _genus_one_moves(G)
+        nodes = set(iter_genus_one_triples(G, sig.periods[0]))
+        node_of = lambda t: Ske(G, sig, (t[0], t[1]), (t[2],))
+    else:
+        raise UnsupportedMove(f"classification not implemented for signature {sig}")
+    moves = base + aut_moves(aut_generators(G))
+    orbits = []
+    unvisited = set(nodes)
+    while unvisited:
+        orbit = _orbit(unvisited.pop(), moves, nodes)
+        unvisited -= orbit
+        orbits.append(orbit)
+    orbits.sort(key=min)
+    return OrbitReport(
+        signature=sig,
+        total=len(nodes),
+        orbit_count=len(orbits),
+        representatives=tuple(node_of(min(orbit)) for orbit in orbits),
+        orbit_sizes=tuple(len(o) for o in orbits),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qact.actions import (
     BudgetExceeded,
@@ -10,12 +12,14 @@ from qact.actions import (
     Signature,
     Ske,
     UnsupportedMove,
-    _aut_moves,
-    _aut_perms,
+    _aut_table,
     _braid_moves,
+    _canon,
     _genus_one_moves,
+    _in_class_orbit,
     _maximal_masks,
     _orbit,
+    _orbit_moves,
     braid,
     check_extension,
     classify,
@@ -39,6 +43,7 @@ from qact.actions import (
 )
 from qact.groups import Subgroup, automorphisms, build_quaternion, named_subgroups
 
+from oracles import aut_generators, aut_moves, classify_on_tuples
 from paper_tables import (
     expected_prym_dims,
     expected_quotients,
@@ -233,7 +238,7 @@ def _union_find_partition(nodes, moves):
 def test_orbit_partition_independent_of_enumeration_order():
     G = Q(4)
     nodes = set(iter_valid_tuples(G, (4, 4, 4, 4)))
-    moves = _braid_moves(G, 4) + _aut_moves(G)
+    moves = _braid_moves(G, 4) + aut_moves(aut_generators(G))
     base = _partition(nodes, moves)
     shuffled = list(nodes)
     random.Random(5).shuffle(shuffled)
@@ -241,22 +246,56 @@ def test_orbit_partition_independent_of_enumeration_order():
     assert sorted(map(min, base)) == sorted(map(min, again))
 
 
-@pytest.mark.parametrize("n,order", [(3, 24), (4, 32), (5, 128), (6, 512)])
-def test_aut_generators_span_aut(n, order):
+@lru_cache(maxsize=None)
+def _census_tuples(n):
+    """Every valid tuple of the F1 signature (0; 4,4,4,4) and of the
+    genus-one signature (1; 2^(n-2))."""
     G = Q(n)
-    gens = _aut_perms(G)
-    span = {tuple(range(G.order))}
-    stack = list(span)
-    while stack:
-        p = stack.pop()
-        for g in gens:
-            q = tuple(g[i] for i in p)
-            if q not in span:
-                span.add(q)
-                stack.append(q)
-    assert len(span) == order
-    assert span == {a.perm for a in automorphisms(G)}
-    assert len(gens) <= 3
+    return list(iter_valid_tuples(G, (4, 4, 4, 4))) + list(iter_genus_one_triples(G, 2 ** (n - 2)))
+
+
+@pytest.mark.parametrize("n,order", [(3, 24), (4, 32), (5, 128), (6, 512)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_canon_is_constant_on_aut_classes(n, order, data):
+    """`_canon` gives every Aut-image of a valid tuple the same form, and that
+    form is an Aut-image of the tuple."""
+    G = Q(n)
+    auts, _ = _aut_table(G)
+    assert len(auts) == order
+    t = data.draw(st.sampled_from(_census_tuples(n)))
+    p = data.draw(st.sampled_from(auts))
+    canon = _canon(G, t)
+    assert _canon(G, tuple(p[g] for g in t)) == canon
+    assert canon in {tuple(q[g] for g in t) for q in auts}
+
+
+def test_aut_table_takes_each_generating_pair_to_the_least_of_its_orbit():
+    G = Q(4)
+    auts, table = _aut_table(G)
+    masks, _ = _maximal_masks(G)
+    pairs = {(g, h) for g in G for h in G if not masks[g] & masks[h]}
+    assert set(table) == pairs
+    for (g, h), q in table.items():
+        assert (q[g], q[h]) == min((p[g], p[h]) for p in auts)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_classify_matches_the_full_tuple_search(n):
+    """On every one-dimensional signature, the search on Aut-classes reports
+    what the search on every tuple with Aut-generator moves reports."""
+    G = Q(n)
+    avail = sorted({G.orders[g] for g in range(1, G.order)})
+    sigs = [Signature(0, ks) for ks in itertools.combinations_with_replacement(avail, 4)]
+    sigs += [Signature(1, (k,)) for k in avail]
+    nonempty = 0
+    for sig in sigs:
+        if genus_from_signature(G.order, sig) is None:
+            continue
+        report = classify(G, sig)
+        assert report == classify_on_tuples(G, sig), sig
+        nonempty += report.total > 0
+    assert nonempty == len(one_dimensional_families(n))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -264,7 +303,7 @@ def test_generator_orbits_equal_full_aut_orbits(n):
     """For every census signature, the orbits under the Aut generators are
     the orbits under all of Aut(G), and classify reports exactly those."""
     G = Q(n)
-    full_aut = [lambda t, p=a.perm: tuple(p[g] for g in t) for a in automorphisms(G)]
+    full_aut = aut_moves(automorphisms(G))
     gammas = set()
     for fam in one_dimensional_families(n):
         sig = fam.signature
@@ -276,7 +315,7 @@ def test_generator_orbits_equal_full_aut_orbits(n):
             nodes = set(iter_genus_one_triples(G, sig.periods[0]))
             base = _genus_one_moves(G)
         reference = _union_find_partition(nodes, base + full_aut)
-        assert set(_partition(nodes, base + _aut_moves(G))) == reference, sig
+        assert set(_partition(nodes, base + aut_moves(aut_generators(G)))) == reference, sig
         ordered = sorted(reference, key=min)
         report = classify(G, sig)
         assert report.orbit_sizes == tuple(len(o) for o in ordered)
@@ -285,23 +324,38 @@ def test_generator_orbits_equal_full_aut_orbits(n):
     assert gammas == {0, 1}
 
 
-def test_orbit_move_leaving_valid_set_raises(monkeypatch):
+def test_dropped_tuple_fails_the_class_count(monkeypatch):
+    """Every Aut-class holds |Aut| valid skes, so one lost ske is caught."""
     G = Q(4)
-    nodes = set(iter_valid_tuples(G, (4, 4, 4, 4)))
-    start = min(nodes)
-    moves = _braid_moves(G, 4) + _aut_moves(G)
-    neighbour = next(mv(start) for mv in moves if mv(start) != start)
-    with pytest.raises(RuntimeError, match="left the valid ske set"):
-        _orbit(start, moves, nodes - {neighbour})
-
-    dropped = max(nodes)
+    dropped = max(iter_valid_tuples(G, (4, 4, 4, 4)))
     real = iter_valid_tuples
     monkeypatch.setattr(
         "qact.actions.iter_valid_tuples",
         lambda *args: (t for t in real(*args) if t != dropped),
     )
-    with pytest.raises(RuntimeError, match="left the valid ske set"):
+    with pytest.raises(RuntimeError, match="do not fill"):
         classify(G, Signature(0, (4, 4, 4, 4)))
+
+
+def test_orbit_move_leaving_valid_set_raises(monkeypatch):
+    G = Q(4)
+    sig = Signature(0, (4, 4, 4, 4))
+    nodes = {_canon(G, t) for t in iter_valid_tuples(G, sig.periods)}
+    start = min(nodes)
+    moves = _orbit_moves(G, sig)
+    neighbour = next(mv(start) for mv in moves if mv(start) != start)
+    with pytest.raises(RuntimeError, match="left the valid ske set"):
+        _orbit(start, moves, nodes - {neighbour})
+
+    # a whole lost Aut-class passes the count, but the search still meets it
+    dropped = max(nodes)
+    real = iter_valid_tuples
+    monkeypatch.setattr(
+        "qact.actions.iter_valid_tuples",
+        lambda *args: (t for t in real(*args) if _canon(G, t) != dropped),
+    )
+    with pytest.raises(RuntimeError, match="left the valid ske set"):
+        classify(G, sig)
 
 
 def test_budget_guard():
@@ -457,8 +511,7 @@ def test_family_representatives_live_in_their_orbits():
     for n in (4, 5):
         a = family_representative(n, "F1")
         b = family_representative(n, "F1'")
-        G = a.group
-        assert b.elliptic in _orbit(a.elliptic, _braid_moves(G, 4) + _aut_moves(G))
+        assert _in_class_orbit(b, a)
 
 
 # -- genus-zero actions ----------------------------------------------------------

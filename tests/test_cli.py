@@ -3,7 +3,8 @@ import json
 import pytest
 
 from qact.cli import main
-from qact.actions import extension_data, family_representative
+from qact.actions import Signature, Ske, extension_data, family_representative
+from qact.groups import build_named, build_quaternion
 from qact.siegel import fixture_checksum
 
 
@@ -129,6 +130,40 @@ def test_extend_command(tmp_path, capsys):
     code, rep = run_json(capsys, "extend", "--ske", str(path), "--super", "G1")
     assert code == 0
     assert rep["results"]["report"]["ok"]
+
+
+@pytest.mark.parametrize("name, m", [("Dihedral", 4), ("QD16", None)])
+def test_extend_on_a_ske_of_another_group_exits_2(tmp_path, capsys, name, m):
+    G = build_named(name, m=m)
+    ske = Ske(G, Signature(0, (2, 2)), (), (G.generators[1], G.generators[1]))
+    path = tmp_path / "ske.json"
+    path.write_text(json.dumps(ske.to_json()))
+    code = main(["extend", "--ske", str(path), "--super", "G1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [f"error: extend --ske needs a Q(2^n) ske, not one of {G.name}"]
+
+
+def test_extend_on_a_non_generating_ske_is_inequivalent(tmp_path, capsys):
+    """A theta that does not generate Q16 has no valid ske in its orbit: the
+    report says so and the run exits 1."""
+    G = build_quaternion(4)
+    ske = Ske(G, Signature(0, (8, 8, 4, 4)), (), tuple(map(G.element, ["x", "x^3", "x^2", "x^2"])))
+    path = tmp_path / "ske.json"
+    path.write_text(json.dumps(ske.to_json()))
+    code, rep = run_json(capsys, "extend", "--ske", str(path), "--super", "G1")
+    assert code == 1
+    assert rep["results"]["family"] == "F2"
+    assert rep["results"]["report"] == {
+        "equivalent_to_theta": False,
+        "index": 2,
+        "mu_ratio": "2",
+        "mu_ratio_ok": True,
+        "ok": False,
+        "restriction": ["x^7", "x", "x^3*y", "x^7*y"],
+        "restriction_valid": True,
+        "subgroup_isomorphic": True,
+    }
 
 
 def test_extend_by_family_flag(capsys):

@@ -8,8 +8,8 @@ from qact.groups import (
     build_named,
     build_quaternion,
     coset_cycles,
+    find_isomorphism,
     group_from_json,
-    isomorphic,
     named_subgroups,
     two_generated_subgroups,
 )
@@ -86,7 +86,7 @@ def test_c4xc2_contains_quaternion_group():
     y = G.element("b*a")
     H, pos = _subgroup_group(G, [x, y])
     assert H.order == 8
-    assert isomorphic(H, build_quaternion(3))
+    assert find_isomorphism(H, build_quaternion(3)) is not None
 
 
 def test_d4xc2_contains_quaternion_group():
@@ -95,7 +95,7 @@ def test_d4xc2_contains_quaternion_group():
     y = G.element("r*b")
     H, pos = _subgroup_group(G, [x, y])
     assert H.order == 8
-    assert isomorphic(H, build_quaternion(3))
+    assert find_isomorphism(H, build_quaternion(3)) is not None
 
 
 def _subgroup_group(G, gens):
@@ -216,7 +216,7 @@ def test_automorphism_count_q8():
 def test_identity_automorphism_and_composition_closure():
     G = build_quaternion(4)
     auts = automorphisms(G)
-    perms = {a.perm for a in auts}
+    perms = set(auts)
     assert tuple(range(G.order)) in perms
     # closed under composition
     import random
@@ -224,7 +224,24 @@ def test_identity_automorphism_and_composition_closure():
     rng = random.Random(0)
     for _ in range(50):
         a, b = rng.choice(auts), rng.choice(auts)
-        assert a.compose(b).perm in perms
+        assert tuple(a[b[i]] for i in range(G.order)) in perms
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_automorphisms_are_the_closed_form_family(n):
+    """For n >= 4, Aut(Q(2^n)) is x -> x^u, y -> x^v y with u odd: it sends
+    x^a y^e (index 2a + e) to x^(au + ve) y^e."""
+    G = build_quaternion(n)
+    half = 2 ** (n - 1)
+    closed = {
+        tuple(2 * ((a * u + v * e) % half) + e for a in range(half) for e in (0, 1))
+        for u in range(1, half, 2)
+        for v in range(half)
+    }
+    auts = automorphisms(G)
+    assert len(auts) == len(closed) == 2 ** (2 * n - 3)
+    assert set(auts) == closed
+    assert find_isomorphism(G, G) in map(list, auts)
 
 
 def test_x_to_x_y_to_xy_is_automorphism():
@@ -232,14 +249,14 @@ def test_x_to_x_y_to_xy_is_automorphism():
     x, y = G.generators
     xy = G.cayley[x][y]
     auts = automorphisms(G)
-    assert any(a.images == (x, xy) for a in auts)
+    assert any((a[x], a[y]) == (x, xy) for a in auts)
 
 
 def test_isomorphism_basics():
     Q8 = build_quaternion(3)
-    assert isomorphic(Q8, build_quaternion(3))
-    assert not isomorphic(Q8, build_dihedral(4))
-    assert not isomorphic(build_quaternion(4), build_named("C4xC2_rtimes_C2"))
+    assert find_isomorphism(Q8, build_quaternion(3)) is not None
+    assert find_isomorphism(Q8, build_dihedral(4)) is None
+    assert find_isomorphism(build_quaternion(4), build_named("C4xC2_rtimes_C2")) is None
 
 
 def test_g1_n3_vs_c4xc2_recorded():
@@ -247,15 +264,15 @@ def test_g1_n3_vs_c4xc2_recorded():
     group extending the genus-one family there: they are isomorphic."""
     G13 = build_named("G1", n=3)
     assert G13.order == 16
-    assert isomorphic(G13, build_named("C4xC2_rtimes_C2"))
+    assert find_isomorphism(G13, build_named("C4xC2_rtimes_C2")) is not None
 
 
 def test_element_products_inverses_and_orders():
     G = build_quaternion(4)
     x, y = G.generators
-    assert G.names[G.mul(x, y)] == "x*y"
-    assert G.mul(y, y) == G.power(x, 4)
-    assert G.element_order(x) == 8 and G.element_order(G.inv[x]) == 8
+    assert G.names[G.cayley[x][y]] == "x*y"
+    assert G.cayley[y][y] == G.power(x, 4)
+    assert G.orders[x] == 8 and G.orders[G.inv[x]] == 8
 
 
 def test_catalogue_groups_are_built_once():
@@ -359,7 +376,7 @@ def test_dihedral_quotient_of_quaternion():
     Q = group_from_cayley("Q/Z", [f"c{i}" for i in range(len(reps))], cayley2,
                           [remap[index[frozenset(G.cayley[G.generators[0]][k] for k in z)]],
                            remap[index[frozenset(G.cayley[G.generators[1]][k] for k in z)]]])
-    assert isomorphic(Q, build_dihedral(4))
+    assert find_isomorphism(Q, build_dihedral(4)) is not None
 
 
 def _brute_coset_cycles(G, kset, g):
