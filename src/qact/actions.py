@@ -162,18 +162,17 @@ def _expect_items(value, kind: type, key: str) -> list:
     return [_expect(item, kind, f"{key}[{i}]") for i, item in enumerate(_expect(value, list, key))]
 
 
-def ske_from_json(data: dict, group: FiniteGroup | None = None) -> Ske:
+def ske_from_json(data: dict) -> Ske:
     """Read a ske written by `Ske.to_json`; malformed input raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"ske JSON must be an object, not {_json_kind(data)}")
     try:
-        if group is None:
-            group_data = _expect(data["group"], dict, "group")
-            _expect(group_data["name"], str, "group.name")
-            for key in ("n", "m"):
-                if group_data.get(key) is not None:
-                    _expect(group_data[key], int, f"group.{key}")
-            group = group_from_json(group_data)
+        group_data = _expect(data["group"], dict, "group")
+        _expect(group_data["name"], str, "group.name")
+        for key in ("n", "m"):
+            if group_data.get(key) is not None:
+                _expect(group_data[key], int, f"group.{key}")
+        group = group_from_json(group_data)
         sig_data = _expect(data["signature"], dict, "signature")
         sig = Signature(
             _expect(sig_data["genus"], int, "signature.genus"),
@@ -755,7 +754,7 @@ def stratum_bound(n: int, label: str) -> int | None:
     return None
 
 
-def one_dimensional_families(n: int, max_candidates: int = 5_000_000) -> list[FamilyRecord]:
+def one_dimensional_families(n: int) -> list[FamilyRecord]:
     """Census of signatures with 3*gamma - 3 + l = 1 carrying at least one
     valid ske: (0; k1..k4) and (1; k)."""
     if not 3 <= n <= 6:
@@ -769,7 +768,7 @@ def one_dimensional_families(n: int, max_candidates: int = 5_000_000) -> list[Fa
         genus = genus_from_signature(G.order, sig)
         if genus is None:
             continue
-        report = classify(G, sig, max_candidates)
+        report = classify(G, sig)
         if report.total == 0:
             continue
         label = family_label(n, sig)
@@ -869,12 +868,6 @@ class InvalidEmbedding(ValueError):
     """The embedding words do not cut out a subgroup isomorphic to G."""
 
 
-def evaluate_words(theta_prime: Ske, words) -> list[int]:
-    """Evaluate words in the Fuchsian generators of theta_prime's domain."""
-    images = list(theta_prime.hyperbolic) + list(theta_prime.elliptic)
-    return [theta_prime.group.evaluate_word(word, images) for word in words]
-
-
 def subgroup_as_group(Gp: FiniteGroup, elems: frozenset, gens: list[int]) -> tuple[FiniteGroup, dict]:
     """The subgroup on `elems` as a standalone FiniteGroup plus an index map."""
     ordered = [0] + sorted(e for e in elems if e != 0)
@@ -897,7 +890,9 @@ def check_extension(theta: Ske, theta_prime: Ske, words) -> ExtensionReport:
     ok_prime, msg = validate_ske(theta_prime)
     if not ok_prime:
         raise InvalidEmbedding(f"theta_prime is not a valid ske: {msg}")
-    imgs = evaluate_words(theta_prime, words)
+    # the words are in the Fuchsian generators of theta_prime's domain
+    images = theta_prime.hyperbolic + theta_prime.elliptic
+    imgs = [Gp.evaluate_word(word, images) for word in words]
     sub = Gp.closure(imgs)
     index = Gp.order // len(sub)
     mu_ratio = theta.signature.mu() / theta_prime.signature.mu()

@@ -243,19 +243,19 @@ def cmd_siegel(args) -> tuple[int, dict]:
         _require(fx, "family", "period_matrix")
         out = dict(base)
         code = 0
-        if "family" in data:
+        if data.get("family") is not None:
             rep = sg.verify_fixed_family(gens, sg.family_from_fixture(data))
             out["fixed_family"] = rep.to_json()
-            if "family_variant" in data:
+            if data.get("family_variant") is not None:
                 out["fixed_family_variant"] = sg.verify_fixed_family(
                     gens, sg.family_with_variant(data)
                 ).to_json()
             if not rep.ok:
                 out["erratum"] = "printed family is not exactly fixed by the generators"
                 code = 1
-        if "period_matrix" in data:
+        if data.get("period_matrix") is not None:
             Z0 = sg.prop13_period_matrix(data)
-            residual = sg.verify_fixed_point_numeric(gens, Z0, tol=args.tol)
+            residual = sg.verify_fixed_point_numeric(gens, Z0)
             out["period_matrix_residual_below_tol"] = bool(residual < args.tol)
             out["tolerance"] = args.tol
             if residual >= args.tol:
@@ -498,8 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("siegel", parents=[common], help="symplectic fixture verification")
     q.add_argument("action", choices=["verify", "group", "locus"])
     q.add_argument("--fixture", required=True)
-    q.add_argument("--starts", type=int, default=8)
-    q.add_argument("--tol", type=_positive_float, default=1e-9)
+    q.add_argument("--starts", type=_int_at_least(0), default=8)
+    q.add_argument("--tol", type=_positive_float, default=1e-9,
+                   help="verify: bound on the period-matrix residual; locus: relative rank tolerance")
     q.set_defaults(fn=cmd_siegel)
 
     q = sub.add_parser("curve", parents=[common], help="hyperelliptic model verification")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cyclo import Cyclotomic, CycloPoly
 
@@ -27,16 +26,10 @@ class DegenerateParameter(ValueError):
 def model_polynomial(n: int, t: Cyclotomic | None, conductor: int = 4) -> CycloPoly:
     """f as an exact polynomial: in X alone (t exact) or in (X, t) (t None)."""
     q = 2 ** (n - 2)
-    if t is None:
-        nv = 2
-        one = CycloPoly.constant(nv, Cyclotomic.one(conductor))
-        X = CycloPoly.variable(nv, 0, conductor)
-        T = CycloPoly.variable(nv, 1, conductor)
-    else:
-        nv = 1
-        one = CycloPoly.constant(nv, Cyclotomic.one(conductor))
-        X = CycloPoly.variable(nv, 0, conductor)
-        T = CycloPoly.constant(nv, t)
+    nv = 2 if t is None else 1
+    one = CycloPoly.constant(nv, Cyclotomic.one(conductor))
+    X = CycloPoly.variable(nv, 0, conductor)
+    T = CycloPoly.variable(nv, 1, conductor) if t is None else CycloPoly.constant(nv, t)
     Xq = _monomial_power(X, q)
     X2q = _monomial_power(X, 2 * q)
     return X * (Xq - one) * (Xq - T) * (X2q - T)
@@ -52,9 +45,8 @@ def _monomial_power(X: CycloPoly, k: int) -> CycloPoly:
 @dataclass
 class HyperellipticModel:
     n: int
-    t: complex | Cyclotomic | None
-    f_exact: CycloPoly | None
-    f_coeffs: list[complex] | None     # degree-indexed, numeric mode
+    t: complex | None
+    f_coeffs: list[complex] | None     # degree-indexed; None for the symbolic family
     xi: complex
     lam: complex | None
     eta: complex | None
@@ -68,69 +60,35 @@ class HyperellipticModel:
         return 2 ** (self.n - 1)
 
     def f_at(self, x: complex) -> complex:
-        if self.f_coeffs is not None:
-            total = 0j
-            for c in reversed(self.f_coeffs):
-                total = total * x + c
-            return total
-        return self.f_exact.eval([x])
+        total = 0j
+        for c in reversed(self.f_coeffs):
+            total = total * x + c
+        return total
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
-            "t": None if self.t is None else _t_json(self.t),
+            "t": None if self.t is None else [self.t.real, self.t.imag],
             "degree": self.degree,
             "genus": self.genus,
         }
 
 
-def _t_json(t):
-    if isinstance(t, Cyclotomic):
-        return t.to_json()
-    return [t.real, t.imag]
-
-
-def build_model(n: int, t) -> HyperellipticModel:
-    """Build the model; t may be an exact rational/Gaussian-rational, a complex
-    number, or None for the symbolic family."""
+def build_model(n: int, t: complex | None) -> HyperellipticModel:
+    """The model at the numeric parameter complex(t), or the symbolic family
+    (no coefficients, no radicals) for t None."""
     if n < 3:
         raise ValueError("need n >= 3")
     if 2 ** (n - 1) > 64:
         raise ValueError("n out of supported range")
-    exact_t: Cyclotomic | None = None
-    numeric_t: complex | None = None
-    if t is None:
-        pass
-    elif isinstance(t, Cyclotomic):
-        exact_t = t
-    elif isinstance(t, (int, Fraction)):
-        exact_t = Cyclotomic.from_rational(t, 4)
-    elif isinstance(t, complex) or isinstance(t, float):
-        numeric_t = complex(t)
-    else:
-        raise TypeError(f"unsupported parameter type {type(t)}")
-    if exact_t is not None and (exact_t == 0 or exact_t == 1):
-        raise DegenerateParameter("t must avoid 0 and 1")
-    if numeric_t is not None:
-        _check_numeric_t(numeric_t)
-
-    q = 2 ** (n - 2)
     xi = cmath.exp(2j * cmath.pi / 2 ** (n - 1))
-    lam = eta = None
-    f_exact = None
-    f_coeffs = None
-    if numeric_t is not None:
-        lam = cmath.exp(cmath.log(numeric_t) / q)
-        eta = cmath.sqrt(-lam)
-        f_coeffs = _numeric_coeffs(n, numeric_t)
-    else:
-        f_exact = model_polynomial(n, exact_t)
-        if exact_t is not None:
-            tv = exact_t.embed()
-            lam = cmath.exp(cmath.log(tv) / q)
-            eta = cmath.sqrt(-lam)
-    return HyperellipticModel(n=n, t=t if t is None or exact_t is None else exact_t,
-                              f_exact=f_exact, f_coeffs=f_coeffs, xi=xi, lam=lam, eta=eta)
+    if t is None:
+        return HyperellipticModel(n=n, t=None, f_coeffs=None, xi=xi, lam=None, eta=None)
+    t = complex(t)
+    _check_numeric_t(t)
+    lam = cmath.exp(cmath.log(t) / 2 ** (n - 2))
+    return HyperellipticModel(n=n, t=t, f_coeffs=_numeric_coeffs(n, t), xi=xi, lam=lam,
+                              eta=cmath.sqrt(-lam))
 
 
 def _check_numeric_t(t: complex):
@@ -171,13 +129,13 @@ def _mul_coeffs(a, b):
 
 def t_minus_one_collapse(n: int) -> bool:
     """Exact identity: the t = -1 member equals Y^2 = X (X^(2^n) - 1)."""
-    m = build_model(n, -1)
+    f = model_polynomial(n, Cyclotomic.from_rational(-1, 4))
     q = 2**n
     expect = CycloPoly.make(
         1,
         {(q + 1,): Cyclotomic.one(4), (1,): -Cyclotomic.one(4)},
     )
-    return (m.f_exact - expect).is_zero()
+    return (f - expect).is_zero()
 
 
 def rotation_identity_holds(n: int) -> bool:
@@ -194,11 +152,11 @@ def rotation_identity_holds(n: int) -> bool:
     return (lhs - rhs).is_zero()
 
 
-def squarefree_exact(model: HyperellipticModel) -> bool:
-    """gcd(f, f') is constant, over Q(i) (exact t only)."""
-    if model.f_exact is None or model.f_exact.nvars != 1:
-        raise ValueError("exact squarefreeness needs an exact univariate model")
-    f = _dense_from_poly(model.f_exact)
+def squarefree_exact(poly: CycloPoly) -> bool:
+    """gcd(f, f') is constant, for a univariate f over Q(i)."""
+    if poly.nvars != 1:
+        raise ValueError("exact squarefreeness needs a univariate polynomial")
+    f = _dense_from_poly(poly)
     df = [k * c for k, c in enumerate(f)][1:]
     g = _poly_gcd(f, df)
     return len(g) == 1
@@ -253,8 +211,7 @@ def map_x(model: HyperellipticModel, p: tuple[complex, complex]) -> tuple[comple
 
 def map_y(model: HyperellipticModel, p: tuple[complex, complex]) -> tuple[complex, complex]:
     X, Y = p
-    tv = model.t.embed() if isinstance(model.t, Cyclotomic) else complex(model.t)
-    return (model.lam / X, model.eta * tv * Y / X ** (2 ** (model.n - 1) + 1))
+    return (model.lam / X, model.eta * model.t * Y / X ** (2 ** (model.n - 1) + 1))
 
 
 def _on_curve_residual(model: HyperellipticModel, p) -> float:
@@ -323,8 +280,7 @@ def random_curve_point(model: HyperellipticModel, rng) -> tuple[complex, complex
     return (X, Y)
 
 
-def verify_automorphisms(model: HyperellipticModel, samples: int = 100, seed: int = 0,
-                         check_rotation_exact: bool = True) -> AutomorphismReport:
+def verify_automorphisms(model: HyperellipticModel, samples: int = 100, seed: int = 0) -> AutomorphismReport:
     """Sample-point verification that the two printed maps are automorphisms
     of the curve satisfying the Q(2^n) relations, plus the exact rotation
     identity for the first map."""
@@ -352,7 +308,6 @@ def verify_automorphisms(model: HyperellipticModel, samples: int = 100, seed: in
         r_cj = max(r_cj, _pt_dist(lhs, rhs))
         # the central involution y^2 = x^q acts as the hyperelliptic (X, -Y)
         r_he = max(r_he, _pt_dist(yy, (p[0], -p[1])))
-    rot = rotation_identity_holds(n) if check_rotation_exact else True
     return AutomorphismReport(
         n=n,
         samples=samples,
@@ -362,16 +317,16 @@ def verify_automorphisms(model: HyperellipticModel, samples: int = 100, seed: in
         max_rel_y_square=r_ys,
         max_rel_conjugation=r_cj,
         max_hyperelliptic=r_he,
-        rotation_exact=rot,
+        rotation_exact=rotation_identity_holds(n),
     )
 
 
-def point_map_group_order(model: HyperellipticModel, seed: int = 1, tol: float = 1e-6,
-                          budget: int = 512) -> int:
-    """Order of <map_x, map_y> as permutations of the orbit of a generic point."""
+def point_map_group_order(model: HyperellipticModel) -> int:
+    """Order of <map_x, map_y> as permutations of the orbit of a generic point
+    (drawn with seed 1; points agree to 6 decimals; at most 512 points)."""
     import random
 
-    rng = random.Random(seed)
+    rng = random.Random(1)
     base = random_curve_point(model, rng)
 
     def key(p):
@@ -386,7 +341,7 @@ def point_map_group_order(model: HyperellipticModel, seed: int = 1, tol: float =
                 q = fn(model, p)
                 k = key(q)
                 if k not in seen:
-                    if len(seen) >= budget:
+                    if len(seen) >= 512:
                         raise RuntimeError("point-map orbit exceeded budget")
                     seen[k] = q
                     nxt.append(q)

@@ -331,9 +331,6 @@ class CycloPoly:
 
     __rmul__ = __mul__
 
-    def degree(self) -> int:
-        return max((sum(e) for e, _ in self.terms), default=-1)
-
     def eval(self, point: Iterable[complex]) -> complex:
         pt = list(point)
         total = 0j
@@ -343,15 +340,6 @@ class CycloPoly:
                 v *= x**k
             total += v
         return total
-
-    def to_json(self) -> list:
-        return [{"exp": list(e), "coeff": c.to_json()} for e, c in self.terms]
-
-    @staticmethod
-    def from_json(nvars: int, data: list) -> CycloPoly:
-        return CycloPoly.make(
-            nvars, {tuple(t["exp"]): Cyclotomic.from_json(t["coeff"]) for t in data}
-        )
 
 
 @dataclass(frozen=True)
@@ -380,7 +368,7 @@ class PolyMatrix:
         )
 
     def __add__(self, other: PolyMatrix) -> PolyMatrix:
-        self._shape_check(other, same=True)
+        self._shape_check(other)
         return PolyMatrix.make(
             [
                 [a + b for a, b in zip(r1, r2)]
@@ -389,7 +377,7 @@ class PolyMatrix:
         )
 
     def __sub__(self, other: PolyMatrix) -> PolyMatrix:
-        self._shape_check(other, same=True)
+        self._shape_check(other)
         return PolyMatrix.make(
             [
                 [a - b for a, b in zip(r1, r2)]
@@ -422,7 +410,7 @@ class PolyMatrix:
             for j in range(i)
         )
 
-    def _shape_check(self, other: PolyMatrix, same: bool):
-        if same and (self.rows, self.cols) != (other.rows, other.cols):
+    def _shape_check(self, other: PolyMatrix):
+        if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
 

@@ -11,9 +11,6 @@ multiplicities of a concrete surface action off its elliptic images c_i by
 the Chevalley-Weil formula: mu_1 = gamma, and for nontrivial V
 
     mu_V = d_V (gamma - 1) + (1/2) sum_i (d_V - dim V^<c_i>).
-
-For n = 3 the factor list has no H-steps; that case is handled as its own
-branch throughout.
 """
 
 from __future__ import annotations
@@ -121,20 +118,12 @@ def factor_dimensions(mv: MultiplicityVector) -> FactorTable:
     H-step Pryms 2^(n-j-2) b_(2^(j-1)) with multiplicity two."""
     mv.check_galois()
     n = mv.n
-    if n == 3:
-        prym_z = 2 * mv.b_at(1)
-        dims_h: tuple[tuple[int, int], ...] = ()
-    else:
-        prym_z = 2 ** (n - 2) * mv.b_at(1)
-        dims_h = tuple(
-            (j, 2 ** (n - j - 2) * mv.b_at(2 ** (j - 1))) for j in range(2, n - 1)
-        )
     table = FactorTable(
         n=n,
         dim_AG=mv.a[0],
         dim_prym_N=(mv.a[1], mv.a[2], mv.a[3]),
-        dim_prym_A_over_AZ=prym_z,
-        dim_prym_H=dims_h,
+        dim_prym_A_over_AZ=2 ** (n - 2) * mv.b_at(1),
+        dim_prym_H=tuple((j, 2 ** (n - j - 2) * mv.b_at(2 ** (j - 1))) for j in range(2, n - 1)),
         total=mv.total_dimension(),
     )
     # conservation: weighted factor dimensions account for the whole of A

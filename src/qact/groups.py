@@ -733,10 +733,11 @@ def extend_homomorphism(G: FiniteGroup, H: FiniteGroup, gens, gen_images) -> lis
     return m  # type: ignore[return-value]
 
 
-def _generating_tuple(G: FiniteGroup, max_size: int = 3) -> list[int]:
-    """A small generating tuple found greedily (distinguished generators work,
+def _generating_tuple(G: FiniteGroup) -> list[int]:
+    """The first generating tuple of one to three elements in increasing
+    size and index order, else the distinguished generators (which work too,
     but a minimal pair keeps isomorphism searches tight)."""
-    for size in range(1, max_size + 1):
+    for size in range(1, 4):
         for combo in itertools.combinations(range(1, G.order), size):
             if len(G.closure(combo)) == G.order:
                 return list(combo)

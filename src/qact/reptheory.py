@@ -8,7 +8,8 @@ exact.  Rational irreducibles are assembled from Galois orbits of the Theta_s;
 the orbit of Theta_1 carries Schur index two.
 
 Class functions are stored by value on a canonical list of conjugacy-class
-representatives: x^a for a = 0 .. 2^(n-2), then y, then x*y.
+representatives: x^a for a = 0 .. 2^(n-2), then y, then x*y.  Elements are
+in normal-form order, so element i is x^a y^e with (a, e) = divmod(i, 2).
 """
 
 from __future__ import annotations
@@ -19,19 +20,6 @@ from functools import lru_cache
 
 from .cyclo import Cyclotomic
 from .groups import FiniteGroup, GroupError, Subgroup, build_quaternion, coset_cycles
-
-
-def _as_group(G_or_n) -> FiniteGroup:
-    if isinstance(G_or_n, FiniteGroup):
-        if G_or_n.kind != "quaternion":
-            raise GroupError("character theory here is for quaternion groups")
-        return G_or_n
-    return build_quaternion(int(G_or_n))
-
-
-def quaternion_coords(G: FiniteGroup, i: int) -> tuple[int, int]:
-    """(a, e) with element i = x^a y^e, from the normal-form element order."""
-    return i // 2, i % 2
 
 
 @dataclass(frozen=True)
@@ -113,20 +101,18 @@ class Character:
 
 
 def _chi_values(n: int, sx: int, sy: int) -> tuple[Cyclotomic, ...]:
-    cd = class_data(n)
     out = []
-    for r in cd.reps:
-        a, e = quaternion_coords(cd.group, r)
+    for r in class_data(n).reps:
+        a, e = divmod(r, 2)
         out.append(Cyclotomic.from_rational(sx**a * sy**e, 2))
     return tuple(out)
 
 
 def _theta_values(n: int, s: int) -> tuple[Cyclotomic, ...]:
     m = 2 ** (n - 1)
-    cd = class_data(n)
     out = []
-    for r in cd.reps:
-        a, e = quaternion_coords(cd.group, r)
+    for r in class_data(n).reps:
+        a, e = divmod(r, 2)
         if e == 1:
             out.append(Cyclotomic.zero(m))
         else:
@@ -134,9 +120,9 @@ def _theta_values(n: int, s: int) -> tuple[Cyclotomic, ...]:
     return tuple(out)
 
 
-def irreducible_characters(G_or_n) -> list[Character]:
+@lru_cache(maxsize=None)
+def irreducible_characters(n: int) -> tuple[Character, ...]:
     """chi1..chi4 followed by Theta_1..Theta_(2^(n-2)-1)."""
-    n = _as_group(G_or_n).params["n"]
     chis = [
         Character(n, "chi1", _chi_values(n, 1, 1)),
         Character(n, "chi2", _chi_values(n, 1, -1)),
@@ -146,12 +132,7 @@ def irreducible_characters(G_or_n) -> list[Character]:
     thetas = [
         Character(n, f"theta{s}", _theta_values(n, s)) for s in range(1, 2 ** (n - 2))
     ]
-    return chis + thetas
-
-
-@lru_cache(maxsize=None)
-def _irreducibles_cached(n: int) -> tuple[Character, ...]:
-    return tuple(irreducible_characters(n))
+    return tuple(chis + thetas)
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +182,10 @@ class RationalIrreducible:
     character: Character
 
 
-def rational_irreducibles(G_or_n) -> list[RationalIrreducible]:
+def rational_irreducibles(n: int) -> list[RationalIrreducible]:
     """chi1..chi4 and W1..W_(n-2); W1 = 2*(sum of odd Thetas), Wl = Galois orbit
     of Theta_(2^(l-1))."""
-    n = _as_group(G_or_n).params["n"]
-    irr = {c.label: c for c in _irreducibles_cached(n)}
+    irr = {c.label: c for c in irreducible_characters(n)}
     out = [
         RationalIrreducible(n, f"chi{k}", (f"chi{k}",), 1, irr[f"chi{k}"])
         for k in range(1, 5)
@@ -275,4 +255,4 @@ def fixed_dims(n: int, kset: frozenset) -> tuple[int, ...]:
     """dim V^K for every irreducible V of Q(2^n), in `irreducible_characters`
     order, for the subgroup K with element set `kset`."""
     K = Subgroup(build_quaternion(n), tuple(sorted(kset)))
-    return tuple(fixed_subspace_dim(ch, K) for ch in _irreducibles_cached(n))
+    return tuple(fixed_subspace_dim(ch, K) for ch in irreducible_characters(n))

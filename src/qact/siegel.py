@@ -28,6 +28,9 @@ from .groups import FiniteGroup, find_isomorphism, group_from_cayley
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
+# the largest matrix group a closure may reach before it is refused
+CLOSURE_BUDGET = 4096
+
 
 def as_int_matrix(rows) -> IntMatrix:
     return tuple(tuple(int(v) for v in row) for row in rows)
@@ -86,8 +89,9 @@ def act(R, Z: np.ndarray) -> np.ndarray:
     return (A @ Z + B) @ np.linalg.inv(denom)
 
 
-def in_upper_half(Z: np.ndarray, tol: float = 1e-10) -> bool:
-    """Symmetric with positive-definite imaginary part (Cholesky pivots > tol)."""
+def in_upper_half(Z: np.ndarray) -> bool:
+    """Symmetric with positive-definite imaginary part (squared Cholesky
+    pivots above 1e-10)."""
     if not np.allclose(Z, Z.T, atol=1e-8):
         return False
     Y = np.imag(Z)
@@ -95,16 +99,17 @@ def in_upper_half(Z: np.ndarray, tol: float = 1e-10) -> bool:
         L = np.linalg.cholesky(Y)
     except np.linalg.LinAlgError:
         return False
-    return float(np.min(np.diag(L)) ** 2) > tol
+    return float(np.min(np.diag(L)) ** 2) > 1e-10
 
 
-def check_period_equivalence(M: np.ndarray, R, Z1: np.ndarray, Z2: np.ndarray, tol: float = 1e-9) -> bool:
-    """Checker for M (I Z1) = (I Z2) R given candidate (M, R); no search."""
+def check_period_equivalence(M: np.ndarray, R, Z1: np.ndarray, Z2: np.ndarray) -> bool:
+    """Checker for M (I Z1) = (I Z2) R given candidate (M, R), to 1e-9 in
+    every entry; no search."""
     R = np.array(as_int_matrix(R), dtype=float)
     g = Z1.shape[0]
     P1 = np.hstack([np.eye(g), Z1])
     P2 = np.hstack([np.eye(g), Z2])
-    return bool(np.max(np.abs(M @ P1 - P2 @ R)) < tol)
+    return bool(np.max(np.abs(M @ P1 - P2 @ R)) < 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +151,7 @@ def verify_fixed_family(generators, family: PolyMatrix) -> FixedFamilyReport:
 # ---------------------------------------------------------------------------
 
 
-def matrix_group_closure(generators, budget: int = 4096):
+def matrix_group_closure(generators):
     """All products of the generators, by breadth-first closure: the elements
     in visiting order, `right[i][j]` = index of elems[i] * generators[j], and
     the BFS tree, `tree[i] = (p, j)` if element i was first reached as
@@ -163,8 +168,8 @@ def matrix_group_closure(generators, budget: int = 4096):
         for j, Gm in enumerate(gens):
             P = mat_mul(M, Gm)
             if P not in index:
-                if len(elems) >= budget:
-                    raise BudgetExceeded(f"matrix group closure exceeded budget {budget}")
+                if len(elems) >= CLOSURE_BUDGET:
+                    raise BudgetExceeded(f"matrix group closure exceeded budget {CLOSURE_BUDGET}")
                 index[P] = len(elems)
                 elems.append(P)
                 tree.append((i, j))
@@ -173,11 +178,11 @@ def matrix_group_closure(generators, budget: int = 4096):
     return elems, right, tree
 
 
-def matrix_group_as_finite_group(generators, budget: int = 4096) -> tuple[FiniteGroup, list]:
+def matrix_group_as_finite_group(generators) -> tuple[FiniteGroup, list]:
     """The generated matrix group as a FiniteGroup (its generators in input
     order) and the closure's BFS tree.  Row a of the Cayley table is read
     along the tree, a * (p * g_j) = (a * p) * g_j, with no matrix product."""
-    elems, right, tree = matrix_group_closure(generators, budget)
+    elems, right, tree = matrix_group_closure(generators)
     cayley = []
     for a in range(len(elems)):
         row = [a]
@@ -220,7 +225,7 @@ class GroupDataReport:
 
 
 def verify_group_data(generators, relations=None, target: FiniteGroup | None = None,
-                      budget: int = 4096, gen_names=None) -> GroupDataReport:
+                      gen_names=None) -> GroupDataReport:
     """Closure order, defining relations under the documented generator
     correspondence, and isomorphism against the named target group.
 
@@ -230,7 +235,7 @@ def verify_group_data(generators, relations=None, target: FiniteGroup | None = N
     printed generators themselves fail the literal relations.
     """
     sympl = tuple(is_symplectic(R) for R in generators)
-    Gm, tree = matrix_group_as_finite_group(generators, budget)
+    Gm, tree = matrix_group_as_finite_group(generators)
     rel_flags = []
     for word in relations or []:
         rel_flags.append(Gm.evaluate_word(word) == 0)
@@ -260,10 +265,9 @@ def verify_group_data(generators, relations=None, target: FiniteGroup | None = N
 # ---------------------------------------------------------------------------
 
 
-def verify_fixed_point_numeric(generators, Z: np.ndarray, tol: float = 1e-10) -> float:
-    """max over generators of ||R.Z - Z||_inf; Z must lie in H_g (Cholesky
-    pivot tolerance `tol`)."""
-    if not in_upper_half(Z, tol):
+def verify_fixed_point_numeric(generators, Z: np.ndarray) -> float:
+    """max over generators of ||R.Z - Z||_inf; Z must lie in H_g."""
+    if not in_upper_half(Z):
         raise ValueError("Z is not in the Siegel upper half-space")
     res = 0.0
     for R in generators:
@@ -323,12 +327,14 @@ class LocusReport:
         }
 
 
-def _newton(gens_blocks, Z0: np.ndarray, basis, iters: int = 60, ftol: float = 1e-11):
+def _newton(gens_blocks, Z0: np.ndarray, basis):
+    """Gauss-Newton with step halving: at most 60 steps, converged once the
+    largest residual entry is below 1e-11; None if it stalls or runs out."""
     Z = Z0.copy()
-    for _ in range(iters):
+    for _ in range(60):
         F = _residual(gens_blocks, Z)
         fn = float(np.max(np.abs(F)))
-        if fn < ftol:
+        if fn < 1e-11:
             return Z
         Jm = _jacobian(gens_blocks, Z, basis)
         delta, *_ = np.linalg.lstsq(Jm, -F, rcond=None)
@@ -344,7 +350,7 @@ def _newton(gens_blocks, Z0: np.ndarray, basis, iters: int = 60, ftol: float = 1
         if not improved:
             return None
     F = _residual(gens_blocks, Z)
-    return Z if float(np.max(np.abs(F))) < ftol else None
+    return Z if float(np.max(np.abs(F))) < 1e-11 else None
 
 
 def _vec_to_sym(v: np.ndarray, g: int) -> np.ndarray:
@@ -358,11 +364,11 @@ def _vec_to_sym(v: np.ndarray, g: int) -> np.ndarray:
     return Z
 
 
-def fixed_locus_dimension(generators, seed_Z: np.ndarray | None = None, starts: int = 8,
-                          rank_tol: float = 1e-7, rng_seed: int = 0) -> LocusReport:
+def fixed_locus_dimension(generators, starts: int = 8, rank_tol: float = 1e-7,
+                          rng_seed: int = 0) -> LocusReport:
     """Newton-estimated complex dimension of {Z symmetric : R.Z = Z for all R}.
 
-    Starting points are random H_g matrices (or the given seed); at a
+    Starting points are i*I and `starts` random H_g matrices; at a
     converged point the dimension is the number of singular values of the
     linearization below rank_tol * sigma_max, and each null direction is
     cross-validated by stepping along it and re-converging to a nearby,
@@ -375,11 +381,8 @@ def fixed_locus_dimension(generators, seed_Z: np.ndarray | None = None, starts: 
     ]
     basis = _sym_basis(g)
     rng = np.random.default_rng(rng_seed)
-    candidates = []
-    if seed_Z is not None:
-        candidates.append(np.array(seed_Z, dtype=complex))
-    candidates.append(1j * np.eye(g))
-    while len(candidates) < starts + (1 if seed_Z is not None else 0) + 1:
+    candidates = [1j * np.eye(g)]
+    while len(candidates) < starts + 1:
         X = rng.normal(size=(g, g))
         X = (X + X.T) / 2
         W = rng.normal(size=(g, g)) / np.sqrt(g)
@@ -446,6 +449,37 @@ def _is_int_matrix(m, n: int) -> bool:
     )
 
 
+def _list_of(value, kind: type) -> bool:
+    """Whether `value` is a list whose items all have exactly the type `kind`."""
+    return isinstance(value, list) and all(type(v) is kind for v in value)
+
+
+def _malformed_field(data: dict) -> str | None:
+    """The first optional field of `data` that is present but malformed, so
+    that no action trips over it later or reads a wrong verdict off it."""
+    k = len(data["generators"])
+    g = len(data["generators"][0]) // 2
+    shape = lambda F: (F.rows, F.cols)
+    pair = lambda p: _list_of(p, int) and len(p) == 2 and 0 <= p[0] < k
+    checks = (
+        ("generator_names", lambda v: _list_of(v, str) and len(v) == k),
+        ("relations", lambda v: _list_of(v, list) and all(all(map(pair, w)) for w in v)),
+        ("target_group", lambda v: type(v) is str),
+        ("expected_order", lambda v: type(v) is int),
+        ("expected_dimension", lambda v: type(v) is int),
+        ("family", lambda v: shape(family_from_fixture(data)) == (g, g)),
+        ("family_variant", lambda v: shape(family_with_variant(data)) == (g, g)),
+        ("period_matrix", lambda v: prop13_period_matrix(data).shape == (g, g)),
+    )
+    for field, ok in checks:
+        try:
+            if data.get(field) is not None and not ok(data[field]):
+                return field
+        except (AttributeError, KeyError, TypeError, IndexError, ValueError, ZeroDivisionError):
+            return field
+    return None
+
+
 def load_fixture(name_or_path: str) -> dict:
     """Load a verification fixture by name (packaged) or filesystem path."""
     if name_or_path.endswith(".json") and "/" in name_or_path:
@@ -470,15 +504,19 @@ def load_fixture(name_or_path: str) -> dict:
         raise FixtureError(
             f"fixture {raw.get('name')} checksum mismatch: {actual} != {expected}"
         )
+    field = _malformed_field(data)
+    if field is not None:
+        raise FixtureError(f"fixture {raw['name']} has a malformed data.{field}")
     return raw
 
 
 def _poly_from_fixture(nvars: int, terms: list) -> CycloPoly:
     out = {}
     for t in terms:
-        re = Fraction(t.get("re", "0"))
-        im = Fraction(t.get("im", "0"))
-        out[tuple(t["exp"])] = Cyclotomic.gauss(re, im)
+        exp = tuple(t["exp"])
+        if len(exp) != nvars or not all(type(e) is int and e >= 0 for e in exp):
+            raise ValueError(f"exponent {list(exp)} is not {nvars} integers >= 0")
+        out[exp] = Cyclotomic.gauss(Fraction(t.get("re", "0")), Fraction(t.get("im", "0")))
     return CycloPoly.make(nvars, out)
 
 

@@ -31,8 +31,8 @@ from qact.actions import (
 )
 from qact.cyclo import Cyclotomic
 from qact.decomp import MultiplicityVector
-from qact.groups import Subgroup, automorphisms, build_quaternion, named_subgroups, subgroup_by_label
-from qact.reptheory import fixed_dims, galois_orbit, quaternion_coords
+from qact.groups import Subgroup, automorphisms, named_subgroups, subgroup_by_label
+from qact.reptheory import fixed_dims, galois_orbit
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +189,7 @@ def theta_matrices(n: int, s: int):
 
 def rep_matrix(n: int, label: str, g: int):
     """The representing matrix of the irreducible `label` at element g."""
-    G = build_quaternion(n)
-    a, e = quaternion_coords(G, g)
+    a, e = divmod(g, 2)  # element g is x^a y^e in normal-form order
     if label.startswith("chi"):
         k = int(label[3:])
         sx = -1 if k in (3, 4) else 1

@@ -359,8 +359,7 @@ def test_acceptance_11_curves():
         assert cv.t_minus_one_collapse(n)
         assert cv.rotation_identity_holds(n)
         model = cv.build_model(n, complex(2.0))
-        rep = cv.verify_automorphisms(model, samples=200, seed=0,
-                                      check_rotation_exact=False)
+        rep = cv.verify_automorphisms(model, samples=200, seed=0)
         assert rep.max_residual < 1e-8
         # genus of the model = genus of the C_(n,n-1) family from the census
         ske = family_representative(n, f"C{n - 1}")

@@ -743,19 +743,44 @@ def test_prym_dimensions_and_totals(n):
                 assert gj == dims[f"JS_H{j}"], (n, label, j)
 
 
+def _check_riemann_hurwitz(ske):
+    """|K| * mu(S_K data) = 2g - 2 for every named subgroup K."""
+    G = ske.group
+    g = quotient_data(ske, Subgroup(G, (0,), "1")).genus
+    for lbl, K in named_subgroups(G).items():
+        qd = quotient_data(ske, K)
+        mu = 2 * qd.genus - 2 + sum(Fraction(k - 1, k) for k in qd.periods)
+        assert K.order * mu == 2 * g - 2, (ske, lbl)
+
+
+@lru_cache(maxsize=None)
+def _census_skes(n):
+    """Every valid ske of each census signature of Q(2^n), the genus-zero
+    periods in the order the signature lists them."""
+    G = Q(n)
+    out = []
+    for label in family_labels(n):
+        sig = family_representative(n, label).signature
+        if sig.gamma == 0:
+            out += [Ske(G, sig, (), t) for t in iter_valid_tuples(G, sig.periods)]
+        else:
+            out += [Ske(G, sig, (a, b), (c,)) for a, b, c in iter_genus_one_triples(G, sig.periods[0])]
+    return out
+
+
 def test_riemann_hurwitz_multiplicativity():
-    """|K| * mu(S_K data) = 2g - 2 for every named subgroup and family."""
+    """The identity on every family representative of n = 3..5."""
     for n in (3, 4, 5):
-        G = Q(n)
-        subs = named_subgroups(G)
-        triv = Subgroup(G, (0,), "1")
         for label in family_labels(n):
-            ske = family_representative(n, label)
-            g = quotient_data(ske, triv).genus
-            for lbl, K in subs.items():
-                qd = quotient_data(ske, K)
-                mu = 2 * qd.genus - 2 + sum(Fraction(k - 1, k) for k in qd.periods)
-                assert K.order * mu == 2 * g - 2, (n, label, lbl)
+            _check_riemann_hurwitz(family_representative(n, label))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_riemann_hurwitz_multiplicativity_on_drawn_skes(data):
+    """The identity on a valid ske drawn from the census signatures of n = 3..5."""
+    n = data.draw(st.sampled_from((3, 4, 5)))
+    _check_riemann_hurwitz(data.draw(st.sampled_from(_census_skes(n))))
 
 
 # -- extensions --------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from qact.cli import main
 from qact.actions import Signature, Ske, extension_data, family_representative
 from qact.groups import build_named, build_quaternion
-from qact.siegel import fixture_checksum
+from qact.siegel import fixture_checksum, load_fixture
 
 
 def run(capsys, *argv):
@@ -186,6 +186,15 @@ def test_siegel_verify_commands(capsys):
     assert rep["results"]["period_matrix_residual_below_tol"]
 
 
+def test_siegel_verify_tol_bounds_the_residual_only(capsys):
+    """A loose --tol must not reach the Siegel-membership test of Z0, whose
+    least squared Cholesky pivot is about 0.54."""
+    code, rep = run_json(capsys, "siegel", "verify", "--fixture", "prop13", "--tol", "1")
+    assert code == 0
+    assert rep["results"]["period_matrix_residual_below_tol"] is True
+    assert rep["results"]["tolerance"] == 1.0
+
+
 def test_siegel_verify_flags_nonzero_residual_as_erratum(tmp_path, capsys):
     """A family that is not exactly fixed must fail `verify` with a
     diagnostic (exit 1), not crash: exercised on a perturbed fixture."""
@@ -357,6 +366,14 @@ _MALFORMED_FIXTURES = {
 }
 
 
+def _broken(action, fixture, field, malform, case):
+    """A case for a packaged fixture with one optional field malformed, re-signed."""
+    raw = load_fixture(fixture)
+    malform(raw["data"])
+    raw["sha256"] = fixture_checksum(raw["data"])
+    return pytest.param(action, raw, f"fixture {fixture} has a malformed data.{field}", id=f"{action}-{case}")
+
+
 @pytest.mark.parametrize("action, raw, message", [
     *[pytest.param(action, raw, message, id=f"{action}-{case}")
       for case, (raw, message) in _MALFORMED_FIXTURES.items()
@@ -364,6 +381,16 @@ _MALFORMED_FIXTURES = {
     # [[1, 1], [0, 1]] generates an infinite group
     pytest.param("group", _signed_fixture({"generators": [[[1, 1], [0, 1]]]}),
                  "matrix group closure exceeded budget 4096", id="group-over-budget"),
+    _broken("group", "thm10", "generator_names", lambda d: d["generator_names"].pop(), "names-short"),
+    _broken("group", "thm10", "generator_names", lambda d: d.update(generator_names=7), "names-not-a-list"),
+    _broken("group", "prop13", "relations", lambda d: d.update(relations=[[[5, 1]]]), "relation-slot-5"),
+    _broken("group", "thm10", "relations", lambda d: d.update(relations=[[7]]), "relation-not-pairs"),
+    _broken("group", "thm10", "target_group", lambda d: d.update(target_group=5), "target-int"),
+    _broken("verify", "thm10", "family", lambda d: d["family"].pop("entries"), "family-no-entries"),
+    _broken("verify", "thm10", "family", lambda d: d["family"].update(params=2), "family-int-params"),
+    _broken("verify", "thm10", "family_variant", lambda d: d["family_variant"].update(row=99), "variant-row-99"),
+    _broken("group", "prop13", "expected_order", lambda d: d.update(expected_order="32"), "order-str"),
+    _broken("locus", "prop13", "expected_dimension", lambda d: d.update(expected_dimension="0"), "dimension-str"),
 ])
 def test_malformed_fixture_exits_2(tmp_path, capsys, action, raw, message):
     path = tmp_path / "fixture.json"
@@ -398,6 +425,7 @@ def test_fixture_without_what_the_action_checks_exits_2(tmp_path, capsys, action
     (["genus-zero", "--n", "3", "--max-b", "-1"], "--max-b"),
     (["genus-zero", "--n", "3", "--exhaustive", "--max-periods", "2"], "--max-periods"),
     (["genus-zero", "--n", "3", "--exhaustive", "--max-periods", "-1"], "--max-periods"),
+    (["siegel", "locus", "--fixture", "thm10", "--starts", "-3"], "--starts"),
 ])
 def test_counts_that_would_check_nothing_exit_2(capsys, argv, flag):
     with pytest.raises(SystemExit) as err:

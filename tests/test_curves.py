@@ -8,6 +8,7 @@ from qact.curves import (
     branch_configuration,
     build_model,
     map_y,
+    model_polynomial,
     point_map_group_order,
     rotation_identity_holds,
     squarefree_exact,
@@ -28,13 +29,16 @@ def test_rotation_identity_exact(n):
     assert rotation_identity_holds(n)
 
 
+def exact(t: int) -> Cyclotomic:
+    return Cyclotomic.from_rational(t, 4)
+
+
 def test_degree_and_genus():
     for n in (3, 4, 5):
         m = build_model(n, 2)
         assert m.degree == 2**n + 1
         assert m.genus == 2 ** (n - 1)
-        if m.f_exact is not None:
-            assert max(e[0] for e, _ in m.f_exact.terms) == m.degree
+        assert max(e[0] for e, _ in model_polynomial(n, exact(2)).terms) == m.degree
 
 
 def test_genus_matches_family_census():
@@ -63,10 +67,10 @@ def test_degenerate_parameters_rejected():
 
 
 def test_squarefree_for_exact_parameters():
-    assert squarefree_exact(build_model(3, 2))
-    assert squarefree_exact(build_model(3, -1))
-    assert squarefree_exact(build_model(4, -1))
-    assert squarefree_exact(build_model(3, Cyclotomic.gauss(0, 1)))  # t = i
+    assert squarefree_exact(model_polynomial(3, exact(2)))
+    assert squarefree_exact(model_polynomial(3, exact(-1)))
+    assert squarefree_exact(model_polynomial(4, exact(-1)))
+    assert squarefree_exact(model_polynomial(3, Cyclotomic.gauss(0, 1)))  # t = i
 
 
 def test_exact_and_numeric_polynomials_agree():
@@ -74,22 +78,22 @@ def test_exact_and_numeric_polynomials_agree():
 
     rng = random.Random(9)
     for n in (3, 4):
-        exact = build_model(n, 2)
+        f = model_polynomial(n, exact(2))
         numeric = build_model(n, complex(2.0))
         for _ in range(10):
             z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-            assert abs(exact.f_at(z) - numeric.f_at(z)) < 1e-8 * (1 + abs(exact.f_at(z)))
+            assert abs(f.eval([z]) - numeric.f_at(z)) < 1e-8 * (1 + abs(f.eval([z])))
 
 
 def test_symbolic_degree():
-    m = build_model(4, None)
-    assert max(e[0] for e, _ in m.f_exact.terms) == 2**4 + 1
+    f = model_polynomial(4, None)
+    assert max(e[0] for e, _ in f.terms) == 2**4 + 1
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_numeric_automorphisms(n):
     m = build_model(n, complex(2.0))
-    rep = verify_automorphisms(m, samples=100, seed=0, check_rotation_exact=False)
+    rep = verify_automorphisms(m, samples=100, seed=0)
     assert rep.max_residual < 1e-8
 
 

@@ -293,14 +293,6 @@ def test_fixed_locus_dimensions(name, dim):
     assert rep.validated_directions == dim
 
 
-def test_locus_seeded_with_known_point():
-    data = load_fixture("prop13")["data"]
-    Z0 = prop13_period_matrix(data)
-    rep = fixed_locus_dimension(fixture_generators(data), seed_Z=Z0, starts=2)
-    assert rep.dimension == 0
-    assert np.max(np.abs(rep.point - Z0)) < 1e-6
-
-
 # -- fixtures and checksums ----------------------------------------------------------
 
 
