@@ -29,12 +29,12 @@ from functools import lru_cache
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _orbit,
     automorphisms,
     build_named,
     build_quaternion,
     coset_cycles,
     find_isomorphism,
-    group_from_cayley,
     group_from_json,
     named_subgroups,
 )
@@ -45,7 +45,7 @@ class BudgetExceeded(RuntimeError):
 
 
 class UnsupportedMove(ValueError):
-    """Braid transformations are defined over a genus-zero quotient only."""
+    """Orbit moves are defined for signatures (0; k_1..k_s) and (1; k) only."""
 
 
 # ---------------------------------------------------------------------------
@@ -214,23 +214,6 @@ def validate_ske(ske: Ske) -> tuple[bool, str]:
     if len(G.closure(ske.hyperbolic + ske.elliptic)) != G.order:
         return False, "images do not generate the group"
     return True, "ok"
-
-
-def braid(ske: Ske, i: int) -> Ske:
-    """Braid move on elliptic slots i, i+1 (1-indexed); genus-zero quotient only."""
-    if ske.signature.gamma != 0:
-        raise UnsupportedMove("braid moves are implemented for gamma = 0")
-    s = len(ske.elliptic)
-    if not 1 <= i < s:
-        raise ValueError(f"braid index {i} out of range 1..{s - 1}")
-    G = ske.group
-    t = list(ske.elliptic)
-    gi, gj = t[i - 1], t[i]
-    t[i - 1] = gj
-    t[i] = G.cayley[G.cayley[G.inv[gj]][gi]][gj]
-    periods = list(ske.signature.periods)
-    periods[i - 1], periods[i] = periods[i], periods[i - 1]
-    return Ske(G, Signature(0, tuple(periods)), (), tuple(t))
 
 
 # ---------------------------------------------------------------------------
@@ -471,25 +454,6 @@ def _genus_one_moves(G: FiniteGroup):
     return [m1, m2]
 
 
-def _orbit(start: tuple, moves, valid: set | None = None) -> set:
-    """The orbit of `start` under the given bijective moves.
-
-    With `valid`, the moves must stay inside it; leaving it means a bug.
-    """
-    orbit = {start}
-    stack = [start]
-    while stack:
-        t = stack.pop()
-        for mv in moves:
-            u = mv(t)
-            if u not in orbit:
-                if valid is not None and u not in valid:
-                    raise RuntimeError("orbit move left the valid ske set")
-                orbit.add(u)
-                stack.append(u)
-    return orbit
-
-
 # ---------------------------------------------------------------------------
 # quotient data via the coset action
 # ---------------------------------------------------------------------------
@@ -694,11 +658,6 @@ def _z_cycles_by_order(G: FiniteGroup, zsub: Subgroup) -> dict[int, int]:
     return out
 
 
-def z_branch_count(ske: Ske) -> int:
-    """Number of branch values of S -> S_Z (each marked 2 for genus-zero skes)."""
-    return len(quotient_data(ske, named_subgroups(ske.group)["Z"]).periods)
-
-
 # ---------------------------------------------------------------------------
 # the one-dimensional family census
 # ---------------------------------------------------------------------------
@@ -874,7 +833,7 @@ def subgroup_as_group(Gp: FiniteGroup, elems: frozenset, gens: list[int]) -> tup
     pos = {e: i for i, e in enumerate(ordered)}
     cayley = [[pos[Gp.cayley[a][b]] for b in ordered] for a in ordered]
     names = [Gp.names[e] for e in ordered]
-    H = group_from_cayley(f"sub({Gp.name})", names, cayley, [pos[g] for g in gens])
+    H = FiniteGroup(f"sub({Gp.name})", names, cayley, [pos[g] for g in gens])
     return H, pos
 
 

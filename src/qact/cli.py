@@ -300,14 +300,18 @@ def cmd_curve(args) -> tuple[int, dict]:
     out = {"model": model.to_json()}
     code = 0
     if args.verify:
-        rep = cv.verify_automorphisms(model, samples=args.samples, seed=args.seed)
+        try:
+            rep = cv.verify_automorphisms(model, samples=args.samples, seed=args.seed)
+            order = cv.point_map_group_order(model)
+        except OverflowError as exc:
+            raise ValueError(f"t = {args.t} overflows the numeric checks ({exc})") from None
         out["automorphisms"] = rep.to_json()
         out["residual_below_tol"] = bool(rep.max_residual < 1e-8)
         bc = cv.branch_configuration(args.n, t)
         out["branch_count"] = bc.count
         out["branch_orbit_sizes"] = bc.orbit_sizes()
-        out["point_map_group_order"] = cv.point_map_group_order(model)
-        if not (rep.max_residual < 1e-8 and rep.rotation_exact):
+        out["point_map_group_order"] = order
+        if not (rep.max_residual < 1e-8 and rep.rotation_exact and order == 2**args.n):
             code = 1
     return code, out
 

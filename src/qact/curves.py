@@ -8,7 +8,9 @@ collapses to Y^2 = X(X^(2^n) - 1).
 
 The first generator is verified exactly (a cyclotomic polynomial identity);
 everything involving the radicals lam, eta is verified numerically at sample
-points, as is the group structure of the two maps acting on the curve.
+points, as is the group structure of the two maps acting on the curve.  The
+exact squarefreeness of f (gcd(f, f') constant) is a test oracle in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+from .actions import BudgetExceeded
 from .cyclo import Cyclotomic, CycloPoly
 
 
@@ -152,53 +155,6 @@ def rotation_identity_holds(n: int) -> bool:
     return (lhs - rhs).is_zero()
 
 
-def squarefree_exact(poly: CycloPoly) -> bool:
-    """gcd(f, f') is constant, for a univariate f over Q(i)."""
-    if poly.nvars != 1:
-        raise ValueError("exact squarefreeness needs a univariate polynomial")
-    f = _dense_from_poly(poly)
-    df = [k * c for k, c in enumerate(f)][1:]
-    g = _poly_gcd(f, df)
-    return len(g) == 1
-
-
-def _dense_from_poly(p: CycloPoly) -> list[Cyclotomic]:
-    deg = max(e[0] for e, _ in p.terms)
-    out = [Cyclotomic.zero(4) for _ in range(deg + 1)]
-    for e, c in p.terms:
-        out[e[0]] = c
-    return out
-
-
-def _poly_gcd(a: list[Cyclotomic], b: list[Cyclotomic]) -> list[Cyclotomic]:
-    a, b = list(a), list(b)
-
-    def trim(p):
-        while p and p[-1].is_zero():
-            p.pop()
-        return p
-
-    a, b = trim(a), trim(b)
-    while b:
-        a, b = b, trim(_poly_mod(a, b))
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _poly_mod(a: list[Cyclotomic], b: list[Cyclotomic]) -> list[Cyclotomic]:
-    a = list(a)
-    while len(a) >= len(b) and any(not c.is_zero() for c in a):
-        if a[-1].is_zero():
-            a.pop()
-            continue
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] = a[shift + i] - factor * c
-        a.pop()
-    return a
-
-
 # ---------------------------------------------------------------------------
 # numeric verification of the automorphisms
 # ---------------------------------------------------------------------------
@@ -323,27 +279,23 @@ def verify_automorphisms(model: HyperellipticModel, samples: int = 100, seed: in
 
 def point_map_group_order(model: HyperellipticModel) -> int:
     """Order of <map_x, map_y> as permutations of the orbit of a generic point
-    (drawn with seed 1; points agree to 6 decimals; at most 512 points)."""
+    (drawn with seed 1; a point is new unless `_pt_dist` puts it within 1e-6
+    of one already found; at most 512 points)."""
     import random
 
     rng = random.Random(1)
     base = random_curve_point(model, rng)
-
-    def key(p):
-        return (round(p[0].real, 6), round(p[0].imag, 6), round(p[1].real, 6), round(p[1].imag, 6))
-
-    seen = {key(base): base}
+    seen = [base]
     frontier = [base]
     while frontier:
         nxt = []
         for p in frontier:
             for fn in (map_x, map_y):
                 q = fn(model, p)
-                k = key(q)
-                if k not in seen:
+                if all(_pt_dist(q, r) >= 1e-6 for r in seen):
                     if len(seen) >= 512:
-                        raise RuntimeError("point-map orbit exceeded budget")
-                    seen[k] = q
+                        raise BudgetExceeded("point-map orbit exceeded its budget of 512 points")
+                    seen.append(q)
                     nxt.append(q)
         frontier = nxt
     return len(seen)
@@ -385,21 +337,6 @@ class BranchConfiguration:
             len(self.t_roots),
             len(self.sqrt_t_roots) + len(self.neg_sqrt_t_roots),
         ]
-
-    def to_json(self) -> dict:
-        enc = lambda zs: [[z.real, z.imag] for z in zs]
-        return {
-            "n": self.n,
-            "count": self.count,
-            "orbit_sizes": self.orbit_sizes(),
-            "zero": enc(self.zero),
-            "infinity": self.infinity,
-            "unit_roots": enc(self.unit_roots),
-            "t_roots": enc(self.t_roots),
-            "sqrt_t_roots": enc(self.sqrt_t_roots),
-            "neg_sqrt_t_roots": enc(self.neg_sqrt_t_roots),
-            "lambda_sign_identity": self.lambda_sign_identity,
-        }
 
 
 def branch_configuration(n: int, t: complex) -> BranchConfiguration:

@@ -9,10 +9,9 @@ package (roots of unity, Gaussian rationals, character values) lives in one.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -202,10 +201,6 @@ class Cyclotomic:
             m = half
         return Cyclotomic(m, c)
 
-    def conjugate(self) -> Cyclotomic:
-        """Complex conjugation zeta -> zeta^(-1)."""
-        return self.galois(self.m - 1)
-
     def galois(self, t: int) -> Cyclotomic:
         """The field automorphism zeta_m -> zeta_m^t, t odd."""
         if t % 2 == 0:
@@ -221,11 +216,6 @@ class Cyclotomic:
             else:
                 out[k - d] -= v
         return Cyclotomic(self.m, tuple(out))
-
-    def embed(self) -> complex:
-        """Numerical value at zeta_m = exp(2*pi*i/m)."""
-        z = cmath.exp(2j * cmath.pi / self.m)
-        return sum(float(v) * z**j for j, v in enumerate(self.coeffs) if v)
 
     def __repr__(self):
         if self.is_zero():
@@ -245,10 +235,6 @@ class Cyclotomic:
 
     def to_json(self) -> dict:
         return {"m": self.m, "coeffs": [str(c) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(data: Mapping) -> Cyclotomic:
-        return Cyclotomic(data["m"], tuple(Fraction(c) for c in data["coeffs"]))
 
 
 def _coerce(x, m: int) -> Cyclotomic:
@@ -331,16 +317,6 @@ class CycloPoly:
 
     __rmul__ = __mul__
 
-    def eval(self, point: Iterable[complex]) -> complex:
-        pt = list(point)
-        total = 0j
-        for e, c in self.terms:
-            v = c.embed()
-            for x, k in zip(pt, e):
-                v *= x**k
-            total += v
-        return total
-
 
 @dataclass(frozen=True)
 class PolyMatrix:
@@ -402,13 +378,6 @@ class PolyMatrix:
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
-
-    def is_symmetric(self) -> bool:
-        return all(
-            (self.entries[i][j] - self.entries[j][i]).is_zero()
-            for i in range(self.rows)
-            for j in range(i)
-        )
 
     def _shape_check(self, other: PolyMatrix):
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -59,21 +59,6 @@ class MultiplicityVector:
                     f"b is not constant on the Galois orbit {orbit}"
                 )
 
-    @staticmethod
-    def from_orbit_values(n: int, a, orbit_b) -> "MultiplicityVector":
-        """Build from one b value per Galois orbit (orbit of 2^(l-1), l = 1..n-2)."""
-        b = [0] * (2 ** (n - 2) - 1)
-        for l, val in enumerate(orbit_b, start=1):
-            for s in galois_orbit(n, 2 ** (l - 1)):
-                b[s - 1] = val
-        return MultiplicityVector(n, tuple(a), tuple(b))
-
-    @staticmethod
-    def random_valid(n: int, rng, max_mult: int = 5) -> "MultiplicityVector":
-        a = tuple(rng.randint(0, max_mult) for _ in range(4))
-        orbit_b = [rng.randint(0, max_mult) for _ in range(n - 2)]
-        return MultiplicityVector.from_orbit_values(n, a, orbit_b)
-
     def to_json(self) -> dict:
         return {"n": self.n, "a": list(self.a), "b": list(self.b)}
 
@@ -98,9 +83,6 @@ class FactorTable:
         for j, d in self.dim_prym_H:
             out.append((f"Prym(A_H{j}/A_H{j + 1})", d, 2, f"W{j}"))
         return out
-
-    def nontrivial_factor_count(self) -> int:
-        return sum(1 for _, d, _, _ in self.factors() if d > 0)
 
     def to_json(self) -> dict:
         return {

@@ -8,12 +8,12 @@ evaluates to the identity, so a mistake in a product rule cannot survive
 construction.  Each catalogue group is built once per parameter value and
 shared, because subgroups and skes compare their groups by identity.
 
-Generic machinery (conjugacy classes, the action on cosets, subgroup lattice,
-and one generator-image search that yields both the automorphism group and
+Generic machinery (closures, conjugacy classes, the action on cosets, and one
+generator-image search that yields both the automorphism group and
 isomorphisms) works on the table alone and is brute force; that is entirely
 adequate at order <= 64.  The one shortcut is for
 maximal subgroups of 2-groups, which are the kernels of the maps onto C2; the
-tests check them against the brute-force lattice.
+tests check them against a brute-force subgroup lattice.
 """
 
 from __future__ import annotations
@@ -29,6 +29,25 @@ MAX_ORDER = 64
 
 class GroupError(ValueError):
     """Invalid parameter or malformed group data."""
+
+
+def _orbit(start, moves, valid: set | None = None) -> set:
+    """The orbit of `start` under the given bijective moves.
+
+    With `valid`, the moves must stay inside it; leaving it means a bug.
+    """
+    orbit = {start}
+    stack = [start]
+    while stack:
+        t = stack.pop()
+        for mv in moves:
+            u = mv(t)
+            if u not in orbit:
+                if valid is not None and u not in valid:
+                    raise RuntimeError("orbit move left the valid ske set")
+                orbit.add(u)
+                stack.append(u)
+    return orbit
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +196,12 @@ class FiniteGroup:
     # -- derived structure -------------------------------------------------------
 
     def closure(self, seed) -> frozenset:
-        out = {0}
-        out.update(seed)
-        frontier = list(out)
-        while frontier:
-            new = []
-            for a in frontier:
-                for b in list(out):
-                    for c in (self.cayley[a][b], self.cayley[b][a]):
-                        if c not in out:
-                            out.add(c)
-                            new.append(c)
-            frontier = new
-        return frozenset(out)
+        """The subgroup generated by `seed`: the orbit of the identity under
+        right multiplication by each seed element, which in a finite group
+        is the generated subgroup."""
+        cayley = self.cayley
+        moves = [lambda a, s=s: cayley[a][s] for s in set(seed)]
+        return frozenset(_orbit(0, moves))
 
     @lru_cache(maxsize=None)
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -272,12 +284,6 @@ class Subgroup:
 
     def as_set(self) -> frozenset:
         return frozenset(self.elements)
-
-    def is_normal(self) -> bool:
-        s = self.as_set()
-        return all(
-            self.group.conjugate(g, h) in s for g in self.elements for h in range(self.group.order)
-        )
 
     def __repr__(self):
         return f"Subgroup({self.label or self.elements}, order {self.order})"
@@ -635,8 +641,8 @@ def coset_cycles(G: FiniteGroup, kset: frozenset) -> tuple[tuple[int, ...], ...]
 
     `kset` is the element set of K.  The identity's row has one 1 per coset,
     so `len(cycles[0])` is the index [G:K]; `cycles[g].count(1)` is the
-    number of cosets g fixes.  Quotient genera, the genus-zero scan and
-    permutation characters all read this one table.
+    number of cosets g fixes.  Quotient genera and the genus-zero scan read
+    this one table.
     """
     if any(G.cayley[a][b] not in kset for a in kset for b in kset):
         raise GroupError("K is not closed under products")
@@ -662,42 +668,6 @@ def coset_cycles(G: FiniteGroup, kset: frozenset) -> tuple[tuple[int, ...], ...]
                 lengths.append(length)
         table.append(tuple(lengths))
     return tuple(table)
-
-
-def all_subgroups(G: FiniteGroup) -> frozenset[frozenset]:
-    """Every subgroup, via closures of <=2-element subsets plus pairwise joins.
-
-    The join pass makes the enumeration complete regardless of whether all
-    subgroups are 2-generated; the lattice test compares both stages.
-    """
-    subs = two_generated_subgroups(G)
-    current = set(subs)
-    while True:
-        new = set()
-        for s, t in itertools.combinations(current, 2):
-            if s <= t or t <= s:
-                continue
-            j = G.closure(s | t)
-            if j not in current:
-                new.add(j)
-        if not new:
-            break
-        current |= new
-    return frozenset(current)
-
-
-def two_generated_subgroups(G: FiniteGroup) -> frozenset[frozenset]:
-    subs = {frozenset([0])}
-    cyclic = {}
-    for g in range(G.order):
-        cyclic[g] = G.closure([g])
-        subs.add(cyclic[g])
-    for g in range(G.order):
-        for h in range(g + 1, G.order):
-            if h in cyclic[g]:
-                continue
-            subs.add(G.closure([g, h]))
-    return frozenset(subs)
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +738,3 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> list[int] | None:
     """An explicit isomorphism G -> H as an index map, or None."""
     return next(_isomorphisms(G, H), None)
 
-
-def group_from_cayley(name: str, names, cayley, generators) -> FiniteGroup:
-    """Wrap an externally computed multiplication table (e.g. a matrix group)."""
-    return FiniteGroup(name, names, cayley, generators, relations=None, kind="generic", params={})

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import Cyclotomic
-from .groups import FiniteGroup, GroupError, Subgroup, build_quaternion, coset_cycles
+from .groups import FiniteGroup, Subgroup, build_quaternion
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,6 @@ class ClassData:
     reps: tuple[int, ...]
     sizes: tuple[int, ...]
     class_of: tuple[int, ...]
-    inverse_class: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.reps)
 
 
 @lru_cache(maxsize=None)
@@ -51,8 +46,7 @@ def class_data(n: int) -> ClassData:
         sizes[c] = len(cls)
         for g in cls:
             class_of[g] = c
-    inverse_class = tuple(class_of[G.inv[r]] for r in reps)
-    return ClassData(G, tuple(reps), tuple(sizes), tuple(class_of), inverse_class)
+    return ClassData(G, tuple(reps), tuple(sizes), tuple(class_of))
 
 
 @dataclass(frozen=True)
@@ -153,24 +147,6 @@ def galois_orbit(n: int, s: int) -> tuple[int, ...]:
     return tuple(sorted(orbit))
 
 
-def galois_generator(n: int, j: int) -> int:
-    """Smallest odd t whose powers sweep the Galois orbit of Theta_(2^(j-1))."""
-    m = 2 ** (n - 1)
-    s = 2 ** (j - 1)
-    target = galois_orbit(n, s)
-    if len(target) == 1:
-        return 1
-    for t in range(3, m, 2):
-        orbit: set[int] = set()
-        cur = s
-        while fold_index(cur, m) not in orbit:
-            orbit.add(fold_index(cur, m))
-            cur = (cur * t) % m
-        if len(orbit) == len(target):
-            return t
-    raise RuntimeError(f"no Galois generator found for n={n}, j={j}")
-
-
 @dataclass(frozen=True)
 class RationalIrreducible:
     """A rational irreducible of Q(2^n) with its complex constituents."""
@@ -208,32 +184,8 @@ def rational_irreducibles(n: int) -> list[RationalIrreducible]:
 
 
 # ---------------------------------------------------------------------------
-# permutation characters, inner products, fixed-space dimensions
+# fixed-space dimensions
 # ---------------------------------------------------------------------------
-
-
-def permutation_character(G: FiniteGroup, K: Subgroup) -> Character:
-    """The character of the action of G on the left cosets of K: the number
-    of cosets each class representative fixes."""
-    if K.group is not G:
-        raise GroupError("subgroup belongs to a different group")
-    n = G.params["n"]
-    cycles = coset_cycles(G, K.as_set())
-    values = tuple(Cyclotomic.from_rational(cycles[g].count(1), 2) for g in class_data(n).reps)
-    return Character(n, f"rho_{K.label or 'K'}", values)
-
-
-def inner_product(chi: Character, psi: Character) -> Fraction:
-    """(1/|G|) sum_g chi(g) psi(g^-1), computed exactly over classes."""
-    chi._check(psi)
-    cd = class_data(chi.n)
-    total = Cyclotomic.zero(2)
-    for c in range(cd.count):
-        total = total + cd.sizes[c] * (chi.values[c] * psi.values[cd.inverse_class[c]])
-    total = total.reduce_conductor()
-    if not total.is_rational():
-        raise ValueError("inner product of class functions must be rational here")
-    return total.rational_value() / cd.group.order
 
 
 def fixed_subspace_dim(V: Character, K: Subgroup) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .cyclo import Cyclotomic, CycloPoly, PolyMatrix
 from .actions import BudgetExceeded
-from .groups import FiniteGroup, find_isomorphism, group_from_cayley
+from .groups import FiniteGroup, find_isomorphism
 
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -100,16 +100,6 @@ def in_upper_half(Z: np.ndarray) -> bool:
     except np.linalg.LinAlgError:
         return False
     return float(np.min(np.diag(L)) ** 2) > 1e-10
-
-
-def check_period_equivalence(M: np.ndarray, R, Z1: np.ndarray, Z2: np.ndarray) -> bool:
-    """Checker for M (I Z1) = (I Z2) R given candidate (M, R), to 1e-9 in
-    every entry; no search."""
-    R = np.array(as_int_matrix(R), dtype=float)
-    g = Z1.shape[0]
-    P1 = np.hstack([np.eye(g), Z1])
-    P2 = np.hstack([np.eye(g), Z2])
-    return bool(np.max(np.abs(M @ P1 - P2 @ R)) < 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +180,7 @@ def matrix_group_as_finite_group(generators) -> tuple[FiniteGroup, list]:
             row.append(right[row[p]][j])
         cayley.append(row)
     names = [f"m{i}" for i in range(len(elems))]
-    return group_from_cayley("matrix-group", names, cayley, right[0]), tree
+    return FiniteGroup("matrix-group", names, cayley, right[0]), tree
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,27 @@
 - The paper's own route to the multiplicities of a Jacobian action:
   dim A_K = <rho_a, rho_K> = genus(S_K) over every named subgroup K, solved
   exactly.  `qact.decomp.multiplicities` uses the Chevalley-Weil formula.
+- Permutation characters rho_K and the inner product of class functions, the
+  paper's route to <rho_a, rho_K>.  `qact.reptheory.fixed_dims` reads the
+  same numbers off fixed-space dimensions.
+- The subgroup lattice, from closures of at most two elements plus pairwise
+  joins, and normality by conjugation.  `qact.groups` finds maximal
+  subgroups as kernels onto C2 instead.
 - The orbit classification on every valid tuple, with braid (or elementary)
   moves and a generating set of Aut(G) as relabelling moves.
   `qact.actions.classify` searches on Aut-classes instead.
 - The explicit representing matrices of the irreducibles of Q(2^n), and
   fixed-space dimensions as ranks of averaged projectors.  `qact.reptheory`
   works with characters only.
+- Exact squarefreeness of a univariate polynomial over Q(i), by the gcd of f
+  and f', and the numeric values of exact cyclotomics and polynomials.
+- Multiplicity vectors from one b value per Galois orbit, and random valid
+  ones.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -24,15 +35,23 @@ from qact.actions import (
     UnsupportedMove,
     _braid_moves,
     _genus_one_moves,
-    _orbit,
     iter_genus_one_triples,
     iter_valid_tuples,
     quotient_data,
 )
-from qact.cyclo import Cyclotomic
+from qact.cyclo import Cyclotomic, CycloPoly, PolyMatrix
 from qact.decomp import MultiplicityVector
-from qact.groups import Subgroup, automorphisms, named_subgroups, subgroup_by_label
-from qact.reptheory import fixed_dims, galois_orbit
+from qact.groups import (
+    FiniteGroup,
+    GroupError,
+    Subgroup,
+    _orbit,
+    automorphisms,
+    coset_cycles,
+    named_subgroups,
+    subgroup_by_label,
+)
+from qact.reptheory import Character, class_data, fixed_dims, galois_orbit
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +95,7 @@ def multiplicities_from_quotient_genera(ske) -> MultiplicityVector:
     orbit_b = [int(v) for v in solution[4:]]
     if any(v != int(v) for v in solution) or any(v < 0 for v in solution):
         raise RuntimeError(f"non-integral or negative multiplicities {solution}")
-    return MultiplicityVector.from_orbit_values(n, a, orbit_b)
+    return from_orbit_values(n, a, orbit_b)
 
 
 def _solve_exact(rows, rhs, unknowns) -> list[Fraction]:
@@ -244,3 +263,178 @@ def fixed_dim_by_averaging(n: int, label: str, K: Subgroup) -> int:
     if any(not avg[i][j].is_zero() for i in range(2) for j in range(2)):
         return 1
     return 0
+
+
+# ---------------------------------------------------------------------------
+# multiplicity vectors
+# ---------------------------------------------------------------------------
+
+
+def from_orbit_values(n: int, a, orbit_b) -> MultiplicityVector:
+    """Build from one b value per Galois orbit (orbit of 2^(l-1), l = 1..n-2)."""
+    b = [0] * (2 ** (n - 2) - 1)
+    for l, val in enumerate(orbit_b, start=1):
+        for s in galois_orbit(n, 2 ** (l - 1)):
+            b[s - 1] = val
+    return MultiplicityVector(n, tuple(a), tuple(b))
+
+
+def random_valid(n: int, rng, max_mult: int = 5) -> MultiplicityVector:
+    a = tuple(rng.randint(0, max_mult) for _ in range(4))
+    orbit_b = [rng.randint(0, max_mult) for _ in range(n - 2)]
+    return from_orbit_values(n, a, orbit_b)
+
+
+# ---------------------------------------------------------------------------
+# permutation characters and inner products
+# ---------------------------------------------------------------------------
+
+
+def permutation_character(G: FiniteGroup, K: Subgroup) -> Character:
+    """The character of the action of G on the left cosets of K: the number
+    of cosets each class representative fixes."""
+    if K.group is not G:
+        raise GroupError("subgroup belongs to a different group")
+    n = G.params["n"]
+    cycles = coset_cycles(G, K.as_set())
+    values = tuple(Cyclotomic.from_rational(cycles[g].count(1), 2) for g in class_data(n).reps)
+    return Character(n, f"rho_{K.label or 'K'}", values)
+
+
+def inner_product(chi: Character, psi: Character) -> Fraction:
+    """(1/|G|) sum_g chi(g) psi(g^-1), computed exactly over classes."""
+    chi._check(psi)
+    cd = class_data(chi.n)
+    inverse_class = [cd.class_of[cd.group.inv[r]] for r in cd.reps]
+    total = Cyclotomic.zero(2)
+    for c in range(len(cd.reps)):
+        total = total + cd.sizes[c] * (chi.values[c] * psi.values[inverse_class[c]])
+    total = total.reduce_conductor()
+    if not total.is_rational():
+        raise ValueError("inner product of class functions must be rational here")
+    return total.rational_value() / cd.group.order
+
+
+# ---------------------------------------------------------------------------
+# the subgroup lattice
+# ---------------------------------------------------------------------------
+
+
+def all_subgroups(G: FiniteGroup) -> frozenset[frozenset]:
+    """Every subgroup, via closures of <=2-element subsets plus pairwise joins.
+
+    The join pass makes the enumeration complete regardless of whether all
+    subgroups are 2-generated; the lattice test compares both stages.
+    """
+    subs = two_generated_subgroups(G)
+    current = set(subs)
+    while True:
+        new = set()
+        for s, t in itertools.combinations(current, 2):
+            if s <= t or t <= s:
+                continue
+            j = G.closure(s | t)
+            if j not in current:
+                new.add(j)
+        if not new:
+            break
+        current |= new
+    return frozenset(current)
+
+
+def two_generated_subgroups(G: FiniteGroup) -> frozenset[frozenset]:
+    subs = {frozenset([0])}
+    cyclic = {}
+    for g in range(G.order):
+        cyclic[g] = G.closure([g])
+        subs.add(cyclic[g])
+    for g in range(G.order):
+        for h in range(g + 1, G.order):
+            if h in cyclic[g]:
+                continue
+            subs.add(G.closure([g, h]))
+    return frozenset(subs)
+
+
+def is_normal(sub: Subgroup) -> bool:
+    s = sub.as_set()
+    return all(
+        sub.group.conjugate(g, h) in s for g in sub.elements for h in range(sub.group.order)
+    )
+
+
+# ---------------------------------------------------------------------------
+# exact squarefreeness and numeric values
+# ---------------------------------------------------------------------------
+
+
+def squarefree_exact(poly: CycloPoly) -> bool:
+    """gcd(f, f') is constant, for a univariate f over Q(i)."""
+    if poly.nvars != 1:
+        raise ValueError("exact squarefreeness needs a univariate polynomial")
+    f = _dense_from_poly(poly)
+    df = [k * c for k, c in enumerate(f)][1:]
+    g = _poly_gcd(f, df)
+    return len(g) == 1
+
+
+def _dense_from_poly(p: CycloPoly) -> list[Cyclotomic]:
+    deg = max(e[0] for e, _ in p.terms)
+    out = [Cyclotomic.zero(4) for _ in range(deg + 1)]
+    for e, c in p.terms:
+        out[e[0]] = c
+    return out
+
+
+def _poly_gcd(a: list[Cyclotomic], b: list[Cyclotomic]) -> list[Cyclotomic]:
+    a, b = list(a), list(b)
+
+    def trim(p):
+        while p and p[-1].is_zero():
+            p.pop()
+        return p
+
+    a, b = trim(a), trim(b)
+    while b:
+        a, b = b, trim(_poly_mod(a, b))
+    lead = a[-1]
+    return [c / lead for c in a]
+
+
+def _poly_mod(a: list[Cyclotomic], b: list[Cyclotomic]) -> list[Cyclotomic]:
+    a = list(a)
+    while len(a) >= len(b) and any(not c.is_zero() for c in a):
+        if a[-1].is_zero():
+            a.pop()
+            continue
+        factor = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] = a[shift + i] - factor * c
+        a.pop()
+    return a
+
+
+def embed(c: Cyclotomic) -> complex:
+    """Numerical value at zeta_m = exp(2*pi*i/m)."""
+    z = cmath.exp(2j * cmath.pi / c.m)
+    return sum(float(v) * z**j for j, v in enumerate(c.coeffs) if v)
+
+
+def poly_eval(p: CycloPoly, point) -> complex:
+    pt = list(point)
+    total = 0j
+    for e, c in p.terms:
+        v = embed(c)
+        for x, k in zip(pt, e):
+            v *= x**k
+        total += v
+    return total
+
+
+def is_symmetric(M: PolyMatrix) -> bool:
+    return all(
+        (M.entries[i][j] - M.entries[j][i]).is_zero()
+        for i in range(M.rows)
+        for j in range(i)
+    )

@@ -18,15 +18,8 @@ import time
 import numpy as np
 
 from qact.groups import Subgroup, build_named, build_quaternion, named_subgroups
-from qact.reptheory import (
-    fixed_subspace_dim,
-    inner_product,
-    irreducible_characters,
-    permutation_character,
-    rational_irreducibles,
-)
+from qact.reptheory import fixed_subspace_dim, irreducible_characters, rational_irreducibles
 from qact.decomp import (
-    MultiplicityVector,
     dim_fixed_subvariety,
     factor_dimensions,
     is_trivial_decomposition,
@@ -47,7 +40,14 @@ from qact.actions import (
 from qact import siegel as sg
 from qact import curves as cv
 
-from oracles import fixed_dim_by_averaging, multiplicities_from_quotient_genera
+from oracles import (
+    fixed_dim_by_averaging,
+    from_orbit_values,
+    inner_product,
+    multiplicities_from_quotient_genera,
+    permutation_character,
+    random_valid,
+)
 from paper_tables import (
     expected_multiplicities,
     expected_prym_dims,
@@ -125,7 +125,7 @@ def test_acceptance_02_dimension_table():
         subs = named_subgroups(G)
         whole, triv = _whole(G), _triv(G)
         for _ in range(200):
-            mv = MultiplicityVector.random_valid(n, rng)
+            mv = random_valid(n, rng)
             table = factor_dimensions(mv)
             dims = {lbl: dim_fixed_subvariety(mv, K) for lbl, K in subs.items()}
             dims["G"] = dim_fixed_subvariety(mv, whole)
@@ -151,7 +151,7 @@ def test_acceptance_03_triviality_flags():
     rng = random.Random(777)
     for n in (3, 4, 5):
         for _ in range(1000):
-            mv = MultiplicityVector.random_valid(n, rng, max_mult=3)
+            mv = random_valid(n, rng, max_mult=3)
             rep = is_trivial_decomposition(mv)
             assert rep.agree, (mv, rep.flags())
 
@@ -230,7 +230,7 @@ def test_acceptance_07_quotient_tables():
             mv = multiplicities_from_quotient_genera(ske)
             a, orbit_b = expected_multiplicities(n, label)
             assert mv.a == a
-            assert mv == MultiplicityVector.from_orbit_values(n, a, orbit_b)
+            assert mv == from_orbit_values(n, a, orbit_b)
             assert factor_dimensions(mv).total == g
 
 

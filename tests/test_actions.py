@@ -18,9 +18,7 @@ from qact.actions import (
     _genus_one_moves,
     _in_class_orbit,
     _maximal_masks,
-    _orbit,
     _orbit_moves,
-    braid,
     check_extension,
     classify,
     extension_data,
@@ -39,11 +37,11 @@ from qact.actions import (
     ske_from_json,
     validate_ske,
     witness_eta,
-    z_branch_count,
 )
-from qact.groups import Subgroup, automorphisms, build_quaternion, named_subgroups
+from qact.decomp import multiplicities
+from qact.groups import Subgroup, _orbit, automorphisms, build_quaternion, named_subgroups
 
-from oracles import aut_generators, aut_moves, classify_on_tuples
+from oracles import aut_generators, aut_moves, classify_on_tuples, multiplicities_from_quotient_genera
 from paper_tables import (
     expected_prym_dims,
     expected_quotients,
@@ -122,10 +120,16 @@ def test_non_generating_diagnostic():
 # -- braid moves ---------------------------------------------------------------
 
 
+def _braided(ske, i):
+    """The ske after the braid move on elliptic slots i, i + 1 (1-indexed)."""
+    t = _braid_moves(ske.group, len(ske.elliptic))[i - 1](ske.elliptic)
+    return Ske(ske.group, Signature(0, tuple(ske.group.orders[g] for g in t)), (), t)
+
+
 def test_braid_example_from_theta():
     G = Q(4)
     theta = family_representative(4, "F1'")  # (xy, y, y^-1, x y^-1)
-    out = braid(theta, 1)
+    out = _braided(theta, 1)
     x, y = G.generators
     expected = (
         y,
@@ -141,8 +145,8 @@ def test_braid_example_from_theta():
 def test_braid_preserves_validity_and_is_orbit_move():
     G = Q(4)
     theta = family_representative(4, "F1")
-    t1 = braid(theta, 2)
-    t2 = braid(t1, 2)
+    t1 = _braided(theta, 2)
+    t2 = _braided(t1, 2)
     for t in (t1, t2):
         ok, _ = validate_ske(t)
         assert ok
@@ -164,7 +168,7 @@ def test_phi3_squared_shifts_p_by_two():
                     G.cayley[G.power(x, p + 1)][y],
                 ),
             )
-            out = braid(braid(theta, 3), 3)
+            out = _braided(_braided(theta, 3), 3)
             expected = Ske(
                 G,
                 Signature(0, (4, 4, 4, 4)),
@@ -179,10 +183,10 @@ def test_phi3_squared_shifts_p_by_two():
             assert out.elliptic == expected.elliptic
 
 
-def test_braid_rejects_positive_genus():
-    theta = family_representative(4, "F0")
-    with pytest.raises(UnsupportedMove):
-        braid(theta, 1)
+def test_orbit_moves_reject_other_signatures():
+    for sig in (Signature(2, ()), Signature(1, (4, 4))):
+        with pytest.raises(UnsupportedMove):
+            _orbit_moves(Q(4), sig)
 
 
 # -- classification -------------------------------------------------------------
@@ -541,7 +545,7 @@ def test_z_quotient_period_count_identity():
         G = Q(n)
         for b in range(5):
             w = witness_eta(G, b)
-            d = z_branch_count(w)
+            d = len(quotient_data(w, named_subgroups(G)["Z"]).periods)
             # sigma_b has a = 2 outside-fours, b twos, c_1 = 1
             assert d == 2 * 2 ** (n - 2) + b * 2 ** (n - 1) + 2
 
@@ -781,6 +785,16 @@ def test_riemann_hurwitz_multiplicativity_on_drawn_skes(data):
     """The identity on a valid ske drawn from the census signatures of n = 3..5."""
     n = data.draw(st.sampled_from((3, 4, 5)))
     _check_riemann_hurwitz(data.draw(st.sampled_from(_census_skes(n))))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_chevalley_weil_matches_the_quotient_genera_on_drawn_skes(data):
+    """`multiplicities` equals the quotient-genera oracle on a valid ske drawn
+    from the census signatures of n = 3..5, the genus-one F0 triples included."""
+    n = data.draw(st.sampled_from((3, 4, 5)))
+    ske = data.draw(st.sampled_from(_census_skes(n)))
+    assert multiplicities(ske) == multiplicities_from_quotient_genera(ske), ske
 
 
 # -- extensions --------------------------------------------------------------------

@@ -477,6 +477,24 @@ def test_curve_with_a_non_finite_t_exits_2(capsys, t, verify):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: t must be finite")
 
 
+@pytest.mark.parametrize("t, code, order", [
+    ("1e-6", 1, 6),   # near the degenerate t = 0 the orbit points collide
+    ("1e6", 0, 8),
+])
+def test_curve_exit_code_reads_the_point_map_group_order(capsys, t, code, order):
+    got, rep = run_json(capsys, "curve", "--n", "3", "--t", t, "--verify", "--samples", "20")
+    assert got == code
+    assert rep["results"]["point_map_group_order"] == order
+
+
+def test_curve_whose_numerics_overflow_exits_2(capsys):
+    code = main(["curve", "--n", "3", "--t", "1e150", "--verify", "--samples", "20"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: t = 1e150 overflows")
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9", "tiny"])
 def test_siegel_tol_must_be_finite_and_positive(capsys, tol):
     with pytest.raises(SystemExit) as err:

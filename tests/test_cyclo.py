@@ -5,6 +5,8 @@ import pytest
 
 from qact.cyclo import Cyclotomic, CycloPoly, PolyMatrix
 
+from oracles import embed, is_symmetric, poly_eval
+
 
 def rand_cyc(rng, m, height=9):
     return Cyclotomic(
@@ -92,8 +94,8 @@ def test_embedding_is_ring_homomorphism():
     for _ in range(200):
         m = rng.choice((4, 8, 16, 32))
         a, b = rand_cyc(rng, m, 5), rand_cyc(rng, m, 5)
-        assert abs((a * b).embed() - a.embed() * b.embed()) < 1e-10
-        assert abs((a + b).embed() - (a.embed() + b.embed())) < 1e-10
+        assert abs(embed(a * b) - embed(a) * embed(b)) < 1e-10
+        assert abs(embed(a + b) - (embed(a) + embed(b))) < 1e-10
 
 
 def test_galois_identity_and_example():
@@ -124,11 +126,6 @@ def test_galois_is_multiplicative_with_bounded_order():
         assert y == x
 
 
-def test_conjugate_matches_embedding():
-    a = Cyclotomic.zeta(16, 3) + Cyclotomic.from_rational(Fraction(1, 2), 16)
-    assert abs(a.conjugate().embed() - a.embed().conjugate()) < 1e-12
-
-
 def test_reduce_conductor():
     a = Cyclotomic.zeta(16, 4)   # = zeta4
     r = a.reduce_conductor()
@@ -140,11 +137,6 @@ def test_conductor_validation():
         Cyclotomic(6, (Fraction(1), Fraction(0), Fraction(0)))
     with pytest.raises(ValueError):
         Cyclotomic(8, (Fraction(1),))
-
-
-def test_json_roundtrip():
-    a = Cyclotomic(8, (Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(7, 5)))
-    assert Cyclotomic.from_json(a.to_json()) == a
 
 
 # -- polynomials and matrices -------------------------------------------------
@@ -167,7 +159,7 @@ def test_poly_matrix_products_and_symmetry():
     one = CycloPoly.constant(1, Cyclotomic.one(4))
     M = PolyMatrix.make([[one, t], [t, one]])
     N = M @ M
-    assert N.is_symmetric()
+    assert is_symmetric(N)
     # (1 + t^2) on the diagonal
     diag = N.entries[0][0]
     assert diag.termdict()[(0,)] == Cyclotomic.one(4)
@@ -181,4 +173,4 @@ def test_poly_eval_consistency():
     p = (t - one) * (t + one)
     for _ in range(20):
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        assert abs(p.eval([z]) - (z * z - 1)) < 1e-12
+        assert abs(poly_eval(p, [z]) - (z * z - 1)) < 1e-12

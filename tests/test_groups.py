@@ -1,8 +1,8 @@
 import pytest
 
 from qact.groups import (
+    FiniteGroup,
     GroupError,
-    all_subgroups,
     automorphisms,
     build_dihedral,
     build_named,
@@ -11,8 +11,9 @@ from qact.groups import (
     find_isomorphism,
     group_from_json,
     named_subgroups,
-    two_generated_subgroups,
 )
+
+from oracles import all_subgroups, is_normal, two_generated_subgroups
 
 
 def test_quaternion_basics():
@@ -201,7 +202,7 @@ def test_dihedral_needs_m_at_least_2():
 def test_normality_by_conjugation():
     G = build_quaternion(4)
     subs = named_subgroups(G)
-    normal = {l: subs[l].is_normal() for l in subs}
+    normal = {l: is_normal(subs[l]) for l in subs}
     # cyclic K_i always normal; index-2 subgroups normal; H2/Ht2 not (n=4)
     assert normal["K2"] and normal["K3"] and normal["K4"]
     assert normal["N1"] and normal["N2"] and normal["N3"]
@@ -362,8 +363,6 @@ def test_dihedral_quotient_of_quaternion():
         return index[frozenset(G.cayley[G.cayley[ga][gb]][k] for k in z)]
 
     cayley = [[cmul(a, b) for b in range(len(reps))] for a in range(len(reps))]
-    from qact.groups import group_from_cayley
-
     # identity coset must be index 0
     id_pos = next(i for i, c in enumerate(reps) if 0 in c)
     order = list(range(len(reps)))
@@ -373,9 +372,9 @@ def test_dihedral_quotient_of_quaternion():
         [remap[cayley[order[i]][order[j]]] for j in range(len(reps))]
         for i in range(len(reps))
     ]
-    Q = group_from_cayley("Q/Z", [f"c{i}" for i in range(len(reps))], cayley2,
-                          [remap[index[frozenset(G.cayley[G.generators[0]][k] for k in z)]],
-                           remap[index[frozenset(G.cayley[G.generators[1]][k] for k in z)]]])
+    Q = FiniteGroup("Q/Z", [f"c{i}" for i in range(len(reps))], cayley2,
+                    [remap[index[frozenset(G.cayley[G.generators[0]][k] for k in z)]],
+                     remap[index[frozenset(G.cayley[G.generators[1]][k] for k in z)]]])
     assert find_isomorphism(Q, build_dihedral(4)) is not None
 
 

@@ -21,12 +21,13 @@ from qact.siegel import (
     matrix_group_as_finite_group,
     matrix_group_closure,
     prop13_period_matrix,
-    check_period_equivalence,
     symplectic_form,
     verify_fixed_family,
     verify_fixed_point_numeric,
     verify_group_data,
 )
+
+from oracles import is_symmetric
 
 
 def test_j_is_symplectic():
@@ -122,7 +123,7 @@ def test_thm11_family_fixed_exactly():
     data = load_fixture("thm11")["data"]
     gens = fixture_generators(data)
     fam = family_from_fixture(data)
-    assert fam.is_symmetric()
+    assert is_symmetric(fam)
     assert verify_fixed_family(gens, fam).ok
 
 
@@ -305,14 +306,6 @@ def test_fixture_checksum_guard(tmp_path):
         load_fixture(str(bad))
     with pytest.raises(FixtureError):
         load_fixture("does_not_exist")
-
-
-def test_period_equivalence_checker():
-    Z = np.array([[1j, 0.0], [0.0, 1j]])
-    R = identity_matrix(4)
-    M = np.eye(2)
-    assert check_period_equivalence(M, R, Z, Z)
-    assert not check_period_equivalence(2 * M, R, Z, Z)
 
 
 def test_make_fixtures_rewrites_the_committed_fixtures(tmp_path, monkeypatch):
