@@ -28,7 +28,6 @@ from functools import lru_cache
 
 from .groups import (
     FiniteGroup,
-    Subgroup,
     _orbit,
     automorphisms,
     build_named,
@@ -468,9 +467,9 @@ class QuotientData:
         return {"genus": self.genus, "periods": list(self.periods)}
 
 
-def quotient_data(ske: Ske, K: Subgroup) -> QuotientData:
-    """Genus and branch periods of S_K from the cycle structure on G/K."""
-    cycles = coset_cycles(ske.group, K.as_set())
+def quotient_data(ske: Ske, K: frozenset) -> QuotientData:
+    """Genus and branch periods of S_K from the cycle structure on G/K (K an element set)."""
+    cycles = coset_cycles(ske.group, K)
     branch: list[int] = []
     for g, k in zip(ske.elliptic, ske.signature.periods):
         for cyc_len in cycles[g]:
@@ -597,10 +596,11 @@ def genus_zero_exhaustive_scan(n: int, max_periods: int = 7) -> GenusZeroScan:
 
     The verdict is the genus of S_Z (see `is_genus_zero_action`).  An
     element's cycle count on G/Z depends on its order alone (checked by
-    `_z_cycles_by_order`), so that genus is computed once per signature;
-    every ske is still enumerated and counted.  Tuples in sorted period order
-    suffice: braid moves sort the periods of any valid ske without changing
-    the action.
+    `_z_cycles_by_order`), so that genus, and the verdict, are computed once
+    per signature.  Every ske is still enumerated and counted; only tuples
+    of a mismatching signature are kept, the first 20 of the scan.  Tuples
+    in sorted period order suffice: braid moves sort the periods of any
+    valid ske without changing the action.
     """
     if max_periods < 3:
         raise ValueError(f"max_periods must be at least 3, not {max_periods}")
@@ -622,9 +622,11 @@ def genus_zero_exhaustive_scan(n: int, max_periods: int = 7) -> GenusZeroScan:
             b = is_sigma_b(n, sig)
             expected = b is not None
             genus_zero = _genus_from_cycles(G.order // 2, 0, [zcyc[k] for k in multiset]) == 0
-            for t in iter_valid_tuples(G, multiset):
-                checked += 1
-                if genus_zero != expected:
+            tuples = iter_valid_tuples(G, multiset)
+            count = 0
+            if genus_zero != expected:
+                for t in itertools.islice(tuples, 20 - len(mismatches)):
+                    count += 1
                     mismatches.append(
                         {
                             "signature": sig.to_json(),
@@ -633,26 +635,28 @@ def genus_zero_exhaustive_scan(n: int, max_periods: int = 7) -> GenusZeroScan:
                             "sigma_b": b,
                         }
                     )
-                elif expected:
-                    seen_b.add(b)
+            count += sum(1 for _ in tuples)
+            checked += count
+            if count and genus_zero and expected:
+                seen_b.add(b)
     return GenusZeroScan(
         n=n,
         max_periods=max_periods,
         signatures_checked=sigs,
         skes_checked=checked,
         sigma_b_values_seen=sorted(seen_b),
-        mismatches=mismatches[:20],
+        mismatches=mismatches,
     )
 
 
-def _z_cycles_by_order(G: FiniteGroup, zsub: Subgroup) -> dict[int, int]:
+def _z_cycles_by_order(G: FiniteGroup, zset: frozenset) -> dict[int, int]:
     """The number of cycles on G/Z of an element of each order.
 
     Z lies in every nontrivial cyclic subgroup, so the count should depend on
     the order alone; this raises unless it does.
     """
     out: dict[int, int] = {}
-    for g, cycles in enumerate(coset_cycles(G, zsub.as_set())):
+    for g, cycles in enumerate(coset_cycles(G, zset)):
         if out.setdefault(G.orders[g], len(cycles)) != len(cycles):
             raise RuntimeError("the cycle count on G/Z is not a function of the element order")
     return out

@@ -98,7 +98,7 @@ def cmd_groups(args) -> tuple[int, dict]:
     if G.kind == "quaternion":
         subs = named_subgroups(G)
         out["named_subgroups"] = {
-            lbl: [G.names[i] for i in sub.elements] for lbl, sub in sorted(subs.items())
+            lbl: [G.names[i] for i in sorted(K)] for lbl, K in sorted(subs.items())
         }
     return 0, out
 

@@ -279,9 +279,14 @@ def verify_automorphisms(model: HyperellipticModel, samples: int = 100, seed: in
 
 def point_map_group_order(model: HyperellipticModel) -> int:
     """Order of <map_x, map_y> as permutations of the orbit of a generic point
-    (drawn with seed 1; a point is new unless `_pt_dist` puts it within 1e-6
-    of one already found; at most 512 points)."""
+    (drawn with seed 1; at most 512 points).  A point is new unless each of
+    its coordinates is within 1e-6 of one already found, relative to their
+    sizes: near X = 0 the partners (X, Y) and (X, -Y) have tiny Y, and an
+    absolute margin would merge them."""
     import random
+
+    def same(a, b):
+        return a == b or abs(a - b) < 1e-6 * (abs(a) + abs(b))
 
     rng = random.Random(1)
     base = random_curve_point(model, rng)
@@ -292,7 +297,7 @@ def point_map_group_order(model: HyperellipticModel) -> int:
         for p in frontier:
             for fn in (map_x, map_y):
                 q = fn(model, p)
-                if all(_pt_dist(q, r) >= 1e-6 for r in seen):
+                if not any(same(q[0], r[0]) and same(q[1], r[1]) for r in seen):
                     if len(seen) >= 512:
                         raise BudgetExceeded("point-map orbit exceeded its budget of 512 points")
                     seen.append(q)

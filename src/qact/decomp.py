@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import GroupError, Subgroup, build_quaternion, named_subgroups
+from .groups import build_quaternion, named_subgroups
 from .reptheory import fixed_dims, galois_orbit
 
 
@@ -120,11 +120,9 @@ def factor_dimensions(mv: MultiplicityVector) -> FactorTable:
     return table
 
 
-def dim_fixed_subvariety(mv: MultiplicityVector, K: Subgroup) -> int:
-    """dim A_K = <rho_a, rho_K> = sum of multiplicities times fixed-space dims."""
-    if K.group is not build_quaternion(mv.n):
-        raise GroupError(f"subgroup of {K.group.name}, not of Q{2 ** mv.n}")
-    return sum(m * d for m, d in zip((*mv.a, *mv.b), fixed_dims(mv.n, K.as_set())))
+def dim_fixed_subvariety(mv: MultiplicityVector, K: frozenset) -> int:
+    """dim A_K = <rho_a, rho_K>: multiplicities times fixed-space dims (K an element set)."""
+    return sum(m * d for m, d in zip((*mv.a, *mv.b), fixed_dims(mv.n, K)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +197,7 @@ def _fixed_point_free(mv: MultiplicityVector) -> bool:
     shortcut through Z, so this flag stays independent of flag 2.
     """
     G = build_quaternion(mv.n)
-    return all(dim_fixed_subvariety(mv, Subgroup.generated(G, [g])) == 0 for g in range(1, G.order))
+    return all(dim_fixed_subvariety(mv, G.closure((g,))) == 0 for g in range(1, G.order))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ constructor then materializes the full Cayley table and re-verifies, element by
 element, that the table is a Latin square and that every defining relation
 evaluates to the identity, so a mistake in a product rule cannot survive
 construction.  Each catalogue group is built once per parameter value and
-shared, because subgroups and skes compare their groups by identity.
+shared, because skes and the group-keyed caches compare groups by identity.
 
 Generic machinery (closures, conjugacy classes, the action on cosets, and one
 generator-image search that yields both the automorphism group and
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import inspect
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 
 
@@ -263,32 +262,6 @@ class FiniteGroup:
 _C2 = FiniteGroup("C2", ["1", "t"], [[0, 1], [1, 0]], [1])
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup as a sorted element-index tuple with an optional label."""
-
-    group: FiniteGroup
-    elements: tuple[int, ...]
-    label: str = ""
-
-    @staticmethod
-    def generated(group: FiniteGroup, gens, label="") -> "Subgroup":
-        return Subgroup(group, tuple(sorted(group.closure(gens))), label)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, i: int) -> bool:
-        return i in set(self.elements)
-
-    def as_set(self) -> frozenset:
-        return frozenset(self.elements)
-
-    def __repr__(self):
-        return f"Subgroup({self.label or self.elements}, order {self.order})"
-
-
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
@@ -297,9 +270,9 @@ class Subgroup:
 def _memoised(builder):
     """Build each catalogue group once per parameter value.
 
-    Subgroups and skes compare their groups by identity, so a second build of
-    the same group would be a different group.  The cache is keyed on the
-    bound arguments, so positional and keyword calls share it.
+    Skes and the group-keyed caches compare groups by identity, so a second
+    build of the same group would be a different group.  The cache is keyed
+    on the bound arguments, so positional and keyword calls share it.
     """
     signature = inspect.signature(builder)
     cached = lru_cache(maxsize=None)(builder)
@@ -591,8 +564,8 @@ def group_from_json(data: dict) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 
-def named_subgroups(G: FiniteGroup) -> dict[str, Subgroup]:
-    """All proper nontrivial subgroups of Q(2^n), keyed by their standard labels.
+def named_subgroups(G: FiniteGroup) -> dict[str, frozenset]:
+    """The proper nontrivial subgroups of Q(2^n) as element sets, by label.
 
     H_j = <x^(2^(n-j)), y>, K_i = <x^(2^(n-i))>, Ht_j = <x^(2^(n-j)), x y>
     for j in 2..n-1 and i in 2..n, plus the aliases Z = K2, N1 = Kn,
@@ -604,30 +577,38 @@ def named_subgroups(G: FiniteGroup) -> dict[str, Subgroup]:
     x = G.generators[0]
     y = G.generators[1]
     xy = G.cayley[x][y]
-    out: dict[str, Subgroup] = {}
+    out: dict[str, frozenset] = {}
     for j in range(2, n):
         xp = G.power(x, 2 ** (n - j))
-        out[f"H{j}"] = Subgroup.generated(G, [xp, y], f"H{j}")
-        out[f"Ht{j}"] = Subgroup.generated(G, [xp, xy], f"Ht{j}")
+        out[f"H{j}"] = G.closure((xp, y))
+        out[f"Ht{j}"] = G.closure((xp, xy))
     for i in range(2, n + 1):
-        out[f"K{i}"] = Subgroup.generated(G, [G.power(x, 2 ** (n - i))], f"K{i}")
-    out["Z"] = Subgroup(G, out["K2"].elements, "Z")
-    out["N1"] = Subgroup(G, out[f"K{n}"].elements, "N1")
-    out["N2"] = Subgroup(G, out[f"H{n - 1}"].elements, "N2")
-    out["N3"] = Subgroup(G, out[f"Ht{n - 1}"].elements, "N3")
+        out[f"K{i}"] = G.closure((G.power(x, 2 ** (n - i)),))
+    out["Z"] = out["K2"]
+    out["N1"] = out[f"K{n}"]
+    out["N2"] = out[f"H{n - 1}"]
+    out["N3"] = out[f"Ht{n - 1}"]
     return out
 
 
-def subgroup_by_label(G: FiniteGroup, label: str) -> Subgroup:
+def subgroup_by_label(G: FiniteGroup, label: str) -> frozenset:
     """Resolve a subgroup by label, allowing '1' and 'G' for the extremes."""
     if label in ("1", "trivial"):
-        return Subgroup(G, (0,), "1")
+        return frozenset({0})
     if label in ("G", "full"):
-        return Subgroup(G, tuple(range(G.order)), "G")
+        return frozenset(range(G.order))
     table = named_subgroups(G)
     if label not in table:
         raise GroupError(f"unknown subgroup label {label!r}")
     return table[label]
+
+
+def _check_subgroup(G: FiniteGroup, kset: frozenset) -> None:
+    """Raise unless `kset` is a set of elements of G closed under products."""
+    if not all(0 <= k < G.order for k in kset):
+        raise GroupError(f"K holds an index that is no element of {G.name}")
+    if any(G.cayley[a][b] not in kset for a in kset for b in kset):
+        raise GroupError(f"K is not closed under products in {G.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +625,7 @@ def coset_cycles(G: FiniteGroup, kset: frozenset) -> tuple[tuple[int, ...], ...]
     number of cosets g fixes.  Quotient genera and the genus-zero scan read
     this one table.
     """
-    if any(G.cayley[a][b] not in kset for a in kset for b in kset):
-        raise GroupError("K is not closed under products")
+    _check_subgroup(G, kset)
     coset_of = [-1] * G.order
     reps: list[int] = []
     for g in range(G.order):
@@ -706,8 +686,12 @@ def extend_homomorphism(G: FiniteGroup, H: FiniteGroup, gens, gen_images) -> lis
 def _generating_tuple(G: FiniteGroup) -> list[int]:
     """The first generating tuple of one to three elements in increasing
     size and index order, else the distinguished generators (which work too,
-    but a minimal pair keeps isomorphism searches tight)."""
-    for size in range(1, 4):
+    but a minimal pair keeps isomorphism searches tight).  One element
+    generates exactly when its order is |G|."""
+    for g in range(1, G.order):
+        if G.orders[g] == G.order:
+            return [g]
+    for size in (2, 3):
         for combo in itertools.combinations(range(1, G.order), size):
             if len(G.closure(combo)) == G.order:
                 return list(combo)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import Cyclotomic
-from .groups import FiniteGroup, Subgroup, build_quaternion
+from .groups import FiniteGroup, _check_subgroup, build_quaternion
 
 
 @dataclass(frozen=True)
@@ -188,15 +188,15 @@ def rational_irreducibles(n: int) -> list[RationalIrreducible]:
 # ---------------------------------------------------------------------------
 
 
-def fixed_subspace_dim(V: Character, K: Subgroup) -> int:
-    """dim V^K = (1/|K|) sum_{k in K} V(k), exactly."""
+def fixed_subspace_dim(V: Character, K: frozenset) -> int:
+    """dim V^K = (1/|K|) sum_{k in K} V(k) for the element set K, exactly."""
     total = Cyclotomic.zero(2)
-    for k in K.elements:
+    for k in K:
         total = total + V.value_at(k)
     total = total.reduce_conductor()
     if not total.is_rational():
         raise ValueError("averaged character value must be rational")
-    d = total.rational_value() / len(K.elements)
+    d = total.rational_value() / len(K)
     if d.denominator != 1 or d < 0:
         raise ValueError(f"fixed-space dimension came out as {d}")
     return int(d)
@@ -206,5 +206,5 @@ def fixed_subspace_dim(V: Character, K: Subgroup) -> int:
 def fixed_dims(n: int, kset: frozenset) -> tuple[int, ...]:
     """dim V^K for every irreducible V of Q(2^n), in `irreducible_characters`
     order, for the subgroup K with element set `kset`."""
-    K = Subgroup(build_quaternion(n), tuple(sorted(kset)))
-    return tuple(fixed_subspace_dim(ch, K) for ch in irreducible_characters(n))
+    _check_subgroup(build_quaternion(n), kset)
+    return tuple(fixed_subspace_dim(ch, kset) for ch in irreducible_characters(n))

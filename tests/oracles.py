@@ -43,8 +43,6 @@ from qact.cyclo import Cyclotomic, CycloPoly, PolyMatrix
 from qact.decomp import MultiplicityVector
 from qact.groups import (
     FiniteGroup,
-    GroupError,
-    Subgroup,
     _orbit,
     automorphisms,
     coset_cycles,
@@ -83,7 +81,7 @@ def multiplicities_from_quotient_genera(ske) -> MultiplicityVector:
     unknowns = 4 + (n - 2)
     rows, rhs = [], []
     for lbl, K in sorted(subs.items()):
-        dims = fixed_dims(n, K.as_set())
+        dims = fixed_dims(n, K)
         row = [Fraction(d) for d in dims[:4]]
         for l in range(1, n - 1):
             # Theta_s sits at index 3 + s, after chi1..chi4
@@ -242,9 +240,9 @@ def _mat_pow(A, k, n):
     return out
 
 
-def fixed_dim_by_averaging(n: int, label: str, K: Subgroup) -> int:
+def fixed_dim_by_averaging(n: int, label: str, K: frozenset) -> int:
     """Independent cross-check: rank of the exact projector (1/|K|) sum_K rho(k)."""
-    mats = [rep_matrix(n, label, k) for k in K.elements]
+    mats = [rep_matrix(n, label, k) for k in K]
     size = len(mats[0])
     m = 2 ** (n - 1)
     avg = [[Cyclotomic.zero(m) for _ in range(size)] for _ in range(size)]
@@ -252,7 +250,7 @@ def fixed_dim_by_averaging(n: int, label: str, K: Subgroup) -> int:
         for i in range(size):
             for j in range(size):
                 avg[i][j] = avg[i][j] + M[i][j]
-    inv_k = Fraction(1, len(K.elements))
+    inv_k = Fraction(1, len(K))
     avg = [[inv_k * avg[i][j] for j in range(size)] for i in range(size)]
     # rank of a matrix of size <= 2 over a field
     if size == 1:
@@ -290,15 +288,13 @@ def random_valid(n: int, rng, max_mult: int = 5) -> MultiplicityVector:
 # ---------------------------------------------------------------------------
 
 
-def permutation_character(G: FiniteGroup, K: Subgroup) -> Character:
+def permutation_character(G: FiniteGroup, K: frozenset) -> Character:
     """The character of the action of G on the left cosets of K: the number
     of cosets each class representative fixes."""
-    if K.group is not G:
-        raise GroupError("subgroup belongs to a different group")
     n = G.params["n"]
-    cycles = coset_cycles(G, K.as_set())
+    cycles = coset_cycles(G, K)
     values = tuple(Cyclotomic.from_rational(cycles[g].count(1), 2) for g in class_data(n).reps)
-    return Character(n, f"rho_{K.label or 'K'}", values)
+    return Character(n, "rho_K", values)
 
 
 def inner_product(chi: Character, psi: Character) -> Fraction:
@@ -356,11 +352,8 @@ def two_generated_subgroups(G: FiniteGroup) -> frozenset[frozenset]:
     return frozenset(subs)
 
 
-def is_normal(sub: Subgroup) -> bool:
-    s = sub.as_set()
-    return all(
-        sub.group.conjugate(g, h) in s for g in sub.elements for h in range(sub.group.order)
-    )
+def is_normal(G: FiniteGroup, K: frozenset) -> bool:
+    return all(G.conjugate(g, h) in K for g in K for h in range(G.order))
 
 
 # ---------------------------------------------------------------------------

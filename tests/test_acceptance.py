@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from qact.groups import Subgroup, build_named, build_quaternion, named_subgroups
+from qact.groups import build_named, build_quaternion, named_subgroups
 from qact.reptheory import fixed_subspace_dim, irreducible_characters, rational_irreducibles
 from qact.decomp import (
     dim_fixed_subvariety,
@@ -77,11 +77,7 @@ def criterion(num, desc):
 
 
 def _whole(G):
-    return Subgroup(G, tuple(range(G.order)), "G")
-
-
-def _triv(G):
-    return Subgroup(G, (0,), "1")
+    return frozenset(range(G.order))
 
 
 @criterion("1", "character theory, n = 3..6")
@@ -101,7 +97,7 @@ def test_acceptance_01_character_theory():
         rats = {r.label: r.character for r in rational_irreducibles(n)}
         rho = {lbl: permutation_character(G, K) for lbl, K in subs.items()}
         rho["G"] = permutation_character(G, _whole(G))
-        rho["1"] = permutation_character(G, _triv(G))
+        rho["1"] = permutation_character(G, frozenset({0}))
         for j in range(2, n):
             expect = bylabel["chi1"] + bylabel["chi3"]
             for l in range(max(j, 2), n - 1):
@@ -123,7 +119,7 @@ def test_acceptance_02_dimension_table():
     for n in (3, 4, 5):
         G = build_quaternion(n)
         subs = named_subgroups(G)
-        whole, triv = _whole(G), _triv(G)
+        whole, triv = _whole(G), frozenset({0})
         for _ in range(200):
             mv = random_valid(n, rng)
             table = factor_dimensions(mv)
@@ -140,7 +136,7 @@ def test_acceptance_02_dimension_table():
     n = 4
     subs = dict(named_subgroups(build_quaternion(n)))
     subs["G"] = _whole(build_quaternion(n))
-    subs["1"] = _triv(build_quaternion(n))
+    subs["1"] = frozenset({0})
     for ch in irreducible_characters(n):
         for lbl, K in subs.items():
             assert fixed_subspace_dim(ch, K) == fixed_dim_by_averaging(n, ch.label, K)
@@ -211,7 +207,7 @@ def test_acceptance_07_quotient_tables():
     for n in (3, 4, 5):
         G = build_quaternion(n)
         subs = named_subgroups(G)
-        triv = _triv(G)
+        triv = frozenset({0})
         for label in family_labels(n):
             ske = family_representative(n, label)
             ok, msg = validate_ske(ske)
@@ -363,6 +359,5 @@ def test_acceptance_11_curves():
         assert rep.max_residual < 1e-8
         # genus of the model = genus of the C_(n,n-1) family from the census
         ske = family_representative(n, f"C{n - 1}")
-        G = build_quaternion(n)
-        g = quotient_data(ske, _triv(G)).genus
+        g = quotient_data(ske, frozenset({0})).genus
         assert model.genus == g == 2 ** (n - 1)

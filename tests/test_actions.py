@@ -39,7 +39,7 @@ from qact.actions import (
     witness_eta,
 )
 from qact.decomp import multiplicities
-from qact.groups import Subgroup, _orbit, automorphisms, build_quaternion, named_subgroups
+from qact.groups import _orbit, automorphisms, build_quaternion, named_subgroups
 
 from oracles import aut_generators, aut_moves, classify_on_tuples, multiplicities_from_quotient_genera
 from paper_tables import (
@@ -581,6 +581,31 @@ def test_exhaustive_scan_small():
     assert scan.sigma_b_values_seen[:3] == [0, 1, 2]
 
 
+def test_exhaustive_scan_reports_the_first_20_mismatches(monkeypatch):
+    """With no signature recognised as a sigma_b, every genus-zero ske is a
+    mismatch; the report keeps the first 20 in enumeration order, all from
+    the 24 tuples of (0; 4, 4, 4)."""
+    monkeypatch.setattr("qact.actions.is_sigma_b", lambda n, sig: None)
+    scan = genus_zero_exhaustive_scan(3, max_periods=4)
+    assert (scan.skes_checked, scan.ok, scan.sigma_b_values_seen) == (192, False, [])
+    skes = [
+        "y x x*y", "y x*y x^3", "y x^3 x^3*y", "y x^3*y x",
+        "x y x^3*y", "x x*y y", "x x^2*y x*y", "x x^3*y x^2*y",
+        "x*y y x", "x*y x x^2*y", "x*y x^2*y x^3", "x*y x^3 y",
+        "x^2*y x x^3*y", "x^2*y x*y x", "x^2*y x^3 x*y", "x^2*y x^3*y x^3",
+        "x^3 y x*y", "x^3 x*y x^2*y", "x^3 x^2*y x^3*y", "x^3 x^3*y y",
+    ]
+    assert scan.mismatches == [
+        {
+            "signature": {"genus": 0, "periods": [4, 4, 4]},
+            "ske": ske.split(),
+            "genus_zero": True,
+            "sigma_b": None,
+        }
+        for ske in skes
+    ]
+
+
 def test_scan_fast_path_matches_coset_machinery():
     """The scan's per-signature S_Z genus, and the coset-cycle genus at other
     subgroups, agree with quotient_data on every valid tuple of sigma_b and
@@ -590,8 +615,8 @@ def test_scan_fast_path_matches_coset_machinery():
 
     G = Q(4)
     subs = named_subgroups(G)
-    zsub = subs["Z"]
-    zcyc = _z_cycles_by_order(G, zsub)
+    zset = subs["Z"]
+    zcyc = _z_cycles_by_order(G, zset)
     others = [subs[l] for l in ("H2", "K3", "Ht3")]
     z_genera = {}
     signatures = [
@@ -599,14 +624,14 @@ def test_scan_fast_path_matches_coset_machinery():
         (4, 4, 4, 4), (4, 4, 4, 8), (4, 4, 8, 8), (2, 4, 4, 4, 8),
     ]
     for periods in signatures:
-        gz = _genus_from_cycles(G.order // zsub.order, 0, [zcyc[k] for k in periods])
+        gz = _genus_from_cycles(G.order // len(zset), 0, [zcyc[k] for k in periods])
         count = 0
         for t in iter_valid_tuples(G, periods):
             ske = Ske(G, Signature(0, periods), (), t)
-            assert quotient_data(ske, zsub).genus == gz
+            assert quotient_data(ske, zset).genus == gz
             for K in others:
-                cycles = coset_cycles(G, K.as_set())
-                fast = _genus_from_cycles(G.order // K.order, 0, [len(cycles[g]) for g in t])
+                cycles = coset_cycles(G, K)
+                fast = _genus_from_cycles(G.order // len(K), 0, [len(cycles[g]) for g in t])
                 assert fast == quotient_data(ske, K).genus
             count += 1
         assert count > 0
@@ -620,7 +645,7 @@ def test_scan_raises_if_z_cycles_depend_on_more_than_order(monkeypatch):
     real = actions.coset_cycles
     G = Q(4)
     x = G.generators[0]
-    zset = named_subgroups(G)["Z"].as_set()
+    zset = named_subgroups(G)["Z"]
 
     def skewed(G, kset):
         table = list(real(G, kset))
@@ -639,7 +664,7 @@ def test_scan_raises_on_riemann_hurwitz_parity_failure(monkeypatch):
 
     real = actions.coset_cycles
     G = Q(3)
-    zset = named_subgroups(G)["Z"].as_set()
+    zset = named_subgroups(G)["Z"]
 
     def skewed(G, kset):
         # one more cycle for every element of order 4 on G/Z: (0; 4,4,4) goes odd
@@ -693,7 +718,7 @@ def test_quotient_data_spec_examples():
 def test_quotient_by_whole_group_returns_signature():
     for n in (3, 4):
         G = Q(n)
-        whole = Subgroup(G, tuple(range(G.order)), "G")
+        whole = frozenset(range(G.order))
         for label in family_labels(n):
             ske = family_representative(n, label)
             qd = quotient_data(ske, whole)
@@ -704,7 +729,7 @@ def test_quotient_by_whole_group_returns_signature():
 def test_quotient_by_trivial_subgroup_is_riemann_hurwitz():
     for n in (3, 4):
         G = Q(n)
-        triv = Subgroup(G, (0,), "1")
+        triv = frozenset({0})
         for label in family_labels(n):
             ske = family_representative(n, label)
             qd = quotient_data(ske, triv)
@@ -730,7 +755,7 @@ def test_quotient_tables_match_paper(n):
 def test_prym_dimensions_and_totals(n):
     G = Q(n)
     subs = named_subgroups(G)
-    triv = Subgroup(G, (0,), "1")
+    triv = frozenset({0})
     for label in family_labels(n):
         ske = family_representative(n, label)
         g = quotient_data(ske, triv).genus
@@ -750,11 +775,11 @@ def test_prym_dimensions_and_totals(n):
 def _check_riemann_hurwitz(ske):
     """|K| * mu(S_K data) = 2g - 2 for every named subgroup K."""
     G = ske.group
-    g = quotient_data(ske, Subgroup(G, (0,), "1")).genus
+    g = quotient_data(ske, frozenset({0})).genus
     for lbl, K in named_subgroups(G).items():
         qd = quotient_data(ske, K)
         mu = 2 * qd.genus - 2 + sum(Fraction(k - 1, k) for k in qd.periods)
-        assert K.order * mu == 2 * g - 2, (ske, lbl)
+        assert len(K) * mu == 2 * g - 2, (ske, lbl)
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import qact.curves
 from qact.cli import main
 from qact.actions import Signature, Ske, extension_data, family_representative
 from qact.groups import build_named, build_quaternion
@@ -478,13 +479,20 @@ def test_curve_with_a_non_finite_t_exits_2(capsys, t, verify):
 
 
 @pytest.mark.parametrize("t, code, order", [
-    ("1e-6", 1, 6),   # near the degenerate t = 0 the orbit points collide
+    ("1e-6", 0, 8),   # near the degenerate t = 0 the orbit points stay apart
     ("1e6", 0, 8),
 ])
 def test_curve_exit_code_reads_the_point_map_group_order(capsys, t, code, order):
     got, rep = run_json(capsys, "curve", "--n", "3", "--t", t, "--verify", "--samples", "20")
     assert got == code
     assert rep["results"]["point_map_group_order"] == order
+
+
+def test_curve_exits_1_when_the_point_maps_miss_the_group_order(capsys, monkeypatch):
+    monkeypatch.setattr(qact.curves, "point_map_group_order", lambda model: 6)
+    got, rep = run_json(capsys, "curve", "--n", "3", "--t", "2", "--verify", "--samples", "20")
+    assert got == 1
+    assert rep["results"]["point_map_group_order"] == 6
 
 
 def test_curve_whose_numerics_overflow_exits_2(capsys):

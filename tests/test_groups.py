@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 
 from qact.groups import (
     FiniteGroup,
     GroupError,
+    _generating_tuple,
     automorphisms,
     build_dihedral,
     build_named,
@@ -109,13 +112,13 @@ def test_named_subgroups_q16():
     G = build_quaternion(4)
     subs = named_subgroups(G)
     x, y = G.generators
-    assert set(subs["Z"].elements) == {0, G.power(x, 4)}
-    assert subs["N1"].order == 8
-    assert subs["H2"].order == 4
+    assert subs["Z"] == {0, G.power(x, 4)}
+    assert len(subs["N1"]) == 8
+    assert len(subs["H2"]) == 4
     # chain K_i <= K_(i+1); Z below every nontrivial subgroup
     for i in (2, 3):
-        assert set(subs[f"K{i}"].elements) <= set(subs[f"K{i + 1}"].elements)
-    z = set(subs["Z"].elements)
+        assert subs[f"K{i}"] <= subs[f"K{i + 1}"]
+    z = subs["Z"]
     for s in all_subgroups(G):
         if len(s) > 1:
             assert z <= s
@@ -127,7 +130,7 @@ def test_named_subgroups_cover_lattice_up_to_conjugacy():
     for n in (3, 4, 5):
         G = build_quaternion(n)
         subs = named_subgroups(G)
-        named_sets = {subs[l].as_set() for l in subs if l not in ("Z", "N1", "N2", "N3")}
+        named_sets = {subs[l] for l in subs if l not in ("Z", "N1", "N2", "N3")}
         assert len(named_sets) == 3 * n - 5
         lattice = [s for s in all_subgroups(G) if 1 < len(s) < G.order]
         conj_classes = []
@@ -202,7 +205,7 @@ def test_dihedral_needs_m_at_least_2():
 def test_normality_by_conjugation():
     G = build_quaternion(4)
     subs = named_subgroups(G)
-    normal = {l: is_normal(subs[l]) for l in subs}
+    normal = {l: is_normal(G, subs[l]) for l in subs}
     # cyclic K_i always normal; index-2 subgroups normal; H2/Ht2 not (n=4)
     assert normal["K2"] and normal["K3"] and normal["K4"]
     assert normal["N1"] and normal["N2"] and normal["N3"]
@@ -347,7 +350,7 @@ def test_dihedral_quotient_of_quaternion():
 
     G = build_quaternion(4)
     subs = named_subgroups(G)
-    z = subs["Z"].as_set()
+    z = subs["Z"]
     # build the quotient on cosets
     reps, seen = [], set()
     for g in range(G.order):
@@ -411,3 +414,30 @@ def test_coset_cycles_need_a_subgroup():
     x = G.generators[0]
     with pytest.raises(GroupError, match="not closed under products"):
         coset_cycles(G, frozenset({0, x}))
+    # Q32's Z, whose index 16 is no element of Q16, and Q8's <x>, whose
+    # indices are elements of Q16 but not closed under its products
+    assert named_subgroups(build_quaternion(5))["Z"] == frozenset({0, 16})
+    assert G.closure([x]) == frozenset({0, 2, 4, 6})
+    for kset in (frozenset({0, 16}), frozenset({0, 2, 4, 6})):
+        with pytest.raises(GroupError, match="Q16"):
+            coset_cycles(build_quaternion(4), kset)
+
+
+def test_generating_tuple_is_the_first_generating_combination():
+    """The first one- to three-element generating tuple in size and index
+    order, as a plain search over closures finds it; the cyclic group takes
+    the one-element path."""
+    cyclic = FiniteGroup("C8", [str(i) for i in range(8)],
+                         [[(i + j) % 8 for j in range(8)] for i in range(8)], [1])
+    groups = [build_quaternion(n) for n in (3, 4, 5)] + [
+        build_named(name, n=4) for name in ("G1", "G2", "QD16", "D4xC2_rtimes_C2")
+    ] + [build_dihedral(4), cyclic]
+    for G in groups:
+        expected = next(
+            list(combo)
+            for size in (1, 2, 3)
+            for combo in itertools.combinations(range(1, G.order), size)
+            if len(G.closure(combo)) == G.order
+        )
+        assert _generating_tuple(G) == expected, G.name
+    assert _generating_tuple(cyclic) == [1]

@@ -20,11 +20,7 @@ from qact.actions import (
     sigma_b,
     validate_ske,
 )
-from qact.groups import Subgroup, build_named, build_quaternion
-
-
-def _triv(G):
-    return Subgroup(G, (0,), "1")
+from qact.groups import build_named, build_quaternion
 
 
 def test_printed_ske_for_order16_supergroup():
@@ -39,23 +35,23 @@ def test_printed_ske_for_order16_supergroup():
     ok, msg = validate_ske(theta)
     assert ok, msg
     # genus of the covered surface: the genus-three family member
-    assert quotient_data(theta, _triv(G)).genus == 3
+    assert quotient_data(theta, frozenset({0})).genus == 3
     # restriction to the quaternion subgroup <ca, ba> has the (1; 2) data
-    H = Subgroup.generated(G, [G.element("c*a"), G.element("b*a")], "Q8")
-    assert H.order == 8
+    H = G.closure([G.element("c*a"), G.element("b*a")])
+    assert len(H) == 8
     qd = quotient_data(theta, H)
     assert (qd.genus, qd.periods) == (1, (2,))
     # the two elliptic factors of the finer decomposition: S_<a> and S_<ab>
-    assert quotient_data(theta, Subgroup.generated(G, [a])).genus == 1
-    assert quotient_data(theta, Subgroup.generated(G, [G.cayley[a][b]])).genus == 1
+    assert quotient_data(theta, G.closure([a])).genus == 1
+    assert quotient_data(theta, G.closure([G.cayley[a][b]])).genus == 1
 
 
 def test_order32_supergroup_action_exists_with_stated_quotients():
     Gp = build_named("D4xC2_rtimes_C2")
-    H = Subgroup.generated(Gp, [Gp.element("r*a"), Gp.element("r*b")], "Q8")
-    assert H.order == 8
-    r_sub = Subgroup.generated(Gp, [Gp.element("r")])
-    sa_sub = Subgroup.generated(Gp, [Gp.element("s"), Gp.element("a")])
+    H = Gp.closure([Gp.element("r*a"), Gp.element("r*b")])
+    assert len(H) == 8
+    r_sub = Gp.closure([Gp.element("r")])
+    sa_sub = Gp.closure([Gp.element("s"), Gp.element("a")])
     found = None
     for t in iter_valid_tuples(Gp, (2, 2, 2, 4)):
         theta = Ske(Gp, Signature(0, (2, 2, 2, 4)), (), t)
@@ -64,7 +60,7 @@ def test_order32_supergroup_action_exists_with_stated_quotients():
             found = theta
             break
     assert found is not None, "no (0;2,2,2,4) action restricting to the genus-five family"
-    assert quotient_data(found, _triv(Gp)).genus == 5
+    assert quotient_data(found, frozenset({0})).genus == 5
     # the elliptic factors E1 ~ JS_<r> and E2 ~ JS_<s,a>
     assert quotient_data(found, r_sub).genus == 1
     assert quotient_data(found, sa_sub).genus == 1

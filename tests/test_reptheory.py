@@ -1,6 +1,6 @@
 from qact.actions import family_representative, ske_from_json
 from qact.cyclo import Cyclotomic
-from qact.groups import Subgroup, build_quaternion, named_subgroups
+from qact.groups import build_quaternion, named_subgroups
 from qact.reptheory import (
     class_data,
     fixed_subspace_dim,
@@ -17,12 +17,7 @@ def _subs(n):
 
 
 def _whole(n):
-    G = build_quaternion(n)
-    return Subgroup(G, tuple(range(G.order)), "G")
-
-
-def _triv(n):
-    return Subgroup(build_quaternion(n), (0,), "1")
+    return frozenset(range(build_quaternion(n).order))
 
 
 def test_counts_and_degrees():
@@ -77,7 +72,7 @@ def test_permutation_characters_extremes():
     G = build_quaternion(n)
     rho_G = permutation_character(G, _whole(n))
     assert all(v == Cyclotomic.from_rational(1, 2) for v in rho_G.values)
-    rho_1 = permutation_character(G, _triv(n))
+    rho_1 = permutation_character(G, frozenset({0}))
     assert int(rho_1.degree) == G.order
     assert all(v.is_zero() for v in rho_1.values[1:])
 
@@ -134,7 +129,7 @@ def test_orthogonality_small():
 def test_regular_character_decomposition():
     for n in (3, 4, 5):
         G = build_quaternion(n)
-        rho_1 = permutation_character(G, _triv(n))
+        rho_1 = permutation_character(G, frozenset({0}))
         for ch in irreducible_characters(n):
             assert inner_product(rho_1, ch) == ch.degree
 
@@ -158,7 +153,7 @@ def test_eight_rho_K_identities():
         rats = {r.label: r.character for r in rational_irreducibles(n)}
         rho = {lbl: permutation_character(G, K) for lbl, K in subs.items()}
         rho["G"] = permutation_character(G, _whole(n))
-        rho["1"] = permutation_character(G, _triv(n))
+        rho["1"] = permutation_character(G, frozenset({0}))
 
         # rho_(H_j) = chi1 + chi3 + sum_(l >= j) W_l   (j = 2..n-1)
         for j in range(2, n):
@@ -186,7 +181,7 @@ def test_matrix_averaging_cross_check():
     for n in (3, 4, 5):
         subs = dict(_subs(n))
         subs["G"] = _whole(n)
-        subs["1"] = _triv(n)
+        subs["1"] = frozenset({0})
         for ch in irreducible_characters(n):
             for lbl, K in subs.items():
                 assert fixed_subspace_dim(ch, K) == fixed_dim_by_averaging(n, ch.label, K)
