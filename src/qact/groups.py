@@ -1,19 +1,25 @@
 """Concrete finite 2-groups of order <= 64 with exhaustively verified presentations.
 
-Each named group is built from a hand-derived normal form (a tuple of generator
-exponents) and a closed-form product rule read off its defining relations.  The
-constructor then materializes the full Cayley table and re-verifies, element by
-element, that the table is a Latin square and that every defining relation
-evaluates to the identity, so a mistake in a product rule cannot survive
-construction.  Each catalogue group is built once per parameter value and
-shared, because skes and the group-keyed caches compare groups by identity.
+Each named group is built by one recipe, `_materialize`, from a normal form
+l1^e1 * ... * lk^ek (a tuple of exponents) and a closed-form product rule read
+off its defining relations.  The constructor then materializes the full
+Cayley table and verifies that it is a Latin square with identity 0, that it
+is associative by Light's test on the generators, that every defining
+relation evaluates to the identity and that the generators generate, so a
+mistake in a product rule cannot survive construction.  Each catalogue group
+is built once per parameter value and shared, because skes and the
+group-keyed caches compare groups by identity.
 
 Generic machinery (closures, conjugacy classes, the action on cosets, and one
 generator-image search that yields both the automorphism group and
 isomorphisms) works on the table alone and is brute force; that is entirely
-adequate at order <= 64.  The one shortcut is for
-maximal subgroups of 2-groups, which are the kernels of the maps onto C2; the
-tests check them against a brute-force subgroup lattice.
+adequate at order <= 64.  The shortcut is for maximal subgroups of 2-groups,
+which are the kernels of the maps onto C2 (the tests check them against a
+brute-force subgroup lattice): a set generates a 2-group exactly when it lies
+in no maximal subgroup, which is how the isomorphism search picks its
+generating tuple.  The dihedral groups D_m with m not a power of two are the
+only non-2-groups here; `maximal_subgroups`, `automorphisms` and
+`find_isomorphism` reject them.
 """
 
 from __future__ import annotations
@@ -92,15 +98,19 @@ class FiniteGroup:
         for i in range(n):
             if self.cayley[0][i] != i or self.cayley[i][0] != i:
                 raise GroupError("index 0 is not a two-sided identity")
-        # associativity is checked exhaustively: the constructor caps the order
+        # Light's test (Clifford and Preston, The Algebraic Theory of
+        # Semigroups I, 1961, 1.2): the set S of g with (a g) d = a (g d) for
+        # all a, d holds 1 and is closed under products, and
+        # `_verify_generation` reaches every element as 1 s1 ... sk in the
+        # generators.  So generators in S that generate give S = G: a table
+        # passing both checks, in either order, is associative.
         c = self.cayley
-        for a in range(n):
-            ca = c[a]
-            for b in range(n):
-                cab = c[ca[b]]
-                cb = c[b]
+        for g in self.generators:
+            cg = c[g]
+            for a in range(n):
+                cag, ca = c[c[a][g]], c[a]
                 for d in range(n):
-                    if cab[d] != ca[cb[d]]:
+                    if cag[d] != ca[cg[d]]:
                         raise GroupError("Cayley table is not associative")
 
     def _inverses(self):
@@ -284,25 +294,18 @@ def _memoised(builder):
     return build
 
 
-def _materialize(name, elems, mult, namer, gen_elems, relations, kind, params):
+def _materialize(name, bounds, mult, relations, kind, params):
+    """The group on the normal forms l1^e1 * ... * lk^ek, 0 <= ei < bounds[i],
+    in the letters `params["letters"]`, with `mult` the product of exponent
+    tuples.  Elements are indexed in lexicographic order of their tuples, so
+    index 0 is the identity, named "1"; the generators are the letters."""
+    elems = list(itertools.product(*map(range, bounds)))
     index = {e: i for i, e in enumerate(elems)}
     cayley = [[index[mult(a, b)] for b in elems] for a in elems]
-    names = [namer(e) for e in elems]
-    generators = [index[g] for g in gen_elems]
-    return FiniteGroup(name, names, cayley, generators, relations, kind, params)
-
-
-def _pow_name(sym: str, k: int) -> str:
-    if k == 0:
-        return ""
-    if k == 1:
-        return sym
-    return f"{sym}^{k}"
-
-
-def _join_name(*parts: str) -> str:
-    s = "*".join(p for p in parts if p)
-    return s if s else "1"
+    words = [zip(params["letters"], u) for u in elems]
+    names = ["*".join(l if e == 1 else f"{l}^{e}" for l, e in w if e) or "1" for w in words]
+    units = [tuple(int(i == j) for j in range(len(bounds))) for i in range(len(bounds))]
+    return FiniteGroup(name, names, cayley, [index[u] for u in units], relations, kind, params)
 
 
 def quaternion_mul(n: int):
@@ -336,18 +339,13 @@ def build_quaternion(n: int) -> FiniteGroup:
         raise GroupError(f"order 2^{n} exceeds supported maximum {MAX_ORDER}")
     half = 2 ** (n - 1)
     quarter = 2 ** (n - 2)
-    elems = [(a, e) for a in range(half) for e in (0, 1)]
-    mult = quaternion_mul(n)
-    namer = lambda u: _join_name(_pow_name("x", u[0]), _pow_name("y", u[1]))
     relations = [
         [(0, half)],                       # x^(2^(n-1))
         [(1, 2), (0, quarter)],            # y^2 x^(2^(n-2))
         [(1, 1), (0, 1), (1, -1), (0, 1)], # y x y^-1 x
     ]
-    return _materialize(
-        f"Q{2**n}", elems, mult, namer, [(1, 0), (0, 1)], relations,
-        kind="quaternion", params={"n": n, "letters": ["x", "y"]},
-    )
+    return _materialize(f"Q{2**n}", (half, 2), quaternion_mul(n), relations,
+                        kind="quaternion", params={"n": n, "letters": ["x", "y"]})
 
 
 @_memoised
@@ -381,8 +379,6 @@ def _build_g1_g2(n: int, variant: int) -> FiniteGroup:
         q = qmul((a, e), (b, f))
         return (q[0], q[1], (ff + gg) % 2)
 
-    elems = [(a, e, f) for a in range(half) for e in (0, 1) for f in (0, 1)]
-    namer = lambda u: _join_name(_pow_name("x", u[0]), _pow_name("y", u[1]), _pow_name("z", u[2]))
     conj_x = [(2, 1), (0, 1), (2, 1), (0, -1 if variant == 1 else -(quarter + 1))]
     relations = [
         [(0, half)],
@@ -392,11 +388,8 @@ def _build_g1_g2(n: int, variant: int) -> FiniteGroup:
         conj_x,                                  # z x z x^-1  (resp. z x z x^-(2^(n-2)+1))
         [(2, 1), (1, 1), (2, 1), (1, 1)],        # z y z y
     ]
-    return _materialize(
-        f"G{variant}(n={n})", elems, mult, namer,
-        [(1, 0, 0), (0, 1, 0), (0, 0, 1)], relations,
-        kind=f"g{variant}", params={"n": n, "letters": ["x", "y", "z"]},
-    )
+    return _materialize(f"G{variant}(n={n})", (half, 2, 2), mult, relations,
+                        kind=f"g{variant}", params={"n": n, "letters": ["x", "y", "z"]})
 
 
 @_memoised
@@ -409,17 +402,13 @@ def _build_qd16() -> FiniteGroup:
             return ((a + b) % 16, f)
         return ((a + 7 * b) % 16, (1 + f) % 2)
 
-    elems = [(a, e) for a in range(16) for e in (0, 1)]
-    namer = lambda u: _join_name(_pow_name("u", u[0]), _pow_name("v", u[1]))
     relations = [
         [(0, 16)],
         [(1, 2)],
         [(1, 1), (0, 1), (1, 1), (0, -7)],
     ]
-    return _materialize(
-        "QD16", elems, mult, namer, [(1, 0), (0, 1)], relations,
-        kind="qd16", params={"letters": ["u", "v"]},
-    )
+    return _materialize("QD16", (16, 2), mult, relations,
+                        kind="qd16", params={"letters": ["u", "v"]})
 
 
 @_memoised
@@ -435,8 +424,6 @@ def _build_c4xc2_rtimes_c2() -> FiniteGroup:
         i2, j2, k2 = v
         return ((i + i2) % 2, (j + j2) % 2, (k + k2 + 2 * j * i2) % 4)
 
-    elems = [(i, j, k) for i in (0, 1) for j in (0, 1) for k in range(4)]
-    namer = lambda u: _join_name(_pow_name("a", u[0]), _pow_name("b", u[1]), _pow_name("c", u[2]))
     relations = [
         [(0, 2)],
         [(1, 2)],
@@ -445,11 +432,8 @@ def _build_c4xc2_rtimes_c2() -> FiniteGroup:
         [(0, 1), (2, 1), (0, 1), (2, 3)],
         [(0, 1), (1, 1), (0, 1), (2, 2), (1, 1)],
     ]
-    return _materialize(
-        "C4xC2_rtimes_C2", elems, mult, namer,
-        [(1, 0, 0), (0, 1, 0), (0, 0, 1)], relations,
-        kind="c4xc2_rtimes_c2", params={"letters": ["a", "b", "c"]},
-    )
+    return _materialize("C4xC2_rtimes_C2", (2, 2, 4), mult, relations,
+                        kind="c4xc2_rtimes_c2", params={"letters": ["a", "b", "c"]})
 
 
 @_memoised
@@ -472,12 +456,6 @@ def _build_d4xc2_rtimes_c2() -> FiniteGroup:
         p = (p1 + (p2 if q1 == 0 else -p2)) % 4
         return (p, (q1 + q2) % 2, (i1 + i2) % 2, (j1 + j2) % 2)
 
-    elems = [
-        (p, q, i, j) for p in range(4) for q in (0, 1) for i in (0, 1) for j in (0, 1)
-    ]
-    namer = lambda u: _join_name(
-        _pow_name("r", u[0]), _pow_name("s", u[1]), _pow_name("a", u[2]), _pow_name("b", u[3])
-    )
     R, S, A, B = 0, 1, 2, 3
     relations = [
         [(R, 4)],
@@ -491,11 +469,8 @@ def _build_d4xc2_rtimes_c2() -> FiniteGroup:
         [(B, 1), (S, 1), (B, 1), (A, -1), (R, -1), (S, -1)],   # bsb(sra)^-1
         [(B, 1), (A, 1), (B, 1), (R, -2), (A, -1)],            # bab(ar^2)^-1
     ]
-    return _materialize(
-        "D4xC2_rtimes_C2", elems, mult, namer,
-        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], relations,
-        kind="d4xc2_rtimes_c2", params={"letters": ["r", "s", "a", "b"]},
-    )
+    return _materialize("D4xC2_rtimes_C2", (4, 2, 2, 2), mult, relations,
+                        kind="d4xc2_rtimes_c2", params={"letters": ["r", "s", "a", "b"]})
 
 
 @_memoised
@@ -509,13 +484,9 @@ def build_dihedral(m: int) -> FiniteGroup:
         p2, q2 = v
         return ((p1 + (p2 if q1 == 0 else -p2)) % m, (q1 + q2) % 2)
 
-    elems = [(p, q) for p in range(m) for q in (0, 1)]
-    namer = lambda u: _join_name(_pow_name("r", u[0]), _pow_name("s", u[1]))
     relations = [[(0, m)], [(1, 2)], [(1, 1), (0, 1), (1, 1), (0, 1)]]
-    return _materialize(
-        f"D{m}", elems, mult, namer, [(1, 0), (0, 1)], relations,
-        kind="dihedral", params={"m": m, "letters": ["r", "s"]},
-    )
+    return _materialize(f"D{m}", (m, 2), mult, relations,
+                        kind="dihedral", params={"m": m, "letters": ["r", "s"]})
 
 
 def build_named(name: str, n: int | None = None, m: int | None = None) -> FiniteGroup:
@@ -684,18 +655,14 @@ def extend_homomorphism(G: FiniteGroup, H: FiniteGroup, gens, gen_images) -> lis
 
 
 def _generating_tuple(G: FiniteGroup) -> list[int]:
-    """The first generating tuple of one to three elements in increasing
-    size and index order, else the distinguished generators (which work too,
-    but a minimal pair keeps isomorphism searches tight).  One element
-    generates exactly when its order is |G|."""
-    for g in range(1, G.order):
-        if G.orders[g] == G.order:
-            return [g]
-    for size in (2, 3):
+    """The first generating tuple of a 2-group in increasing size and index
+    order; a minimal one keeps isomorphism searches tight.  A set generates
+    a 2-group exactly when no maximal subgroup holds all of it."""
+    maximal = G.maximal_subgroups()
+    for size in range(G.order):
         for combo in itertools.combinations(range(1, G.order), size):
-            if len(G.closure(combo)) == G.order:
+            if not any(M.issuperset(combo) for M in maximal):
                 return list(combo)
-    return list(G.generators)
 
 
 def _isomorphisms(G: FiniteGroup, H: FiniteGroup):

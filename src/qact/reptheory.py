@@ -9,7 +9,8 @@ the orbit of Theta_1 carries Schur index two.
 
 Class functions are stored by value on a canonical list of conjugacy-class
 representatives: x^a for a = 0 .. 2^(n-2), then y, then x*y.  Elements are
-in normal-form order, so element i is x^a y^e with (a, e) = divmod(i, 2).
+in the lexicographic normal-form order of `groups._materialize`, so element
+i is x^a y^e with (a, e) = divmod(i, 2).
 """
 
 from __future__ import annotations

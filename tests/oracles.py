@@ -6,6 +6,8 @@
 - Permutation characters rho_K and the inner product of class functions, the
   paper's route to <rho_a, rho_K>.  `qact.reptheory.fixed_dims` reads the
   same numbers off fixed-space dimensions.
+- Associativity of a Cayley table over all triples.  `qact.groups` checks
+  it on the distinguished generators only (Light's test).
 - The subgroup lattice, from closures of at most two elements plus pairwise
   joins, and normality by conjugation.  `qact.groups` finds maximal
   subgroups as kernels onto C2 instead.
@@ -312,8 +314,17 @@ def inner_product(chi: Character, psi: Character) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the subgroup lattice
+# associativity and the subgroup lattice
 # ---------------------------------------------------------------------------
+
+
+def is_associative(cayley) -> bool:
+    """Whether (a b) d = a (b d) for every triple of indices."""
+    n = len(cayley)
+    return all(
+        cayley[cayley[a][b]][d] == cayley[a][cayley[b][d]]
+        for a in range(n) for b in range(n) for d in range(n)
+    )
 
 
 def all_subgroups(G: FiniteGroup) -> frozenset[frozenset]:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -15,8 +17,9 @@ from qact.groups import (
     group_from_json,
     named_subgroups,
 )
+from qact.siegel import fixture_generators, load_fixture, matrix_group_as_finite_group
 
-from oracles import all_subgroups, is_normal, two_generated_subgroups
+from oracles import all_subgroups, is_associative, is_normal, two_generated_subgroups
 
 
 def test_quaternion_basics():
@@ -309,6 +312,85 @@ def test_group_json_round_trip(G):
     assert group_from_json(G.to_json()) is G
 
 
+# sha256 of json.dumps([G.names, G.cayley, G.generators]) for each CATALOGUE
+# group, recorded from the hand-listed builders that preceded the shared
+# normal-form recipe: every element, name and generator keeps its index.
+CATALOGUE_DIGESTS = {
+    "Q8": "be30e1d755fc1165f2126e38656515a204f2bc498ba887d531a7bac4da64041e",
+    "Q16": "1a1b677e7c3e0e75b413544daafdac12ceb0e1fefb61226f3ff2b8bbb625be48",
+    "Q32": "21127e26b63c833938d41564a51695e10a195e31cb486b2be64f1a3e00817196",
+    "Q64": "8c5c6efdc877e229ed040016b5cd9ac650642a9bdf17f10ee1470311af7823e4",
+    "G1(n=3)": "e4ef4c4e443bc98406d4ea21aeb8df67aae21734bd43443b1a07e25168c9b152",
+    "G1(n=4)": "37590afae5dc2ef22c49328a2bff2d735fe22ee7756a84da16f86649230a25ad",
+    "G1(n=5)": "61060acadb79c2cb992cb93a0b25b9bca796989b0a6cb9e422ad466d8d9f12e6",
+    "G2(n=3)": "8b958e5b54d71be403d93c8c4a6a2f6087ffd4cd6f9e0b594e199de7a48f9974",
+    "G2(n=4)": "81e9b429870781826b824d42e9aaaf45838c721853f38134bd24887c2cf63288",
+    "G2(n=5)": "c2cc2d0e2b352ad193723c53e8b21d5e69c1b81cccf99afac3a7b2c4256efd32",
+    "QD16": "3128c6b6541cbd99427caca2938cdffc699ae852fd7363d7e6c8b3e8ced85b93",
+    "C4xC2_rtimes_C2": "7c364a17d87935fd1e99b87185dff56d43d3249cc5005fd5dabe1996397ea623",
+    "D4xC2_rtimes_C2": "9e116ecffd5f1a55824f32236e4e957215a4d73514465eccabecbb5ee1146c02",
+    "D2": "0433ff979a937cdfa26768b72e8845875710165b6e75e26d392ed063ad6a8f8f",
+    "D3": "a1d84e60cac49b0a33a9c40068665e81467f46c93195e479df632df0563911df",
+    "D4": "0fb36114b6ca669a1c662b34b75541127d54cbba5287296ce610b3a1865a12f1",
+    "D8": "7647a8b93eb806898a253373d4f87c92acd093dc7bf33fb6754dc7b4a4541501",
+    "D32": "3489d5a4e2ef69921a6b552a21a94756ff1cdf2e326c24bdf385d9b6bfbeaa23",
+}
+
+
+@pytest.mark.parametrize("G", CATALOGUE, ids=lambda G: G.name)
+def test_catalogue_tables_are_pinned(G):
+    blob = json.dumps([G.names, G.cayley, G.generators]).encode()
+    assert hashlib.sha256(blob).hexdigest() == CATALOGUE_DIGESTS[G.name]
+
+
+def _matrix_group(fixture):
+    return matrix_group_as_finite_group(fixture_generators(load_fixture(fixture)["data"]))[0]
+
+
+@pytest.mark.parametrize(
+    "G",
+    [pytest.param(G, id=G.name) for G in CATALOGUE]
+    + [pytest.param(_matrix_group(f), id=f) for f in ("thm10", "thm11", "prop13")],
+)
+def test_accepted_tables_are_associative(G):
+    assert is_associative(G.cayley)
+
+
+# A Latin square with identity 0 whose every element is an involution but
+# which has 36 non-associative triples: a loop that is not a group.
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def test_the_order_5_loop_is_not_associative():
+    n = len(LOOP5)
+    bad = [
+        (a, b, d) for a in range(n) for b in range(n) for d in range(n)
+        if LOOP5[LOOP5[a][b]][d] != LOOP5[a][LOOP5[b][d]]
+    ]
+    assert len(bad) == 36
+    assert not is_associative(LOOP5)
+
+
+Z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize("cayley, generators, relations, message", [
+    ([[0, 1], [1, 1]], [1], None, "row 1 of Cayley table is not a permutation"),
+    ([[0, 1, 2], [1, 2, 0], [1, 2, 0]], [1], None, "column 0 of Cayley table is not a permutation"),
+    ([[(i + j + 1) % 3 for j in range(3)] for i in range(3)], [1], None,
+     "index 0 is not a two-sided identity"),
+    (Z4, [2], None, "distinguished generators do not generate T"),
+    (Z4, [1], [[(0, 2)]], r"defining relation \[\(0, 2\)\] does not hold in T"),
+    (LOOP5, [1], None, "Cayley table is not associative"),
+    (LOOP5, [2], None, "Cayley table is not associative"),
+    (LOOP5, [1, 2], None, "Cayley table is not associative"),
+], ids=["row", "column", "identity", "generation", "relation", "loop-1", "loop-2", "loop-12"])
+def test_constructor_rejects_a_bad_table(cayley, generators, relations, message):
+    names = [f"t{i}" for i in range(len(cayley))]
+    with pytest.raises(GroupError, match=f"^{message}$"):
+        FiniteGroup("T", names, cayley, generators, relations)
+
+
 def test_group_from_json_rejects_a_mismatched_parameter():
     with pytest.raises(GroupError, match="unknown group name"):
         group_from_json({"name": "G1(n=4)", "order": 64, "n": 5})
@@ -441,3 +523,21 @@ def test_generating_tuple_is_the_first_generating_combination():
         )
         assert _generating_tuple(G) == expected, G.name
     assert _generating_tuple(cyclic) == [1]
+
+
+def test_generating_tuple_of_the_trivial_group_is_empty():
+    T = FiniteGroup("1", ["1"], [[0]], [])
+    assert _generating_tuple(T) == []
+    assert automorphisms(T) == [(0,)]
+
+
+def test_automorphism_search_needs_a_2_group():
+    """The generating tuple is found through the maximal subgroups, so the
+    search rejects a group whose order is not a power of two."""
+    D3 = build_dihedral(3)
+    with pytest.raises(GroupError, match="2-groups only, not D3"):
+        automorphisms(D3)
+    with pytest.raises(GroupError, match="2-groups only, not D3"):
+        find_isomorphism(D3, build_dihedral(3))
+    # the invariant rejects come first: a non-2-group is not isomorphic to Q8
+    assert find_isomorphism(D3, build_quaternion(3)) is None
