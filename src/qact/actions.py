@@ -394,6 +394,8 @@ def classify(G: FiniteGroup, sig: Signature, max_candidates: int = 5_000_000) ->
     of |Aut| skes.  The search runs on the `_canon` forms of the classes; an
     orbit's representative, its least ske, is the least relabelling of them.
     """
+    if sig.mu() <= 0:
+        raise ValueError(f"signature {sig} has mu <= 0: no surface of genus >= 2 carries it")
     moves = _orbit_moves(G, sig)
     if sig.gamma == 0:
         tuples = itertools.chain.from_iterable(
@@ -697,7 +699,7 @@ def family_label(n: int, sig: Signature) -> str:
     ps = sig.sorted_periods()
     if ps == (4, 4, 4, 4):
         return "F1"
-    if n >= 4 and ps == tuple(sorted((half, half, 4, 4))):
+    if ps == tuple(sorted((half, half, 4, 4))):
         return "F2"
     for k in range(2, n):
         if ps == tuple(sorted((half, 2 ** (n - k), 4, 4))):
@@ -749,6 +751,12 @@ def one_dimensional_families(n: int) -> list[FamilyRecord]:
     return sorted(out, key=lambda f: (f.signature.gamma, f.signature.sorted_periods()))
 
 
+def family_labels(n: int) -> list[str]:
+    """The one-dimensional families of Q(2^n); F2 needs n >= 4, since at n = 3
+    its signature (0; 4,4,4,4) is F1's."""
+    return ["F0", "F1", *(["F2"] if n >= 4 else []), *(f"C{k}" for k in range(2, n))]
+
+
 def family_representative(n: int, label: str) -> Ske:
     """The paper's explicit representative ske of each one-dimensional family."""
     G = build_quaternion(n)
@@ -767,16 +775,12 @@ def family_representative(n: int, label: str) -> Ske:
         # the variant with p = 2^(n-2): (x y, y, y^-1, x y^-1)
         yinv = inv[y]
         return Ske(G, Signature(0, (4, 4, 4, 4)), (), (xy, y, yinv, mul[x][yinv]))
-    if label == "F2":
-        # theta_p with p = 0: (x, x^(2^(n-2)-1), y, y)
-        return Ske(
-            G,
-            Signature(0, (half, half, 4, 4)),
-            (),
-            (x, power(x, quarter - 1), y, y),
-        )
-    if label.startswith("F2@"):
-        p = int(label.split("@")[1])
+    if label == "F2" and label not in family_labels(n):
+        raise ValueError(f"no family F2 at n={n}: below n = 4 its signature is F1's")
+    if label == "F2" or label.startswith("F2@"):
+        # theta_p = (x, x^(p-1+2^(n-2)), y, x^p y), F2 itself is p = 0; the
+        # extension recipes use theta_p at n = 3 too, where it lies in F1
+        p = int(label[3:]) if label != "F2" else 0
         return Ske(
             G,
             Signature(0, (half, half, 4, 4)),

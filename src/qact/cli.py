@@ -33,6 +33,7 @@ from .actions import (
     classify,
     extension_data,
     family_label,
+    family_labels,
     genus_zero_actions,
     genus_zero_exhaustive_scan,
     one_dimensional_families,
@@ -212,6 +213,8 @@ def cmd_extend(args) -> tuple[int, dict]:
     fam = args.family or (family_label(n, ske.signature) if ske else None)
     if fam is None:
         raise SystemExit2("cannot determine the family; pass --family")
+    if fam not in family_labels(n):
+        raise ValueError(f"no family {fam} at n={n}; the families are {', '.join(family_labels(n))}")
     theta, theta_prime, words = extension_data(n, fam, args.super)
     if ske is not None:
         theta = ske

@@ -17,6 +17,7 @@ from .decomp import factor_dimensions, is_trivial_decomposition, multiplicities
 from .actions import (
     check_extension,
     extension_data,
+    family_labels,
     family_representative,
     genus_zero_actions,
     one_dimensional_families,
@@ -66,20 +67,12 @@ def reproduce_report(n: int) -> dict:
     return _normalize(out)
 
 
-def _family_labels(n: int) -> list[str]:
-    labels = ["F0", "F1"]
-    if n >= 4:
-        labels.append("F2")
-    labels += [f"C{k}" for k in range(2, n)]
-    return labels
-
-
 def _dimension_tables(n: int) -> dict:
     G = build_quaternion(n)
     subs = named_subgroups(G)
     labels = sorted(subs)
     tables = {}
-    for fam in _family_labels(n):
+    for fam in family_labels(n):
         ske = family_representative(n, fam)
         mv = multiplicities(ske)
         table = factor_dimensions(mv)

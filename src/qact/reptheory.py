@@ -11,6 +11,14 @@ Class functions are stored by value on a canonical list of conjugacy-class
 representatives: x^a for a = 0 .. 2^(n-2), then y, then x*y.  Elements are
 in the lexicographic normal-form order of `groups._materialize`, so element
 i is x^a y^e with (a, e) = divmod(i, 2).
+
+Fixed-space dimensions dim V^K = <Res_K V, 1> (Serre, *Linear
+Representations of Finite Groups*, 1977, Sec. 2) come in integers from the
+normal form, with no character values.  A linear chi has dim chi^K = 1 when
+chi is 1 on every element of K, and 0 otherwise.  Theta_s vanishes off <x>
+and is psi_s + psi_-s on it, where psi_s sends x to w^s; psi_s is trivial on
+the order-c subgroup of <x> exactly when c divides s.  So with c = |K & <x>|,
+the number of elements of K with e = 0, dim Theta_s^K = (2c/|K|) * [c | s].
 """
 
 from __future__ import annotations
@@ -95,37 +103,25 @@ class Character:
         return f"Character({self.label}, n={self.n})"
 
 
-def _chi_values(n: int, sx: int, sy: int) -> tuple[Cyclotomic, ...]:
-    out = []
-    for r in class_data(n).reps:
-        a, e = divmod(r, 2)
-        out.append(Cyclotomic.from_rational(sx**a * sy**e, 2))
-    return tuple(out)
-
-
-def _theta_values(n: int, s: int) -> tuple[Cyclotomic, ...]:
-    m = 2 ** (n - 1)
-    out = []
-    for r in class_data(n).reps:
-        a, e = divmod(r, 2)
-        if e == 1:
-            out.append(Cyclotomic.zero(m))
-        else:
-            out.append(Cyclotomic.zeta(m, s * a) + Cyclotomic.zeta(m, -s * a))
-    return tuple(out)
+# chi1..chi4 send x^a y^e to sx^a * sy^e
+_CHI_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 @lru_cache(maxsize=None)
 def irreducible_characters(n: int) -> tuple[Character, ...]:
     """chi1..chi4 followed by Theta_1..Theta_(2^(n-2)-1)."""
+    m = 2 ** (n - 1)
+    reps = [divmod(r, 2) for r in class_data(n).reps]
     chis = [
-        Character(n, "chi1", _chi_values(n, 1, 1)),
-        Character(n, "chi2", _chi_values(n, 1, -1)),
-        Character(n, "chi3", _chi_values(n, -1, 1)),
-        Character(n, "chi4", _chi_values(n, -1, -1)),
+        Character(n, f"chi{k}", tuple(Cyclotomic.from_rational(sx**a * sy**e, 2) for a, e in reps))
+        for k, (sx, sy) in enumerate(_CHI_SIGNS, start=1)
     ]
     thetas = [
-        Character(n, f"theta{s}", _theta_values(n, s)) for s in range(1, 2 ** (n - 2))
+        Character(n, f"theta{s}", tuple(
+            Cyclotomic.zero(m) if e else Cyclotomic.zeta(m, s * a) + Cyclotomic.zeta(m, -s * a)
+            for a, e in reps
+        ))
+        for s in range(1, m // 2)
     ]
     return tuple(chis + thetas)
 
@@ -189,23 +185,13 @@ def rational_irreducibles(n: int) -> list[RationalIrreducible]:
 # ---------------------------------------------------------------------------
 
 
-def fixed_subspace_dim(V: Character, K: frozenset) -> int:
-    """dim V^K = (1/|K|) sum_{k in K} V(k) for the element set K, exactly."""
-    total = Cyclotomic.zero(2)
-    for k in K:
-        total = total + V.value_at(k)
-    total = total.reduce_conductor()
-    if not total.is_rational():
-        raise ValueError("averaged character value must be rational")
-    d = total.rational_value() / len(K)
-    if d.denominator != 1 or d < 0:
-        raise ValueError(f"fixed-space dimension came out as {d}")
-    return int(d)
-
-
 @lru_cache(maxsize=None)
 def fixed_dims(n: int, kset: frozenset) -> tuple[int, ...]:
     """dim V^K for every irreducible V of Q(2^n), in `irreducible_characters`
-    order, for the subgroup K with element set `kset`."""
+    order, for the subgroup K with element set `kset`, in integers."""
     _check_subgroup(build_quaternion(n), kset)
-    return tuple(fixed_subspace_dim(ch, kset) for ch in irreducible_characters(n))
+    pairs = [divmod(k, 2) for k in kset]
+    c = sum(1 for _, e in pairs if e == 0)
+    chis = tuple(int(all(sx**a * sy**e == 1 for a, e in pairs)) for sx, sy in _CHI_SIGNS)
+    thetas = tuple(2 * c // len(kset) if s % c == 0 else 0 for s in range(1, 2 ** (n - 2)))
+    return chis + thetas

@@ -6,6 +6,9 @@
 - Permutation characters rho_K and the inner product of class functions, the
   paper's route to <rho_a, rho_K>.  `qact.reptheory.fixed_dims` reads the
   same numbers off fixed-space dimensions.
+- Fixed-space dimensions as the average of a character over K, exactly in
+  the cyclotomic field.  `qact.reptheory.fixed_dims` counts them in
+  integers from the normal form instead.
 - Associativity of a Cayley table over all triples.  `qact.groups` checks
   it on the distinguished generators only (Light's test).
 - The subgroup lattice, from closures of at most two elements plus pairwise
@@ -286,7 +289,7 @@ def random_valid(n: int, rng, max_mult: int = 5) -> MultiplicityVector:
 
 
 # ---------------------------------------------------------------------------
-# permutation characters and inner products
+# permutation characters, inner products and character averages
 # ---------------------------------------------------------------------------
 
 
@@ -311,6 +314,20 @@ def inner_product(chi: Character, psi: Character) -> Fraction:
     if not total.is_rational():
         raise ValueError("inner product of class functions must be rational here")
     return total.rational_value() / cd.group.order
+
+
+def fixed_subspace_dim(V: Character, K: frozenset) -> int:
+    """dim V^K = (1/|K|) sum_{k in K} V(k) for the element set K, exactly."""
+    total = Cyclotomic.zero(2)
+    for k in K:
+        total = total + V.value_at(k)
+    total = total.reduce_conductor()
+    if not total.is_rational():
+        raise ValueError("averaged character value must be rational")
+    d = total.rational_value() / len(K)
+    if d.denominator != 1 or d < 0:
+        raise ValueError(f"fixed-space dimension came out as {d}")
+    return int(d)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qact import actions
 from qact.actions import (
     BudgetExceeded,
     InvalidEmbedding,
@@ -91,6 +92,17 @@ def test_validate_family_representatives():
             ske = family_representative(n, label)
             ok, msg = validate_ske(ske)
             assert ok, (n, label, msg)
+
+
+def test_family_labels_name_the_census():
+    """F2 has no census representative below n = 4, where its signature is
+    F1's."""
+    for n in (3, 4, 5, 6):
+        assert actions.family_labels(n) == family_labels(n)
+    for n in (3, 4):
+        assert sorted(actions.family_labels(n)) == sorted(f.label for f in one_dimensional_families(n))
+    with pytest.raises(ValueError, match="no family F2 at n=3"):
+        family_representative(3, "F2")
 
 
 def test_invalid_product_example():

@@ -173,6 +173,15 @@ def test_extend_by_family_flag(capsys):
     assert rep["results"]["report"]["ok"]
 
 
+@pytest.mark.parametrize("sup", ["G1", "G2"])
+def test_extend_of_f2_at_n_3_exits_2(capsys, sup):
+    """The census has F2 only for n >= 4: at n = 3 its signature is F1's."""
+    code = main(["extend", "--n", "3", "--family", "F2", "--super", sup])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: no family F2 at n=3; the families are F0, F1, C2"]
+
+
 def test_siegel_verify_commands(capsys):
     code, rep = run_json(capsys, "siegel", "verify", "--fixture", "thm10")
     assert code == 0
@@ -352,6 +361,15 @@ def test_exceeded_budget_exits_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "budget" in err
+
+
+@pytest.mark.parametrize("signature", ["0:", "0:2,2", "1:"])
+def test_classify_with_mu_at_most_0_exits_2(capsys, signature):
+    """2g - 2 = |G| * mu <= 0 leaves no surface of genus >= 2 to classify."""
+    code = main(["classify", "--n", "4", "--signature", signature])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "mu <= 0" in err
 
 
 def _signed_fixture(data):

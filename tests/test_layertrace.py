@@ -26,8 +26,12 @@ def test_every_traced_method_is_defined_on_its_class():
 
 
 # per-layer names in BENCHMARK.json whose function has left the package: they
-# read 0 until the benchmark's files are next changed (ROADMAP item 9)
-STALE_PER_LAYER = {"decomp.multiplicities_from_quotient_genera", "reptheory.rep_matrix"}
+# read 0 until the benchmark's files are next changed (ROADMAP item 3)
+STALE_PER_LAYER = {
+    "decomp.multiplicities_from_quotient_genera",
+    "reptheory.fixed_subspace_dim",
+    "reptheory.rep_matrix",
+}
 
 
 def _names_a_span(name, layertrace):

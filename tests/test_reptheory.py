@@ -1,15 +1,24 @@
 from qact.actions import family_representative, ske_from_json
 from qact.cyclo import Cyclotomic
 from qact.groups import build_quaternion, named_subgroups
+import pytest
+
 from qact.reptheory import (
     class_data,
-    fixed_subspace_dim,
+    fixed_dims,
     galois_orbit,
     irreducible_characters,
     rational_irreducibles,
 )
 
-from oracles import fixed_dim_by_averaging, inner_product, permutation_character, rep_matrix
+from oracles import (
+    fixed_dim_by_averaging,
+    fixed_subspace_dim,
+    inner_product,
+    permutation_character,
+    rep_matrix,
+    two_generated_subgroups,
+)
 
 
 def _subs(n):
@@ -175,16 +184,30 @@ def test_eight_rho_K_identities():
             assert (rho[f"K{i}"] - rho[f"K{i + 1}"] - 2 * rats[f"W{i}"]).is_zero()
 
 
+# every subgroup of Q(2^n) is cyclic or generalized quaternion, so the
+# closures of all element pairs are all of them
+SUBGROUP_COUNTS = {3: 6, 4: 11, 5: 20, 6: 37}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_fixed_dims_match_the_character_average(n):
+    """The integer closed form == the exact cyclotomic average of each
+    character over K, for every irreducible and every subgroup."""
+    subgroups = two_generated_subgroups(build_quaternion(n))
+    assert len(subgroups) == SUBGROUP_COUNTS[n]
+    chars = irreducible_characters(n)
+    for K in subgroups:
+        assert fixed_dims(n, K) == tuple(fixed_subspace_dim(ch, K) for ch in chars), sorted(K)
+
+
 def test_matrix_averaging_cross_check():
-    """dim V^K via characters == rank of the exact averaged projector, for
-    every irreducible and every named subgroup."""
+    """dim V^K from `fixed_dims` == rank of the exact averaged projector, for
+    every irreducible and every subgroup."""
     for n in (3, 4, 5):
-        subs = dict(_subs(n))
-        subs["G"] = _whole(n)
-        subs["1"] = frozenset({0})
-        for ch in irreducible_characters(n):
-            for lbl, K in subs.items():
-                assert fixed_subspace_dim(ch, K) == fixed_dim_by_averaging(n, ch.label, K)
+        for K in two_generated_subgroups(build_quaternion(n)):
+            dims = fixed_dims(n, K)
+            for i, ch in enumerate(irreducible_characters(n)):
+                assert dims[i] == fixed_dim_by_averaging(n, ch.label, K), (ch.label, sorted(K))
 
 
 def test_galois_invariance_of_fixed_dims():
