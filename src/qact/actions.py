@@ -21,7 +21,6 @@ slots are cached per (running product, mask).
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -347,7 +346,8 @@ class OrbitReport:
 def _aut_table(G: FiniteGroup) -> tuple[list[tuple[int, ...]], dict]:
     """Aut(G), and for each generating pair the automorphism taking it to the
     least pair of its Aut-orbit, unique as Aut(G) acts freely on such pairs.
-    An orbit's first pair in lex order is its least; p^-1 takes p(pair) back."""
+    An orbit's first pair in lex order is its least; p^-1 takes p(pair) back.
+    The identity marks a least pair: it is the entry of exactly those."""
     auts = automorphisms(G)
     masks, _ = _maximal_masks(G)
     inverses = [tuple(sorted(range(G.order), key=p.__getitem__)) for p in auts]
@@ -359,19 +359,37 @@ def _aut_table(G: FiniteGroup) -> tuple[list[tuple[int, ...]], dict]:
     return auts, table
 
 
+def _first_pair(masks: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, int]:
+    """The first slot pair of t, in lex order of slots, that generates G:
+    automorphisms permute the maximal subgroups, so they keep which slot
+    pairs generate.  Q(2^n) is 2-generated, so every generating tuple has
+    such a pair."""
+    for i, k in itertools.combinations(range(len(t)), 2):
+        if not masks[t[i]] & masks[t[k]]:
+            return t[i], t[k]
+    raise ValueError(f"no slot pair of {t} generates the group")
+
+
 def _canon(G: FiniteGroup, t: tuple[int, ...]) -> tuple[int, ...]:
     """t relabelled by the `_aut_table` entry of its first generating slot
-    pair, one form for its whole Aut-class: automorphisms permute the maximal
-    subgroups, so they keep which slot pairs generate.  Q(2^n) is 2-generated,
-    so every generating tuple has such a pair."""
+    pair, one form for its whole Aut-class.  `classify` finds its canonical
+    tuples without it; it serves the orbit moves and `check_extension`."""
     masks, _ = _maximal_masks(G)
     _, table = _aut_table(G)
-    p = next(
-        table[t[i], t[k]]
-        for i, k in itertools.combinations(range(len(t)), 2)
-        if not masks[t[i]] & masks[t[k]]
-    )
+    p = table[_first_pair(masks, t)]
     return tuple(p[g] for g in t)
+
+
+def _least_relabelling(G: FiniteGroup, c: tuple[int, ...]) -> tuple[int, ...]:
+    """The least Aut-image of the canonical tuple c.  Where slots 0 and 1
+    generate it is c itself: lex order compares (c_0, c_1) first, and only
+    one relabelling takes that pair to its least.  Other classes take the
+    minimum over Aut(G)."""
+    masks, _ = _maximal_masks(G)
+    if not masks[c[0]] & masks[c[1]]:
+        return c
+    auts, _ = _aut_table(G)
+    return min(tuple(p[g] for g in c) for p in auts)
 
 
 def _orbit_moves(G: FiniteGroup, sig: Signature):
@@ -391,8 +409,12 @@ def classify(G: FiniteGroup, sig: Signature, max_candidates: int = 5_000_000) ->
     (gamma 1), both combined with Aut(G).
 
     Aut(G) acts freely on valid skes, so each orbit is a union of Aut-classes
-    of |Aut| skes.  The search runs on the `_canon` forms of the classes; an
-    orbit's representative, its least ske, is the least relabelling of them.
+    of |Aut| skes.  A tuple is its class's `_canon` form exactly when its
+    first generating slot pair is a least pair (`_aut_table`), so each valid
+    tuple is counted, the least-pair ones are kept as the classes, and the
+    count must be |Aut| times theirs.  The orbit search runs on the classes.
+    An orbit's representative, its least ske, is the least
+    `_least_relabelling` over its classes.
     """
     if sig.mu() <= 0:
         raise ValueError(f"signature {sig} has mu <= 0: no surface of genus >= 2 carries it")
@@ -406,9 +428,16 @@ def classify(G: FiniteGroup, sig: Signature, max_candidates: int = 5_000_000) ->
     else:
         tuples = iter_genus_one_triples(G, sig.periods[0])
         node_of = lambda t: Ske(G, sig, (t[0], t[1]), (t[2],))
-    auts, _ = _aut_table(G)
-    nodes = Counter(_canon(G, t) for t in tuples)
-    total = nodes.total()
+    auts, table = _aut_table(G)
+    identity = tuple(range(G.order))
+    least = {pair for pair, p in table.items() if p == identity}
+    masks, _ = _maximal_masks(G)
+    total = 0
+    nodes = set()
+    for t in tuples:
+        total += 1
+        if _first_pair(masks, t) in least:
+            nodes.add(t)
     if total != len(auts) * len(nodes):
         raise RuntimeError(f"{total} valid skes do not fill {len(nodes)} classes of {len(auts)}")
     orbits = []
@@ -416,7 +445,7 @@ def classify(G: FiniteGroup, sig: Signature, max_candidates: int = 5_000_000) ->
     while unvisited:
         orbit = _orbit(unvisited.pop(), moves, nodes)
         unvisited -= orbit
-        orbits.append((min(tuple(p[g] for g in c) for c in orbit for p in auts), len(orbit)))
+        orbits.append((min(_least_relabelling(G, c) for c in orbit), len(orbit)))
     orbits.sort()
     return OrbitReport(
         signature=sig,

@@ -6,6 +6,8 @@ error.
 Reports are deterministic for fixed inputs and --seed; wall-clock timings are
 only attached when --timings is passed so that byte-level comparison of
 reports stays meaningful.
+`siegel` and `curves` are imported inside the commands that use them, so that
+start-up loads no numpy for the census and scan commands.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ from .actions import (
     ske_from_json,
     validate_ske,
 )
-from . import siegel as sg
-from . import curves as cv
 
 
 def _parse_signature(text: str) -> Signature:
@@ -234,10 +234,14 @@ def _require(fx: dict, *keys: str) -> None:
     that a command never passes having checked nothing."""
     if all(fx["data"].get(key) is None for key in keys):
         names = " or ".join(f"data.{key}" for key in keys)
-        raise sg.FixtureError(f"fixture {fx['name']} has no {names} to check")
+        from .siegel import FixtureError
+
+        raise FixtureError(f"fixture {fx['name']} has no {names} to check")
 
 
 def cmd_siegel(args) -> tuple[int, dict]:
+    from . import siegel as sg
+
     fx = sg.load_fixture(args.fixture)
     data = fx["data"]
     gens = sg.fixture_generators(data)
@@ -299,6 +303,8 @@ def cmd_curve(args) -> tuple[int, dict]:
     t = complex(args.t[:-1] + "j" if args.t.endswith("i") else args.t) if args.t else None
     if args.verify and t is None:
         raise SystemExit2("--verify needs a numeric --t")
+    from . import curves as cv
+
     model = cv.build_model(args.n, t)
     out = {"model": model.to_json()}
     code = 0

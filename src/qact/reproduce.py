@@ -4,7 +4,8 @@ The output is deliberately exact (ints, bools, strings) so that reports are
 byte-stable and can be diffed against the committed golden files under
 fixtures/expected/.  The golden files are regression anchors; the factual
 content itself is asserted against independently computed values in the
-acceptance test suite.
+acceptance test suite.  `siegel` and `curves` are imported inside `_siegel`
+and `_curves`, so that `reproduce --n 5` loads no numpy.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .actions import (
     one_dimensional_families,
     quotient_data,
 )
-from . import siegel as sg
-from . import curves as cv
 
 
 def _normalize(obj):
@@ -108,6 +107,8 @@ def _extensions(n: int) -> dict:
 
 
 def _curves(n: int) -> dict:
+    from . import curves as cv
+
     model = cv.build_model(n, complex(2.0))
     rep = cv.verify_automorphisms(model, samples=200, seed=0)
     bc = cv.branch_configuration(n, complex(2.0))
@@ -124,6 +125,8 @@ def _curves(n: int) -> dict:
 
 
 def _siegel() -> dict:
+    from . import siegel as sg
+
     out = {}
     for name in ("thm10", "thm11", "prop13"):
         fx = sg.load_fixture(name)

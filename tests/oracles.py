@@ -17,6 +17,10 @@
 - The orbit classification on every valid tuple, with braid (or elementary)
   moves and a generating set of Aut(G) as relabelling moves.
   `qact.actions.classify` searches on Aut-classes instead.
+- The classification on Aut-classes with every tuple relabelled by `_canon`
+  and each representative the least over orbit x Aut(G).
+  `qact.actions.classify` keeps the least-pair tuples and takes the
+  minimum over Aut(G) only where slots 0 and 1 do not generate.
 - The explicit representing matrices of the irreducibles of Q(2^n), and
   fixed-space dimensions as ranks of averaged projectors.  `qact.reptheory`
   works with characters only.
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -38,8 +43,11 @@ from qact.actions import (
     Signature,
     Ske,
     UnsupportedMove,
+    _aut_table,
     _braid_moves,
+    _canon,
     _genus_one_moves,
+    _orbit_moves,
     iter_genus_one_triples,
     iter_valid_tuples,
     quotient_data,
@@ -194,6 +202,43 @@ def classify_on_tuples(G, sig: Signature, max_candidates: int = 5_000_000) -> Or
     )
 
 
+def classify_by_canon(G, sig: Signature, max_candidates: int = 5_000_000) -> OrbitReport:
+    """The search on Aut-classes, with each class found as the `_canon` form
+    of its tuples and each representative the least relabelling over its
+    orbit's classes."""
+    if sig.mu() <= 0:
+        raise ValueError(f"signature {sig} has mu <= 0: no surface of genus >= 2 carries it")
+    moves = _orbit_moves(G, sig)
+    if sig.gamma == 0:
+        tuples = itertools.chain.from_iterable(
+            iter_valid_tuples(G, arrangement, max_candidates)
+            for arrangement in sorted(set(itertools.permutations(sig.periods)))
+        )
+        node_of = lambda t: Ske(G, Signature(0, tuple(G.orders[g] for g in t)), (), t)
+    else:
+        tuples = iter_genus_one_triples(G, sig.periods[0])
+        node_of = lambda t: Ske(G, sig, (t[0], t[1]), (t[2],))
+    auts, _ = _aut_table(G)
+    nodes = Counter(_canon(G, t) for t in tuples)
+    total = nodes.total()
+    if total != len(auts) * len(nodes):
+        raise RuntimeError(f"{total} valid skes do not fill {len(nodes)} classes of {len(auts)}")
+    orbits = []
+    unvisited = set(nodes)
+    while unvisited:
+        orbit = _orbit(unvisited.pop(), moves, nodes)
+        unvisited -= orbit
+        orbits.append((min(tuple(p[g] for g in c) for c in orbit for p in auts), len(orbit)))
+    orbits.sort()
+    return OrbitReport(
+        signature=sig,
+        total=total,
+        orbit_count=len(orbits),
+        representatives=tuple(node_of(rep) for rep, _ in orbits),
+        orbit_sizes=tuple(size * len(auts) for _, size in orbits),
+    )
+
+
 # ---------------------------------------------------------------------------
 # representing matrices
 # ---------------------------------------------------------------------------
@@ -234,14 +279,20 @@ def _mat_mul(A, B):
 
 
 def _mat_pow(A, k, n):
-    m = 2 ** (n - 1)
-    size = len(A)
-    out = tuple(
-        tuple(Cyclotomic.one(m) if i == j else Cyclotomic.zero(m) for j in range(size))
-        for i in range(size)
-    )
-    for _ in range(k):
-        out = _mat_mul(out, A)
+    """A^k by square-and-multiply."""
+    if k == 0:
+        m = 2 ** (n - 1)
+        return tuple(
+            tuple(Cyclotomic.one(m) if i == j else Cyclotomic.zero(m) for j in range(len(A)))
+            for i in range(len(A))
+        )
+    out = None
+    while k:
+        if k & 1:
+            out = A if out is None else _mat_mul(out, A)
+        k >>= 1
+        if k:
+            A = _mat_mul(A, A)
     return out
 
 

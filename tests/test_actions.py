@@ -16,8 +16,10 @@ from qact.actions import (
     _aut_table,
     _braid_moves,
     _canon,
+    _first_pair,
     _genus_one_moves,
     _in_class_orbit,
+    _least_relabelling,
     _maximal_masks,
     _orbit_moves,
     check_extension,
@@ -42,7 +44,13 @@ from qact.actions import (
 from qact.decomp import multiplicities
 from qact.groups import _orbit, automorphisms, build_quaternion, named_subgroups
 
-from oracles import aut_generators, aut_moves, classify_on_tuples, multiplicities_from_quotient_genera
+from oracles import (
+    aut_generators,
+    aut_moves,
+    classify_by_canon,
+    classify_on_tuples,
+    multiplicities_from_quotient_genera,
+)
 from paper_tables import (
     expected_prym_dims,
     expected_quotients,
@@ -314,6 +322,60 @@ def test_classify_matches_the_full_tuple_search(n):
     assert nonempty == len(one_dimensional_families(n))
 
 
+def _signature_tuples(G, sig):
+    """Every valid tuple of sig, over all arrangements of its periods."""
+    if sig.gamma == 1:
+        return list(iter_genus_one_triples(G, sig.periods[0]))
+    arrangements = sorted(set(itertools.permutations(sig.periods)))
+    return [t for arr in arrangements for t in iter_valid_tuples(G, arr)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_classify_matches_the_canon_route(n):
+    """Counting classes by least-pair membership, with the slot-0/1
+    representative shortcut, reports what relabelling every tuple by
+    `_canon` and minimising over orbit x Aut(G) reports, on every census
+    signature and every genus-one signature."""
+    G = Q(n)
+    avail = sorted({G.orders[g] for g in range(1, G.order)})
+    sigs = [f.signature for f in one_dimensional_families(n)]
+    sigs += [Signature(1, (k,)) for k in avail if Signature(1, (k,)) not in sigs]
+    for sig in sigs:
+        assert classify(G, sig).to_json() == classify_by_canon(G, sig).to_json(), sig
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_least_pairs_mark_the_canon_forms_and_their_class_minima(n):
+    """A tuple is its `_canon` form exactly when its first generating slot
+    pair is a least pair, one whose `_aut_table` entry is the identity.  A
+    class whose slots 0 and 1 generate has that form as its least
+    relabelling; other classes need not, and `_least_relabelling` gives the
+    least relabelling of both kinds."""
+    G = Q(n)
+    auts, table = _aut_table(G)
+    masks, _ = _maximal_masks(G)
+    identity = tuple(range(G.order))
+    least = {pair for pair, p in table.items() if p == identity}
+    assert len(table) == len(auts) * len(least)
+    shortcut = moved = 0
+    for fam in one_dimensional_families(n):
+        nodes = set()
+        for t in _signature_tuples(G, fam.signature):
+            canonical = _canon(G, t) == t
+            assert canonical == (_first_pair(masks, t) in least), t
+            if canonical:
+                nodes.add(t)
+        for node in nodes:
+            least_image = min(tuple(p[g] for g in node) for p in auts)
+            if not masks[node[0]] & masks[node[1]]:
+                assert least_image == node
+                shortcut += 1
+            moved += least_image != node
+            assert _least_relabelling(G, node) == least_image, node
+    assert shortcut
+    assert moved or n == 3  # at n = 3 every census class is its least relabelling
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_generator_orbits_equal_full_aut_orbits(n):
     """For every census signature, the orbits under the Aut generators are
@@ -323,13 +385,8 @@ def test_generator_orbits_equal_full_aut_orbits(n):
     gammas = set()
     for fam in one_dimensional_families(n):
         sig = fam.signature
-        if sig.gamma == 0:
-            arrangements = set(itertools.permutations(sig.periods))
-            nodes = {t for arr in arrangements for t in iter_valid_tuples(G, arr)}
-            base = _braid_moves(G, len(sig.periods))
-        else:
-            nodes = set(iter_genus_one_triples(G, sig.periods[0]))
-            base = _genus_one_moves(G)
+        nodes = set(_signature_tuples(G, sig))
+        base = _braid_moves(G, len(sig.periods)) if sig.gamma == 0 else _genus_one_moves(G)
         reference = _union_find_partition(nodes, base + full_aut)
         assert set(_partition(nodes, base + aut_moves(aut_generators(G)))) == reference, sig
         ordered = sorted(reference, key=min)

@@ -527,3 +527,41 @@ def test_siegel_tol_must_be_finite_and_positive(capsys, tol):
         main(["siegel", "verify", "--fixture", "prop13", "--tol", tol])
     assert err.value.code == 2
     assert "--tol" in capsys.readouterr().err
+
+
+def test_census_commands_load_no_numpy(tmp_path):
+    """The census, scan, classify and character commands import neither
+    numpy nor the numeric layers: one fresh interpreter runs them all and
+    reports which of those modules it loaded.  `reproduce --n 3|4` checks
+    the curve models, so the census run here is `reproduce --n 5`."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qact
+
+    commands = [
+        ["reproduce", "--n", "5"],
+        ["families", "--n", "4"],
+        ["genus-zero", "--n", "4", "--exhaustive", "--max-periods", "4"],
+        ["classify", "--n", "4", "--signature", "0:4,4,4,4"],
+        ["chars", "--n", "4"],
+    ]
+    outs = [tmp_path / f"{cmd[0]}.json" for cmd in commands]
+    argvs = [cmd + ["--out", str(out)] for cmd, out in zip(commands, outs)]
+    script = (
+        "import json, sys\n"
+        "from qact.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "numeric = ('numpy', 'qact.siegel', 'qact.curves')\n"
+        "print(json.dumps({'codes': codes, 'loaded': [m for m in numeric if m in sys.modules]}))\n"
+    )
+    src = str(Path(qact.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0] * len(commands), "loaded": []}
+    assert all(json.loads(out.read_text())["results"] for out in outs)
