@@ -1,73 +1,121 @@
 """Exact arithmetic in 2-power cyclotomic fields and polynomial matrices over them.
 
-An element of Q(zeta_m), m a power of two, is stored as a coefficient vector of
-length m/2 over Q: the residue class of sum c_j zeta^j modulo zeta^(m/2) = -1.
-That relation makes reduction a sign flip, so products are plain convolutions.
-Only 2-power conductors are supported; every exact number appearing in this
-package (roots of unity, Gaussian rationals, character values) lives in one.
+An element of Q(zeta_m), m a power of two, is the residue class of
+sum c_j zeta^j modulo zeta^(m/2) = -1, stored as m/2 integer numerators over
+one positive common denominator, reduced so that the denominator and the
+numerators have gcd 1.  That relation makes reduction a sign flip, so
+products are plain integer convolutions, and the reduced form makes equality
+a tuple comparison.  Only 2-power conductors are supported; every exact number
+appearing in this package (roots of unity, Gaussian rationals, character
+values) lives in one.  Coefficients enter and leave as int or Fraction; any
+other type (a float above all) is refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from typing import Mapping
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_set = object.__setattr__
 
 
 def _is_power_of_two(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
 
 
-@dataclass(frozen=True)
+def _check_conductor(m: int) -> None:
+    if not _is_power_of_two(m) or m < 2:
+        raise ValueError(f"conductor must be a power of two >= 2, got {m}")
+
+
+def _check_rational(q) -> None:
+    if not isinstance(q, (int, Fraction)):
+        raise TypeError(f"cyclotomic coefficients must be int or Fraction, got {type(q)}")
+
+
+def _make(m: int, num, den: int) -> Cyclotomic:
+    """The element sum num[j] zeta_m^j / den (den > 0), reduced by the gcd,
+    with no check of m or of the coefficient count."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    out = object.__new__(Cyclotomic)
+    _set(out, "m", m)
+    _set(out, "num", tuple(num))
+    _set(out, "den", den)
+    return out
+
+
 class Cyclotomic:
-    """An element of Q(zeta_m) for a 2-power conductor m >= 2."""
+    """An element of Q(zeta_m) for a 2-power conductor m >= 2.
 
-    m: int
-    coeffs: tuple[Fraction, ...]
+    `num` and `den` are the reduced integer form; `coeffs` gives the
+    coefficients as Fractions.  Instances are immutable."""
 
-    def __post_init__(self):
-        if not _is_power_of_two(self.m) or self.m < 2:
-            raise ValueError(f"conductor must be a power of two >= 2, got {self.m}")
-        if len(self.coeffs) != self.m // 2:
-            raise ValueError(
-                f"need {self.m // 2} coefficients for conductor {self.m}, got {len(self.coeffs)}"
-            )
+    __slots__ = ("m", "num", "den")
+
+    def __init__(self, m: int, coeffs):
+        _check_conductor(m)
+        if len(coeffs) != m // 2:
+            raise ValueError(f"need {m // 2} coefficients for conductor {m}, got {len(coeffs)}")
+        for c in coeffs:
+            _check_rational(c)
+        den = lcm(*(c.denominator for c in coeffs))
+        _set(self, "m", m)
+        _set(self, "num", tuple(c.numerator * (den // c.denominator) for c in coeffs))
+        _set(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Cyclotomic is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Cyclotomic is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (Cyclotomic, (self.m, self.coeffs))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(m: int = 2) -> Cyclotomic:
-        return Cyclotomic(m, (_ZERO,) * (m // 2))
+        return Cyclotomic.from_rational(0, m)
 
     @staticmethod
     def one(m: int = 2) -> Cyclotomic:
-        return Cyclotomic.from_rational(_ONE, m)
+        return Cyclotomic.from_rational(1, m)
 
     @staticmethod
     def from_rational(q, m: int = 2) -> Cyclotomic:
-        c = [_ZERO] * (m // 2)
-        c[0] = Fraction(q)
-        return Cyclotomic(m, tuple(c))
+        _check_conductor(m)
+        _check_rational(q)
+        return _make(m, (q.numerator,) + (0,) * (m // 2 - 1), q.denominator)
 
     @staticmethod
     def zeta(m: int, k: int = 1) -> Cyclotomic:
         """zeta_m^k, reduced."""
+        _check_conductor(m)
         d = m // 2
         k %= m
-        c = [_ZERO] * d
+        c = [0] * d
         if k < d:
-            c[k] = _ONE
+            c[k] = 1
         else:
-            c[k - d] = -_ONE
-        return Cyclotomic(m, tuple(c))
+            c[k - d] = -1
+        return _make(m, c, 1)
 
     @staticmethod
     def gauss(re, im) -> Cyclotomic:
         """re + im*i as an element of Q(i) (conductor 4)."""
-        return Cyclotomic(4, (Fraction(re), Fraction(im)))
+        return Cyclotomic(4, (re, im))
 
     # -- conductor handling --------------------------------------------------
 
@@ -77,11 +125,9 @@ class Cyclotomic:
             return self
         if m % self.m != 0 or not _is_power_of_two(m):
             raise ValueError(f"cannot lift conductor {self.m} to {m}")
-        step = m // self.m
-        c = [_ZERO] * (m // 2)
-        for j, v in enumerate(self.coeffs):
-            c[j * step] = v
-        return Cyclotomic(m, tuple(c))
+        c = [0] * (m // 2)
+        c[:: m // self.m] = self.num
+        return _make(m, c, self.den)
 
     @staticmethod
     def common(a: Cyclotomic, b: Cyclotomic) -> tuple[Cyclotomic, Cyclotomic]:
@@ -91,15 +137,17 @@ class Cyclotomic:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> Cyclotomic:
-        other = _coerce(other, self.m)
-        a, b = Cyclotomic.common(self, other)
-        return Cyclotomic(a.m, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        a, b = Cyclotomic.common(self, _coerce(other, self.m))
+        if a.den == b.den:
+            return _make(a.m, list(map(add, a.num, b.num)), a.den)
+        x, y = a.den, b.den
+        return _make(a.m, [p * y + q * x for p, q in zip(a.num, b.num)], x * y)
 
     def __radd__(self, other) -> Cyclotomic:
         return self.__add__(other)
 
     def __neg__(self) -> Cyclotomic:
-        return Cyclotomic(self.m, tuple(-x for x in self.coeffs))
+        return _make(self.m, [-c for c in self.num], self.den)
 
     def __sub__(self, other) -> Cyclotomic:
         return self + (-_coerce(other, self.m))
@@ -108,22 +156,20 @@ class Cyclotomic:
         return _coerce(other, self.m) - self
 
     def __mul__(self, other) -> Cyclotomic:
-        other = _coerce(other, self.m)
-        a, b = Cyclotomic.common(self, other)
+        a, b = Cyclotomic.common(self, _coerce(other, self.m))
         d = a.m // 2
-        out = [_ZERO] * d
-        for i, x in enumerate(a.coeffs):
+        out = [0] * d
+        bs = [(j, y) for j, y in enumerate(b.num) if y]
+        for i, x in enumerate(a.num):
             if not x:
                 continue
-            for j, y in enumerate(b.coeffs):
-                if not y:
-                    continue
+            for j, y in bs:
                 k = i + j
                 if k < d:
                     out[k] += x * y
                 else:
                     out[k - d] -= x * y
-        return Cyclotomic(a.m, tuple(out))
+        return _make(a.m, out, a.den * b.den)
 
     def __rmul__(self, other) -> Cyclotomic:
         return self.__mul__(other)
@@ -137,12 +183,13 @@ class Cyclotomic:
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta)")
         if self.m == 2:
-            return Cyclotomic(2, (1 / self.coeffs[0],))
+            (c,) = self.num
+            return _make(2, (self.den if c > 0 else -self.den,), abs(c))
         conj = self.galois(self.m // 2 + 1)
         norm = self * conj
-        if any(norm.coeffs[1::2]):
+        if any(norm.num[1::2]):
             raise RuntimeError(f"tower norm of {self} does not lie in Q(zeta_{self.m // 2})")
-        return Cyclotomic(self.m // 2, norm.coeffs[0::2]).inverse().lift(self.m) * conj
+        return _make(self.m // 2, norm.num[0::2], norm.den).inverse().lift(self.m) * conj
 
     def __truediv__(self, other) -> Cyclotomic:
         other = _coerce(other, self.m)
@@ -170,44 +217,45 @@ class Cyclotomic:
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         a, b = Cyclotomic.common(self, other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     def __hash__(self):
-        return hash((self.reduce_conductor().m, self.reduce_conductor().coeffs))
+        # a rational element hashes as its Fraction, which it equals
+        if self.is_rational():
+            return hash(Fraction(self.num[0], self.den))
+        r = self.reduce_conductor()
+        return hash((r.m, r.num, r.den))
 
     # -- structure -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def reduce_conductor(self) -> Cyclotomic:
         """Smallest 2-power conductor containing this element."""
         m = self.m
-        c = self.coeffs
-        while m > 2:
-            half = m // 2
-            # lives in conductor m/2 iff all odd-position coefficients vanish
-            if any(c[j] for j in range(1, half, 2)):
-                break
-            c = tuple(c[j] for j in range(0, half, 2))
-            m = half
-        return Cyclotomic(m, c)
+        c = self.num
+        # lives in conductor m/2 iff all odd-position coefficients vanish
+        while m > 2 and not any(c[1::2]):
+            c = c[0::2]
+            m //= 2
+        return self if m == self.m else _make(m, c, self.den)
 
     def galois(self, t: int) -> Cyclotomic:
         """The field automorphism zeta_m -> zeta_m^t, t odd."""
         if t % 2 == 0:
             raise ValueError(f"galois exponent must be odd, got {t}")
         d = self.m // 2
-        out = [_ZERO] * d
-        for j, v in enumerate(self.coeffs):
+        out = [0] * d
+        for j, v in enumerate(self.num):
             if not v:
                 continue
             k = (j * t) % self.m
@@ -215,7 +263,7 @@ class Cyclotomic:
                 out[k] += v
             else:
                 out[k - d] -= v
-        return Cyclotomic(self.m, tuple(out))
+        return _make(self.m, out, self.den)
 
     def __repr__(self):
         if self.is_zero():
@@ -362,18 +410,24 @@ class PolyMatrix:
         )
 
     def __matmul__(self, other: PolyMatrix) -> PolyMatrix:
+        """The product, each entry summed in one term dict and made once."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         nv = self.entries[0][0].nvars if self.rows else 0
+        columns = list(zip(*other.entries))
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = CycloPoly.zero(nv)
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
+        for row in self.entries:
+            out_row = []
+            for col in columns:
+                acc: dict[tuple[int, ...], Cyclotomic] = {}
+                for p, q in zip(row, col):
+                    for e1, c1 in p.terms:
+                        for e2, c2 in q.terms:
+                            e = tuple(map(add, e1, e2))
+                            prod = c1 * c2
+                            acc[e] = acc[e] + prod if e in acc else prod
+                out_row.append(CycloPoly.make(nv, acc))
+            out.append(out_row)
         return PolyMatrix.make(out)
 
     def is_zero(self) -> bool:

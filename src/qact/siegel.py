@@ -4,11 +4,13 @@ verification of fixed period-matrix families.
 Fixed-family identities R.Z = Z are checked as A Z + B = Z (C Z + D), which
 stays inside exact polynomial arithmetic over Q(i) and never inverts anything.
 Group-level claims (closure order, defining relations, isomorphism type) are
-checked on the matrix group generated by the printed integer matrices.  The
-fixed-locus dimension estimator is the one numerical component: Gauss-Newton
-on the stacked residuals over symmetric complex matrices, followed by a
-singular-value count of the linearization; null directions are validated by
-stepping along them and re-converging.
+checked on the matrix group generated by the printed integer matrices, whose
+products are exact Python integers (`mat_mul`).  The fixed-locus dimension
+estimator is the one numerical component: Gauss-Newton on the stacked
+residuals over symmetric complex matrices, followed by a singular-value count
+of the linearization; null directions are validated by stepping along them
+and re-converging.  The Jacobian multiplies each generator's blocks into the
+whole stacked basis of symmetric matrices at once.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from operator import mul
 
 import numpy as np
 
@@ -37,14 +40,8 @@ def as_int_matrix(rows) -> IntMatrix:
 
 
 def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    n = len(A)
-    m = len(B[0])
-    k = len(B)
     Bt = list(zip(*B))
-    return tuple(
-        tuple(sum(A[i][t] * Bt[j][t] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in Bt) for row in A)
 
 
 def identity_matrix(n: int) -> IntMatrix:
@@ -265,14 +262,13 @@ def verify_fixed_point_numeric(generators, Z: np.ndarray) -> float:
     return res
 
 
-def _sym_basis(g: int):
-    basis = []
-    for i in range(g):
-        for j in range(i, g):
-            E = np.zeros((g, g), dtype=complex)
-            E[i, j] = 1.0
-            E[j, i] = 1.0
-            basis.append(E)
+def _sym_basis(g: int) -> np.ndarray:
+    """The symmetric unit matrices E_ij + E_ji (i <= j, row-major), stacked
+    into one (g(g+1)/2, g, g) array."""
+    basis = np.zeros((g * (g + 1) // 2, g, g), dtype=complex)
+    for k, (i, j) in enumerate((i, j) for i in range(g) for j in range(i, g)):
+        basis[k, i, j] = 1.0
+        basis[k, j, i] = 1.0
     return basis
 
 
@@ -283,14 +279,16 @@ def _residual(gens_blocks, Z: np.ndarray) -> np.ndarray:
     return np.concatenate(vals)
 
 
-def _jacobian(gens_blocks, Z: np.ndarray, basis) -> np.ndarray:
-    cols = []
-    for E in basis:
-        col = []
-        for A, B, C, D in gens_blocks:
-            col.append((A @ E - E @ (C @ Z + D) - Z @ (C @ E)).ravel())
-        cols.append(np.concatenate(col))
-    return np.array(cols).T
+def _jacobian(gens_blocks, Z: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Column k is the derivative A E - E (C Z + D) - Z C E of the stacked
+    residuals along E = basis[k]; each generator's products run over the
+    whole basis stack at once."""
+    rows = []
+    for A, B, C, D in gens_blocks:
+        M = C @ Z + D
+        dF = np.matmul(A, basis) - np.matmul(basis, M) - np.matmul(Z, np.matmul(C, basis))
+        rows.append(dF.reshape(len(basis), -1))
+    return np.concatenate(rows, axis=1).T
 
 
 @dataclass

@@ -28,6 +28,13 @@
   and f', and the numeric values of exact cyclotomics and polynomials.
 - Multiplicity vectors from one b value per Galois orbit, and random valid
   ones.
+- Cyclotomic arithmetic with one Fraction per coefficient.
+  `qact.cyclo.Cyclotomic` keeps integer numerators over one reduced
+  common denominator.
+- The Gauss-Newton Jacobian one basis matrix and one generator at a time,
+  and the integer matrix product by index.  `qact.siegel` multiplies each
+  generator's blocks into the whole stacked basis at once and sums rows
+  against columns with `map`.
 """
 
 from __future__ import annotations
@@ -35,8 +42,11 @@ from __future__ import annotations
 import cmath
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from qact.actions import (
     OrbitReport,
@@ -52,7 +62,7 @@ from qact.actions import (
     iter_valid_tuples,
     quotient_data,
 )
-from qact.cyclo import Cyclotomic, CycloPoly, PolyMatrix
+from qact.cyclo import Cyclotomic, CycloPoly, PolyMatrix, _is_power_of_two
 from qact.decomp import MultiplicityVector
 from qact.groups import (
     FiniteGroup,
@@ -509,4 +519,271 @@ def is_symmetric(M: PolyMatrix) -> bool:
         (M.entries[i][j] - M.entries[j][i]).is_zero()
         for i in range(M.rows)
         for j in range(i)
+    )
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic arithmetic on Fraction coefficients
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FractionCyclotomic:
+    """An element of Q(zeta_m), m a power of two >= 2, as m/2 Fraction
+    coefficients modulo zeta^(m/2) = -1."""
+
+    m: int
+    coeffs: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if not _is_power_of_two(self.m) or self.m < 2:
+            raise ValueError(f"conductor must be a power of two >= 2, got {self.m}")
+        if len(self.coeffs) != self.m // 2:
+            raise ValueError(
+                f"need {self.m // 2} coefficients for conductor {self.m}, got {len(self.coeffs)}"
+            )
+
+    # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def zero(m: int = 2) -> FractionCyclotomic:
+        return FractionCyclotomic(m, (Fraction(0),) * (m // 2))
+
+    @staticmethod
+    def one(m: int = 2) -> FractionCyclotomic:
+        return FractionCyclotomic.from_rational(Fraction(1), m)
+
+    @staticmethod
+    def from_rational(q, m: int = 2) -> FractionCyclotomic:
+        c = [Fraction(0)] * (m // 2)
+        c[0] = Fraction(q)
+        return FractionCyclotomic(m, tuple(c))
+
+    @staticmethod
+    def zeta(m: int, k: int = 1) -> FractionCyclotomic:
+        """zeta_m^k, reduced."""
+        d = m // 2
+        k %= m
+        c = [Fraction(0)] * d
+        if k < d:
+            c[k] = Fraction(1)
+        else:
+            c[k - d] = Fraction(-1)
+        return FractionCyclotomic(m, tuple(c))
+
+    @staticmethod
+    def gauss(re, im) -> FractionCyclotomic:
+        """re + im*i as an element of Q(i) (conductor 4)."""
+        return FractionCyclotomic(4, (Fraction(re), Fraction(im)))
+
+    # -- conductor handling --------------------------------------------------
+
+    def lift(self, m: int) -> FractionCyclotomic:
+        """Reinterpret in the larger conductor m (self.m must divide m)."""
+        if m == self.m:
+            return self
+        if m % self.m != 0 or not _is_power_of_two(m):
+            raise ValueError(f"cannot lift conductor {self.m} to {m}")
+        step = m // self.m
+        c = [Fraction(0)] * (m // 2)
+        for j, v in enumerate(self.coeffs):
+            c[j * step] = v
+        return FractionCyclotomic(m, tuple(c))
+
+    @staticmethod
+    def common(a: FractionCyclotomic, b: FractionCyclotomic) -> tuple[FractionCyclotomic, FractionCyclotomic]:
+        m = max(a.m, b.m)
+        return a.lift(m), b.lift(m)
+
+    # -- ring operations -----------------------------------------------------
+
+    def __add__(self, other) -> FractionCyclotomic:
+        other = _fraction_coerce(other, self.m)
+        a, b = FractionCyclotomic.common(self, other)
+        return FractionCyclotomic(a.m, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+    def __radd__(self, other) -> FractionCyclotomic:
+        return self.__add__(other)
+
+    def __neg__(self) -> FractionCyclotomic:
+        return FractionCyclotomic(self.m, tuple(-x for x in self.coeffs))
+
+    def __sub__(self, other) -> FractionCyclotomic:
+        return self + (-_fraction_coerce(other, self.m))
+
+    def __rsub__(self, other) -> FractionCyclotomic:
+        return _fraction_coerce(other, self.m) - self
+
+    def __mul__(self, other) -> FractionCyclotomic:
+        other = _fraction_coerce(other, self.m)
+        a, b = FractionCyclotomic.common(self, other)
+        d = a.m // 2
+        out = [Fraction(0)] * d
+        for i, x in enumerate(a.coeffs):
+            if not x:
+                continue
+            for j, y in enumerate(b.coeffs):
+                if not y:
+                    continue
+                k = i + j
+                if k < d:
+                    out[k] += x * y
+                else:
+                    out[k - d] -= x * y
+        return FractionCyclotomic(a.m, tuple(out))
+
+    def __rmul__(self, other) -> FractionCyclotomic:
+        return self.__mul__(other)
+
+    def inverse(self) -> FractionCyclotomic:
+        """Field inverse by the tower norm (Pornin-Prest, PKC 2019).
+
+        N(a) = a(zeta) * a(-zeta) is fixed by zeta -> -zeta, so it lies in
+        Q(zeta^2), and 1/a = a(-zeta) / N(a) recurses down to Q.
+        """
+        if self.is_zero():
+            raise ZeroDivisionError("division by zero in Q(zeta)")
+        if self.m == 2:
+            return FractionCyclotomic(2, (1 / self.coeffs[0],))
+        conj = self.galois(self.m // 2 + 1)
+        norm = self * conj
+        if any(norm.coeffs[1::2]):
+            raise RuntimeError(f"tower norm of {self} does not lie in Q(zeta_{self.m // 2})")
+        return FractionCyclotomic(self.m // 2, norm.coeffs[0::2]).inverse().lift(self.m) * conj
+
+    def __truediv__(self, other) -> FractionCyclotomic:
+        other = _fraction_coerce(other, self.m)
+        a, b = FractionCyclotomic.common(self, other)
+        return a * b.inverse()
+
+    def __rtruediv__(self, other) -> FractionCyclotomic:
+        return _fraction_coerce(other, self.m) / self
+
+    def __pow__(self, k: int) -> FractionCyclotomic:
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = FractionCyclotomic.one(self.m)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = FractionCyclotomic.from_rational(other, self.m)
+        if not isinstance(other, FractionCyclotomic):
+            return NotImplemented
+        a, b = FractionCyclotomic.common(self, other)
+        return a.coeffs == b.coeffs
+
+    def __hash__(self):
+        return hash((self.reduce_conductor().m, self.reduce_conductor().coeffs))
+
+    # -- structure -----------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def is_rational(self) -> bool:
+        return not any(self.coeffs[1:])
+
+    def rational_value(self) -> Fraction:
+        if not self.is_rational():
+            raise ValueError(f"{self} is not rational")
+        return self.coeffs[0]
+
+    def reduce_conductor(self) -> FractionCyclotomic:
+        """Smallest 2-power conductor containing this element."""
+        m = self.m
+        c = self.coeffs
+        while m > 2:
+            half = m // 2
+            # lives in conductor m/2 iff all odd-position coefficients vanish
+            if any(c[j] for j in range(1, half, 2)):
+                break
+            c = tuple(c[j] for j in range(0, half, 2))
+            m = half
+        return FractionCyclotomic(m, c)
+
+    def galois(self, t: int) -> FractionCyclotomic:
+        """The field automorphism zeta_m -> zeta_m^t, t odd."""
+        if t % 2 == 0:
+            raise ValueError(f"galois exponent must be odd, got {t}")
+        d = self.m // 2
+        out = [Fraction(0)] * d
+        for j, v in enumerate(self.coeffs):
+            if not v:
+                continue
+            k = (j * t) % self.m
+            if k < d:
+                out[k] += v
+            else:
+                out[k - d] -= v
+        return FractionCyclotomic(self.m, tuple(out))
+
+    def __repr__(self):
+        if self.is_zero():
+            return "0"
+        parts = []
+        for j, v in enumerate(self.coeffs):
+            if not v:
+                continue
+            if j == 0:
+                parts.append(str(v))
+            else:
+                head = "" if v == 1 else ("-" if v == -1 else f"{v}*")
+                parts.append(f"{head}z{self.m}^{j}" if j > 1 else f"{head}z{self.m}")
+        return " + ".join(parts).replace("+ -", "- ")
+
+    # -- JSON ----------------------------------------------------------------
+
+    def to_json(self) -> dict:
+        return {"m": self.m, "coeffs": [str(c) for c in self.coeffs]}
+
+
+def _fraction_coerce(x, m: int) -> FractionCyclotomic:
+    if isinstance(x, FractionCyclotomic):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return FractionCyclotomic.from_rational(x, m)
+    raise TypeError(f"cannot coerce {type(x)} into Q(zeta)")
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-Newton Jacobian and integer matrix products, one product at a time
+# ---------------------------------------------------------------------------
+
+
+def sym_basis_list(g: int) -> list[np.ndarray]:
+    basis = []
+    for i in range(g):
+        for j in range(i, g):
+            E = np.zeros((g, g), dtype=complex)
+            E[i, j] = 1.0
+            E[j, i] = 1.0
+            basis.append(E)
+    return basis
+
+
+def jacobian_per_basis(gens_blocks, Z: np.ndarray, basis) -> np.ndarray:
+    cols = []
+    for E in basis:
+        col = []
+        for A, B, C, D in gens_blocks:
+            col.append((A @ E - E @ (C @ Z + D) - Z @ (C @ E)).ravel())
+        cols.append(np.concatenate(col))
+    return np.array(cols).T
+
+
+def mat_mul_by_index(A, B):
+    n = len(A)
+    m = len(B[0])
+    k = len(B)
+    Bt = list(zip(*B))
+    return tuple(
+        tuple(sum(A[i][t] * Bt[j][t] for t in range(k)) for j in range(m))
+        for i in range(n)
     )

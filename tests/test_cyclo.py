@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -5,7 +7,7 @@ import pytest
 
 from qact.cyclo import Cyclotomic, CycloPoly, PolyMatrix
 
-from oracles import embed, is_symmetric, poly_eval
+from oracles import FractionCyclotomic, embed, is_symmetric, poly_eval
 
 
 def rand_cyc(rng, m, height=9):
@@ -137,6 +139,107 @@ def test_conductor_validation():
         Cyclotomic(6, (Fraction(1), Fraction(0), Fraction(0)))
     with pytest.raises(ValueError):
         Cyclotomic(8, (Fraction(1),))
+    for build in (Cyclotomic.zero, Cyclotomic.one, Cyclotomic.zeta, lambda m: Cyclotomic.from_rational(3, m)):
+        for m in (1, 6, 12):
+            with pytest.raises(ValueError, match="power of two"):
+                build(m)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Cyclotomic(4, (0.1, 1)),
+        lambda: Cyclotomic(2, ("1",)),
+        lambda: Cyclotomic.from_rational(0.1),
+        lambda: Cyclotomic.from_rational(1.0, 8),
+        lambda: Cyclotomic.gauss(0.5, 1),
+        lambda: Cyclotomic.gauss(1, 1.0),
+        lambda: Cyclotomic.zeta(4) * 0.5,
+    ],
+)
+def test_inexact_coefficients_are_refused(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_elements_are_immutable_and_read_out_as_fractions():
+    c = Cyclotomic(8, (Fraction(1, 2), 3, Fraction(-4, 6), 0))
+    assert c.coeffs == (Fraction(1, 2), Fraction(3), Fraction(-2, 3), Fraction(0))
+    assert all(type(v) is Fraction for v in c.coeffs)
+    assert (c.num, c.den) == ((3, 18, -4, 0), 6)
+    with pytest.raises(AttributeError):
+        c.m = 16
+    with pytest.raises(AttributeError):
+        c.den = 1
+    with pytest.raises(AttributeError):
+        del c.num
+    assert pickle.loads(pickle.dumps(c)) == c and copy.deepcopy(c) == c
+
+
+@pytest.mark.parametrize("q", [3, -2, 0, Fraction(3, 4), Fraction(-5, 8)])
+def test_rational_elements_hash_as_their_fraction(q):
+    for m in (2, 4, 16, 64):
+        c = Cyclotomic.from_rational(q, m)
+        assert c == q and hash(c) == hash(q) == hash(Fraction(q))
+        assert q in {c} and c in {q} and c in {Fraction(q)}
+        assert c.lift(128) in {c} and hash(c.lift(128)) == hash(c)
+
+
+def test_equal_elements_of_different_conductors_hash_alike():
+    i_forms = [Cyclotomic.zeta(4), Cyclotomic.zeta(8, 2), Cyclotomic.zeta(64, 16), Cyclotomic.gauss(0, 1)]
+    assert len(set(i_forms)) == 1
+    a = Cyclotomic(8, (Fraction(1, 3), Fraction(2, 5), 0, 7))
+    assert {a, a.lift(32), a.lift(64)} == {a}
+    assert hash(a.lift(64)) == hash(a)
+
+
+# -- the integer form against the Fraction oracle -------------------------------
+
+ORACLE_CONDUCTORS = (2, 4, 8, 16, 32, 64)
+
+
+def _draw(rng, m):
+    coeffs = tuple(
+        Fraction(rng.randint(-12, 12), rng.randint(1, 12)) if rng.random() < 0.7 else Fraction(0)
+        for _ in range(m // 2)
+    )
+    return Cyclotomic(m, coeffs), FractionCyclotomic(m, coeffs)
+
+
+def _agree(x, X):
+    assert x.m == X.m and x.coeffs == X.coeffs
+    assert x.to_json() == X.to_json() and repr(x) == repr(X)
+    # the stored form is the reduced one, which equality and hashing read
+    rebuilt = Cyclotomic(x.m, x.coeffs)
+    assert (x.num, x.den) == (rebuilt.num, rebuilt.den)
+    assert x == rebuilt and hash(x) == hash(rebuilt)
+
+
+def test_integer_arithmetic_matches_the_fraction_oracle():
+    rng = random.Random(19)
+    for _ in range(160):
+        a, A = _draw(rng, rng.choice(ORACLE_CONDUCTORS))
+        b, B = _draw(rng, rng.choice(ORACLE_CONDUCTORS))
+        _agree(a, A)
+        _agree(a + b, A + B)
+        _agree(a - b, A - B)
+        _agree(a * b, A * B)
+        _agree(-a, -A)
+        t = rng.randrange(1, 2 * a.m, 2)
+        _agree(a.galois(t), A.galois(t))
+        big = rng.choice([m for m in ORACLE_CONDUCTORS if m >= a.m])
+        _agree(a.lift(big), A.lift(big))
+        _agree(a.reduce_conductor(), A.reduce_conductor())
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        _agree(a * q, A * q)
+        _agree(a + q, A + q)
+        assert (a == b) == (A == B)
+        assert (a == q) == (A == q)
+        if not b.is_zero():
+            _agree(b.inverse(), B.inverse())
+            assert (A * B) * B.inverse() == A
+            quotient = (a * b) * b.inverse()
+            assert quotient == a and hash(quotient) == hash(a)
 
 
 # -- polynomials and matrices -------------------------------------------------

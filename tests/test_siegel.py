@@ -6,9 +6,14 @@ import pytest
 
 from qact.cyclo import Cyclotomic, CycloPoly, PolyMatrix
 from qact.groups import build_named, find_isomorphism
+from qact import siegel
 from qact.siegel import (
     FixtureError,
+    _jacobian,
+    _sym_basis,
     act,
+    as_int_matrix,
+    blocks,
     family_from_fixture,
     family_with_variant,
     fixture_generators,
@@ -27,7 +32,7 @@ from qact.siegel import (
     verify_group_data,
 )
 
-from oracles import is_symmetric
+from oracles import is_symmetric, jacobian_per_basis, mat_mul_by_index, sym_basis_list
 
 
 def test_j_is_symplectic():
@@ -292,6 +297,56 @@ def test_fixed_locus_dimensions(name, dim):
     assert rep.dimension == dim
     assert rep.max_residual < 1e-10
     assert rep.validated_directions == dim
+
+
+def _complex_blocks(gens):
+    g = len(gens[0]) // 2
+    return [tuple(np.array(blk, dtype=complex) for blk in blocks(as_int_matrix(R), g)) for R in gens]
+
+
+@pytest.mark.parametrize("name", ["thm10", "thm11", "prop13"])
+def test_stacked_jacobian_equals_the_per_basis_jacobian(name):
+    """Bit for bit, at the converged point and at 50 random points of H_g."""
+    gens = fixture_generators(load_fixture(name)["data"])
+    gb = _complex_blocks(gens)
+    g = len(gens[0]) // 2
+    basis = _sym_basis(g)
+    assert np.array_equal(basis, np.array(sym_basis_list(g)))
+    point = fixed_locus_dimension(gens, starts=8, rng_seed=0).point
+    rng = np.random.default_rng(5)
+    points = [point]
+    for _ in range(50):
+        X = rng.normal(size=(g, g))
+        W = rng.normal(size=(g, g))
+        points.append((X + X.T) / 2 + 1j * (W @ W.T + 0.5 * np.eye(g)))
+    for Z in points:
+        assert in_upper_half(Z)
+        J = _jacobian(gb, Z, basis)
+        ref = jacobian_per_basis(gb, Z, sym_basis_list(g))
+        assert J.shape == ref.shape and J.strides == ref.strides
+        assert np.array_equal(J, ref)
+
+
+@pytest.mark.parametrize("name", ["thm10", "thm11", "prop13"])
+def test_locus_report_is_unchanged_under_the_per_basis_jacobian(name, monkeypatch):
+    gens = fixture_generators(load_fixture(name)["data"])
+    fast = fixed_locus_dimension(gens, starts=3, rng_seed=7).to_json()
+    monkeypatch.setattr(siegel, "_jacobian", lambda gb, Z, basis: jacobian_per_basis(gb, Z, list(basis)))
+    assert fixed_locus_dimension(gens, starts=3, rng_seed=7).to_json() == fast
+
+
+def test_mat_mul_matches_the_indexed_product():
+    rng = random.Random(13)
+    for _ in range(200):
+        n, k, m = (rng.randint(1, 8) for _ in range(3))
+        bound = rng.choice((3, 100, 10**30))
+        A = tuple(tuple(rng.randint(-bound, bound) for _ in range(k)) for _ in range(n))
+        B = tuple(tuple(rng.randint(-bound, bound) for _ in range(m)) for _ in range(k))
+        assert mat_mul(A, B) == mat_mul_by_index(A, B)
+    for name in ("thm10", "thm11", "prop13"):
+        elems, _, _ = matrix_group_closure(fixture_generators(load_fixture(name)["data"]))
+        for A, B in zip(elems, elems[1:] + elems[:1]):
+            assert mat_mul(A, B) == mat_mul_by_index(A, B)
 
 
 # -- fixtures and checksums ----------------------------------------------------------
