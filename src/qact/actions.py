@@ -12,7 +12,7 @@ Aut-classes, each held by one canonical relabelling.  Quotient surfaces
 S_K are handled through the action on cosets G/K: the cycle structure of each
 elliptic image determines the branch data and hence the genus, for any gamma.
 
-Enumeration is depth-first search over element tuples with the last slot
+Enumeration walks element tuples in lexicographic order with the last slot
 solved from the long relation, an order filter per slot and a
 maximal-subgroup bitmask for the surjectivity check; the valid last two
 slots are cached per (running product, mask).
@@ -21,6 +21,7 @@ slots are cached per (running product, mask).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -234,41 +235,33 @@ def _maximal_masks(G: FiniteGroup) -> tuple[tuple[int, ...], int]:
     return tuple(masks), (1 << len(maxim)) - 1
 
 
-def count_tuple_candidates(G: FiniteGroup, periods) -> int:
-    sizes = []
-    for k in periods[:-1]:
-        sizes.append(sum(1 for g in range(G.order) if G.orders[g] == k))
-    total = 1
-    for v in sizes:
-        total *= v
-    return total
-
-
 def iter_valid_tuples(G: FiniteGroup, periods, max_candidates: int | None = None):
     """All (g_1..g_s) with the given exact orders, product 1, generating G.
 
     Each slot ranges over its order bucket in increasing element index, so
-    the tuples come in lexicographic order.  A recursive prefix walk covers
-    the first s - 3 slots, keeping the running product and the running
-    maximal-subgroup mask (`_maximal_masks`); the loop over slot s - 3 is
-    inline.  The last two slots depend only on (product, mask) after slot
-    s - 3: their valid pairs (g, last), with `last` solved from the long
-    relation and kept in bucket order, are computed once per key into a
-    per-call tail cache.  Each tuple is the prefix through slot s - 3 joined
-    to one cached pair, so it costs one generator resumption.
+    the tuples come in lexicographic order.  The budget counts the candidates
+    over every bucket but the last, which the long relation solves.  One
+    `itertools.product` runs over the first s - 3 buckets, and each prefix
+    folds into its product and its maximal-subgroup mask (`_maximal_masks`);
+    the loop over slot s - 3 is inline.  The last two slots depend only on
+    (product, mask) after slot s - 3: their valid pairs (g, last), with
+    `last` solved from the long relation and kept in bucket order, are
+    computed once per key into a per-call tail cache.  Each tuple is the
+    prefix through slot s - 3 joined to one cached pair, so it costs one
+    generator resumption.
     """
     s = len(periods)
     if s < 2:
         return
-    if max_candidates is not None:
-        candidates = count_tuple_candidates(G, periods)
-        if candidates > max_candidates:
-            raise BudgetExceeded(f"{candidates} candidates exceed budget {max_candidates}")
     cayley = G.cayley
     inv = G.inv
     orders = G.orders
-    masks, full = _maximal_masks(G)
     buckets = [[g for g in range(G.order) if orders[g] == k] for k in periods]
+    if max_candidates is not None:
+        candidates = math.prod(map(len, buckets[:-1]))
+        if candidates > max_candidates:
+            raise BudgetExceeded(f"{candidates} candidates exceed budget {max_candidates}")
+    masks, full = _maximal_masks(G)
     if any(not b for b in buckets):
         return
     k_last = periods[-1]
@@ -286,16 +279,12 @@ def iter_valid_tuples(G: FiniteGroup, periods, max_candidates: int | None = None
         yield from tail(0, full)
         return
 
-    def walk(slot: int, pre: tuple[int, ...], pr: int, mk: int):
-        if slot == s - 3:
-            yield pre, pr, mk
-            return
-        for g in buckets[slot]:
-            yield from walk(slot + 1, pre + (g,), cayley[pr][g], mk & masks[g])
-
     tails: dict[tuple[int, int], list[tuple[int, int]]] = {}
     bucket = buckets[s - 3]
-    for pre, pr, mk in walk(0, (), 0, full):
+    for pre in itertools.product(*buckets[: s - 3]):
+        pr, mk = 0, full
+        for g in pre:
+            pr, mk = cayley[pr][g], mk & masks[g]
         row = cayley[pr]
         for g in bucket:
             key = (row[g], mk & masks[g])
@@ -720,32 +709,30 @@ class FamilyRecord:
         }
 
 
-def family_label(n: int, sig: Signature) -> str:
-    """Name a one-dimensional family by its signature shape."""
+def _families(n: int) -> dict[str, tuple[Signature, int]]:
+    """The one-dimensional families of Q(2^n), in census order: each label's
+    signature and the printed bound on its number of equisymmetric strata.
+    F2 needs n >= 4, since at n = 3 its signature (0; 4,4,4,4) is F1's."""
     half = 2 ** (n - 1)
-    if sig.gamma == 1 and sig.periods == (2 ** (n - 2),):
-        return "F0"
-    ps = sig.sorted_periods()
-    if ps == (4, 4, 4, 4):
-        return "F1"
-    if ps == tuple(sorted((half, half, 4, 4))):
-        return "F2"
+    table = {
+        "F0": (Signature(1, (2 ** (n - 2),)), 1),
+        "F1": (Signature(0, (4, 4, 4, 4)), 1),
+    }
+    if n >= 4:
+        table["F2"] = (Signature(0, (half, half, 4, 4)), 2 ** (n - 2))
     for k in range(2, n):
-        if ps == tuple(sorted((half, 2 ** (n - k), 4, 4))):
-            return f"C{k}"
+        table[f"C{k}"] = (Signature(0, (half, 2 ** (n - k), 4, 4)), 2 ** (n - k - 1))
+    return table
+
+
+def family_label(n: int, sig: Signature) -> str:
+    """Name a one-dimensional family by its genus and sorted periods; any
+    other signature is named `sig<signature>`."""
+    key = (sig.gamma, sig.sorted_periods())
+    for label, (family_sig, _) in _families(n).items():
+        if (family_sig.gamma, family_sig.sorted_periods()) == key:
+            return label
     return f"sig{sig}"
-
-
-def stratum_bound(n: int, label: str) -> int | None:
-    """The printed upper bounds for the number of equisymmetric strata."""
-    if label in ("F0", "F1", f"C{n - 1}"):
-        return 1
-    if label == "F2":
-        return 2 ** (n - 2)
-    if label.startswith("C"):
-        k = int(label[1:])
-        return 2 ** (n - k - 1)
-    return None
 
 
 def one_dimensional_families(n: int) -> list[FamilyRecord]:
@@ -757,6 +744,7 @@ def one_dimensional_families(n: int) -> list[FamilyRecord]:
     avail = sorted({G.orders[g] for g in range(1, G.order)})
     sigs = [Signature(0, ks) for ks in itertools.combinations_with_replacement(avail, 4)]
     sigs += [Signature(1, (k,)) for k in avail]
+    families = _families(n)
     out = []
     for sig in sigs:
         genus = genus_from_signature(G.order, sig)
@@ -771,7 +759,7 @@ def one_dimensional_families(n: int) -> list[FamilyRecord]:
                 label=label,
                 signature=sig,
                 genus=genus,
-                stratum_bound=stratum_bound(n, label),
+                stratum_bound=families[label][1] if label in families else None,
                 orbit_count=report.orbit_count,
                 ske_count=report.total,
                 representative=report.representatives[0],
@@ -781,9 +769,8 @@ def one_dimensional_families(n: int) -> list[FamilyRecord]:
 
 
 def family_labels(n: int) -> list[str]:
-    """The one-dimensional families of Q(2^n); F2 needs n >= 4, since at n = 3
-    its signature (0; 4,4,4,4) is F1's."""
-    return ["F0", "F1", *(["F2"] if n >= 4 else []), *(f"C{k}" for k in range(2, n))]
+    """The labels of the one-dimensional families of Q(2^n) (`_families`)."""
+    return list(_families(n))
 
 
 def family_representative(n: int, label: str) -> Ske:

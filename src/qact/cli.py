@@ -144,7 +144,7 @@ def cmd_decompose(args) -> tuple[int, dict]:
         source = {"ske": ske.to_json()}
     else:
         if args.a is None or args.b is None:
-            raise SystemExit2("decompose needs either --ske or both --a and --b")
+            raise ValueError("decompose needs either --ske or both --a and --b")
         mv = MultiplicityVector(args.n, _parse_ints(args.a), _parse_ints(args.b))
         source = {}
     table = factor_dimensions(mv)
@@ -209,10 +209,10 @@ def cmd_extend(args) -> tuple[int, dict]:
         raise ValueError(f"extend --ske needs a Q(2^n) ske, not one of {ske.group.name}")
     n = ske.group.params["n"] if ske else args.n
     if n is None:
-        raise SystemExit2("extend needs --ske or --n")
+        raise ValueError("extend needs --ske or --n")
     fam = args.family or (family_label(n, ske.signature) if ske else None)
     if fam is None:
-        raise SystemExit2("cannot determine the family; pass --family")
+        raise ValueError("cannot determine the family; pass --family")
     if fam not in family_labels(n):
         raise ValueError(f"no family {fam} at n={n}; the families are {', '.join(family_labels(n))}")
     theta, theta_prime, words = extension_data(n, fam, args.super)
@@ -281,28 +281,27 @@ def cmd_siegel(args) -> tuple[int, dict]:
         out["expected_order"] = data.get("expected_order")
         code = 0 if (rep.ok and rep.order == data.get("expected_order")) else 1
         return code, out
-    if args.action == "locus":
-        _require(fx, "expected_dimension")
-        rep = sg.fixed_locus_dimension(
-            gens, starts=args.starts, rank_tol=args.tol, rng_seed=args.seed
-        )
-        out = dict(base)
-        loc = rep.to_json()
-        loc["point"] = None  # keep reports deterministic across BLAS variants
-        loc["singular_values"] = None
-        loc["max_residual"] = None if rep.max_residual is None else bool(rep.max_residual < 1e-9)
-        out["locus"] = loc
-        out["expected_dimension"] = data.get("expected_dimension")
-        code = 0 if rep.dimension == data.get("expected_dimension") else 1
-        return code, out
-    raise SystemExit2(f"unknown siegel action {args.action!r}")
+    # args.action == "locus": argparse admits no other action
+    _require(fx, "expected_dimension")
+    rep = sg.fixed_locus_dimension(
+        gens, starts=args.starts, rank_tol=args.tol, rng_seed=args.seed
+    )
+    out = dict(base)
+    loc = rep.to_json()
+    loc["point"] = None  # keep reports deterministic across BLAS variants
+    loc["singular_values"] = None
+    loc["max_residual"] = None if rep.max_residual is None else bool(rep.max_residual < 1e-9)
+    out["locus"] = loc
+    out["expected_dimension"] = data.get("expected_dimension")
+    code = 0 if rep.dimension == data.get("expected_dimension") else 1
+    return code, out
 
 
 def cmd_curve(args) -> tuple[int, dict]:
     # a trailing i is the imaginary unit; "inf" and "nan" keep their letters
     t = complex(args.t[:-1] + "j" if args.t.endswith("i") else args.t) if args.t else None
     if args.verify and t is None:
-        raise SystemExit2("--verify needs a numeric --t")
+        raise ValueError("--verify needs a numeric --t")
     from . import curves as cv
 
     model = cv.build_model(args.n, t)
@@ -435,10 +434,6 @@ def _emit_csv(results: dict) -> str:
     return buf.getvalue()
 
 
-class SystemExit2(Exception):
-    """Usage error carrying the message for exit code 2."""
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -539,9 +534,6 @@ def main(argv=None) -> int:
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)
-    except SystemExit2 as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except (GroupError, ValueError, OSError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

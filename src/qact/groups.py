@@ -24,9 +24,8 @@ only non-2-groups here; `maximal_subgroups`, `automorphisms` and
 
 from __future__ import annotations
 
-import inspect
 import itertools
-from functools import lru_cache, wraps
+from functools import cache, lru_cache
 
 
 MAX_ORDER = 64
@@ -276,22 +275,8 @@ _C2 = FiniteGroup("C2", ["1", "t"], [[0, 1], [1, 0]], [1])
 # constructors
 # ---------------------------------------------------------------------------
 
-
-def _memoised(builder):
-    """Build each catalogue group once per parameter value.
-
-    Skes and the group-keyed caches compare groups by identity, so a second
-    build of the same group would be a different group.  The cache is keyed
-    on the bound arguments, so positional and keyword calls share it.
-    """
-    signature = inspect.signature(builder)
-    cached = lru_cache(maxsize=None)(builder)
-
-    @wraps(builder)
-    def build(*args, **kwargs):
-        return cached(*signature.bind(*args, **kwargs).args)
-
-    return build
+# The catalogue builders are cached and take positional arguments only, so
+# each parameter value has one cache key and one shared group.
 
 
 def _materialize(name, bounds, mult, relations, kind, params):
@@ -330,8 +315,8 @@ def quaternion_mul(n: int):
     return mult
 
 
-@_memoised
-def build_quaternion(n: int) -> FiniteGroup:
+@cache
+def build_quaternion(n: int, /) -> FiniteGroup:
     """The generalized quaternion group of order 2^n, n >= 3."""
     if n < 3:
         raise GroupError(f"quaternion group needs n >= 3, got {n}")
@@ -348,8 +333,8 @@ def build_quaternion(n: int) -> FiniteGroup:
                         kind="quaternion", params={"n": n, "letters": ["x", "y"]})
 
 
-@_memoised
-def _build_g1_g2(n: int, variant: int) -> FiniteGroup:
+@cache
+def _build_g1_g2(n: int, variant: int, /) -> FiniteGroup:
     """Supergroups G1/G2 of Q(2^n) of order 2^(n+1): elements x^a y^e z^f.
 
     Both have z^2 = 1 and z y z = y^-1.  In G1, z centralizes x; in G2,
@@ -392,7 +377,7 @@ def _build_g1_g2(n: int, variant: int) -> FiniteGroup:
                         kind=f"g{variant}", params={"n": n, "letters": ["x", "y", "z"]})
 
 
-@_memoised
+@cache
 def _build_qd16() -> FiniteGroup:
     """Quasi-dihedral group of order 32: <u,v : u^16, v^2, v u v u^-7>."""
     def mult(p, q):
@@ -411,7 +396,7 @@ def _build_qd16() -> FiniteGroup:
                         kind="qd16", params={"letters": ["u", "v"]})
 
 
-@_memoised
+@cache
 def _build_c4xc2_rtimes_c2() -> FiniteGroup:
     """<a,b,c : a^2, b^2, c^4, bcbc^3, acac^3, abac^2b> of order 16.
 
@@ -436,7 +421,7 @@ def _build_c4xc2_rtimes_c2() -> FiniteGroup:
                         kind="c4xc2_rtimes_c2", params={"letters": ["a", "b", "c"]})
 
 
-@_memoised
+@cache
 def _build_d4xc2_rtimes_c2() -> FiniteGroup:
     """<r,s,a,b> of order 32 with D4 = <r,s>, a central in <r,s,a>, and
     b acting by r -> r, s -> s r a, a -> a r^2.
@@ -473,8 +458,8 @@ def _build_d4xc2_rtimes_c2() -> FiniteGroup:
                         kind="d4xc2_rtimes_c2", params={"letters": ["r", "s", "a", "b"]})
 
 
-@_memoised
-def build_dihedral(m: int) -> FiniteGroup:
+@cache
+def build_dihedral(m: int, /) -> FiniteGroup:
     """Dihedral group <r,s : r^m, s^2, (sr)^2> of order 2m, m >= 2."""
     if m < 2 or 2 * m > MAX_ORDER:
         raise GroupError(f"dihedral parameter {m} out of range 2..{MAX_ORDER // 2}")

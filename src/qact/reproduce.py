@@ -132,18 +132,18 @@ def _siegel() -> dict:
         fx = sg.load_fixture(name)
         data = fx["data"]
         gens = sg.fixture_generators(data)
-        entry: dict = {
-            "sha256": fx["sha256"],
-            "generators_symplectic": [sg.is_symplectic(g) for g in gens],
-        }
         target = build_named(data["target_group"])
         grp = sg.verify_group_data(
             gens, data.get("relations"), target, gen_names=data.get("generator_names")
         )
-        entry["order"] = grp.order
-        entry["relations_hold"] = list(grp.relations_hold)
-        entry["isomorphic_to_target"] = grp.isomorphic_to_target
-        entry["presentation_witness"] = list(grp.presentation_witness or [])
+        entry: dict = {
+            "sha256": fx["sha256"],
+            "generators_symplectic": list(grp.generators_symplectic),
+            "order": grp.order,
+            "relations_hold": list(grp.relations_hold),
+            "isomorphic_to_target": grp.isomorphic_to_target,
+            "presentation_witness": list(grp.presentation_witness or []),
+        }
         if "family" in data:
             entry["family_fixed"] = sg.verify_fixed_family(
                 gens, sg.family_from_fixture(data)

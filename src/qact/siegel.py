@@ -7,10 +7,11 @@ Group-level claims (closure order, defining relations, isomorphism type) are
 checked on the matrix group generated by the printed integer matrices, whose
 products are exact Python integers (`mat_mul`).  The fixed-locus dimension
 estimator is the one numerical component: Gauss-Newton on the stacked
-residuals over symmetric complex matrices, followed by a singular-value count
-of the linearization; null directions are validated by stepping along them
-and re-converging.  The Jacobian multiplies each generator's blocks into the
-whole stacked basis of symmetric matrices at once.
+residuals over symmetric complex matrices, followed by one SVD of the
+linearization, which gives both the singular-value count and the null
+directions; these are validated by stepping along them and re-converging.
+The Jacobian multiplies each generator's blocks into the whole stacked basis
+of symmetric matrices at once.
 """
 
 from __future__ import annotations
@@ -264,7 +265,8 @@ def verify_fixed_point_numeric(generators, Z: np.ndarray) -> float:
 
 def _sym_basis(g: int) -> np.ndarray:
     """The symmetric unit matrices E_ij + E_ji (i <= j, row-major), stacked
-    into one (g(g+1)/2, g, g) array."""
+    into one (g(g+1)/2, g, g) array.  A coefficient vector v is the symmetric
+    matrix `np.tensordot(v, basis, axes=1)`, with v[k] at (i, j) and (j, i)."""
     basis = np.zeros((g * (g + 1) // 2, g, g), dtype=complex)
     for k, (i, j) in enumerate((i, j) for i in range(g) for j in range(i, g)):
         basis[k, i, j] = 1.0
@@ -326,10 +328,11 @@ def _newton(gens_blocks, Z0: np.ndarray, basis):
             return Z
         Jm = _jacobian(gens_blocks, Z, basis)
         delta, *_ = np.linalg.lstsq(Jm, -F, rcond=None)
+        direction = np.tensordot(delta, basis, axes=1)
         step = 1.0
         improved = False
         for _ in range(30):
-            Zt = Z + step * _vec_to_sym(delta, Z.shape[0])
+            Zt = Z + step * direction
             if float(np.max(np.abs(_residual(gens_blocks, Zt)))) < fn:
                 Z = Zt
                 improved = True
@@ -341,26 +344,15 @@ def _newton(gens_blocks, Z0: np.ndarray, basis):
     return Z if float(np.max(np.abs(F))) < 1e-11 else None
 
 
-def _vec_to_sym(v: np.ndarray, g: int) -> np.ndarray:
-    Z = np.zeros((g, g), dtype=complex)
-    k = 0
-    for i in range(g):
-        for j in range(i, g):
-            Z[i, j] = v[k]
-            Z[j, i] = v[k]
-            k += 1
-    return Z
-
-
 def fixed_locus_dimension(generators, starts: int = 8, rank_tol: float = 1e-7,
                           rng_seed: int = 0) -> LocusReport:
     """Newton-estimated complex dimension of {Z symmetric : R.Z = Z for all R}.
 
     Starting points are i*I and `starts` random H_g matrices; at a
     converged point the dimension is the number of singular values of the
-    linearization below rank_tol * sigma_max, and each null direction is
-    cross-validated by stepping along it and re-converging to a nearby,
-    distinct fixed point.
+    linearization below rank_tol * sigma_max, and each null direction of the
+    same SVD is cross-validated by stepping along it and re-converging to a
+    nearby, distinct fixed point.
     """
     g = len(generators[0]) // 2
     gens_blocks = [
@@ -388,20 +380,19 @@ def fixed_locus_dimension(generators, starts: int = 8, rank_tol: float = 1e-7,
     # prefer a representative inside H_g when one exists
     point = next((Z for Z in converged if in_upper_half(Z)), converged[0])
     Jm = _jacobian(gens_blocks, point, basis)
-    sv = np.linalg.svd(Jm, compute_uv=False)
+    _, sv, Vh = np.linalg.svd(Jm)
     smax = float(sv[0]) if len(sv) else 0.0
     if smax == 0.0:
         dim = len(basis)
         null_dirs = []
     else:
         dim = int(np.sum(sv < rank_tol * smax))
-        _, _, Vh = np.linalg.svd(Jm)
         null_dirs = [Vh[-(k + 1)].conj() for k in range(dim)]
 
     validated = 0
     eps = 1e-3 * (1.0 + float(np.max(np.abs(point))))
     for d in null_dirs:
-        Zs = point + eps * _vec_to_sym(d, g)
+        Zs = point + eps * np.tensordot(d, basis, axes=1)
         Zn = _newton(gens_blocks, Zs, basis)
         if Zn is not None and float(np.max(np.abs(Zn - point))) > eps / 4:
             validated += 1

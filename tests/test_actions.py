@@ -102,13 +102,26 @@ def test_validate_family_representatives():
             assert ok, (n, label, msg)
 
 
+@lru_cache(maxsize=None)
+def _census(n):
+    return one_dimensional_families(n)
+
+
 def test_family_labels_name_the_census():
-    """F2 has no census representative below n = 4, where its signature is
-    F1's."""
+    """The family table names the census: its labels are the census labels,
+    each representative's signature reads back as its label, and each
+    record carries the printed stratum bound.  F2 has no census
+    representative below n = 4, where its signature is F1's."""
     for n in (3, 4, 5, 6):
-        assert actions.family_labels(n) == family_labels(n)
-    for n in (3, 4):
-        assert sorted(actions.family_labels(n)) == sorted(f.label for f in one_dimensional_families(n))
+        labels = actions.family_labels(n)
+        assert labels == family_labels(n)
+        assert sorted(labels) == sorted(f.label for f in _census(n))
+        for label in labels:
+            assert family_label(n, family_representative(n, label).signature) == label
+        printed = {"F0": 1, "F1": 1, "F2": 2 ** (n - 2), **{f"C{k}": 2 ** (n - k - 1) for k in range(2, n)}}
+        assert {f.label: f.stratum_bound for f in _census(n)} == {label: printed[label] for label in labels}
+    # the genus is part of the key: (1; 4,4,4,4) is not F1
+    assert family_label(4, Signature(1, (4, 4, 4, 4))) == "sig(1; 4,4,4,4)"
     with pytest.raises(ValueError, match="no family F2 at n=3"):
         family_representative(3, "F2")
 
@@ -432,7 +445,9 @@ def test_orbit_move_leaving_valid_set_raises(monkeypatch):
 
 
 def test_budget_guard():
-    with pytest.raises(BudgetExceeded):
+    """The candidates are the ten order-4 elements of Q16 in each of the
+    first three slots; the last is solved from the long relation."""
+    with pytest.raises(BudgetExceeded, match="^1000 candidates exceed budget 10$"):
         classify(Q(4), Signature(0, (4, 4, 4, 4)), max_candidates=10)
 
 
@@ -545,7 +560,7 @@ def test_census_n3():
 
 
 def test_census_n6():
-    fams = one_dimensional_families(6)
+    fams = _census(6)
     assert len(fams) == 7
     by_label = {f.label: f for f in fams}
     assert set(by_label) == {"F0", "F1", "F2", "C2", "C3", "C4", "C5"}

@@ -454,6 +454,21 @@ def test_counts_that_would_check_nothing_exit_2(capsys, argv, flag):
     assert len(errors) == 1 and flag in errors[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--n", "4"],
+    ["extend", "--super", "G1"],
+    ["extend", "--n", "4", "--super", "G1"],
+    ["curve", "--n", "3", "--verify"],
+])
+def test_missing_inputs_exit_2_with_one_error_line(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_genus_zero_with_max_b_0_checks_one_record(capsys):
     code, rep = run_json(capsys, "genus-zero", "--n", "3", "--max-b", "0")
     assert code == 0

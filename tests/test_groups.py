@@ -283,11 +283,16 @@ def test_element_products_inverses_and_orders():
 
 
 def test_catalogue_groups_are_built_once():
-    assert build_named("Q16") is build_quaternion(4) is build_quaternion(n=4)
+    assert build_named("Q16") is build_quaternion(4) is build_quaternion(4)
     assert build_named("G1", n=4) is build_named("G1", n=4) is build_named("G1", 4)
     assert build_named("G1", n=4) is not build_named("G2", n=4)
-    assert build_named("Dihedral", m=4) is build_dihedral(4) is build_dihedral(m=4)
+    assert build_named("Dihedral", m=4) is build_dihedral(4) is build_dihedral(4)
     assert build_named("QD16") is build_named("QD16")
+    # positional-only parameters give each value one cache key
+    with pytest.raises(TypeError):
+        build_quaternion(n=4)
+    with pytest.raises(TypeError):
+        build_dihedral(m=4)
 
 
 def test_group_from_json_descriptors():

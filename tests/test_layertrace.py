@@ -18,6 +18,16 @@ def _layertrace():
     return module
 
 
+def test_the_cached_group_builders_are_traced():
+    """The catalogue builders are `functools.cache` objects; the tracer must
+    still see them as public functions of `groups`, so that it wraps and
+    rebinds them."""
+    import qact.groups
+
+    names = dict(_layertrace()._public_functions(qact.groups))
+    assert names["groups.build_quaternion"] is qact.groups.build_quaternion
+
+
 def test_every_traced_method_is_defined_on_its_class():
     for key in _layertrace().METHODS:
         layer, cls_name, attr = key.split(".")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -292,11 +293,35 @@ def test_verify_fixed_point_requires_upper_half():
 
 @pytest.mark.parametrize("name,dim", [("thm10", 1), ("thm11", 2), ("prop13", 0)])
 def test_fixed_locus_dimensions(name, dim):
+    """At seeds 0-3 and both rank tolerances.  The one SVD's singular values
+    agree with a values-only SVD at the report's point and count the same
+    number below the tolerance."""
     data = load_fixture(name)["data"]
-    rep = fixed_locus_dimension(fixture_generators(data), starts=8, rng_seed=0)
-    assert rep.dimension == dim
-    assert rep.max_residual < 1e-10
-    assert rep.validated_directions == dim
+    assert data["expected_dimension"] == dim
+    gens = fixture_generators(data)
+    gb = _complex_blocks(gens)
+    basis = _sym_basis(len(gens[0]) // 2)
+    for seed, rank_tol in itertools.product(range(4), (1e-7, 1e-9)):
+        rep = fixed_locus_dimension(gens, starts=8, rank_tol=rank_tol, rng_seed=seed)
+        assert rep.dimension == dim
+        assert rep.max_residual < 1e-10
+        assert rep.validated_directions == dim
+        sv = np.linalg.svd(_jacobian(gb, rep.point, basis), compute_uv=False)
+        assert np.allclose(rep.singular_values, sv, rtol=0, atol=1e-12 * sv[0])
+        assert int(np.sum(sv < rank_tol * sv[0])) == dim
+
+
+@pytest.mark.parametrize("g", [3, 4, 5])
+def test_contracting_the_sym_basis_places_each_coefficient(g):
+    """v[k] lands at (i, j) and (j, i) for the k-th row-major pair i <= j."""
+    rng = np.random.default_rng(g)
+    pairs = [(i, j) for i in range(g) for j in range(i, g)]
+    v = rng.normal(size=len(pairs)) + 1j * rng.normal(size=len(pairs))
+    Z = np.tensordot(v, _sym_basis(g), axes=1)
+    expected = np.zeros((g, g), dtype=complex)
+    for k, (i, j) in enumerate(pairs):
+        expected[i, j] = expected[j, i] = v[k]
+    assert np.array_equal(Z, expected)
 
 
 def _complex_blocks(gens):
