@@ -8,9 +8,10 @@ quotient is the orbit structure under braid moves combined with Aut(G)
 relabelings; over a genus-one quotient the two elementary moves
 (a,b,g) -> (a, ba, g) and (ab, b, g) are used instead.  Both commute with
 Aut(G), which acts freely on generating tuples, so the orbit search runs on
-Aut-classes, each held by one canonical relabelling.  Quotient surfaces
-S_K are handled through the action on cosets G/K: the cycle structure of each
-elliptic image determines the branch data and hence the genus, for any gamma.
+Aut-classes, each held by its lex-least member, the canonical image a
+stabilizer chain gives (`_canon`).  Quotient surfaces S_K are handled
+through the action on cosets G/K: the cycle structure of each elliptic image
+determines the branch data and hence the genus, for any gamma.
 
 Enumeration walks element tuples in lexicographic order with the last slot
 solved from the long relation, an order filter per slot and a
@@ -332,58 +333,59 @@ class OrbitReport:
 
 
 @lru_cache(maxsize=None)
-def _aut_table(G: FiniteGroup) -> tuple[list[tuple[int, ...]], dict]:
-    """Aut(G), and for each generating pair the automorphism taking it to the
-    least pair of its Aut-orbit, unique as Aut(G) acts freely on such pairs.
-    An orbit's first pair in lex order is its least; p^-1 takes p(pair) back.
-    The identity marks a least pair: it is the entry of exactly those."""
+def _aut_chain(G: FiniteGroup) -> tuple[list, list, dict]:
+    """Aut(G); for each element one automorphism taking it to the least
+    element of its Aut-orbit; and for each such least element its
+    stabilizer.  Elements are met in increasing order, so an element no
+    earlier orbit reached is the least of its own; p^-1 takes p(m) to m."""
     auts = automorphisms(G)
-    masks, _ = _maximal_masks(G)
-    inverses = [tuple(sorted(range(G.order), key=p.__getitem__)) for p in auts]
-    table: dict[tuple[int, int], tuple[int, ...]] = {}
-    for g, h in itertools.product(range(G.order), repeat=2):
-        if not masks[g] & masks[h] and (g, h) not in table:
-            for p, q in zip(auts, inverses):
-                table[p[g], p[h]] = q
-    return auts, table
-
-
-def _first_pair(masks: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, int]:
-    """The first slot pair of t, in lex order of slots, that generates G:
-    automorphisms permute the maximal subgroups, so they keep which slot
-    pairs generate.  Q(2^n) is 2-generated, so every generating tuple has
-    such a pair."""
-    for i, k in itertools.combinations(range(len(t)), 2):
-        if not masks[t[i]] & masks[t[k]]:
-            return t[i], t[k]
-    raise ValueError(f"no slot pair of {t} generates the group")
+    to_least = [None] * G.order
+    stabilizers = {}
+    for m in range(G.order):
+        if to_least[m] is None:
+            stabilizers[m] = [p for p in auts if p[m] == m]
+            for p in auts:
+                if to_least[p[m]] is None:
+                    to_least[p[m]] = tuple(sorted(range(G.order), key=p.__getitem__))
+    return auts, to_least, stabilizers
 
 
 def _canon(G: FiniteGroup, t: tuple[int, ...]) -> tuple[int, ...]:
-    """t relabelled by the `_aut_table` entry of its first generating slot
-    pair, one form for its whole Aut-class.  `classify` finds its canonical
-    tuples without it; it serves the orbit moves and `check_extension`."""
-    masks, _ = _maximal_masks(G)
-    _, table = _aut_table(G)
-    p = table[_first_pair(masks, t)]
-    return tuple(p[g] for g in t)
+    """The lex-least Aut-image of t, one form for its whole Aut-class.
+
+    One automorphism p takes slot 0 to the least element m of its orbit;
+    the images with that slot 0 are those of p(t) by Stab(m), which is
+    filtered slot by slot down to the automorphisms giving the least image.
+    Aut(G) acts freely on generating tuples, so there one is left; otherwise
+    those left agree on t."""
+    _, to_least, stabilizers = _aut_chain(G)
+    p = to_least[t[0]]
+    u = [p[g] for g in t]
+    stab = stabilizers[u[0]]
+    for g in u[1:]:
+        if len(stab) == 1:
+            break
+        least = min(s[g] for s in stab)
+        stab = [s for s in stab if s[g] == least]
+    s = stab[0]
+    return tuple(s[g] for g in u)
 
 
-def _least_relabelling(G: FiniteGroup, c: tuple[int, ...]) -> tuple[int, ...]:
-    """The least Aut-image of the canonical tuple c.  Where slots 0 and 1
-    generate it is c itself: lex order compares (c_0, c_1) first, and only
-    one relabelling takes that pair to its least.  Other classes take the
-    minimum over Aut(G)."""
-    masks, _ = _maximal_masks(G)
-    if not masks[c[0]] & masks[c[1]]:
-        return c
-    auts, _ = _aut_table(G)
-    return min(tuple(p[g] for g in c) for p in auts)
+def _arrangements(periods: tuple[int, ...]):
+    """The distinct orderings of the multiset `periods` in lex order, as
+    `sorted(set(itertools.permutations(periods)))` lists them, one at a time."""
+    if not periods:
+        yield ()
+    for k in sorted(set(periods)):
+        i = periods.index(k)
+        for tail in _arrangements(periods[:i] + periods[i + 1:]):
+            yield (k,) + tail
 
 
 def _orbit_moves(G: FiniteGroup, sig: Signature):
     """Braids (gamma 0) or the two elementary moves (gamma 1), each followed
-    by `_canon`: both commute with Aut(G), so they act on Aut-classes."""
+    by `_canon`: both commute with Aut(G), so they act on Aut-classes, each
+    held by its lex-least member."""
     if sig.gamma == 0:
         moves = _braid_moves(G, len(sig.periods))
     elif sig.gamma == 1 and len(sig.periods) == 1:
@@ -398,12 +400,13 @@ def classify(G: FiniteGroup, sig: Signature, max_candidates: int = 5_000_000) ->
     (gamma 1), both combined with Aut(G).
 
     Aut(G) acts freely on valid skes, so each orbit is a union of Aut-classes
-    of |Aut| skes.  A tuple is its class's `_canon` form exactly when its
-    first generating slot pair is a least pair (`_aut_table`), so each valid
-    tuple is counted, the least-pair ones are kept as the classes, and the
-    count must be |Aut| times theirs.  The orbit search runs on the classes.
-    An orbit's representative, its least ske, is the least
-    `_least_relabelling` over its classes.
+    of |Aut| skes, each class held by its lex-least member (`_canon`).  Every
+    valid tuple is counted; one whose slot 0 is the least of its Aut-orbit
+    and that is its own `_canon` form is kept as a class, and the count must
+    be |Aut| times theirs.  The orbit search runs on the classes, and an
+    orbit's representative, its least ske, is its least class.  The period
+    arrangements are walked lazily, so the budget refuses before they are
+    all listed.
     """
     if sig.mu() <= 0:
         raise ValueError(f"signature {sig} has mu <= 0: no surface of genus >= 2 carries it")
@@ -411,21 +414,18 @@ def classify(G: FiniteGroup, sig: Signature, max_candidates: int = 5_000_000) ->
     if sig.gamma == 0:
         tuples = itertools.chain.from_iterable(
             iter_valid_tuples(G, arrangement, max_candidates)
-            for arrangement in sorted(set(itertools.permutations(sig.periods)))
+            for arrangement in _arrangements(sig.periods)
         )
         node_of = lambda t: Ske(G, Signature(0, tuple(G.orders[g] for g in t)), (), t)
     else:
         tuples = iter_genus_one_triples(G, sig.periods[0])
         node_of = lambda t: Ske(G, sig, (t[0], t[1]), (t[2],))
-    auts, table = _aut_table(G)
-    identity = tuple(range(G.order))
-    least = {pair for pair, p in table.items() if p == identity}
-    masks, _ = _maximal_masks(G)
+    auts, _, stabilizers = _aut_chain(G)
     total = 0
     nodes = set()
     for t in tuples:
         total += 1
-        if _first_pair(masks, t) in least:
+        if t[0] in stabilizers and _canon(G, t) == t:
             nodes.add(t)
     if total != len(auts) * len(nodes):
         raise RuntimeError(f"{total} valid skes do not fill {len(nodes)} classes of {len(auts)}")
@@ -434,7 +434,7 @@ def classify(G: FiniteGroup, sig: Signature, max_candidates: int = 5_000_000) ->
     while unvisited:
         orbit = _orbit(unvisited.pop(), moves, nodes)
         unvisited -= orbit
-        orbits.append((min(_least_relabelling(G, c) for c in orbit), len(orbit)))
+        orbits.append((min(orbit), len(orbit)))
     orbits.sort()
     return OrbitReport(
         signature=sig,
@@ -774,24 +774,27 @@ def family_labels(n: int) -> list[str]:
 
 
 def family_representative(n: int, label: str) -> Ske:
-    """The paper's explicit representative ske of each one-dimensional family."""
+    """The paper's explicit representative ske of each one-dimensional family,
+    with the family's signature from `_families`.  The variants F1' and F2@p
+    name their own, since F2@p also runs at n = 3, where there is no F2."""
     G = build_quaternion(n)
     x, y = G.generators
     half = 2 ** (n - 1)
     quarter = 2 ** (n - 2)
     mul, inv, power = G.cayley, G.inv, G.power
     xy = mul[x][y]
+    families = _families(n)
     if label == "F0":
         # (alpha, beta, gamma) -> (y, x y, x^2)
-        return Ske(G, Signature(1, (quarter,)), (y, xy), (power(x, 2),))
+        return Ske(G, families["F0"][0], (y, xy), (power(x, 2),))
     if label == "F1":
         # theta_0 = (x y, y, y, x y)
-        return Ske(G, Signature(0, (4, 4, 4, 4)), (), (xy, y, y, xy))
+        return Ske(G, families["F1"][0], (), (xy, y, y, xy))
     if label == "F1'":
         # the variant with p = 2^(n-2): (x y, y, y^-1, x y^-1)
         yinv = inv[y]
         return Ske(G, Signature(0, (4, 4, 4, 4)), (), (xy, y, yinv, mul[x][yinv]))
-    if label == "F2" and label not in family_labels(n):
+    if label == "F2" and label not in families:
         raise ValueError(f"no family F2 at n={n}: below n = 4 its signature is F1's")
     if label == "F2" or label.startswith("F2@"):
         # theta_p = (x, x^(p-1+2^(n-2)), y, x^p y), F2 itself is p = 0; the
@@ -809,12 +812,7 @@ def family_representative(n: int, label: str) -> Ske:
             raise ValueError(f"C-family index {k} out of range for n={n}")
         alpha = (1 + quarter - 2 ** (k - 1)) % half
         g2 = power(x, 2 ** (k - 1))
-        return Ske(
-            G,
-            Signature(0, (half, 2 ** (n - k), 4, 4)),
-            (),
-            (power(x, alpha), g2, y, xy),
-        )
+        return Ske(G, families[f"C{k}"][0], (), (power(x, alpha), g2, y, xy))
     raise ValueError(f"unknown family label {label!r}")
 
 
@@ -908,13 +906,12 @@ def check_extension(theta: Ske, theta_prime: Ske, words) -> ExtensionReport:
 
 
 def _in_class_orbit(ske: Ske, theta: Ske) -> bool:
-    """Whether the valid ske lies in theta's orbit.  The moves keep a tuple
-    generating, so a theta that does not generate has no valid ske in it."""
+    """Whether the valid ske lies in theta's orbit.  The moves keep the
+    subgroup a tuple generates, so a theta that does not generate has no
+    valid ske in it."""
     G = theta.group
     moves = _orbit_moves(G, theta.signature)
     t = theta.hyperbolic + theta.elliptic
-    if len(G.closure(t)) != G.order:
-        return False
     return _canon(G, ske.hyperbolic + ske.elliptic) in _orbit(_canon(G, t), moves)
 
 

@@ -19,8 +19,8 @@
   `qact.actions.classify` searches on Aut-classes instead.
 - The classification on Aut-classes with every tuple relabelled by `_canon`
   and each representative the least over orbit x Aut(G).
-  `qact.actions.classify` keeps the least-pair tuples and takes the
-  minimum over Aut(G) only where slots 0 and 1 do not generate.
+  `qact.actions.classify` keeps only the tuples that are their own lex-least
+  Aut-image and takes each orbit's least class, with no relabelling.
 - The explicit representing matrices of the irreducibles of Q(2^n), and
   fixed-space dimensions as ranks of averaged projectors.  `qact.reptheory`
   works with characters only.
@@ -53,7 +53,6 @@ from qact.actions import (
     Signature,
     Ske,
     UnsupportedMove,
-    _aut_table,
     _braid_moves,
     _canon,
     _genus_one_moves,
@@ -228,7 +227,7 @@ def classify_by_canon(G, sig: Signature, max_candidates: int = 5_000_000) -> Orb
     else:
         tuples = iter_genus_one_triples(G, sig.periods[0])
         node_of = lambda t: Ske(G, sig, (t[0], t[1]), (t[2],))
-    auts, _ = _aut_table(G)
+    auts = automorphisms(G)
     nodes = Counter(_canon(G, t) for t in tuples)
     total = nodes.total()
     if total != len(auts) * len(nodes):

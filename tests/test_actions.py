@@ -13,13 +13,12 @@ from qact.actions import (
     Signature,
     Ske,
     UnsupportedMove,
-    _aut_table,
+    _arrangements,
+    _aut_chain,
     _braid_moves,
     _canon,
-    _first_pair,
     _genus_one_moves,
     _in_class_orbit,
-    _least_relabelling,
     _maximal_masks,
     _orbit_moves,
     check_extension,
@@ -296,25 +295,31 @@ def _census_tuples(n):
 @given(data=st.data())
 def test_canon_is_constant_on_aut_classes(n, order, data):
     """`_canon` gives every Aut-image of a valid tuple the same form, and that
-    form is an Aut-image of the tuple."""
+    form is the least Aut-image of the tuple."""
     G = Q(n)
-    auts, _ = _aut_table(G)
+    auts, _, _ = _aut_chain(G)
     assert len(auts) == order
     t = data.draw(st.sampled_from(_census_tuples(n)))
     p = data.draw(st.sampled_from(auts))
     canon = _canon(G, t)
     assert _canon(G, tuple(p[g] for g in t)) == canon
-    assert canon in {tuple(q[g] for g in t) for q in auts}
+    assert canon == min(tuple(q[g] for g in t) for q in auts)
 
 
-def test_aut_table_takes_each_generating_pair_to_the_least_of_its_orbit():
+def test_aut_chain_takes_each_element_to_the_least_of_its_orbit():
+    """Each element's automorphism takes it to the least element of its
+    Aut-orbit, and each such least element keeps its whole stabilizer."""
     G = Q(4)
-    auts, table = _aut_table(G)
-    masks, _ = _maximal_masks(G)
-    pairs = {(g, h) for g in G for h in G if not masks[g] & masks[h]}
-    assert set(table) == pairs
-    for (g, h), q in table.items():
-        assert (q[g], q[h]) == min((p[g], p[h]) for p in auts)
+    auts = automorphisms(G)
+    chain_auts, to_least, stabilizers = _aut_chain(G)
+    assert chain_auts == auts
+    least = [min(p[g] for p in auts) for g in G]
+    assert set(stabilizers) == set(least)
+    for g in G:
+        assert to_least[g] in auts
+        assert to_least[g][g] == least[g]
+    for m, stab in stabilizers.items():
+        assert stab == [p for p in auts if p[m] == m]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -345,10 +350,10 @@ def _signature_tuples(G, sig):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_classify_matches_the_canon_route(n):
-    """Counting classes by least-pair membership, with the slot-0/1
-    representative shortcut, reports what relabelling every tuple by
-    `_canon` and minimising over orbit x Aut(G) reports, on every census
-    signature and every genus-one signature."""
+    """Keeping the tuples that are their own lex-least Aut-image, with each
+    orbit's least class as its representative, reports what relabelling
+    every tuple by `_canon` and minimising over orbit x Aut(G) reports, on
+    every census signature and every genus-one signature."""
     G = Q(n)
     avail = sorted({G.orders[g] for g in range(1, G.order)})
     sigs = [f.signature for f in one_dimensional_families(n)]
@@ -358,35 +363,21 @@ def test_classify_matches_the_canon_route(n):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_least_pairs_mark_the_canon_forms_and_their_class_minima(n):
-    """A tuple is its `_canon` form exactly when its first generating slot
-    pair is a least pair, one whose `_aut_table` entry is the identity.  A
-    class whose slots 0 and 1 generate has that form as its least
-    relabelling; other classes need not, and `_least_relabelling` gives the
-    least relabelling of both kinds."""
+def test_canon_is_the_least_aut_image(n):
+    """`_canon(G, t)` is the least of t's Aut-images, by brute force over
+    Aut(G): on every valid tuple of every census signature at n = 3 and 4,
+    and at n = 5 on the census class nodes, the tuples that are their own
+    `_canon` form, one per |Aut| tuples."""
     G = Q(n)
-    auts, table = _aut_table(G)
-    masks, _ = _maximal_masks(G)
-    identity = tuple(range(G.order))
-    least = {pair for pair, p in table.items() if p == identity}
-    assert len(table) == len(auts) * len(least)
-    shortcut = moved = 0
+    auts = automorphisms(G)
     for fam in one_dimensional_families(n):
-        nodes = set()
-        for t in _signature_tuples(G, fam.signature):
-            canonical = _canon(G, t) == t
-            assert canonical == (_first_pair(masks, t) in least), t
-            if canonical:
-                nodes.add(t)
-        for node in nodes:
-            least_image = min(tuple(p[g] for g in node) for p in auts)
-            if not masks[node[0]] & masks[node[1]]:
-                assert least_image == node
-                shortcut += 1
-            moved += least_image != node
-            assert _least_relabelling(G, node) == least_image, node
-    assert shortcut
-    assert moved or n == 3  # at n = 3 every census class is its least relabelling
+        tuples = _signature_tuples(G, fam.signature)
+        if n == 5:
+            nodes = [t for t in tuples if _canon(G, t) == t]
+            assert len(nodes) * len(auts) == len(tuples)
+            tuples = nodes
+        for t in tuples:
+            assert _canon(G, t) == min(tuple(p[g] for g in t) for p in auts), t
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -442,6 +433,12 @@ def test_orbit_move_leaving_valid_set_raises(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="left the valid ske set"):
         classify(G, sig)
+
+
+@given(st.lists(st.sampled_from([2, 4, 8]), max_size=6))
+def test_arrangements_walk_the_distinct_orderings_in_lex_order(periods):
+    periods = tuple(periods)
+    assert list(_arrangements(periods)) == sorted(set(itertools.permutations(periods)))
 
 
 def test_budget_guard():

@@ -363,6 +363,16 @@ def test_exceeded_budget_exits_2(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "budget" in err
 
 
+def test_budget_refuses_before_listing_the_arrangements(capsys):
+    """Thirteen periods have 13! orderings; the third distinct one in lex
+    order is the first over budget, and the walk stops there."""
+    code = main(["classify", "--n", "4", "--signature", "0:" + ",".join(["2"] * 11 + ["4", "4"]),
+                 "--budget", "10"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: 100 candidates exceed budget 10\n"
+
+
 @pytest.mark.parametrize("signature", ["0:", "0:2,2", "1:"])
 def test_classify_with_mu_at_most_0_exits_2(capsys, signature):
     """2g - 2 = |G| * mu <= 0 leaves no surface of genus >= 2 to classify."""

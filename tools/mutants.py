@@ -1,0 +1,228 @@
+#!/usr/bin/env python3
+"""Replay named source mutants of src/qact against the tests meant to kill them.
+
+Each mutant is an exact text patch (a file of src/qact, the old text, the new
+text) with the tests expected to fail on it.  For each mutant the tool copies
+src/, tests/ and pyproject.toml into a temporary directory, applies the patch
+there and runs those tests with `pytest -x`.  A mutant its tests pass on
+survives.  A patch whose old text does not occur exactly once in its file is
+an error, so the list cannot go stale silently.  The repository itself is
+never written.
+
+Usage: python3 tools/mutants.py [NAME ...]   (default: every mutant)
+Exit status: 0 every mutant killed, 1 a mutant survived, 2 a patch or a test
+id no longer applies.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to src/qact
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+MUTANTS = [
+    Mutant(
+        "canon-skips-the-stabilizer-filter",
+        "actions.py",
+        "        stab = [s for s in stab if s[g] == least]\n",
+        "",
+        ("tests/test_actions.py::test_canon_is_the_least_aut_image",
+         "tests/test_actions.py::test_canon_is_constant_on_aut_classes"),
+    ),
+    Mutant(
+        "classify-keeps-every-tuple-with-a-least-slot-0",
+        "actions.py",
+        "if t[0] in stabilizers and _canon(G, t) == t:",
+        "if t[0] in stabilizers:",
+        ("tests/test_actions.py::test_classify_matches_the_canon_route",),
+    ),
+    Mutant(
+        "arrangements-repeat-an-ordering",
+        "actions.py",
+        "    for k in sorted(set(periods)):\n",
+        "    for k in sorted(periods):\n",
+        ("tests/test_actions.py::test_arrangements_walk_the_distinct_orderings_in_lex_order",),
+    ),
+    Mutant(
+        "classify-skips-the-class-count",
+        "actions.py",
+        "    if total != len(auts) * len(nodes):\n"
+        '        raise RuntimeError(f"{total} valid skes do not fill {len(nodes)} classes of {len(auts)}")\n',
+        "",
+        ("tests/test_actions.py::test_dropped_tuple_fails_the_class_count",),
+    ),
+    Mutant(
+        "orbit-leaves-the-valid-set-silently",
+        "groups.py",
+        "                if valid is not None and u not in valid:\n"
+        '                    raise RuntimeError("orbit move left the valid ske set")\n',
+        "",
+        ("tests/test_actions.py::test_orbit_move_leaving_valid_set_raises",),
+    ),
+    Mutant(
+        "budget-counts-the-solved-slot",
+        "actions.py",
+        "candidates = math.prod(map(len, buckets[:-1]))",
+        "candidates = math.prod(map(len, buckets))",
+        ("tests/test_actions.py::test_budget_guard",),
+    ),
+    Mutant(
+        "family-key-ignores-gamma",
+        "actions.py",
+        "if (family_sig.gamma, family_sig.sorted_periods()) == key:",
+        "if family_sig.sorted_periods() == key[1]:",
+        ("tests/test_actions.py::test_family_labels_name_the_census",),
+    ),
+    Mutant(
+        "wrong-f2-stratum-bound",
+        "actions.py",
+        'table["F2"] = (Signature(0, (half, half, 4, 4)), 2 ** (n - 2))',
+        'table["F2"] = (Signature(0, (half, half, 4, 4)), 2 ** (n - 3))',
+        ("tests/test_actions.py::test_family_labels_name_the_census",),
+    ),
+    Mutant(
+        "genus-zero-decided-by-k3",
+        "actions.py",
+        'return quotient_data(ske, named_subgroups(ske.group)["Z"]).genus == 0',
+        'return quotient_data(ske, named_subgroups(ske.group)["K3"]).genus == 0',
+        ("tests/test_actions.py::test_genus_zero_from_s_z_matches_the_subgroup_sweep",),
+    ),
+    Mutant(
+        "no-riemann-hurwitz-parity-check",
+        "actions.py",
+        "    if rhs % 2 != 0:\n"
+        '        raise RuntimeError("Riemann-Hurwitz parity failure")\n',
+        "",
+        ("tests/test_actions.py::test_scan_raises_on_riemann_hurwitz_parity_failure",),
+    ),
+    Mutant(
+        "z-cycle-counts-unchecked",
+        "actions.py",
+        "        if out.setdefault(G.orders[g], len(cycles)) != len(cycles):\n"
+        '            raise RuntimeError("the cycle count on G/Z is not a function of the element order")\n',
+        "        out.setdefault(G.orders[g], len(cycles))\n",
+        ("tests/test_actions.py::test_scan_raises_if_z_cycles_depend_on_more_than_order",),
+    ),
+    Mutant(
+        "maximal-subgroups-drop-the-last-kernel",
+        "groups.py",
+        "                out.append(frozenset(g for g in range(self.order) if phi[g] == 0))\n"
+        "        return tuple(out)\n",
+        "                out.append(frozenset(g for g in range(self.order) if phi[g] == 0))\n"
+        "        return tuple(out[:-1])\n",
+        ("tests/test_groups.py::test_maximal_subgroups_match_the_lattice",
+         "tests/test_groups.py::test_maximal_subgroups_q64"),
+    ),
+    Mutant(
+        "light-test-skipped",
+        "groups.py",
+        "        for g in self.generators:\n            cg = c[g]\n",
+        "        for g in ():\n            cg = c[g]\n",
+        ("tests/test_groups.py::test_constructor_rejects_a_bad_table",),
+    ),
+    Mutant(
+        "fixed-dims-without-c-divides-s",
+        "reptheory.py",
+        "2 * c // len(kset) if s % c == 0 else 0 for s",
+        "2 * c // len(kset) for s",
+        ("tests/test_reptheory.py::test_fixed_dims_match_the_character_average",),
+    ),
+    Mutant(
+        "chevalley-weil-without-the-elliptic-sum",
+        "decomp.py",
+        "2 * d * (gamma - 1) + sum(d - f[v] for f in fixed)",
+        "2 * d * (gamma - 1)",
+        ("tests/test_decomp.py::test_chevalley_weil_matches_the_quotient_genera_oracle",),
+    ),
+    Mutant(
+        "cyclotomic-left-unreduced",
+        "cyclo.py",
+        "    g = gcd(den, *num)\n    if g != 1:\n",
+        "    g = gcd(den, *num)\n    if False:\n",
+        ("tests/test_cyclo.py::test_integer_arithmetic_matches_the_fraction_oracle",),
+    ),
+]
+
+
+def _patched_tree(mutant: Mutant, dest: Path) -> None:
+    """Copy the source and tests under `dest` and apply the mutant's patch;
+    raise ValueError unless its old text occurs exactly once."""
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+    shutil.copytree(ROOT / "src", dest / "src", ignore=ignore)
+    shutil.copytree(ROOT / "tests", dest / "tests", ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    path = dest / "src" / "qact" / mutant.file
+    text = path.read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"mutant {mutant.name}: old text occurs {count} times in src/qact/{mutant.file}")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def run(mutant: Mutant) -> str:
+    """'killed', 'survived', or raise ValueError when the mutant no longer
+    applies: its old text is gone or its tests are not found."""
+    with tempfile.TemporaryDirectory(prefix="qact-mutant-") as tmp:
+        dest = Path(tmp)
+        _patched_tree(mutant, dest)
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+        env.pop("PYTHONPATH", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             *mutant.tests],
+            cwd=dest, env=env, capture_output=True, text=True,
+        )
+    # pytest exits 1 when a test failed and 2 when collection failed (the
+    # mutant broke an import); 4 and 5 mean the tests were not found.
+    if proc.returncode == 0:
+        return "survived"
+    if proc.returncode in (1, 2):
+        return "killed"
+    raise ValueError(f"mutant {mutant.name}: pytest exited {proc.returncode}\n{proc.stdout}{proc.stderr}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [name for name in args.names if name not in by_name]
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [by_name[name] for name in args.names] or MUTANTS
+    survivors = []
+    for m in chosen:
+        t0 = time.perf_counter()
+        try:
+            verdict = run(m)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        print(f"{verdict:8}  {time.perf_counter() - t0:5.1f} s  {m.name}", flush=True)
+        if verdict == "survived":
+            survivors.append(m.name)
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} killed"
+          + (f"; survivors: {', '.join(survivors)}" if survivors else ""))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
