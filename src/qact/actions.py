@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .groups import (
+    BudgetExceeded,
     FiniteGroup,
     _orbit,
     automorphisms,
@@ -38,10 +39,6 @@ from .groups import (
     group_from_json,
     named_subgroups,
 )
-
-
-class BudgetExceeded(RuntimeError):
-    """Enumeration would exceed the configured candidate budget."""
 
 
 class UnsupportedMove(ValueError):
@@ -773,16 +770,20 @@ def family_labels(n: int) -> list[str]:
     return list(_families(n))
 
 
+def _theta_p(G: FiniteGroup, p: int) -> tuple[int, ...]:
+    """The elliptic images (x, x^(p-1+2^(n-2)), y, x^p y) of theta_p, the
+    representatives of the F2 strata; F2's own is p = 0."""
+    x, y = G.generators
+    return (x, G.power(x, p - 1 + G.order // 4), y, G.cayley[G.power(x, p)][y])
+
+
 def family_representative(n: int, label: str) -> Ske:
-    """The paper's explicit representative ske of each one-dimensional family,
-    with the family's signature from `_families`.  The variants F1' and F2@p
-    name their own, since F2@p also runs at n = 3, where there is no F2."""
+    """The paper's explicit representative ske of each family in
+    `family_labels(n)`, with the family's signature from `_families`."""
     G = build_quaternion(n)
     x, y = G.generators
-    half = 2 ** (n - 1)
-    quarter = 2 ** (n - 2)
-    mul, inv, power = G.cayley, G.inv, G.power
-    xy = mul[x][y]
+    power = G.power
+    xy = G.cayley[x][y]
     families = _families(n)
     if label == "F0":
         # (alpha, beta, gamma) -> (y, x y, x^2)
@@ -790,27 +791,15 @@ def family_representative(n: int, label: str) -> Ske:
     if label == "F1":
         # theta_0 = (x y, y, y, x y)
         return Ske(G, families["F1"][0], (), (xy, y, y, xy))
-    if label == "F1'":
-        # the variant with p = 2^(n-2): (x y, y, y^-1, x y^-1)
-        yinv = inv[y]
-        return Ske(G, Signature(0, (4, 4, 4, 4)), (), (xy, y, yinv, mul[x][yinv]))
-    if label == "F2" and label not in families:
-        raise ValueError(f"no family F2 at n={n}: below n = 4 its signature is F1's")
-    if label == "F2" or label.startswith("F2@"):
-        # theta_p = (x, x^(p-1+2^(n-2)), y, x^p y), F2 itself is p = 0; the
-        # extension recipes use theta_p at n = 3 too, where it lies in F1
-        p = int(label[3:]) if label != "F2" else 0
-        return Ske(
-            G,
-            Signature(0, (half, half, 4, 4)),
-            (),
-            (x, power(x, p - 1 + quarter), y, mul[power(x, p)][y]),
-        )
+    if label == "F2":
+        if label not in families:
+            raise ValueError(f"no family F2 at n={n}: below n = 4 its signature is F1's")
+        return Ske(G, families["F2"][0], (), _theta_p(G, 0))
     if label.startswith("C"):
         k = int(label[1:])
         if not 2 <= k <= n - 1:
             raise ValueError(f"C-family index {k} out of range for n={n}")
-        alpha = (1 + quarter - 2 ** (k - 1)) % half
+        alpha = (1 + 2 ** (n - 2) - 2 ** (k - 1)) % 2 ** (n - 1)
         g2 = power(x, 2 ** (k - 1))
         return Ske(G, families[f"C{k}"][0], (), (power(x, alpha), g2, y, xy))
     raise ValueError(f"unknown family label {label!r}")
@@ -918,9 +907,11 @@ def _in_class_orbit(ske: Ske, theta: Ske) -> bool:
 def extension_data(n: int, family: str, supergroup: str):
     """The explicit supergroup action and restriction words for each family.
 
-    Returns (theta, theta_prime, words);  theta is the family representative
-    the restriction must be equivalent to.
+    Returns (theta, theta_prime, words);  theta is the ske of Q(2^n) the
+    restriction must be equivalent to: F0's representative, a variant of
+    F1's, or the F2 stratum representative theta_p (`_theta_p`).
     """
+    G = build_quaternion(n)
     Gp = build_named(supergroup, n=n)
     z = Gp.element("z")
     x = Gp.element("x")
@@ -946,7 +937,9 @@ def extension_data(n: int, family: str, supergroup: str):
     if family == "F1":
         if supergroup != "G1":
             raise ValueError("F1 extends to G1")
-        theta = family_representative(n, "F1'")
+        # the variant of F1's theta_0 = (x y, y, y, x y) with p = 2^(n-2)
+        theta = Ske(G, Signature(0, (4, 4, 4, 4)), (),
+                    tuple(map(G.element, ("x*y", "y", "y^-1", "x*y^-1"))))
         tp = Ske(
             Gp,
             Signature(0, (2, 2, 4, 4)),
@@ -962,7 +955,8 @@ def extension_data(n: int, family: str, supergroup: str):
         return theta, tp, words
     if family == "F2":
         p = 2 ** (n - 2) if supergroup == "G1" else 2
-        theta = family_representative(n, f"F2@{p}")
+        # theta_p lies in F2 for n >= 4 and in F1 at n = 3
+        theta = Ske(G, Signature(0, (half, half, 4, 4)), (), _theta_p(G, p))
         tp = Ske(
             Gp,
             Signature(0, (2, 2, 4, half)),

@@ -20,7 +20,9 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .groups import GroupError, build_named, build_quaternion, named_subgroups, subgroup_by_label
+from .groups import (
+    BudgetExceeded, GroupError, build_named, build_quaternion, named_subgroups, subgroup_by_label,
+)
 from .reptheory import class_data, irreducible_characters, rational_irreducibles
 from .decomp import (
     MultiplicityVector,
@@ -29,7 +31,6 @@ from .decomp import (
     multiplicities,
 )
 from .actions import (
-    BudgetExceeded,
     Signature,
     check_extension,
     classify,
@@ -229,40 +230,25 @@ def cmd_extend(args) -> tuple[int, dict]:
     }
 
 
-def _require(fx: dict, *keys: str) -> None:
-    """Raise FixtureError unless the fixture's data holds one of `keys`, so
-    that a command never passes having checked nothing."""
-    if all(fx["data"].get(key) is None for key in keys):
-        names = " or ".join(f"data.{key}" for key in keys)
-        from .siegel import FixtureError
-
-        raise FixtureError(f"fixture {fx['name']} has no {names} to check")
-
-
 def cmd_siegel(args) -> tuple[int, dict]:
     from . import siegel as sg
 
     fx = sg.load_fixture(args.fixture)
-    data = fx["data"]
-    gens = sg.fixture_generators(data)
-    base = {"fixture": fx["name"], "sha256": fx["sha256"]}
+    gens = fx.generators
+    out = {"fixture": fx.name, "sha256": fx.sha256}
     if args.action == "verify":
-        _require(fx, "family", "period_matrix")
-        out = dict(base)
+        fx.require("family", "period_matrix")
         code = 0
-        if data.get("family") is not None:
-            rep = sg.verify_fixed_family(gens, sg.family_from_fixture(data))
+        if fx.family is not None:
+            rep = sg.verify_fixed_family(gens, fx.family)
             out["fixed_family"] = rep.to_json()
-            if data.get("family_variant") is not None:
-                out["fixed_family_variant"] = sg.verify_fixed_family(
-                    gens, sg.family_with_variant(data)
-                ).to_json()
+            if fx.family_variant is not None:
+                out["fixed_family_variant"] = sg.verify_fixed_family(gens, fx.family_variant).to_json()
             if not rep.ok:
                 out["erratum"] = "printed family is not exactly fixed by the generators"
                 code = 1
-        if data.get("period_matrix") is not None:
-            Z0 = sg.prop13_period_matrix(data)
-            residual = sg.verify_fixed_point_numeric(gens, Z0)
+        if fx.period_matrix is not None:
+            residual = sg.verify_fixed_point_numeric(gens, fx.period_matrix)
             out["period_matrix_residual_below_tol"] = bool(residual < args.tol)
             out["tolerance"] = args.tol
             if residual >= args.tol:
@@ -270,30 +256,26 @@ def cmd_siegel(args) -> tuple[int, dict]:
                 code = 1
         return code, out
     if args.action == "group":
-        target = build_named(data["target_group"]) if data.get("target_group") else None
-        rep = sg.verify_group_data(
-            gens, data.get("relations"), target, gen_names=data.get("generator_names")
-        )
+        target = build_named(fx.target_group) if fx.target_group else None
+        rep = sg.verify_group_data(gens, fx.relations, target, gen_names=fx.generator_names)
         # after the closure: generators that never close report that first
-        _require(fx, "expected_order")
-        out = dict(base)
+        fx.require("expected_order")
         out["group_data"] = rep.to_json()
-        out["expected_order"] = data.get("expected_order")
-        code = 0 if (rep.ok and rep.order == data.get("expected_order")) else 1
+        out["expected_order"] = fx.expected_order
+        code = 0 if (rep.ok and rep.order == fx.expected_order) else 1
         return code, out
     # args.action == "locus": argparse admits no other action
-    _require(fx, "expected_dimension")
+    fx.require("expected_dimension")
     rep = sg.fixed_locus_dimension(
         gens, starts=args.starts, rank_tol=args.tol, rng_seed=args.seed
     )
-    out = dict(base)
     loc = rep.to_json()
     loc["point"] = None  # keep reports deterministic across BLAS variants
     loc["singular_values"] = None
     loc["max_residual"] = None if rep.max_residual is None else bool(rep.max_residual < 1e-9)
     out["locus"] = loc
-    out["expected_dimension"] = data.get("expected_dimension")
-    code = 0 if rep.dimension == data.get("expected_dimension") else 1
+    out["expected_dimension"] = fx.expected_dimension
+    code = 0 if rep.dimension == fx.expected_dimension else 1
     return code, out
 
 

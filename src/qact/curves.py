@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .actions import BudgetExceeded
+from .groups import BudgetExceeded
 from .cyclo import Cyclotomic, CycloPoly
 
 

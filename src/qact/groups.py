@@ -35,6 +35,10 @@ class GroupError(ValueError):
     """Invalid parameter or malformed group data."""
 
 
+class BudgetExceeded(RuntimeError):
+    """An enumeration or a closure would exceed its budget."""
+
+
 def _orbit(start, moves, valid: set | None = None) -> set:
     """The orbit of `start` under the given bijective moves.
 

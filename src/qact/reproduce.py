@@ -130,33 +130,26 @@ def _siegel() -> dict:
     out = {}
     for name in ("thm10", "thm11", "prop13"):
         fx = sg.load_fixture(name)
-        data = fx["data"]
-        gens = sg.fixture_generators(data)
-        target = build_named(data["target_group"])
+        gens = fx.generators
         grp = sg.verify_group_data(
-            gens, data.get("relations"), target, gen_names=data.get("generator_names")
+            gens, fx.relations, build_named(fx.target_group), gen_names=fx.generator_names
         )
         entry: dict = {
-            "sha256": fx["sha256"],
+            "sha256": fx.sha256,
             "generators_symplectic": list(grp.generators_symplectic),
             "order": grp.order,
             "relations_hold": list(grp.relations_hold),
             "isomorphic_to_target": grp.isomorphic_to_target,
             "presentation_witness": list(grp.presentation_witness or []),
         }
-        if "family" in data:
-            entry["family_fixed"] = sg.verify_fixed_family(
-                gens, sg.family_from_fixture(data)
-            ).ok
-            if "family_variant" in data:
-                entry["variant_fixed"] = sg.verify_fixed_family(
-                    gens, sg.family_with_variant(data)
-                ).ok
-        if "period_matrix" in data:
-            Z0 = sg.prop13_period_matrix(data)
-            entry["period_matrix_in_H4"] = sg.in_upper_half(Z0)
+        if fx.family is not None:
+            entry["family_fixed"] = sg.verify_fixed_family(gens, fx.family).ok
+            if fx.family_variant is not None:
+                entry["variant_fixed"] = sg.verify_fixed_family(gens, fx.family_variant).ok
+        if fx.period_matrix is not None:
+            entry["period_matrix_in_H4"] = sg.in_upper_half(fx.period_matrix)
             entry["residual_below_1e9"] = bool(
-                sg.verify_fixed_point_numeric(gens, Z0) < 1e-9
+                sg.verify_fixed_point_numeric(gens, fx.period_matrix) < 1e-9
             )
         locus = sg.fixed_locus_dimension(gens, starts=8, rng_seed=0)
         entry["fixed_locus_dimension"] = locus.dimension

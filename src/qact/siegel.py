@@ -12,6 +12,9 @@ linearization, which gives both the singular-value count and the null
 directions; these are validated by stepping along them and re-converging.
 The Jacobian multiplies each generator's blocks into the whole stacked basis
 of symmetric matrices at once.
+
+Only this module knows the fixture format: `load_fixture` parses each
+fixture once into a frozen `Fixture` record, refusing any malformed field.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from operator import mul
 import numpy as np
 
 from .cyclo import Cyclotomic, CycloPoly, PolyMatrix
-from .actions import BudgetExceeded
-from .groups import FiniteGroup, find_isomorphism
+from .groups import BudgetExceeded, FiniteGroup, find_isomorphism
 
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -417,50 +419,105 @@ class FixtureError(ValueError):
     """Missing or corrupted fixture data."""
 
 
+@dataclass(frozen=True, eq=False)  # eq=False: an ndarray field has no truth value
+class Fixture:
+    """A verification fixture, parsed once by `load_fixture`.  An optional
+    field the fixture leaves out (or sets to null) is None."""
+
+    name: str
+    sha256: str
+    generators: tuple[IntMatrix, ...]
+    generator_names: tuple[str, ...] | None
+    relations: tuple[tuple[tuple[int, int], ...], ...] | None
+    target_group: str | None
+    expected_order: int | None
+    expected_dimension: int | None
+    family: PolyMatrix | None
+    family_variant: PolyMatrix | None
+    period_matrix: np.ndarray | None
+
+    def require(self, *fields: str) -> None:
+        """Raise FixtureError unless the fixture holds one of `fields`, so
+        that an action never passes having checked nothing."""
+        if all(getattr(self, field) is None for field in fields):
+            names = " or ".join(f"data.{field}" for field in fields)
+            raise FixtureError(f"fixture {self.name} has no {names} to check")
+
+
 def fixture_checksum(data: dict) -> str:
     return hashlib.sha256(json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
-def _is_int_matrix(m, n: int) -> bool:
-    """Whether m is an n x n list of lists of integers."""
-    return isinstance(m, list) and len(m) == n and all(
-        isinstance(row, list) and len(row) == n and all(isinstance(v, int) for v in row) for row in m
-    )
-
-
 def _list_of(value, kind: type) -> bool:
-    """Whether `value` is a list whose items all have exactly the type `kind`."""
+    """Whether `value` is a list whose items all have exactly the type `kind`
+    (so a boolean is not an int)."""
     return isinstance(value, list) and all(type(v) is kind for v in value)
 
 
-def _malformed_field(data: dict) -> str | None:
-    """The first optional field of `data` that is present but malformed, so
-    that no action trips over it later or reads a wrong verdict off it."""
-    k = len(data["generators"])
-    g = len(data["generators"][0]) // 2
-    shape = lambda F: (F.rows, F.cols)
-    pair = lambda p: _list_of(p, int) and len(p) == 2 and 0 <= p[0] < k
-    checks = (
-        ("generator_names", lambda v: _list_of(v, str) and len(v) == k),
-        ("relations", lambda v: _list_of(v, list) and all(all(map(pair, w)) for w in v)),
-        ("target_group", lambda v: type(v) is str),
-        ("expected_order", lambda v: type(v) is int),
-        ("expected_dimension", lambda v: type(v) is int),
-        ("family", lambda v: shape(family_from_fixture(data)) == (g, g)),
-        ("family_variant", lambda v: shape(family_with_variant(data)) == (g, g)),
-        ("period_matrix", lambda v: prop13_period_matrix(data).shape == (g, g)),
-    )
-    for field, ok in checks:
-        try:
-            if data.get(field) is not None and not ok(data[field]):
-                return field
-        except (AttributeError, KeyError, TypeError, IndexError, ValueError, ZeroDivisionError):
-            return field
-    return None
+def _is_int_matrix(m, n: int) -> bool:
+    """Whether m is an n x n list of lists of integers."""
+    return isinstance(m, list) and len(m) == n and all(_list_of(row, int) and len(row) == n for row in m)
 
 
-def load_fixture(name_or_path: str) -> dict:
-    """Load a verification fixture by name (packaged) or filesystem path."""
+def _checked(ok: bool, value):
+    """`value`, or ValueError unless `ok`."""
+    if not ok:
+        raise ValueError("malformed fixture field")
+    return value
+
+
+def _rational(v) -> Fraction:
+    """An exact rational from a JSON integer or string; a float or a boolean
+    is refused, so no inexact number enters the exact checks."""
+    if type(v) not in (int, str):
+        raise TypeError(f"{v!r} is not an integer or a string")
+    return Fraction(v)
+
+
+def _poly(nvars: int, terms: list) -> CycloPoly:
+    out = {}
+    for t in terms:
+        exp = tuple(t["exp"])
+        if len(exp) != nvars or not all(type(e) is int and e >= 0 for e in exp):
+            raise ValueError(f"exponent {list(exp)} is not {nvars} integers >= 0")
+        out[exp] = Cyclotomic.gauss(_rational(t.get("re", "0")), _rational(t.get("im", "0")))
+    return CycloPoly.make(nvars, out)
+
+
+def _family(fam: dict, g: int) -> PolyMatrix:
+    nv = len(fam["params"])
+    F = PolyMatrix.make([[_poly(nv, cell) for cell in row] for row in fam["entries"]])
+    return _checked((F.rows, F.cols) == (g, g), F)
+
+
+def _with_variant(family: PolyMatrix, var: dict) -> PolyMatrix:
+    """The family with the alternative printed entry substituted in."""
+    entries = [list(row) for row in family.entries]
+    entries[var["row"]][var["col"]] = _poly(family.entries[0][0].nvars, var["terms"])
+    return PolyMatrix.make(entries)
+
+
+SQRT2 = 2.0 ** 0.5
+PROP13_LAMBDA = (500.0 + 146.0 * SQRT2) ** 0.5 / 644.0
+
+
+def _period_matrix(quads: list, g: int) -> np.ndarray:
+    """Z0 from g rows of g exact (p + q*sqrt2) + i*lam*(r + s*sqrt2) quadruples."""
+    if len(quads) != g or any(len(row) != g for row in quads):
+        raise ValueError(f"the period matrix is not {g} rows of {g} quadruples")
+    Z = np.zeros((g, g), dtype=complex)
+    for i, row in enumerate(quads):
+        for j, quad in enumerate(row):
+            p, q, r, s = (float(_rational(v)) for v in quad)
+            Z[i, j] = p + q * SQRT2 + 1j * PROP13_LAMBDA * (r + s * SQRT2)
+    return Z
+
+
+def load_fixture(name_or_path: str) -> Fixture:
+    """Load a verification fixture by name (packaged) or filesystem path and
+    parse each field once.  FixtureError names the first fault: the file's
+    shape, the generators, the checksum, then the first malformed optional
+    field, so that no action trips over it or reads a wrong verdict off it."""
     if name_or_path.endswith(".json") and "/" in name_or_path:
         with open(name_or_path) as fh:
             raw = json.load(fh)
@@ -473,66 +530,33 @@ def load_fixture(name_or_path: str) -> dict:
     data = raw.get("data") if isinstance(raw, dict) else None
     if not (isinstance(data, dict) and isinstance(raw.get("name"), str)):
         raise FixtureError(f"fixture {name_or_path} is not an object with a name and a data object")
+    name = raw["name"]
     gens = data.get("generators")
     n = len(gens[0]) if isinstance(gens, list) and gens and isinstance(gens[0], list) else 0
     if n == 0 or n % 2 or not all(_is_int_matrix(m, n) for m in gens):
-        raise FixtureError(f"fixture {raw['name']} needs data.generators: integer matrices of one even size")
+        raise FixtureError(f"fixture {name} needs data.generators: integer matrices of one even size")
     expected = raw.get("sha256")
     actual = fixture_checksum(data)
     if expected != actual:
-        raise FixtureError(
-            f"fixture {raw.get('name')} checksum mismatch: {actual} != {expected}"
-        )
-    field = _malformed_field(data)
-    if field is not None:
-        raise FixtureError(f"fixture {raw['name']} has a malformed data.{field}")
-    return raw
-
-
-def _poly_from_fixture(nvars: int, terms: list) -> CycloPoly:
-    out = {}
-    for t in terms:
-        exp = tuple(t["exp"])
-        if len(exp) != nvars or not all(type(e) is int and e >= 0 for e in exp):
-            raise ValueError(f"exponent {list(exp)} is not {nvars} integers >= 0")
-        out[exp] = Cyclotomic.gauss(Fraction(t.get("re", "0")), Fraction(t.get("im", "0")))
-    return CycloPoly.make(nvars, out)
-
-
-def family_from_fixture(data: dict) -> PolyMatrix:
-    fam = data["family"]
-    nv = len(fam["params"])
-    entries = [
-        [_poly_from_fixture(nv, cell) for cell in row] for row in fam["entries"]
-    ]
-    return PolyMatrix.make(entries)
-
-
-def family_with_variant(data: dict) -> PolyMatrix:
-    """The family with the alternative printed entry substituted in."""
-    var = data["family_variant"]
-    entries = [list(row) for row in family_from_fixture(data).entries]
-    entries[var["row"]][var["col"]] = _poly_from_fixture(len(data["family"]["params"]), var["terms"])
-    return PolyMatrix.make(entries)
-
-
-def fixture_generators(data: dict) -> list[IntMatrix]:
-    return [as_int_matrix(m) for m in data["generators"]]
-
-
-SQRT2 = 2.0 ** 0.5
-PROP13_LAMBDA = (500.0 + 146.0 * SQRT2) ** 0.5 / 644.0
-
-
-def prop13_period_matrix(data: dict) -> np.ndarray:
-    """Z0 from its exact (p + q*sqrt2) + i*lam*(r + s*sqrt2) entry quadruples."""
-    quads = data["period_matrix"]
-    g = len(quads)
-    Z = np.zeros((g, g), dtype=complex)
-    for i in range(g):
-        for j in range(g):
-            p, q, r, s = (Fraction(v) for v in quads[i][j])
-            Z[i, j] = float(p) + float(q) * SQRT2 + 1j * PROP13_LAMBDA * (
-                float(r) + float(s) * SQRT2
-            )
-    return Z
+        raise FixtureError(f"fixture {name} checksum mismatch: {actual} != {expected}")
+    k, g = len(gens), n // 2
+    pair = lambda p: _list_of(p, int) and len(p) == 2 and 0 <= p[0] < k
+    fields = {}
+    parsers = {
+        "generator_names": lambda v: _checked(_list_of(v, str) and len(v) == k, tuple(v)),
+        "relations": lambda v: _checked(_list_of(v, list) and all(all(map(pair, w)) for w in v),
+                                        tuple(tuple(map(tuple, w)) for w in v)),
+        "target_group": lambda v: _checked(type(v) is str, v),
+        "expected_order": lambda v: _checked(type(v) is int, v),
+        "expected_dimension": lambda v: _checked(type(v) is int, v),
+        "family": lambda v: _family(v, g),
+        "family_variant": lambda v: _with_variant(fields["family"], v),
+        "period_matrix": lambda v: _period_matrix(v, g),
+    }
+    for field, parse in parsers.items():
+        value = data.get(field)
+        try:
+            fields[field] = None if value is None else parse(value)
+        except (AttributeError, KeyError, TypeError, IndexError, ValueError, ZeroDivisionError):
+            raise FixtureError(f"fixture {name} has a malformed data.{field}") from None
+    return Fixture(name, actual, tuple(as_int_matrix(m) for m in gens), **fields)

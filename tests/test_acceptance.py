@@ -234,18 +234,18 @@ def test_acceptance_07_quotient_tables():
 @criterion("8", "dimension-three family: symplectic data and fixed family")
 def test_acceptance_08_thm10():
     t0 = time.monotonic()
-    data = sg.load_fixture("thm10")["data"]
-    gens = sg.fixture_generators(data)
+    fx = sg.load_fixture("thm10")
+    gens = fx.generators
     assert all(sg.is_symplectic(R) for R in gens)
     grp = sg.verify_group_data(
-        gens, data["relations"], build_named("C4xC2_rtimes_C2"),
-        gen_names=data["generator_names"],
+        gens, fx.relations, build_named("C4xC2_rtimes_C2"),
+        gen_names=fx.generator_names,
     )
     assert grp.order == 16
     assert all(grp.relations_hold)
     assert grp.isomorphic_to_target
-    main_ok = sg.verify_fixed_family(gens, sg.family_from_fixture(data)).ok
-    var_ok = sg.verify_fixed_family(gens, sg.family_with_variant(data)).ok
+    main_ok = sg.verify_fixed_family(gens, fx.family).ok
+    var_ok = sg.verify_fixed_family(gens, fx.family_variant).ok
     assert main_ok != var_ok, "exactly one printed diagonal variant is fixed"
     assert main_ok  # recorded: the theorem-statement diagonal (i + (i-1)t/2)
     locus = sg.fixed_locus_dimension(gens, starts=8, rank_tol=1e-7, rng_seed=0)
@@ -255,13 +255,13 @@ def test_acceptance_08_thm10():
 
 @criterion("9", "dimension-five family: symplectic data and fixed family")
 def test_acceptance_09_thm11():
-    data = sg.load_fixture("thm11")["data"]
-    gens = sg.fixture_generators(data)
+    fx = sg.load_fixture("thm11")
+    gens = fx.generators
     assert all(sg.is_symplectic(R) for R in gens)
     grp = sg.verify_group_data(gens, [], build_named("D4xC2_rtimes_C2"))
     assert grp.order == 32
     assert grp.isomorphic_to_target  # recorded isomorphism verdict
-    report = sg.verify_fixed_family(gens, sg.family_from_fixture(data))
+    report = sg.verify_fixed_family(gens, fx.family)
     assert report.generator_ok == (True, True, True)  # expected-zero residuals
     locus = sg.fixed_locus_dimension(gens, starts=8, rank_tol=1e-7, rng_seed=0)
     assert locus.dimension == 2
@@ -270,16 +270,16 @@ def test_acceptance_09_thm11():
 @criterion("10a", "order-32 action on the genus-four Jacobian: matrix data")
 def test_acceptance_10a_prop13_group_and_point():
     t0 = time.monotonic()
-    data = sg.load_fixture("prop13")["data"]
-    gens = sg.fixture_generators(data)
+    fx = sg.load_fixture("prop13")
+    gens = fx.generators
     A, B = (np.array(m) for m in gens)
     assert all(sg.is_symplectic(R) for R in gens)
     assert np.array_equal(np.linalg.matrix_power(A, 16), np.eye(8, dtype=int))
     grp = sg.verify_group_data(gens, [], build_named("QD16"),
-                               gen_names=data["generator_names"])
+                               gen_names=fx.generator_names)
     assert grp.order == 32
     assert grp.isomorphic_to_target
-    Z0 = sg.prop13_period_matrix(data)
+    Z0 = fx.period_matrix
     assert sg.in_upper_half(Z0)
     assert sg.verify_fixed_point_numeric(gens, Z0) < 1e-9
     locus = sg.fixed_locus_dimension(gens, starts=8, rng_seed=0)
@@ -308,8 +308,8 @@ def test_acceptance_10b_prop13_literal_relations():
     relation evaluator must agree with it; see the README's paragraph on
     transcription findings.  10c asserts the corrected correspondence.
     """
-    data = sg.load_fixture("prop13")["data"]
-    gens = sg.fixture_generators(data)
+    fx = sg.load_fixture("prop13")
+    gens = fx.generators
     mats = [np.array(m) for m in gens]
     A, B = mats
     I8 = np.eye(8, dtype=int)
@@ -318,7 +318,7 @@ def test_acceptance_10b_prop13_literal_relations():
         assert np.array_equal(M @ (-J @ M.T @ J), I8)
 
     by_hand = tuple(np.array_equal(_relation_matrix(word, mats, J), I8)
-                    for word in data["relations"])
+                    for word in fx.relations)
     assert by_hand == (True, False, False)
     assert np.array_equal(B @ B, -I8)
     assert np.array_equal(np.linalg.matrix_power(A, 8), -I8)
@@ -326,19 +326,19 @@ def test_acceptance_10b_prop13_literal_relations():
     # B^-1 = -B, since B^2 = -I
     assert np.array_equal(B @ A @ (-B), np.linalg.matrix_power(A, 7))
 
-    grp = sg.verify_group_data(gens, data["relations"], build_named("QD16"),
-                               gen_names=data["generator_names"])
+    grp = sg.verify_group_data(gens, fx.relations, build_named("QD16"),
+                               gen_names=fx.generator_names)
     assert grp.relations_hold == by_hand
 
 
 @criterion("10c", "quasi-dihedral presentation via corrected correspondence")
 def test_acceptance_10c_prop13_corrected_relations():
-    data = sg.load_fixture("prop13")["data"]
-    gens = sg.fixture_generators(data)
+    fx = sg.load_fixture("prop13")
+    gens = fx.generators
     A, B = (np.array(m) for m in gens)
     I8 = np.eye(8, dtype=int)
-    grp = sg.verify_group_data(gens, data["relations"], build_named("QD16"),
-                               gen_names=data["generator_names"])
+    grp = sg.verify_group_data(gens, fx.relations, build_named("QD16"),
+                               gen_names=fx.generator_names)
     # the documented u -> A, v -> B correspondence fails exactly as analyzed
     assert list(grp.relations_hold) == [True, False, False]
     assert np.array_equal(B @ B, -I8)

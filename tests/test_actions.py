@@ -160,7 +160,7 @@ def _braided(ske, i):
 
 def test_braid_example_from_theta():
     G = Q(4)
-    theta = family_representative(4, "F1'")  # (xy, y, y^-1, x y^-1)
+    theta = extension_data(4, "F1", "G1")[0]  # (xy, y, y^-1, x y^-1)
     out = _braided(theta, 1)
     x, y = G.generators
     expected = (
@@ -595,7 +595,7 @@ def test_family_representatives_live_in_their_orbits():
     # the two printed F1 skes are braid x Aut equivalent; record that here
     for n in (4, 5):
         a = family_representative(n, "F1")
-        b = family_representative(n, "F1'")
+        b = extension_data(n, "F1", "G1")[0]
         assert _in_class_orbit(b, a)
 
 
@@ -926,7 +926,7 @@ def test_f2_strata_separated_by_supergroup():
     """The G1 restriction lands in the p = 2^(n-2) stratum and must NOT be
     equivalent to the p = 2 stratum representative (they are distinct orbits)."""
     n = 4
-    theta_p2 = family_representative(n, "F2@2")
+    theta_p2 = extension_data(n, "F2", "G2")[0]
     _, theta_prime, words = extension_data(n, "F2", "G1")
     rep = check_extension(theta_p2, theta_prime, words)
     assert not rep.equivalent_to_theta

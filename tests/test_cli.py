@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -6,7 +7,7 @@ import qact.curves
 from qact.cli import main
 from qact.actions import Signature, Ske, extension_data, family_representative
 from qact.groups import build_named, build_quaternion
-from qact.siegel import fixture_checksum, load_fixture
+from qact.siegel import fixture_checksum
 
 
 def run(capsys, *argv):
@@ -208,9 +209,7 @@ def test_siegel_verify_tol_bounds_the_residual_only(capsys):
 def test_siegel_verify_flags_nonzero_residual_as_erratum(tmp_path, capsys):
     """A family that is not exactly fixed must fail `verify` with a
     diagnostic (exit 1), not crash: exercised on a perturbed fixture."""
-    from qact.siegel import fixture_checksum, load_fixture
-
-    raw = load_fixture("thm10")
+    raw = _packaged("thm10")
     entry = raw["data"]["family"]["entries"][0][0]
     entry[0]["re"] = "3/2"  # perturb one constant term
     raw["sha256"] = fixture_checksum(raw["data"])
@@ -382,6 +381,11 @@ def test_classify_with_mu_at_most_0_exits_2(capsys, signature):
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "mu <= 0" in err
 
 
+def _packaged(name):
+    """The packaged fixture file as raw JSON."""
+    return json.loads(resources.files("qact").joinpath(f"fixtures/{name}.json").read_text())
+
+
 def _signed_fixture(data):
     return {"name": "x", "sha256": fixture_checksum(data), "data": data}
 
@@ -397,7 +401,7 @@ _MALFORMED_FIXTURES = {
 
 def _broken(action, fixture, field, malform, case):
     """A case for a packaged fixture with one optional field malformed, re-signed."""
-    raw = load_fixture(fixture)
+    raw = _packaged(fixture)
     malform(raw["data"])
     raw["sha256"] = fixture_checksum(raw["data"])
     return pytest.param(action, raw, f"fixture {fixture} has a malformed data.{field}", id=f"{action}-{case}")
@@ -420,6 +424,19 @@ def _broken(action, fixture, field, malform, case):
     _broken("verify", "thm10", "family_variant", lambda d: d["family_variant"].update(row=99), "variant-row-99"),
     _broken("group", "prop13", "expected_order", lambda d: d.update(expected_order="32"), "order-str"),
     _broken("locus", "prop13", "expected_dimension", lambda d: d.update(expected_dimension="0"), "dimension-str"),
+    # inexact numbers never enter the exact checks: only an int or a string
+    # is a rational, only an int a matrix entry, and a row holds g quadruples
+    _broken("verify", "thm10", "family", lambda d: d["family"]["entries"][0][0][0].update(re=1.0),
+            "family-float-coefficient"),
+    _broken("verify", "thm10", "family", lambda d: d["family"]["entries"][0][1][0].update(re=True),
+            "family-bool-coefficient"),
+    _broken("verify", "prop13", "period_matrix",
+            lambda d: d["period_matrix"][0][0].__setitem__(2, 23.0), "period-matrix-float-entry"),
+    _broken("verify", "prop13", "period_matrix",
+            lambda d: d["period_matrix"][0].append(["0", "0", "0", "0"]), "period-matrix-fifth-quadruple"),
+    pytest.param("group",
+                 _signed_fixture({"generators": [[[False, True], [True, False]]], "expected_order": 2}),
+                 "needs data.generators", id="group-bool-generators"),
 ])
 def test_malformed_fixture_exits_2(tmp_path, capsys, action, raw, message):
     path = tmp_path / "fixture.json"

@@ -17,7 +17,7 @@ from qact.groups import (
     group_from_json,
     named_subgroups,
 )
-from qact.siegel import fixture_generators, load_fixture, matrix_group_as_finite_group
+from qact.siegel import load_fixture, matrix_group_as_finite_group
 
 from oracles import all_subgroups, is_associative, is_normal, two_generated_subgroups
 
@@ -27,6 +27,28 @@ def test_quaternion_basics():
     assert G.order == 8
     with pytest.raises(GroupError):
         build_quaternion(2)
+
+
+def test_budget_exceeded_lives_in_groups():
+    """The numeric layers raise BudgetExceeded without loading the census
+    module: a fresh interpreter imports them and reports whether
+    qact.actions came along.  The census module re-exports the class."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qact
+    from qact import actions, groups
+
+    script = "import sys, qact.siegel, qact.curves\nprint('qact.actions' in sys.modules)\n"
+    src = str(Path(qact.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+    assert actions.BudgetExceeded is groups.BudgetExceeded
+    assert issubclass(groups.BudgetExceeded, RuntimeError)
 
 
 def test_unique_involution():
@@ -349,7 +371,7 @@ def test_catalogue_tables_are_pinned(G):
 
 
 def _matrix_group(fixture):
-    return matrix_group_as_finite_group(fixture_generators(load_fixture(fixture)["data"]))[0]
+    return matrix_group_as_finite_group(load_fixture(fixture).generators)[0]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import json
 import random
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -9,15 +11,13 @@ from qact.cyclo import Cyclotomic, CycloPoly, PolyMatrix
 from qact.groups import build_named, find_isomorphism
 from qact import siegel
 from qact.siegel import (
+    Fixture,
     FixtureError,
     _jacobian,
     _sym_basis,
     act,
     as_int_matrix,
     blocks,
-    family_from_fixture,
-    family_with_variant,
-    fixture_generators,
     fixed_locus_dimension,
     identity_matrix,
     in_upper_half,
@@ -26,7 +26,6 @@ from qact.siegel import (
     mat_mul,
     matrix_group_as_finite_group,
     matrix_group_closure,
-    prop13_period_matrix,
     symplectic_form,
     verify_fixed_family,
     verify_fixed_point_numeric,
@@ -51,12 +50,12 @@ def test_identity_plus_offdiagonal_not_symplectic():
 
 def test_fixture_generators_symplectic():
     for name in ("thm10", "thm11", "prop13"):
-        gens = fixture_generators(load_fixture(name)["data"])
+        gens = load_fixture(name).generators
         assert all(is_symplectic(g) for g in gens)
 
 
 def test_symplectic_closure_under_products_and_inverses():
-    gens = fixture_generators(load_fixture("thm10")["data"])
+    gens = load_fixture("thm10").generators
     elems, _, _ = matrix_group_closure(gens)
     for M in elems:
         assert is_symplectic(M)
@@ -73,7 +72,7 @@ def test_act_identity_and_inversion_fixed_point():
 
 def test_act_is_group_action_numerically():
     rng = random.Random(0)
-    gens = fixture_generators(load_fixture("thm10")["data"])
+    gens = load_fixture("thm10").generators
     words = []
     for _ in range(12):
         w = identity_matrix(6)
@@ -92,7 +91,7 @@ def test_act_is_group_action_numerically():
 
 
 def test_act_preserves_upper_half():
-    gens = fixture_generators(load_fixture("thm10")["data"])
+    gens = load_fixture("thm10").generators
     Z = np.array([[0.3 + 1j, 0.1, 0.0], [0.1, 1.2j, -0.2], [0.0, -0.2, 0.9j]])
     assert in_upper_half(Z)
     for R in gens:
@@ -118,24 +117,24 @@ def test_identity_fixes_everything():
 
 
 def test_thm10_family_fixed_and_variant_discrepancy():
-    data = load_fixture("thm10")["data"]
-    gens = fixture_generators(data)
-    assert verify_fixed_family(gens, family_from_fixture(data)).ok
-    variant = verify_fixed_family(gens, family_with_variant(data))
+    fx = load_fixture("thm10")
+    gens = fx.generators
+    assert verify_fixed_family(gens, fx.family).ok
+    variant = verify_fixed_family(gens, fx.family_variant)
     assert not variant.ok  # the other printed diagonal entry is the typo
 
 
 def test_thm11_family_fixed_exactly():
-    data = load_fixture("thm11")["data"]
-    gens = fixture_generators(data)
-    fam = family_from_fixture(data)
+    fx = load_fixture("thm11")
+    gens = fx.generators
+    fam = fx.family
     assert is_symmetric(fam)
     assert verify_fixed_family(gens, fam).ok
 
 
 def test_random_matrix_not_fixed():
-    data = load_fixture("thm10")["data"]
-    gens = fixture_generators(data)
+    fx = load_fixture("thm10")
+    gens = fx.generators
     bad = PolyMatrix.make(
         [
             [CycloPoly.constant(1, Cyclotomic.from_rational(k + 3 * j, 4)) for j in range(3)]
@@ -150,12 +149,12 @@ def test_random_matrix_not_fixed():
 
 
 def test_thm10_group_data():
-    data = load_fixture("thm10")["data"]
+    fx = load_fixture("thm10")
     rep = verify_group_data(
-        fixture_generators(data),
-        data["relations"],
+        fx.generators,
+        fx.relations,
         build_named("C4xC2_rtimes_C2"),
-        gen_names=data["generator_names"],
+        gen_names=fx.generator_names,
     )
     assert rep.order == 16
     assert all(rep.relations_hold)
@@ -164,9 +163,9 @@ def test_thm10_group_data():
 
 
 def test_thm11_group_data():
-    data = load_fixture("thm11")["data"]
+    fx = load_fixture("thm11")
     rep = verify_group_data(
-        fixture_generators(data), [], build_named("D4xC2_rtimes_C2")
+        fx.generators, [], build_named("D4xC2_rtimes_C2")
     )
     assert rep.order == 32
     assert rep.isomorphic_to_target
@@ -176,10 +175,10 @@ def test_prop13_group_data_records_erratum():
     """The printed generators generate QD16 (order 32) but B itself has order
     four with B^2 = -I = A^8; the literal relations v^2 and v u v u^-7 fail
     under u -> A, v -> B, and the report names a corrected correspondence."""
-    data = load_fixture("prop13")["data"]
-    gens = fixture_generators(data)
+    fx = load_fixture("prop13")
+    gens = fx.generators
     rep = verify_group_data(
-        gens, data["relations"], build_named("QD16"), gen_names=data["generator_names"]
+        gens, fx.relations, build_named("QD16"), gen_names=fx.generator_names
     )
     assert rep.order == 32
     assert rep.isomorphic_to_target
@@ -222,7 +221,7 @@ def _bfs_depths(gens):
 
 @pytest.mark.parametrize("name", ["thm10", "thm11", "prop13"])
 def test_cayley_table_from_the_tree_matches_matrix_products(name):
-    gens = fixture_generators(load_fixture(name)["data"])
+    gens = load_fixture(name).generators
     Gm, _ = matrix_group_as_finite_group(gens)
     elems, _, _ = matrix_group_closure(gens)
     index = {M: i for i, M in enumerate(elems)}
@@ -233,16 +232,16 @@ def test_cayley_table_from_the_tree_matches_matrix_products(name):
 
 @pytest.mark.parametrize("name", ["thm10", "thm11", "prop13"])
 def test_tree_steps_and_witness_words_are_shortest_products(name):
-    data = load_fixture(name)["data"]
-    gens = fixture_generators(data)
-    names = data["generator_names"]
+    fx = load_fixture(name)
+    gens = fx.generators
+    names = fx.generator_names
     elems, _, tree = matrix_group_closure(gens)
     depth = _bfs_depths(gens)
     assert len(depth) == len(elems)
     for i, (p, j) in enumerate(tree[1:], start=1):
         assert elems[i] == mat_mul(elems[p], gens[j])
         assert depth[elems[i]] == depth[elems[p]] + 1
-    target = build_named(data["target_group"])
+    target = build_named(fx.target_group)
     rep = verify_group_data(gens, [], target, gen_names=names)
     back = find_isomorphism(target, matrix_group_as_finite_group(gens)[0])
     assert len(rep.presentation_witness) == len(target.generators)
@@ -258,17 +257,17 @@ def test_tree_steps_and_witness_words_are_shortest_products(name):
 
 
 def test_prop13_period_matrix_fixed():
-    data = load_fixture("prop13")["data"]
-    gens = fixture_generators(data)
-    Z0 = prop13_period_matrix(data)
+    fx = load_fixture("prop13")
+    gens = fx.generators
+    Z0 = fx.period_matrix
     assert in_upper_half(Z0)
     assert verify_fixed_point_numeric(gens, Z0) < 1e-9
 
 
 def test_prop13_sensitivity_probe():
-    data = load_fixture("prop13")["data"]
-    gens = fixture_generators(data)
-    Z0 = prop13_period_matrix(data)
+    fx = load_fixture("prop13")
+    gens = fx.generators
+    Z0 = fx.period_matrix
     E = np.zeros((4, 4))
     E[0, 0] = 1e-3
     res = verify_fixed_point_numeric(gens, Z0 + E)
@@ -282,8 +281,8 @@ def test_inversion_fixes_i_identity_numerically():
 
 
 def test_verify_fixed_point_requires_upper_half():
-    data = load_fixture("prop13")["data"]
-    gens = fixture_generators(data)
+    fx = load_fixture("prop13")
+    gens = fx.generators
     with pytest.raises(ValueError):
         verify_fixed_point_numeric(gens, -1j * np.eye(4))
 
@@ -296,9 +295,9 @@ def test_fixed_locus_dimensions(name, dim):
     """At seeds 0-3 and both rank tolerances.  The one SVD's singular values
     agree with a values-only SVD at the report's point and count the same
     number below the tolerance."""
-    data = load_fixture(name)["data"]
-    assert data["expected_dimension"] == dim
-    gens = fixture_generators(data)
+    fx = load_fixture(name)
+    assert fx.expected_dimension == dim
+    gens = fx.generators
     gb = _complex_blocks(gens)
     basis = _sym_basis(len(gens[0]) // 2)
     for seed, rank_tol in itertools.product(range(4), (1e-7, 1e-9)):
@@ -332,7 +331,7 @@ def _complex_blocks(gens):
 @pytest.mark.parametrize("name", ["thm10", "thm11", "prop13"])
 def test_stacked_jacobian_equals_the_per_basis_jacobian(name):
     """Bit for bit, at the converged point and at 50 random points of H_g."""
-    gens = fixture_generators(load_fixture(name)["data"])
+    gens = load_fixture(name).generators
     gb = _complex_blocks(gens)
     g = len(gens[0]) // 2
     basis = _sym_basis(g)
@@ -354,7 +353,7 @@ def test_stacked_jacobian_equals_the_per_basis_jacobian(name):
 
 @pytest.mark.parametrize("name", ["thm10", "thm11", "prop13"])
 def test_locus_report_is_unchanged_under_the_per_basis_jacobian(name, monkeypatch):
-    gens = fixture_generators(load_fixture(name)["data"])
+    gens = load_fixture(name).generators
     fast = fixed_locus_dimension(gens, starts=3, rng_seed=7).to_json()
     monkeypatch.setattr(siegel, "_jacobian", lambda gb, Z, basis: jacobian_per_basis(gb, Z, list(basis)))
     assert fixed_locus_dimension(gens, starts=3, rng_seed=7).to_json() == fast
@@ -369,7 +368,7 @@ def test_mat_mul_matches_the_indexed_product():
         B = tuple(tuple(rng.randint(-bound, bound) for _ in range(m)) for _ in range(k))
         assert mat_mul(A, B) == mat_mul_by_index(A, B)
     for name in ("thm10", "thm11", "prop13"):
-        elems, _, _ = matrix_group_closure(fixture_generators(load_fixture(name)["data"]))
+        elems, _, _ = matrix_group_closure(load_fixture(name).generators)
         for A, B in zip(elems, elems[1:] + elems[:1]):
             assert mat_mul(A, B) == mat_mul_by_index(A, B)
 
@@ -377,8 +376,72 @@ def test_mat_mul_matches_the_indexed_product():
 # -- fixtures and checksums ----------------------------------------------------------
 
 
+def _packaged(name):
+    """The packaged fixture file as raw JSON."""
+    return json.loads(resources.files("qact").joinpath(f"fixtures/{name}.json").read_text())
+
+
+@pytest.mark.parametrize("name, family, variant, period", [
+    ("thm10", PolyMatrix, PolyMatrix, None),
+    ("thm11", PolyMatrix, None, None),
+    ("prop13", None, None, np.ndarray),
+], ids=["thm10", "thm11", "prop13"])
+def test_packaged_fixtures_parse_into_typed_fields(name, family, variant, period):
+    fx = load_fixture(name)
+    raw = _packaged(name)
+    assert isinstance(fx, Fixture)
+    assert (fx.name, fx.sha256) == (raw["name"], raw["sha256"])
+    g = raw["data"]["g"]
+    assert type(fx.generators) is tuple and len(fx.generators) == len(raw["data"]["generators"])
+    for M in fx.generators:
+        assert type(M) is tuple and len(M) == 2 * g
+        assert all(type(row) is tuple and len(row) == 2 * g for row in M)
+        assert all(type(v) is int for row in M for v in row)
+    assert type(fx.generator_names) is tuple and all(type(s) is str for s in fx.generator_names)
+    assert type(fx.relations) is tuple
+    assert all(type(slot) is int and type(exp) is int for word in fx.relations for slot, exp in word)
+    assert type(fx.target_group) is str
+    assert type(fx.expected_order) is int and type(fx.expected_dimension) is int
+    for value, kind in ((fx.family, family), (fx.family_variant, variant), (fx.period_matrix, period)):
+        if kind is None:
+            assert value is None
+        else:
+            assert isinstance(value, kind)
+    for F in (fx.family, fx.family_variant):
+        if F is not None:
+            assert (F.rows, F.cols) == (g, g)
+    if period is not None:
+        assert fx.period_matrix.shape == (g, g) and fx.period_matrix.dtype == complex
+
+
+def test_family_variant_differs_in_exactly_the_printed_entry():
+    fx = load_fixture("thm10")
+    var = _packaged("thm10")["data"]["family_variant"]
+    differ = [
+        (i, j)
+        for i, (row, vrow) in enumerate(zip(fx.family.entries, fx.family_variant.entries))
+        for j, (a, b) in enumerate(zip(row, vrow))
+        if a != b
+    ]
+    assert differ == [(var["row"], var["col"])]
+
+
+@pytest.mark.parametrize("fields", [
+    ("family",),
+    ("family", "period_matrix"),
+    ("generator_names", "relations", "target_group"),
+], ids="-".join)
+def test_require_names_every_field_it_was_given(fields):
+    fx = load_fixture("prop13")
+    fx.require("period_matrix", *fields)
+    bare = dataclasses.replace(fx, **{f: None for f in fields})
+    with pytest.raises(FixtureError) as err:
+        bare.require(*fields)
+    assert str(err.value) == f"fixture prop13 has no {' or '.join('data.' + f for f in fields)} to check"
+
+
 def test_fixture_checksum_guard(tmp_path):
-    raw = load_fixture("thm10")
+    raw = _packaged("thm10")
     raw["data"]["g"] = 99
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(raw))

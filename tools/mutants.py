@@ -159,6 +159,29 @@ MUTANTS = [
         "    g = gcd(den, *num)\n    if False:\n",
         ("tests/test_cyclo.py::test_integer_arithmetic_matches_the_fraction_oracle",),
     ),
+    Mutant(
+        "fixture-rationals-accept-floats",
+        "siegel.py",
+        "    if type(v) not in (int, str):\n",
+        "    if type(v) not in (int, str, float):\n",
+        ("tests/test_cli.py::test_malformed_fixture_exits_2[verify-family-float-coefficient]",
+         "tests/test_cli.py::test_malformed_fixture_exits_2[verify-period-matrix-float-entry]"),
+    ),
+    Mutant(
+        "siegel-group-requires-no-expected-order",
+        "cli.py",
+        '        fx.require("expected_order")\n',
+        "",
+        ("tests/test_cli.py::test_fixture_without_what_the_action_checks_exits_2[group]",),
+    ),
+    Mutant(
+        "family-variant-is-the-family",
+        "siegel.py",
+        '    entries[var["row"]][var["col"]] = _poly(family.entries[0][0].nvars, var["terms"])\n',
+        "",
+        ("tests/test_siegel.py::test_family_variant_differs_in_exactly_the_printed_entry",
+         "tests/test_siegel.py::test_thm10_family_fixed_and_variant_discrepancy"),
+    ),
 ]
 
 
