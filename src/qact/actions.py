@@ -16,7 +16,9 @@ determines the branch data and hence the genus, for any gamma.
 Enumeration walks element tuples in lexicographic order with the last slot
 solved from the long relation, an order filter per slot and a
 maximal-subgroup bitmask for the surjectivity check; the valid last two
-slots are cached per (running product, mask).
+slots are cached per (running product, mask).  Counting needs no walk: a
+transfer-matrix DP carries the number of prefixes per (running product,
+mask) state (`count_valid_tuples`).
 """
 
 from __future__ import annotations
@@ -291,6 +293,42 @@ def iter_valid_tuples(G: FiniteGroup, periods, max_candidates: int | None = None
                 pairs = tails[key] = tail(*key)
             if pairs:
                 yield from map((pre + (g,)).__add__, pairs)
+
+
+@lru_cache(maxsize=None)
+def _prefix_states(G: FiniteGroup, periods: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    """The number of tuples with the given exact orders per state (product,
+    AND of their `_maximal_masks`).  Cached per prefix: signatures met in
+    lex order share theirs."""
+    masks, full = _maximal_masks(G)
+    if not periods:
+        return {(0, full): 1}
+    cayley = G.cayley
+    bucket = [g for g in range(G.order) if G.orders[g] == periods[-1]]
+    out: dict[tuple[int, int], int] = {}
+    for (pr, mk), count in _prefix_states(G, periods[:-1]).items():
+        row = cayley[pr]
+        for g in bucket:
+            key = (row[g], mk & masks[g])
+            out[key] = out.get(key, 0) + count
+    return out
+
+
+def count_valid_tuples(G: FiniteGroup, periods) -> int:
+    """The number of tuples `iter_valid_tuples(G, periods)` yields, without
+    generating them: a transfer-matrix DP over (running product, mask), the
+    last slot solved from the long relation."""
+    periods = tuple(periods)
+    if len(periods) < 2:
+        return 0
+    masks, _ = _maximal_masks(G)
+    k_last = periods[-1]
+    total = 0
+    for (pr, mk), count in _prefix_states(G, periods[:-1]).items():
+        last = G.inv[pr]
+        if G.orders[last] == k_last and not mk & masks[last]:
+            total += count
+    return total
 
 
 def iter_genus_one_triples(G: FiniteGroup, k: int):
@@ -614,8 +652,9 @@ def genus_zero_exhaustive_scan(n: int, max_periods: int = 7) -> GenusZeroScan:
     The verdict is the genus of S_Z (see `is_genus_zero_action`).  An
     element's cycle count on G/Z depends on its order alone (checked by
     `_z_cycles_by_order`), so that genus, and the verdict, are computed once
-    per signature.  Every ske is still enumerated and counted; only tuples
-    of a mismatching signature are kept, the first 20 of the scan.  Tuples
+    per signature.  Each signature's skes are counted by
+    `count_valid_tuples`, not generated; only a mismatching signature is
+    enumerated, to list the first 20 mismatching skes of the scan.  Tuples
     in sorted period order suffice: braid moves sort the periods of any
     valid ske without changing the action.
     """
@@ -639,11 +678,9 @@ def genus_zero_exhaustive_scan(n: int, max_periods: int = 7) -> GenusZeroScan:
             b = is_sigma_b(n, sig)
             expected = b is not None
             genus_zero = _genus_from_cycles(G.order // 2, 0, [zcyc[k] for k in multiset]) == 0
-            tuples = iter_valid_tuples(G, multiset)
-            count = 0
-            if genus_zero != expected:
-                for t in itertools.islice(tuples, 20 - len(mismatches)):
-                    count += 1
+            count = count_valid_tuples(G, multiset)
+            if genus_zero != expected and len(mismatches) < 20:
+                for t in itertools.islice(iter_valid_tuples(G, multiset), 20 - len(mismatches)):
                     mismatches.append(
                         {
                             "signature": sig.to_json(),
@@ -652,7 +689,6 @@ def genus_zero_exhaustive_scan(n: int, max_periods: int = 7) -> GenusZeroScan:
                             "sigma_b": b,
                         }
                     )
-            count += sum(1 for _ in tuples)
             checked += count
             if count and genus_zero and expected:
                 seen_b.add(b)

@@ -491,7 +491,9 @@ def _family(fam: dict, g: int) -> PolyMatrix:
 
 
 def _with_variant(family: PolyMatrix, var: dict) -> PolyMatrix:
-    """The family with the alternative printed entry substituted in."""
+    """The family with the alternative printed entry substituted in; its row
+    and column must be integers in 0..g-1 (no boolean, no index from the end)."""
+    _checked(all(type(var[k]) is int and 0 <= var[k] < family.rows for k in ("row", "col")), None)
     entries = [list(row) for row in family.entries]
     entries[var["row"]][var["col"]] = _poly(family.entries[0][0].nvars, var["terms"])
     return PolyMatrix.make(entries)
@@ -546,7 +548,7 @@ def load_fixture(name_or_path: str) -> Fixture:
         "generator_names": lambda v: _checked(_list_of(v, str) and len(v) == k, tuple(v)),
         "relations": lambda v: _checked(_list_of(v, list) and all(all(map(pair, w)) for w in v),
                                         tuple(tuple(map(tuple, w)) for w in v)),
-        "target_group": lambda v: _checked(type(v) is str, v),
+        "target_group": lambda v: _checked(type(v) is str and v.strip() != "", v),
         "expected_order": lambda v: _checked(type(v) is int, v),
         "expected_dimension": lambda v: _checked(type(v) is int, v),
         "family": lambda v: _family(v, g),

@@ -21,6 +21,10 @@
   and each representative the least over orbit x Aut(G).
   `qact.actions.classify` keeps only the tuples that are their own lex-least
   Aut-image and takes each orbit's least class, with no relabelling.
+- The number of generating product-one tuples of given orders by Hall's
+  Moebius inversion over the subgroups containing Phi(G), each counted with
+  no generation test.  `qact.actions.count_valid_tuples` carries a
+  maximal-subgroup mask through a DP instead.
 - The explicit representing matrices of the irreducibles of Q(2^n), and
   fixed-space dimensions as ranks of averaged projectors.  `qact.reptheory`
   works with characters only.
@@ -246,6 +250,54 @@ def classify_by_canon(G, sig: Signature, max_candidates: int = 5_000_000) -> Orb
         representatives=tuple(node_of(rep) for rep, _ in orbits),
         orbit_sizes=tuple(size * len(auts) for _, size in orbits),
     )
+
+
+# ---------------------------------------------------------------------------
+# generating tuples by Hall's Moebius inversion
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _frattini_interval(G) -> tuple[tuple[frozenset, int], ...]:
+    """The five subgroups H between Phi(G) and G, each with its Moebius value
+    mu(H, G) on the subgroup lattice: 1 for G, -1 for each maximal subgroup,
+    2 for Phi(G).  G is a 2-group on two generators, so Phi(G) is generated
+    by the squares and G/Phi(G) is C2 x C2."""
+    phi = G.closure({G.cayley[g][g] for g in range(G.order)})
+    maximal = {G.closure(phi | {g}) for g in range(G.order) if g not in phi}
+    if 4 * len(phi) != G.order or len(maximal) != 3:
+        raise RuntimeError("G/Phi(G) is not C2 x C2")
+    return ((frozenset(range(G.order)), 1), *((H, -1) for H in sorted(maximal, key=sorted)), (phi, 2))
+
+
+@lru_cache(maxsize=None)
+def _step_matrix(G, H: frozenset, k: int) -> np.ndarray:
+    """T[x, y] = the number of g in H of order k with x * g = y."""
+    T = np.zeros((G.order, G.order), dtype=np.int64)
+    for g in H:
+        if G.orders[g] == k:
+            for x in H:
+                T[x, G.cayley[x][g]] += 1
+    return T
+
+
+def count_by_hall(G, periods) -> int:
+    """The number of tuples of the given orders with product one that
+    generate G: sum over H in `_frattini_interval` of mu(H, G) * N_H, N_H the
+    number of such product-one tuples inside H, with no generation test
+    (P. Hall, The Eulerian functions of a group, 1936).  A tuple generates
+    G iff it lies in no maximal subgroup, and each of those contains Phi(G).
+    The counts stay below |G|^(s-1) <= 64^6, well inside int64."""
+    if len(periods) < 2:
+        return 0
+    total = 0
+    for H, mu in _frattini_interval(G):
+        v = np.zeros(G.order, dtype=np.int64)
+        v[0] = 1
+        for k in periods:
+            v = v @ _step_matrix(G, H, k)
+        total += mu * int(v[0])
+    return total
 
 
 # ---------------------------------------------------------------------------

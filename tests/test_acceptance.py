@@ -156,7 +156,7 @@ def test_acceptance_03_triviality_flags():
 @criterion("4", "genus-zero actions are exactly sigma_b")
 def test_acceptance_04_genus_zero():
     t0 = time.monotonic()
-    for n in (3, 4):
+    for n in (3, 4, 5, 6):
         scan = genus_zero_exhaustive_scan(n, max_periods=7)
         assert scan.ok, scan.mismatches[:3]
         assert scan.sigma_b_values_seen[:5] == [0, 1, 2, 3, 4]

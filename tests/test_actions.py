@@ -23,6 +23,7 @@ from qact.actions import (
     _orbit_moves,
     check_extension,
     classify,
+    count_valid_tuples,
     extension_data,
     family_label,
     family_representative,
@@ -48,6 +49,7 @@ from oracles import (
     aut_moves,
     classify_by_canon,
     classify_on_tuples,
+    count_by_hall,
     multiplicities_from_quotient_genera,
 )
 from paper_tables import (
@@ -523,6 +525,35 @@ def test_enumerator_sequence_matches_the_reference_dfs():
     assert total == 124296
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_counter_matches_the_enumerator(data):
+    """`count_valid_tuples` is the number of tuples `iter_valid_tuples`
+    yields, for drawn period lists of 2 to 5 periods at n = 3..5, in any
+    order."""
+    G = Q(data.draw(st.integers(3, 5)))
+    orders = sorted({G.orders[g] for g in range(1, G.order)})
+    periods = tuple(data.draw(st.lists(st.sampled_from(orders), min_size=2, max_size=5)))
+    assert count_valid_tuples(G, periods) == sum(1 for _ in iter_valid_tuples(G, periods))
+
+
+def test_counter_matches_hall_inversion():
+    """The DP count equals Hall's Moebius inversion, which counts product-one
+    tuples in the subgroups over Phi(G) with no generation test, on every
+    sorted signature of 2 to 7 periods at n = 3..6, and on period lists
+    with an order no element has."""
+    checked = 0
+    for n in (3, 4, 5, 6):
+        G = Q(n)
+        orders = sorted({G.orders[g] for g in range(1, G.order)})
+        cases = [ms for s in range(2, 8) for ms in itertools.combinations_with_replacement(orders, s)]
+        cases += [(3, 4, 4), (4, 4, 2 * G.order), (4, 3)]
+        for periods in cases:
+            assert count_valid_tuples(G, periods) == count_by_hall(G, periods), (n, periods)
+            checked += 1
+    assert checked == 1272
+
+
 # -- the family census ----------------------------------------------------------
 
 
@@ -765,12 +796,17 @@ def test_scan_needs_at_least_three_periods(max_periods):
         genus_zero_exhaustive_scan(4, max_periods=max_periods)
 
 
-@pytest.mark.parametrize("n, signatures, skes", [
-    (3, 11, 1320), (4, 41, 9440), (5, 105, 113536),
-    (6, 224, 1535488),  # the benchmark's scan-n6 workload
+@pytest.mark.parametrize("n, max_periods, signatures, skes", [
+    # ids name max_periods only where it is not 5
+    pytest.param(3, 5, 11, 1320, id="3-11-1320"),
+    pytest.param(4, 5, 41, 9440, id="4-41-9440"),
+    pytest.param(5, 5, 105, 113536, id="5-105-113536"),
+    pytest.param(6, 5, 224, 1535488, id="6-224-1535488"),  # the benchmark's scan-n6 workload
+    pytest.param(5, 7, 309, 45149824, id="5-7-309-45149824"),  # as the enumerating scan counted it
+    pytest.param(6, 7, 764, 2162268672, id="6-7-764-2162268672"),  # summed from the Hall-checked counts
 ])
-def test_scan_counts(n, signatures, skes):
-    scan = genus_zero_exhaustive_scan(n, max_periods=5)
+def test_scan_counts(n, max_periods, signatures, skes):
+    scan = genus_zero_exhaustive_scan(n, max_periods=max_periods)
     assert scan.ok
     assert (scan.signatures_checked, scan.skes_checked) == (signatures, skes)
 

@@ -419,9 +419,14 @@ def _broken(action, fixture, field, malform, case):
     _broken("group", "prop13", "relations", lambda d: d.update(relations=[[[5, 1]]]), "relation-slot-5"),
     _broken("group", "thm10", "relations", lambda d: d.update(relations=[[7]]), "relation-not-pairs"),
     _broken("group", "thm10", "target_group", lambda d: d.update(target_group=5), "target-int"),
+    _broken("group", "thm10", "target_group", lambda d: d.update(target_group=""), "target-empty"),
+    _broken("group", "thm10", "target_group", lambda d: d.update(target_group=" "), "target-blank"),
     _broken("verify", "thm10", "family", lambda d: d["family"].pop("entries"), "family-no-entries"),
     _broken("verify", "thm10", "family", lambda d: d["family"].update(params=2), "family-int-params"),
     _broken("verify", "thm10", "family_variant", lambda d: d["family_variant"].update(row=99), "variant-row-99"),
+    _broken("verify", "thm10", "family_variant", lambda d: d["family_variant"].update(row=-1, col=-1),
+            "variant-negative-index"),
+    _broken("verify", "thm10", "family_variant", lambda d: d["family_variant"].update(row=True), "variant-bool-row"),
     _broken("group", "prop13", "expected_order", lambda d: d.update(expected_order="32"), "order-str"),
     _broken("locus", "prop13", "expected_dimension", lambda d: d.update(expected_dimension="0"), "dimension-str"),
     # inexact numbers never enter the exact checks: only an int or a string

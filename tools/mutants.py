@@ -70,6 +70,22 @@ MUTANTS = [
         ("tests/test_actions.py::test_dropped_tuple_fails_the_class_count",),
     ),
     Mutant(
+        "count-drops-the-generation-mask",
+        "actions.py",
+        "        if G.orders[last] == k_last and not mk & masks[last]:\n",
+        "        if G.orders[last] == k_last:\n",
+        ("tests/test_actions.py::test_counter_matches_the_enumerator",
+         "tests/test_actions.py::test_counter_matches_hall_inversion"),
+    ),
+    Mutant(
+        "count-skips-the-last-order-check",
+        "actions.py",
+        "        if G.orders[last] == k_last and not mk & masks[last]:\n",
+        "        if not mk & masks[last]:\n",
+        ("tests/test_actions.py::test_counter_matches_the_enumerator",
+         "tests/test_actions.py::test_counter_matches_hall_inversion"),
+    ),
+    Mutant(
         "orbit-leaves-the-valid-set-silently",
         "groups.py",
         "                if valid is not None and u not in valid:\n"
