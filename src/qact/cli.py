@@ -7,7 +7,8 @@ Reports are deterministic for fixed inputs and --seed; wall-clock timings are
 only attached when --timings is passed so that byte-level comparison of
 reports stays meaningful.
 `siegel` and `curves` are imported inside the commands that use them, so that
-start-up loads no numpy for the census and scan commands.
+the census and scan commands load neither.  numpy loads only for `siegel
+locus`, whose Gauss-Newton estimator imports it.
 """
 
 from __future__ import annotations

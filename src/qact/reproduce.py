@@ -5,7 +5,10 @@ byte-stable and can be diffed against the committed golden files under
 fixtures/expected/.  The golden files are regression anchors; the factual
 content itself is asserted against independently computed values in the
 acceptance test suite.  `siegel` and `curves` are imported inside `_siegel`
-and `_curves`, so that `reproduce --n 5` loads no numpy.
+and `_curves`, so that `reproduce --n 5` loads neither.  No `reproduce` run
+loads numpy: `_siegel` takes each fixture's fixed-locus dimension from the
+analytic character at its printed fixed point (`siegel.character_dimension`),
+not from Gauss-Newton.
 """
 
 from __future__ import annotations
@@ -151,8 +154,8 @@ def _siegel() -> dict:
             entry["residual_below_1e9"] = bool(
                 sg.verify_fixed_point_numeric(gens, fx.period_matrix) < 1e-9
             )
-        locus = sg.fixed_locus_dimension(gens, starts=8, rng_seed=0)
-        entry["fixed_locus_dimension"] = locus.dimension
+        point = fx.family if fx.family is not None else fx.period_matrix
+        entry["fixed_locus_dimension"] = sg.character_dimension(gens, point)
         out[name] = entry
     return out
 

@@ -5,13 +5,22 @@ Fixed-family identities R.Z = Z are checked as A Z + B = Z (C Z + D), which
 stays inside exact polynomial arithmetic over Q(i) and never inverts anything.
 Group-level claims (closure order, defining relations, isomorphism type) are
 checked on the matrix group generated by the printed integer matrices, whose
-products are exact Python integers (`mat_mul`).  The fixed-locus dimension
-estimator is the one numerical component: Gauss-Newton on the stacked
-residuals over symmetric complex matrices, followed by one SVD of the
-linearization, which gives both the singular-value count and the null
-directions; these are validated by stepping along them and re-converging.
-The Jacobian multiplies each generator's blocks into the whole stacked basis
-of symmetric matrices at once.
+products are exact Python integers (`mat_mul`).  The dimension of the fixed
+locus at a known fixed point Z is read off the character tr(C Z + D) of the
+analytic representation, summed over that matrix group: exactly on a printed
+family, within a stated tolerance on a numeric period matrix.  Numeric points
+of H_g are g x g tuples of Python complex numbers, and the action on them,
+the upper half-space test and the fixed-point residual are plain Python.
+
+The Gauss-Newton estimator `fixed_locus_dimension` needs no fixed point:
+`siegel locus` runs it, and the tests hold the character route to it.  It is
+the one component that needs numpy, and its functions import numpy
+themselves, so that no other route loads it.  It runs Gauss-Newton on the
+stacked residuals over symmetric complex matrices, then one SVD of the
+linearization gives both the singular-value count and the null directions;
+these are validated by stepping along them and re-converging.  The Jacobian
+multiplies each generator's blocks into the whole stacked basis of
+symmetric matrices at once.
 
 Only this module knows the fixture format: `load_fixture` parses each
 fixture once into a frozen `Fixture` record, refusing any malformed field.
@@ -19,20 +28,27 @@ fixture once into a frozen `Fixture` record, refusing any malformed field.
 
 from __future__ import annotations
 
+import cmath
 import json
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from operator import mul
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cyclo import Cyclotomic, CycloPoly, PolyMatrix
 from .groups import BudgetExceeded, FiniteGroup, find_isomorphism
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 IntMatrix = tuple[tuple[int, ...], ...]
+# a numeric point of H_g (or any g x g complex matrix)
+PointMatrix = tuple[tuple[complex, ...], ...]
 
 # the largest matrix group a closure may reach before it is refused
 CLOSURE_BUDGET = 4096
@@ -78,28 +94,85 @@ def blocks(R: IntMatrix, g: int):
     return A, B, C, D
 
 
-def act(R, Z: np.ndarray) -> np.ndarray:
-    """(A Z + B)(C Z + D)^-1 on a numeric point of H_g."""
-    R = as_int_matrix(R)
-    g = Z.shape[0]
-    A, B, C, D = (np.array(blk, dtype=float) for blk in blocks(R, g))
-    denom = C @ Z + D
-    if abs(np.linalg.det(denom)) < 1e-12:
+def _complex_matrix(Z) -> PointMatrix:
+    return tuple(tuple(complex(v) for v in row) for row in Z)
+
+
+def _modulus(z: complex) -> float:
+    """|z|, inf where abs() would raise OverflowError."""
+    return math.hypot(z.real, z.imag)
+
+
+def _affine(M: IntMatrix, Z: PointMatrix, N: IntMatrix) -> PointMatrix:
+    """M Z + N for integer M and N."""
+    cols = list(zip(*Z))
+    return tuple(
+        tuple(sum(map(mul, row, col)) + n for col, n in zip(cols, nrow))
+        for row, nrow in zip(M, N)
+    )
+
+
+def _right_divide(N: PointMatrix, M: PointMatrix) -> PointMatrix:
+    """N M^-1, by Gaussian elimination with partial pivoting on
+    M^T X^T = N^T; ZeroDivisionError when |det M| < 1e-12."""
+    g = len(M)
+    rows = [list(mcol) + list(ncol) for mcol, ncol in zip(zip(*M), zip(*N))]
+    det = 1.0
+    for k in range(g):
+        p = max(range(k, g), key=lambda r: _modulus(rows[r][k]))
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            det = -det
+        pivot = rows[k][k]
+        det *= pivot
+        if pivot == 0:
+            break
+        for r in range(k + 1, g):
+            f = rows[r][k] / pivot
+            if f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[k])]
+    if _modulus(det) < 1e-12:
         raise ZeroDivisionError("C Z + D is numerically singular")
-    return (A @ Z + B) @ np.linalg.inv(denom)
+    sol = [None] * g  # sol[k] is row k of X^T
+    for k in reversed(range(g)):
+        row = rows[k]
+        sol[k] = [
+            (row[g + c] - sum(row[j] * sol[j][c] for j in range(k + 1, g))) / row[k]
+            for c in range(g)
+        ]
+    return tuple(zip(*sol))
 
 
-def in_upper_half(Z: np.ndarray) -> bool:
-    """Symmetric with positive-definite imaginary part (squared Cholesky
-    pivots above 1e-10)."""
-    if not np.allclose(Z, Z.T, atol=1e-8):
+def act(R, Z) -> PointMatrix:
+    """(A Z + B)(C Z + D)^-1 on a numeric point of H_g (g x g, complex)."""
+    Z = _complex_matrix(Z)
+    A, B, C, D = blocks(as_int_matrix(R), len(Z))
+    return _right_divide(_affine(A, Z, B), _affine(C, Z, D))
+
+
+def in_upper_half(Z) -> bool:
+    """Finite, symmetric (to numpy.allclose's tolerances: atol 1e-8, rtol
+    1e-5) and with positive-definite imaginary part (squared Cholesky pivots
+    above 1e-10)."""
+    Z = _complex_matrix(Z)
+    g = len(Z)
+    if not all(cmath.isfinite(z) for row in Z for z in row):
         return False
-    Y = np.imag(Z)
-    try:
-        L = np.linalg.cholesky(Y)
-    except np.linalg.LinAlgError:
+    if any(_modulus(Z[i][j] - Z[j][i]) > 1e-8 + 1e-5 * _modulus(Z[j][i])
+           for i in range(g) for j in range(g)):
         return False
-    return float(np.min(np.diag(L)) ** 2) > 1e-10
+    # Cholesky of Y = Im Z from its lower triangle; pivots[j] = L[j][j]^2
+    L = [[0.0] * g for _ in range(g)]
+    pivots = []
+    for j in range(g):
+        d = Z[j][j].imag - sum(v * v for v in L[j][:j])
+        if not d > 0:
+            return False
+        pivots.append(d)
+        L[j][j] = math.sqrt(d)
+        for i in range(j + 1, g):
+            L[i][j] = (Z[i][j].imag - sum(map(mul, L[i][:j], L[j][:j]))) / L[j][j]
+    return min(pivots) > 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +218,14 @@ def matrix_group_closure(generators):
     """All products of the generators, by breadth-first closure: the elements
     in visiting order, `right[i][j]` = index of elems[i] * generators[j], and
     the BFS tree, `tree[i] = (p, j)` if element i was first reached as
-    elems[p] * generators[j]."""
-    gens = [as_int_matrix(g) for g in generators]
+    elems[p] * generators[j].  All three are tuples, cached per generator
+    tuple, so that a fixture's group checks and its character share one
+    closure."""
+    return _closure(tuple(as_int_matrix(g) for g in generators))
+
+
+@lru_cache(maxsize=16)
+def _closure(gens: tuple[IntMatrix, ...]):
     ident = identity_matrix(len(gens[0]))
     elems = [ident]
     index = {ident: 0}
@@ -164,11 +243,11 @@ def matrix_group_closure(generators):
                 elems.append(P)
                 tree.append((i, j))
             row.append(index[P])
-        right.append(row)
-    return elems, right, tree
+        right.append(tuple(row))
+    return tuple(elems), tuple(right), tuple(tree)
 
 
-def matrix_group_as_finite_group(generators) -> tuple[FiniteGroup, list]:
+def matrix_group_as_finite_group(generators) -> tuple[FiniteGroup, tuple]:
     """The generated matrix group as a FiniteGroup (its generators in input
     order) and the closure's BFS tree.  Row a of the Cayley table is read
     along the tree, a * (p * g_j) = (a * p) * g_j, with no matrix product."""
@@ -255,20 +334,88 @@ def verify_group_data(generators, relations=None, target: FiniteGroup | None = N
 # ---------------------------------------------------------------------------
 
 
-def verify_fixed_point_numeric(generators, Z: np.ndarray) -> float:
-    """max over generators of ||R.Z - Z||_inf; Z must lie in H_g."""
+def verify_fixed_point_numeric(generators, Z) -> float:
+    """max over generators of ||R.Z - Z||_inf; Z must lie in H_g.  A residual
+    entry that is not finite makes it inf, so that it never counts as below
+    a tolerance."""
+    Z = _complex_matrix(Z)
     if not in_upper_half(Z):
         raise ValueError("Z is not in the Siegel upper half-space")
     res = 0.0
     for R in generators:
-        res = max(res, float(np.max(np.abs(act(R, Z) - Z))))
+        for row, zrow in zip(act(R, Z), Z):
+            for w, z in zip(row, zrow):
+                d = _modulus(w - z)
+                if not math.isfinite(d):
+                    return math.inf
+                res = max(res, d)
     return res
+
+
+# a numeric character average is read as the integer it lies this close to
+CHARACTER_TOL = 1e-6
+
+
+def _analytic_trace(R: IntMatrix, Z, one):
+    """tr(C Z + D) for the lower blocks C, D of R; `one` is the unit of Z's
+    entries."""
+    g = len(Z)
+    t = sum(R[g + i][g + i] for i in range(g)) * one
+    for i in range(g):
+        for j, c in enumerate(R[g + i][:g]):
+            if c:
+                t = t + c * Z[j][i]
+    return t
+
+
+def _constant(p: CycloPoly) -> Cyclotomic:
+    """The value of a polynomial that must not depend on the parameters."""
+    if any(any(e) for e, _ in p.terms):
+        raise ValueError("a trace of C Z + D varies along the family, so the family is not fixed")
+    return dict(p.terms).get((0,) * p.nvars, Cyclotomic.zero(4))
+
+
+def character_dimension(generators, point) -> int:
+    """The dimension of the fixed locus in H_g of the generated group G, as
+    dim (Sym^2 V)^G = (1/2|G|) sum_R (chi(R)^2 + chi(R^2)): V is the analytic
+    representation R -> C Z + D at a fixed point Z, whose symmetric square is
+    the tangent space of the locus at Z (Birkenhake-Lange, Complex Abelian
+    Varieties, the chapter on group actions), and chi(R) = tr(C Z + D).
+
+    `point` is a printed family (a PolyMatrix), whose traces must be constant
+    and whose average must be a non-negative integer, or a numeric point
+    (g x g complex), whose average must lie within CHARACTER_TOL of one.
+    ValueError otherwise, since the point is then not fixed by G."""
+    elems, _, _ = matrix_group_closure(generators)
+    index = {M: i for i, M in enumerate(elems)}
+    exact = isinstance(point, PolyMatrix)
+    if exact:
+        one = CycloPoly.constant(point.entries[0][0].nvars, Cyclotomic.one(4))
+        chi = [_constant(_analytic_trace(R, point.entries, one)) for R in elems]
+    else:
+        Z = _complex_matrix(point)
+        chi = [_analytic_trace(R, Z, 1 + 0j) for R in elems]
+    total = sum(c * c + chi[index[mat_mul(R, R)]] for c, R in zip(chi, elems))
+    if exact:
+        avg = total.rational_value() / (2 * len(elems)) if total.is_rational() else None
+        if avg is None or avg.denominator != 1 or avg < 0:
+            raise ValueError(f"the character average {total} / {2 * len(elems)} is not a dimension, "
+                             "so the family is not fixed")
+        return int(avg)
+    avg = total / (2 * len(elems))
+    dim = round(avg.real) if cmath.isfinite(avg) else -1
+    if dim < 0 or _modulus(avg - dim) >= CHARACTER_TOL:
+        raise ValueError(f"the character average {avg} is not within {CHARACTER_TOL} of a dimension, "
+                         "so the point is not fixed")
+    return dim
 
 
 def _sym_basis(g: int) -> np.ndarray:
     """The symmetric unit matrices E_ij + E_ji (i <= j, row-major), stacked
     into one (g(g+1)/2, g, g) array.  A coefficient vector v is the symmetric
     matrix `np.tensordot(v, basis, axes=1)`, with v[k] at (i, j) and (j, i)."""
+    import numpy as np
+
     basis = np.zeros((g * (g + 1) // 2, g, g), dtype=complex)
     for k, (i, j) in enumerate((i, j) for i in range(g) for j in range(i, g)):
         basis[k, i, j] = 1.0
@@ -277,6 +424,8 @@ def _sym_basis(g: int) -> np.ndarray:
 
 
 def _residual(gens_blocks, Z: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     vals = []
     for A, B, C, D in gens_blocks:
         vals.append((A @ Z + B - Z @ (C @ Z + D)).ravel())
@@ -287,6 +436,8 @@ def _jacobian(gens_blocks, Z: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Column k is the derivative A E - E (C Z + D) - Z C E of the stacked
     residuals along E = basis[k]; each generator's products run over the
     whole basis stack at once."""
+    import numpy as np
+
     rows = []
     for A, B, C, D in gens_blocks:
         M = C @ Z + D
@@ -322,6 +473,8 @@ class LocusReport:
 def _newton(gens_blocks, Z0: np.ndarray, basis):
     """Gauss-Newton with step halving: at most 60 steps, converged once the
     largest residual entry is below 1e-11; None if it stalls or runs out."""
+    import numpy as np
+
     Z = Z0.copy()
     for _ in range(60):
         F = _residual(gens_blocks, Z)
@@ -356,6 +509,8 @@ def fixed_locus_dimension(generators, starts: int = 8, rank_tol: float = 1e-7,
     same SVD is cross-validated by stepping along it and re-converging to a
     nearby, distinct fixed point.
     """
+    import numpy as np
+
     g = len(generators[0]) // 2
     gens_blocks = [
         tuple(np.array(blk, dtype=complex) for blk in blocks(as_int_matrix(R), g))
@@ -419,7 +574,7 @@ class FixtureError(ValueError):
     """Missing or corrupted fixture data."""
 
 
-@dataclass(frozen=True, eq=False)  # eq=False: an ndarray field has no truth value
+@dataclass(frozen=True)
 class Fixture:
     """A verification fixture, parsed once by `load_fixture`.  An optional
     field the fixture leaves out (or sets to null) is None."""
@@ -434,7 +589,7 @@ class Fixture:
     expected_dimension: int | None
     family: PolyMatrix | None
     family_variant: PolyMatrix | None
-    period_matrix: np.ndarray | None
+    period_matrix: PointMatrix | None
 
     def require(self, *fields: str) -> None:
         """Raise FixtureError unless the fixture holds one of `fields`, so
@@ -503,16 +658,20 @@ SQRT2 = 2.0 ** 0.5
 PROP13_LAMBDA = (500.0 + 146.0 * SQRT2) ** 0.5 / 644.0
 
 
-def _period_matrix(quads: list, g: int) -> np.ndarray:
-    """Z0 from g rows of g exact (p + q*sqrt2) + i*lam*(r + s*sqrt2) quadruples."""
+def _period_entry(quad: list) -> complex:
+    """(p + q*sqrt2) + i*lam*(r + s*sqrt2) from an exact quadruple; a value
+    too large for a float (float() overflows, or the sum is infinite) is
+    refused."""
+    p, q, r, s = (float(_rational(v)) for v in quad)
+    z = p + q * SQRT2 + 1j * PROP13_LAMBDA * (r + s * SQRT2)
+    return _checked(cmath.isfinite(z), z)
+
+
+def _period_matrix(quads: list, g: int) -> PointMatrix:
+    """Z0 from g rows of g exact quadruples."""
     if len(quads) != g or any(len(row) != g for row in quads):
         raise ValueError(f"the period matrix is not {g} rows of {g} quadruples")
-    Z = np.zeros((g, g), dtype=complex)
-    for i, row in enumerate(quads):
-        for j, quad in enumerate(row):
-            p, q, r, s = (float(_rational(v)) for v in quad)
-            Z[i, j] = p + q * SQRT2 + 1j * PROP13_LAMBDA * (r + s * SQRT2)
-    return Z
+    return tuple(tuple(map(_period_entry, row)) for row in quads)
 
 
 def load_fixture(name_or_path: str) -> Fixture:
@@ -559,6 +718,7 @@ def load_fixture(name_or_path: str) -> Fixture:
         value = data.get(field)
         try:
             fields[field] = None if value is None else parse(value)
-        except (AttributeError, KeyError, TypeError, IndexError, ValueError, ZeroDivisionError):
+        except (AttributeError, KeyError, TypeError, IndexError, ValueError, ZeroDivisionError,
+                OverflowError):
             raise FixtureError(f"fixture {name} has a malformed data.{field}") from None
     return Fixture(name, actual, tuple(as_int_matrix(m) for m in gens), **fields)

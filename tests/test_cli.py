@@ -439,6 +439,13 @@ def _broken(action, fixture, field, malform, case):
             lambda d: d["period_matrix"][0][0].__setitem__(2, 23.0), "period-matrix-float-entry"),
     _broken("verify", "prop13", "period_matrix",
             lambda d: d["period_matrix"][0].append(["0", "0", "0", "0"]), "period-matrix-fifth-quadruple"),
+    # exact rationals past the largest float: one overflows float(), the
+    # other two sum to inf in p + q*sqrt2
+    *[_broken(action, "prop13", "period_matrix", lambda d: d["period_matrix"][1][2].__setitem__(0, "1e400"),
+              "period-matrix-overflow") for action in ("verify", "group", "locus")],
+    _broken("verify", "prop13", "period_matrix",
+            lambda d: d["period_matrix"][0][0].__setitem__(slice(0, 2), ["1e308", "1e308"]),
+            "period-matrix-infinite-entry"),
     pytest.param("group",
                  _signed_fixture({"generators": [[[False, True], [True, False]]], "expected_order": 2}),
                  "needs data.generators", id="group-bool-generators"),
@@ -576,11 +583,9 @@ def test_siegel_tol_must_be_finite_and_positive(capsys, tol):
     assert "--tol" in capsys.readouterr().err
 
 
-def test_census_commands_load_no_numpy(tmp_path):
-    """The census, scan, classify and character commands import neither
-    numpy nor the numeric layers: one fresh interpreter runs them all and
-    reports which of those modules it loaded.  `reproduce --n 3|4` checks
-    the curve models, so the census run here is `reproduce --n 5`."""
+def _run_fresh(tmp_path, commands, watched):
+    """Run `commands` in one fresh interpreter; their exit codes and which of
+    the modules `watched` it loaded."""
     import os
     import subprocess
     import sys
@@ -588,6 +593,31 @@ def test_census_commands_load_no_numpy(tmp_path):
 
     import qact
 
+    outs = [tmp_path / f"{'-'.join(cmd[:2])}.json" for cmd in commands]
+    argvs = [cmd + ["--out", str(out)] for cmd, out in zip(commands, outs)]
+    script = (
+        "import json, sys\n"
+        "from qact.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "watched = json.loads(sys.argv[2])\n"
+        "print(json.dumps({'codes': codes, 'loaded': [m for m in watched if m in sys.modules]}))\n"
+    )
+    src = str(Path(qact.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs), json.dumps(watched)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert all(json.loads(out.read_text())["results"] for out in outs)
+    return json.loads(proc.stdout)
+
+
+def test_census_commands_load_no_numpy(tmp_path):
+    """The census, scan, classify and character commands import neither
+    numpy nor the numeric layers: one fresh interpreter runs them all and
+    reports which of those modules it loaded.  `reproduce --n 3|4` checks
+    the curve models, so the census run here is `reproduce --n 5`."""
     commands = [
         ["reproduce", "--n", "5"],
         ["families", "--n", "4"],
@@ -595,20 +625,19 @@ def test_census_commands_load_no_numpy(tmp_path):
         ["classify", "--n", "4", "--signature", "0:4,4,4,4"],
         ["chars", "--n", "4"],
     ]
-    outs = [tmp_path / f"{cmd[0]}.json" for cmd in commands]
-    argvs = [cmd + ["--out", str(out)] for cmd, out in zip(commands, outs)]
-    script = (
-        "import json, sys\n"
-        "from qact.cli import main\n"
-        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "numeric = ('numpy', 'qact.siegel', 'qact.curves')\n"
-        "print(json.dumps({'codes': codes, 'loaded': [m for m in numeric if m in sys.modules]}))\n"
-    )
-    src = str(Path(qact.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(argvs)], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"codes": [0] * len(commands), "loaded": []}
-    assert all(json.loads(out.read_text())["results"] for out in outs)
+    got = _run_fresh(tmp_path, commands, ["numpy", "qact.siegel", "qact.curves"])
+    assert got == {"codes": [0] * len(commands), "loaded": []}
+
+
+def test_fixture_commands_load_no_numpy(tmp_path):
+    """Only Gauss-Newton (`siegel locus`) needs numpy: the fixed-locus
+    dimension in `reproduce --n 3` comes from the analytic character, and
+    the fixed-point and group checks are plain Python."""
+    commands = [
+        ["reproduce", "--n", "3"],
+        ["reproduce", "--n", "4"],
+        ["siegel", "verify", "--fixture", "prop13"],
+        ["siegel", "group", "--fixture", "thm11"],
+    ]
+    got = _run_fresh(tmp_path, commands, ["numpy"])
+    assert got == {"codes": [0] * len(commands), "loaded": []}

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import random
 from importlib import resources
 
@@ -11,6 +12,7 @@ from qact.cyclo import Cyclotomic, CycloPoly, PolyMatrix
 from qact.groups import build_named, find_isomorphism
 from qact import siegel
 from qact.siegel import (
+    CHARACTER_TOL,
     Fixture,
     FixtureError,
     _jacobian,
@@ -18,6 +20,7 @@ from qact.siegel import (
     act,
     as_int_matrix,
     blocks,
+    character_dimension,
     fixed_locus_dimension,
     identity_matrix,
     in_upper_half,
@@ -32,7 +35,14 @@ from qact.siegel import (
     verify_group_data,
 )
 
-from oracles import is_symmetric, jacobian_per_basis, mat_mul_by_index, sym_basis_list
+from oracles import (
+    act_numpy,
+    in_upper_half_numpy,
+    is_symmetric,
+    jacobian_per_basis,
+    mat_mul_by_index,
+    sym_basis_list,
+)
 
 
 def test_j_is_symplectic():
@@ -61,9 +71,27 @@ def test_symplectic_closure_under_products_and_inverses():
         assert is_symplectic(M)
 
 
+def test_one_closure_per_generator_tuple():
+    """The group checks and the character route of a fixture share one
+    closure, however the generators are spelled; it is immutable."""
+    gens = load_fixture("thm11").generators
+    closure = matrix_group_closure(gens)
+    assert matrix_group_closure([[list(row) for row in M] for M in gens]) is closure
+    elems, right, tree = closure
+    assert type(elems) is type(right) is type(tree) is tuple
+    assert all(type(row) is tuple for row in right)
+
+
+def _is_point(Z, g):
+    """Whether Z is a g x g tuple of tuples of complex numbers."""
+    return (type(Z) is tuple and len(Z) == g
+            and all(type(row) is tuple and len(row) == g and all(type(v) is complex for v in row) for row in Z))
+
+
 def test_act_identity_and_inversion_fixed_point():
     Z = np.array([[1j, 0.2], [0.2, 1.5j]])
     I4 = identity_matrix(4)
+    assert _is_point(act(I4, Z), 2)
     assert np.allclose(act(I4, Z), Z)
     J = symplectic_form(2)
     Zi = 1j * np.eye(2)
@@ -87,7 +115,8 @@ def test_act_is_group_action_numerically():
         R1, R2 = rng.choice(words), rng.choice(words)
         lhs = act(mat_mul(R1, R2), Z)
         rhs = act(R1, act(R2, Z))
-        assert np.max(np.abs(lhs - rhs)) < 1e-9
+        assert _is_point(lhs, 3) and _is_point(rhs, 3)
+        assert np.max(np.abs(np.array(lhs) - np.array(rhs))) < 1e-9
 
 
 def test_act_preserves_upper_half():
@@ -103,6 +132,88 @@ def test_singular_denominator_raises():
     R = [[0, 1], [-1, 0]]  # acts by Z -> -1/Z
     with pytest.raises(ZeroDivisionError):
         act(R, np.array([[0.0 + 0.0j]]))
+
+
+def _random_point(rng, g, scale=1.0):
+    X = rng.normal(size=(g, g))
+    W = rng.normal(size=(g, g))
+    return scale * ((X + X.T) / 2 + 1j * (W @ W.T + 0.1 * np.eye(g)))
+
+
+def test_act_matches_the_numpy_route():
+    """On fixture words at random points of H_g, at near-singular
+    denominators and at points that are not in H_g at all."""
+    rng = np.random.default_rng(3)
+    prng = random.Random(3)
+    for name in ("thm10", "thm11", "prop13"):
+        elems, _, _ = matrix_group_closure(load_fixture(name).generators)
+        g = len(elems[0]) // 2
+        for _ in range(40):
+            R = prng.choice(elems)
+            Z = _random_point(rng, g, scale=prng.choice((1e-3, 1.0, 1e3)))
+            if prng.random() < 0.25:
+                Z = Z + rng.normal(size=(g, g))  # not symmetric
+            assert np.allclose(np.array(act(R, Z)), act_numpy(R, Z), rtol=1e-9, atol=1e-12), name
+    J = symplectic_form(2)  # C Z + D = -Z, whose determinant here is -eps
+    for eps in (1e-11, 1e-13, 1e-20, 0.0):
+        Z = np.array([[eps * 1j, 0], [0, 1j]])
+        raised = {f: False for f in (act, act_numpy)}
+        for f in raised:
+            try:
+                f(J, Z)
+            except ZeroDivisionError:
+                raised[f] = True
+        assert raised[act] == raised[act_numpy] == (eps < 1e-12), eps
+
+
+def test_in_upper_half_matches_the_numpy_route():
+    """At random points, points with a tiny or negative imaginary
+    eigenvalue, and asymmetries on both sides of np.allclose's tolerances."""
+    rng = np.random.default_rng(4)
+    cases = []
+    for g in (1, 2, 3, 4, 5):
+        for _ in range(20):
+            cases.append(_random_point(rng, g))
+            Z = _random_point(rng, g)
+            lam = np.linalg.eigvalsh(Z.imag)[0]
+            for shift in (lam - 1e-12, lam - 1e-5, lam + 1e-3):
+                cases.append(Z - 1j * shift * np.eye(g))
+        if g > 1:
+            for delta in (1e-9, 5e-9, 2e-8, 1e-6, 1e-3):
+                Z = _random_point(rng, g)
+                Z[0, 1] += delta * (1 + 1j)
+                cases.append(Z)
+                Z = 1e4 * _random_point(rng, g)
+                Z[1, 0] *= 1 + delta
+                cases.append(Z)
+    verdicts = [in_upper_half(Z) for Z in cases]
+    assert verdicts == [in_upper_half_numpy(Z) for Z in cases]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex(0, math.inf)], ids=["nan", "inf"])
+def test_non_finite_points_are_not_in_the_upper_half(bad):
+    """Python's max would drop a NaN where numpy's kept it, so a non-finite
+    entry is refused outright; numpy accepted i*inf on the diagonal."""
+    Z = [[1j, 0, 0], [0, 1j, 0], [0, 0, 1j]]
+    for i, j in ((0, 0), (0, 1)):
+        P = [row[:] for row in Z]
+        P[i][j] = P[j][i] = bad
+        assert not in_upper_half(P)
+        with pytest.raises(ValueError):
+            verify_fixed_point_numeric([symplectic_form(3)], P)
+
+
+def test_a_non_finite_residual_is_never_below_tolerance(monkeypatch):
+    # -1/Z is tiny, so Z - J.Z has modulus about 2.1e308, past the largest float
+    Z = ((complex(1.5e308, 1.5e308),),)
+    assert in_upper_half(Z)
+    assert verify_fixed_point_numeric([symplectic_form(1)], Z) == math.inf
+    # a NaN residual entry after a finite one: max(0.0, nan) would keep 0.0
+    nan = complex("nan")
+    monkeypatch.setattr(siegel, "act", lambda R, Z: ((Z[0][0], nan), (nan, Z[1][1])))
+    res = verify_fixed_point_numeric([identity_matrix(4)], 1j * np.eye(2))
+    assert not res < 1e-9
 
 
 # -- exact fixed families ------------------------------------------------------
@@ -290,6 +401,50 @@ def test_verify_fixed_point_requires_upper_half():
 # -- locus dimensions --------------------------------------------------------------
 
 
+def _fixed_point(fx):
+    return fx.family if fx.family is not None else fx.period_matrix
+
+
+@pytest.mark.parametrize("name", ["thm10", "thm11", "prop13"])
+def test_character_dimension_matches_newton(name):
+    """The exact (thm10, thm11) or numeric (prop13) character average equals
+    the printed dimension and Gauss-Newton's count."""
+    fx = load_fixture(name)
+    dim = character_dimension(fx.generators, _fixed_point(fx))
+    assert type(dim) is int
+    assert dim == fx.expected_dimension == fixed_locus_dimension(fx.generators, starts=8, rng_seed=0).dimension
+
+
+def test_character_dimension_refuses_the_unfixed_variant():
+    """thm10's other printed diagonal entry is not fixed: its traces are
+    constant, but their average is 40/32."""
+    fx = load_fixture("thm10")
+    with pytest.raises(ValueError, match="not a dimension"):
+        character_dimension(fx.generators, fx.family_variant)
+
+
+def test_character_dimension_refuses_a_varying_trace():
+    """thm10's family with t added at (0, 0): some trace depends on t, though
+    its constant part, and so its average, is the fixed family's."""
+    fx = load_fixture("thm10")
+    entries = [list(row) for row in fx.family.entries]
+    entries[0][0] = entries[0][0] + CycloPoly.variable(1, 0)
+    with pytest.raises(ValueError, match="varies along the family"):
+        character_dimension(fx.generators, PolyMatrix.make(entries))
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5])
+def test_character_dimension_refuses_a_perturbed_period_matrix(eps):
+    """prop13's period matrix moved by eps at (0, 0): the average moves by
+    about 0.46 eps, past CHARACTER_TOL."""
+    fx = load_fixture("prop13")
+    Z = [list(row) for row in fx.period_matrix]
+    Z[0][0] += eps
+    assert eps * 0.4 > CHARACTER_TOL
+    with pytest.raises(ValueError, match="not within"):
+        character_dimension(fx.generators, Z)
+
+
 @pytest.mark.parametrize("name,dim", [("thm10", 1), ("thm11", 2), ("prop13", 0)])
 def test_fixed_locus_dimensions(name, dim):
     """At seeds 0-3 and both rank tolerances.  The one SVD's singular values
@@ -384,7 +539,7 @@ def _packaged(name):
 @pytest.mark.parametrize("name, family, variant, period", [
     ("thm10", PolyMatrix, PolyMatrix, None),
     ("thm11", PolyMatrix, None, None),
-    ("prop13", None, None, np.ndarray),
+    ("prop13", None, None, tuple),
 ], ids=["thm10", "thm11", "prop13"])
 def test_packaged_fixtures_parse_into_typed_fields(name, family, variant, period):
     fx = load_fixture(name)
@@ -411,7 +566,7 @@ def test_packaged_fixtures_parse_into_typed_fields(name, family, variant, period
         if F is not None:
             assert (F.rows, F.cols) == (g, g)
     if period is not None:
-        assert fx.period_matrix.shape == (g, g) and fx.period_matrix.dtype == complex
+        assert _is_point(fx.period_matrix, g)
 
 
 def test_family_variant_differs_in_exactly_the_printed_entry():

@@ -191,6 +191,44 @@ MUTANTS = [
         ("tests/test_cli.py::test_fixture_without_what_the_action_checks_exits_2[group]",),
     ),
     Mutant(
+        "character-drops-the-square-term",
+        "siegel.py",
+        "    total = sum(c * c + chi[index[mat_mul(R, R)]] for c, R in zip(chi, elems))\n",
+        "    total = sum(c * c for c in chi)\n",
+        ("tests/test_siegel.py::test_character_dimension_matches_newton",),
+    ),
+    Mutant(
+        "character-skips-the-trace-constancy-check",
+        "siegel.py",
+        "    if any(any(e) for e, _ in p.terms):\n"
+        '        raise ValueError("a trace of C Z + D varies along the family, so the family is not fixed")\n',
+        "",
+        ("tests/test_siegel.py::test_character_dimension_refuses_a_varying_trace",),
+    ),
+    Mutant(
+        "character-rounds-without-the-tolerance",
+        "siegel.py",
+        "    if dim < 0 or _modulus(avg - dim) >= CHARACTER_TOL:\n",
+        "    if dim < 0:\n",
+        ("tests/test_siegel.py::test_character_dimension_refuses_a_perturbed_period_matrix",),
+    ),
+    Mutant(
+        "residual-max-drops-a-nan",
+        "siegel.py",
+        "                if not math.isfinite(d):\n"
+        "                    return math.inf\n",
+        "",
+        ("tests/test_siegel.py::test_a_non_finite_residual_is_never_below_tolerance",),
+    ),
+    Mutant(
+        "upper-half-admits-infinity",
+        "siegel.py",
+        "    if not all(cmath.isfinite(z) for row in Z for z in row):\n"
+        "        return False\n",
+        "",
+        ("tests/test_siegel.py::test_non_finite_points_are_not_in_the_upper_half",),
+    ),
+    Mutant(
         "family-variant-is-the-family",
         "siegel.py",
         '    entries[var["row"]][var["col"]] = _poly(family.entries[0][0].nvars, var["terms"])\n',
