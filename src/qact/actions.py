@@ -18,7 +18,10 @@ solved from the long relation, an order filter per slot and a
 maximal-subgroup bitmask for the surjectivity check; the valid last two
 slots are cached per (running product, mask).  Counting needs no walk: a
 transfer-matrix DP carries the number of prefixes per (running product,
-mask) state (`count_valid_tuples`).
+mask) state (`count_valid_tuples`).  `classify` walks no valid tuple: the
+same stabilizer chain builds each class's lex-least member slot by slot
+(`_class_tuples`), and the counter checks that the classes hold every
+valid ske.
 """
 
 from __future__ import annotations
@@ -235,20 +238,33 @@ def _maximal_masks(G: FiniteGroup) -> tuple[tuple[int, ...], int]:
     return tuple(masks), (1 << len(maxim)) - 1
 
 
+def _check_budget(candidates: int, max_candidates: int | None) -> None:
+    if max_candidates is not None and candidates > max_candidates:
+        raise BudgetExceeded(f"{candidates} candidates exceed budget {max_candidates}")
+
+
+def _order_buckets(G: FiniteGroup, periods, max_candidates: int | None) -> list[list[int]]:
+    """The elements of each period's order, in increasing index, after the
+    budget check: the candidates are the tuples over every bucket but the
+    last, which the long relation solves."""
+    buckets = [[g for g in range(G.order) if G.orders[g] == k] for k in periods]
+    _check_budget(math.prod(map(len, buckets[:-1])), max_candidates)
+    return buckets
+
+
 def iter_valid_tuples(G: FiniteGroup, periods, max_candidates: int | None = None):
     """All (g_1..g_s) with the given exact orders, product 1, generating G.
 
     Each slot ranges over its order bucket in increasing element index, so
-    the tuples come in lexicographic order.  The budget counts the candidates
-    over every bucket but the last, which the long relation solves.  One
-    `itertools.product` runs over the first s - 3 buckets, and each prefix
-    folds into its product and its maximal-subgroup mask (`_maximal_masks`);
-    the loop over slot s - 3 is inline.  The last two slots depend only on
-    (product, mask) after slot s - 3: their valid pairs (g, last), with
-    `last` solved from the long relation and kept in bucket order, are
-    computed once per key into a per-call tail cache.  Each tuple is the
-    prefix through slot s - 3 joined to one cached pair, so it costs one
-    generator resumption.
+    the tuples come in lexicographic order; `_order_buckets` checks the
+    budget.  One `itertools.product` runs over the first s - 3 buckets, and
+    each prefix folds into its product and its maximal-subgroup mask
+    (`_maximal_masks`); the loop over slot s - 3 is inline.  The last two
+    slots depend only on (product, mask) after slot s - 3: their valid pairs
+    (g, last), with `last` solved from the long relation and kept in bucket
+    order, are computed once per key into a per-call tail cache.  Each tuple
+    is the prefix through slot s - 3 joined to one cached pair, so it costs
+    one generator resumption.
     """
     s = len(periods)
     if s < 2:
@@ -256,11 +272,7 @@ def iter_valid_tuples(G: FiniteGroup, periods, max_candidates: int | None = None
     cayley = G.cayley
     inv = G.inv
     orders = G.orders
-    buckets = [[g for g in range(G.order) if orders[g] == k] for k in periods]
-    if max_candidates is not None:
-        candidates = math.prod(map(len, buckets[:-1]))
-        if candidates > max_candidates:
-            raise BudgetExceeded(f"{candidates} candidates exceed budget {max_candidates}")
+    buckets = _order_buckets(G, periods, max_candidates)
     masks, full = _maximal_masks(G)
     if any(not b for b in buckets):
         return
@@ -430,38 +442,124 @@ def _orbit_moves(G: FiniteGroup, sig: Signature):
     return [lambda t, mv=mv: _canon(G, mv(t)) for mv in moves]
 
 
+@lru_cache(maxsize=None)
+def _pointwise_stabilizer(G: FiniteGroup, fixed: frozenset) -> tuple[list, frozenset]:
+    """The automorphisms fixing every element of `fixed`, in `automorphisms`
+    order, and the least element of each of their orbits on G.  With nothing
+    fixed these are Aut(G) and the keys of `_aut_chain`'s `stabilizers`;
+    otherwise the stabilizer of `fixed` without its largest element is
+    narrowed.  Cached per (group, element set)."""
+    auts, _, stabilizers = _aut_chain(G)
+    if not fixed:
+        return auts, frozenset(stabilizers)
+    g = max(fixed)
+    stab = [p for p in _pointwise_stabilizer(G, fixed - {g})[0] if p[g] == g]
+    least, seen = [], set()
+    for h in range(G.order):
+        if h not in seen:
+            least.append(h)
+            seen.update(p[h] for p in stab)
+    return stab, frozenset(least)
+
+
+def _class_tuples(G: FiniteGroup, periods: tuple[int, ...], max_candidates: int | None = None):
+    """The valid tuples with these exact orders that are their own `_canon`
+    form, one per Aut-class, built by a stabilizer chain.
+
+    Slot i takes only the elements of its bucket that are least in their
+    orbit under H_i, the pointwise stabilizer in Aut(G) of slots 0..i-1
+    (`_pointwise_stabilizer`; H_0 is Aut(G)).  The last slot is solved from
+    the long relation and kept when its order is right and the masks say the
+    tuple generates.  These are exactly the tuples t that are the least of
+    their Aut-images:
+      - if p(t) < t for some automorphism p, let i be the first slot where
+        they differ; p fixes slots 0..i-1, so p lies in H_i and lowers t_i,
+        which is then not least in its H_i-orbit.  The last slot cannot be
+        that slot: H_(s-1) fixes the product of the others, and so the last.
+      - if t_i is not least in its H_i-orbit, some p in H_i lowers it, and
+        p(t) < t.
+    Where H_i is trivial every element is least, so the remaining slots run
+    as a plain product.  The budget is checked on the buckets
+    (`_order_buckets`) before the walk.  `classify` passes at least three
+    periods, since mu > 0.
+    """
+    s = len(periods)
+    buckets = _order_buckets(G, periods, max_candidates)
+    cayley, inv, orders = G.cayley, G.inv, G.orders
+    masks, full = _maximal_masks(G)
+    k_last = periods[-1]
+
+    def walk(i, prefix, pr, mk, fixed):
+        bucket = buckets[i]
+        if fixed is not None:
+            stab, least = _pointwise_stabilizer(G, fixed)
+            if len(stab) == 1:
+                fixed = None
+            else:
+                bucket = [g for g in bucket if g in least]
+        row = cayley[pr]
+        if i == s - 2:
+            for g in bucket:
+                last = inv[row[g]]
+                if orders[last] == k_last and not mk & masks[g] & masks[last]:
+                    yield prefix + (g, last)
+            return
+        for g in bucket:
+            yield from walk(i + 1, prefix + (g,), row[g], mk & masks[g],
+                            None if fixed is None else fixed | {g})
+
+    yield from walk(0, (), 0, full, frozenset())
+
+
+def _genus_one_classes(G: FiniteGroup, k: int):
+    """The triples of `iter_genus_one_triples(G, k)` that are their own
+    `_canon` form: a least in its Aut-orbit, b least in its Stab(a)-orbit,
+    and g forced by the long relation, which Stab(a) n Stab(b) fixes.  The
+    argument of `_class_tuples` applies with two free slots."""
+    masks, _ = _maximal_masks(G)
+    _, least_a = _pointwise_stabilizer(G, frozenset())
+    for a in sorted(least_a):
+        _, least_b = _pointwise_stabilizer(G, frozenset({a}))
+        for b in sorted(least_b):
+            if not masks[a] & masks[b]:
+                g = G.inv[G.commutator(a, b)]
+                if G.orders[g] == k:
+                    yield (a, b, g)
+
+
 def classify(G: FiniteGroup, sig: Signature, max_candidates: int = 5_000_000) -> OrbitReport:
     """Orbits of valid skes under braids (gamma 0) or the two elementary moves
     (gamma 1), both combined with Aut(G).
 
     Aut(G) acts freely on valid skes, so each orbit is a union of Aut-classes
-    of |Aut| skes, each class held by its lex-least member (`_canon`).  Every
-    valid tuple is counted; one whose slot 0 is the least of its Aut-orbit
-    and that is its own `_canon` form is kept as a class, and the count must
-    be |Aut| times theirs.  The orbit search runs on the classes, and an
-    orbit's representative, its least ske, is its least class.  The period
-    arrangements are walked lazily, so the budget refuses before they are
-    all listed.
+    of |Aut| skes, each class held by its lex-least member (`_canon`).  A
+    stabilizer chain builds those members directly (`_class_tuples` per
+    period arrangement, `_genus_one_classes`).  The valid skes are counted
+    apart from it, by `count_valid_tuples` per arrangement or by the pair
+    walk of `iter_genus_one_triples`, and the count must be |Aut| times the
+    classes.  The orbit search runs on the classes, and an orbit's
+    representative, its least ske, is its least class.  The period
+    arrangements are walked lazily, each after its budget check, so the
+    budget refuses before they are all listed; for gamma 1 the candidates
+    are the |G|^2 pairs (a, b).
     """
     if sig.mu() <= 0:
         raise ValueError(f"signature {sig} has mu <= 0: no surface of genus >= 2 carries it")
     moves = _orbit_moves(G, sig)
+    nodes = set()
     if sig.gamma == 0:
-        tuples = itertools.chain.from_iterable(
-            iter_valid_tuples(G, arrangement, max_candidates)
-            for arrangement in _arrangements(sig.periods)
-        )
+        total = 0
+        for arrangement in _arrangements(sig.periods):
+            nodes.update(_class_tuples(G, arrangement, max_candidates))
+            total += count_valid_tuples(G, arrangement)
         node_of = lambda t: Ske(G, Signature(0, tuple(G.orders[g] for g in t)), (), t)
     else:
-        tuples = iter_genus_one_triples(G, sig.periods[0])
+        k = sig.periods[0]
+        _check_budget(G.order ** 2, max_candidates)
+        nodes.update(_genus_one_classes(G, k))
+        total = sum(1 for _ in iter_genus_one_triples(G, k))
         node_of = lambda t: Ske(G, sig, (t[0], t[1]), (t[2],))
-    auts, _, stabilizers = _aut_chain(G)
-    total = 0
-    nodes = set()
-    for t in tuples:
-        total += 1
-        if t[0] in stabilizers and _canon(G, t) == t:
-            nodes.add(t)
+    auts, _, _ = _aut_chain(G)
     if total != len(auts) * len(nodes):
         raise RuntimeError(f"{total} valid skes do not fill {len(nodes)} classes of {len(auts)}")
     orbits = []

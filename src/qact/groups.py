@@ -13,11 +13,12 @@ group-keyed caches compare groups by identity.
 Generic machinery (closures, conjugacy classes, the action on cosets, and one
 generator-image search that yields both the automorphism group and
 isomorphisms) works on the table alone and is brute force; that is entirely
-adequate at order <= 64.  The shortcut is for maximal subgroups of 2-groups,
-which are the kernels of the maps onto C2 (the tests check them against a
+adequate at order <= 64.  There are two shortcuts.  Maximal subgroups of
+2-groups are the kernels of the maps onto C2 (the tests check them against a
 brute-force subgroup lattice): a set generates a 2-group exactly when it lies
 in no maximal subgroup, which is how the isomorphism search picks its
-generating tuple.  The dihedral groups D_m with m not a power of two are the
+generating tuple.  Aut(Q(2^n)) for n >= 4 is written down in closed form
+(the tests check it against the search).  The dihedral groups D_m with m not a power of two are the
 only non-2-groups here; `maximal_subgroups`, `automorphisms` and
 `find_isomorphism` reject them.
 """
@@ -670,7 +671,18 @@ def _isomorphisms(G: FiniteGroup, H: FiniteGroup):
 
 
 def automorphisms(G: FiniteGroup) -> list[tuple[int, ...]]:
-    """The full automorphism group, each member as a permutation tuple."""
+    """The full automorphism group, each member as a permutation tuple.
+
+    For n >= 4, Aut(Q(2^n)) is {x -> x^u, y -> x^b y : u odd}, of order
+    2^(2n-3): it sends x^a y^e, index 2a + e, to x^(ua + eb) y^e, and the
+    list is sorted.  Every other group, Q8 among them, is searched."""
+    if G.kind == "quaternion" and G.params["n"] >= 4:
+        half = G.order // 2
+        return sorted(
+            tuple(2 * ((u * a + e * b) % half) + e for a in range(half) for e in (0, 1))
+            for u in range(1, half, 2)
+            for b in range(half)
+        )
     return [tuple(m) for m in _isomorphisms(G, G)]
 
 

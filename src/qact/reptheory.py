@@ -26,9 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from .cyclo import Cyclotomic
 from .groups import FiniteGroup, _check_subgroup, build_quaternion
+
+if TYPE_CHECKING:
+    from .cyclo import Cyclotomic
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,11 @@ _CHI_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 @lru_cache(maxsize=None)
 def irreducible_characters(n: int) -> tuple[Character, ...]:
-    """chi1..chi4 followed by Theta_1..Theta_(2^(n-2)-1)."""
+    """chi1..chi4 followed by Theta_1..Theta_(2^(n-2)-1).  `qact.cyclo` is
+    imported here, so the census and the scan, which need no character
+    values, never load it."""
+    from .cyclo import Cyclotomic
+
     m = 2 ** (n - 1)
     reps = [divmod(r, 2) for r in class_data(n).reps]
     chis = [

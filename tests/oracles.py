@@ -19,8 +19,12 @@
   `qact.actions.classify` searches on Aut-classes instead.
 - The classification on Aut-classes with every tuple relabelled by `_canon`
   and each representative the least over orbit x Aut(G).
-  `qact.actions.classify` keeps only the tuples that are their own lex-least
-  Aut-image and takes each orbit's least class, with no relabelling.
+  `qact.actions.classify` takes each orbit's least class, with no
+  relabelling.
+- The classification on Aut-classes found by walking every valid tuple and
+  keeping those that are their own `_canon` form, with the class count taken
+  from the same walk.  `qact.actions.classify` builds the classes by a
+  stabilizer chain and counts the tuples apart from it.
 - The number of generating product-one tuples of given orders by Hall's
   Moebius inversion over the subgroups containing Phi(G), each counted with
   no generation test.  `qact.actions.count_valid_tuples` carries a
@@ -60,6 +64,8 @@ from qact.actions import (
     Signature,
     Ske,
     UnsupportedMove,
+    _arrangements,
+    _aut_chain,
     _braid_moves,
     _canon,
     _genus_one_moves,
@@ -245,6 +251,47 @@ def classify_by_canon(G, sig: Signature, max_candidates: int = 5_000_000) -> Orb
         orbit = _orbit(unvisited.pop(), moves, nodes)
         unvisited -= orbit
         orbits.append((min(tuple(p[g] for g in c) for c in orbit for p in auts), len(orbit)))
+    orbits.sort()
+    return OrbitReport(
+        signature=sig,
+        total=total,
+        orbit_count=len(orbits),
+        representatives=tuple(node_of(rep) for rep, _ in orbits),
+        orbit_sizes=tuple(size * len(auts) for _, size in orbits),
+    )
+
+
+def classify_by_filter(G, sig: Signature, max_candidates: int = 5_000_000) -> OrbitReport:
+    """The search on Aut-classes, with the classes found by walking every
+    valid tuple and keeping one whose slot 0 is the least of its Aut-orbit
+    and that is its own `_canon` form; the walk also counts the tuples."""
+    if sig.mu() <= 0:
+        raise ValueError(f"signature {sig} has mu <= 0: no surface of genus >= 2 carries it")
+    moves = _orbit_moves(G, sig)
+    if sig.gamma == 0:
+        tuples = itertools.chain.from_iterable(
+            iter_valid_tuples(G, arrangement, max_candidates)
+            for arrangement in _arrangements(sig.periods)
+        )
+        node_of = lambda t: Ske(G, Signature(0, tuple(G.orders[g] for g in t)), (), t)
+    else:
+        tuples = iter_genus_one_triples(G, sig.periods[0])
+        node_of = lambda t: Ske(G, sig, (t[0], t[1]), (t[2],))
+    auts, _, stabilizers = _aut_chain(G)
+    total = 0
+    nodes = set()
+    for t in tuples:
+        total += 1
+        if t[0] in stabilizers and _canon(G, t) == t:
+            nodes.add(t)
+    if total != len(auts) * len(nodes):
+        raise RuntimeError(f"{total} valid skes do not fill {len(nodes)} classes of {len(auts)}")
+    orbits = []
+    unvisited = set(nodes)
+    while unvisited:
+        orbit = _orbit(unvisited.pop(), moves, nodes)
+        unvisited -= orbit
+        orbits.append((min(orbit), len(orbit)))
     orbits.sort()
     return OrbitReport(
         signature=sig,

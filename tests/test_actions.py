@@ -17,10 +17,12 @@ from qact.actions import (
     _aut_chain,
     _braid_moves,
     _canon,
+    _class_tuples,
     _genus_one_moves,
     _in_class_orbit,
     _maximal_masks,
     _orbit_moves,
+    _pointwise_stabilizer,
     check_extension,
     classify,
     count_valid_tuples,
@@ -48,6 +50,7 @@ from oracles import (
     aut_generators,
     aut_moves,
     classify_by_canon,
+    classify_by_filter,
     classify_on_tuples,
     count_by_hall,
     multiplicities_from_quotient_genera,
@@ -364,6 +367,50 @@ def test_classify_matches_the_canon_route(n):
         assert classify(G, sig).to_json() == classify_by_canon(G, sig).to_json(), sig
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_classify_matches_the_filter_oracle(n):
+    """The stabilizer chain with the class count from `count_valid_tuples`
+    reports what walking every valid tuple and keeping its `_canon` fixed
+    points reports, on every census signature and every genus-one
+    signature."""
+    G = Q(n)
+    avail = sorted({G.orders[g] for g in range(1, G.order)})
+    sigs = [f.signature for f in one_dimensional_families(n)]
+    sigs += [Signature(1, (k,)) for k in avail if Signature(1, (k,)) not in sigs]
+    for sig in sigs:
+        assert classify(G, sig).to_json() == classify_by_filter(G, sig).to_json(), sig
+
+
+@pytest.mark.parametrize("n,periods", [
+    (4, (2, 4, 4, 8, 8)),    # slot 0 is the central involution: H_1 is Aut(G)
+    (4, (2, 2, 4, 4, 8)),    # two central slots: H_2 is still Aut(G)
+    (4, (4, 4, 4, 4, 4)),    # y, x^2 leave a stabilizer of order 2 for slot 2
+    (5, (2, 2, 4, 4, 16)),
+    (5, (2, 4, 4, 16, 16)),
+    (5, (4, 4, 4, 8, 16)),
+])
+def test_classify_matches_the_filter_oracle_on_five_periods(n, periods):
+    G = Q(n)
+    sig = Signature(0, periods)
+    report = classify(G, sig)
+    assert report.total > 0
+    assert report.to_json() == classify_by_filter(G, sig).to_json()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_pointwise_stabilizer_by_brute_force(n):
+    """For every set of at most two elements, the stabilizer is the
+    automorphisms fixing each of them, and its orbit minima are the elements
+    no member of it lowers."""
+    G = Q(n)
+    auts = automorphisms(G)
+    for size in (0, 1, 2):
+        for fixed in itertools.combinations(range(G.order), size):
+            stab, least = _pointwise_stabilizer(G, frozenset(fixed))
+            assert stab == [p for p in auts if all(p[g] == g for g in fixed)], fixed
+            assert least == {g for g in G if min(p[g] for p in stab) == g}, fixed
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_canon_is_the_least_aut_image(n):
     """`_canon(G, t)` is the least of t's Aut-images, by brute force over
@@ -404,14 +451,11 @@ def test_generator_orbits_equal_full_aut_orbits(n):
 
 
 def test_dropped_tuple_fails_the_class_count(monkeypatch):
-    """Every Aut-class holds |Aut| valid skes, so one lost ske is caught."""
+    """Every Aut-class holds |Aut| valid skes, so a count short by one lost
+    ske is caught."""
     G = Q(4)
-    dropped = max(iter_valid_tuples(G, (4, 4, 4, 4)))
-    real = iter_valid_tuples
-    monkeypatch.setattr(
-        "qact.actions.iter_valid_tuples",
-        lambda *args: (t for t in real(*args) if t != dropped),
-    )
+    real = count_valid_tuples
+    monkeypatch.setattr("qact.actions.count_valid_tuples", lambda *args: real(*args) - 1)
     with pytest.raises(RuntimeError, match="do not fill"):
         classify(G, Signature(0, (4, 4, 4, 4)))
 
@@ -426,12 +470,17 @@ def test_orbit_move_leaving_valid_set_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="left the valid ske set"):
         _orbit(start, moves, nodes - {neighbour})
 
-    # a whole lost Aut-class passes the count, but the search still meets it
+    # a whole Aut-class lost by the chain, and by the count with it, passes
+    # the class count, but the search still meets it
     dropped = max(nodes)
-    real = iter_valid_tuples
+    real_chain, real_count = _class_tuples, count_valid_tuples
     monkeypatch.setattr(
-        "qact.actions.iter_valid_tuples",
-        lambda *args: (t for t in real(*args) if _canon(G, t) != dropped),
+        "qact.actions._class_tuples",
+        lambda *args: (t for t in real_chain(*args) if t != dropped),
+    )
+    monkeypatch.setattr(
+        "qact.actions.count_valid_tuples",
+        lambda *args: real_count(*args) - len(automorphisms(G)),
     )
     with pytest.raises(RuntimeError, match="left the valid ske set"):
         classify(G, sig)
@@ -445,9 +494,13 @@ def test_arrangements_walk_the_distinct_orderings_in_lex_order(periods):
 
 def test_budget_guard():
     """The candidates are the ten order-4 elements of Q16 in each of the
-    first three slots; the last is solved from the long relation."""
+    first three slots; the last is solved from the long relation.  Over a
+    genus-one quotient they are the |G|^2 pairs (a, b)."""
     with pytest.raises(BudgetExceeded, match="^1000 candidates exceed budget 10$"):
         classify(Q(4), Signature(0, (4, 4, 4, 4)), max_candidates=10)
+    with pytest.raises(BudgetExceeded, match="^256 candidates exceed budget 255$"):
+        classify(Q(4), Signature(1, (4,)), max_candidates=255)
+    assert classify(Q(4), Signature(1, (4,)), max_candidates=256).orbit_count == 1
 
 
 def test_enumerator_matches_brute_force():

@@ -362,6 +362,14 @@ def test_exceeded_budget_exits_2(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "budget" in err
 
 
+def test_genus_one_budget_counts_the_pairs(capsys):
+    """Over a genus-one quotient the candidates are the |G|^2 pairs (a, b)."""
+    code = main(["classify", "--n", "4", "--signature", "1:4", "--budget", "10"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: 256 candidates exceed budget 10\n"
+
+
 def test_budget_refuses_before_listing_the_arrangements(capsys):
     """Thirteen periods have 13! orderings; the third distinct one in lex
     order is the first over budget, and the walk stops there."""
@@ -627,6 +635,21 @@ def test_census_commands_load_no_numpy(tmp_path):
     ]
     got = _run_fresh(tmp_path, commands, ["numpy", "qact.siegel", "qact.curves"])
     assert got == {"codes": [0] * len(commands), "loaded": []}
+
+
+def test_census_commands_load_no_cyclotomics(tmp_path):
+    """Only the character values need `qact.cyclo`: the census, scan and
+    classify commands never load it, and `chars` does."""
+    commands = [
+        ["reproduce", "--n", "5"],
+        ["families", "--n", "4"],
+        ["genus-zero", "--n", "4", "--exhaustive", "--max-periods", "4"],
+        ["classify", "--n", "4", "--signature", "0:4,4,4,4"],
+    ]
+    got = _run_fresh(tmp_path, commands, ["qact.cyclo"])
+    assert got == {"codes": [0] * len(commands), "loaded": []}
+    got = _run_fresh(tmp_path, [["chars", "--n", "4"]], ["qact.cyclo"])
+    assert got == {"codes": [0], "loaded": ["qact.cyclo"]}
 
 
 def test_fixture_commands_load_no_numpy(tmp_path):

@@ -8,6 +8,7 @@ from qact.groups import (
     FiniteGroup,
     GroupError,
     _generating_tuple,
+    _isomorphisms,
     automorphisms,
     build_dihedral,
     build_named,
@@ -259,7 +260,8 @@ def test_identity_automorphism_and_composition_closure():
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_automorphisms_are_the_closed_form_family(n):
     """For n >= 4, Aut(Q(2^n)) is x -> x^u, y -> x^v y with u odd: it sends
-    x^a y^e (index 2a + e) to x^(au + ve) y^e."""
+    x^a y^e (index 2a + e) to x^(au + ve) y^e.  `automorphisms` writes it
+    down in closed form; the generator-image search gives the same list."""
     G = build_quaternion(n)
     half = 2 ** (n - 1)
     closed = {
@@ -270,6 +272,7 @@ def test_automorphisms_are_the_closed_form_family(n):
     auts = automorphisms(G)
     assert len(auts) == len(closed) == 2 ** (2 * n - 3)
     assert set(auts) == closed
+    assert auts == [tuple(m) for m in _isomorphisms(G, G)]
     assert find_isomorphism(G, G) in map(list, auts)
 
 

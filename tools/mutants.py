@@ -48,11 +48,33 @@ MUTANTS = [
          "tests/test_actions.py::test_canon_is_constant_on_aut_classes"),
     ),
     Mutant(
-        "classify-keeps-every-tuple-with-a-least-slot-0",
+        "chain-slot-skips-its-orbit-minimum-test",
         "actions.py",
-        "if t[0] in stabilizers and _canon(G, t) == t:",
-        "if t[0] in stabilizers:",
-        ("tests/test_actions.py::test_classify_matches_the_canon_route",),
+        "                bucket = [g for g in bucket if g in least]\n",
+        "                pass\n",
+        ("tests/test_actions.py::test_classify_matches_the_filter_oracle",),
+    ),
+    Mutant(
+        "chain-stabilizer-not-narrowed",
+        "actions.py",
+        "    stab = [p for p in _pointwise_stabilizer(G, fixed - {g})[0] if p[g] == g]\n",
+        "    stab = list(_pointwise_stabilizer(G, fixed - {g})[0])\n",
+        ("tests/test_actions.py::test_pointwise_stabilizer_by_brute_force",
+         "tests/test_actions.py::test_classify_matches_the_filter_oracle"),
+    ),
+    Mutant(
+        "genus-one-chain-skips-the-stab-a-minimum-test",
+        "actions.py",
+        "        for b in sorted(least_b):\n",
+        "        for b in range(G.order):\n",
+        ("tests/test_actions.py::test_classify_matches_the_filter_oracle",),
+    ),
+    Mutant(
+        "closed-form-aut-lets-u-run-over-even-residues",
+        "groups.py",
+        "            for u in range(1, half, 2)\n",
+        "            for u in range(half)\n",
+        ("tests/test_groups.py::test_automorphisms_are_the_closed_form_family",),
     ),
     Mutant(
         "arrangements-repeat-an-ordering",
@@ -96,9 +118,17 @@ MUTANTS = [
     Mutant(
         "budget-counts-the-solved-slot",
         "actions.py",
-        "candidates = math.prod(map(len, buckets[:-1]))",
-        "candidates = math.prod(map(len, buckets))",
+        "_check_budget(math.prod(map(len, buckets[:-1])), max_candidates)",
+        "_check_budget(math.prod(map(len, buckets)), max_candidates)",
         ("tests/test_actions.py::test_budget_guard",),
+    ),
+    Mutant(
+        "genus-one-classify-ignores-the-budget",
+        "actions.py",
+        "        _check_budget(G.order ** 2, max_candidates)\n",
+        "",
+        ("tests/test_actions.py::test_budget_guard",
+         "tests/test_cli.py::test_genus_one_budget_counts_the_pairs"),
     ),
     Mutant(
         "family-key-ignores-gamma",
