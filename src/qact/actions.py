@@ -82,15 +82,17 @@ class Signature:
 
 
 def genus_from_signature(group_order: int, sig: Signature) -> int | None:
-    """Genus g with 2g - 2 = |G| * mu, when integral and >= 2; None otherwise."""
-    mu = sig.mu()
-    if mu <= 0:
+    """Genus g with 2g - 2 = |G| * mu, when integral and >= 2; None otherwise.
+
+    In integers: with L = lcm(periods), N = |G| * L * mu is an integer, and
+    g exists iff N > 0, L | N and N / L is even; then g = N / (2L) + 1 >= 2.
+    """
+    L = math.lcm(*sig.periods)
+    N = group_order * (L * (2 * sig.gamma - 2) + sum(L - L // k for k in sig.periods))
+    q, r = divmod(N, L)
+    if N <= 0 or r or q % 2:
         return None
-    val = group_order * mu
-    if val.denominator != 1 or val.numerator % 2 != 0:
-        return None
-    g = val.numerator // 2 + 1
-    return g if g >= 2 else None
+    return q // 2 + 1
 
 
 def sigma_b(n: int, b: int) -> Signature:
@@ -243,11 +245,21 @@ def _check_budget(candidates: int, max_candidates: int | None) -> None:
         raise BudgetExceeded(f"{candidates} candidates exceed budget {max_candidates}")
 
 
-def _order_buckets(G: FiniteGroup, periods, max_candidates: int | None) -> list[list[int]]:
+@lru_cache(maxsize=None)
+def _elements_by_order(G: FiniteGroup) -> dict[int, tuple[int, ...]]:
+    """The elements of each order of G, in increasing index."""
+    out: dict[int, list[int]] = {}
+    for g, k in enumerate(G.orders):
+        out.setdefault(k, []).append(g)
+    return {k: tuple(v) for k, v in out.items()}
+
+
+def _order_buckets(G: FiniteGroup, periods, max_candidates: int | None) -> list[tuple[int, ...]]:
     """The elements of each period's order, in increasing index, after the
     budget check: the candidates are the tuples over every bucket but the
     last, which the long relation solves."""
-    buckets = [[g for g in range(G.order) if G.orders[g] == k] for k in periods]
+    by_order = _elements_by_order(G)
+    buckets = [by_order.get(k, ()) for k in periods]
     _check_budget(math.prod(map(len, buckets[:-1])), max_candidates)
     return buckets
 
@@ -316,7 +328,7 @@ def _prefix_states(G: FiniteGroup, periods: tuple[int, ...]) -> dict[tuple[int, 
     if not periods:
         return {(0, full): 1}
     cayley = G.cayley
-    bucket = [g for g in range(G.order) if G.orders[g] == periods[-1]]
+    bucket = _elements_by_order(G).get(periods[-1], ())
     out: dict[tuple[int, int], int] = {}
     for (pr, mk), count in _prefix_states(G, periods[:-1]).items():
         row = cayley[pr]

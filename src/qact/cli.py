@@ -6,9 +6,15 @@ error.
 Reports are deterministic for fixed inputs and --seed; wall-clock timings are
 only attached when --timings is passed so that byte-level comparison of
 reports stays meaningful.
-`siegel` and `curves` are imported inside the commands that use them, so that
-the census and scan commands load neither.  numpy loads only for `siegel
-locus`, whose Gauss-Newton estimator imports it.
+Only `groups` is imported at the top, since `main` catches its `GroupError`
+and `BudgetExceeded`; every other layer is imported inside the handlers that
+use it, so a process loads only what its subcommand runs: `genus-zero`,
+`classify`, `families`, `quotient` and `extend` load `actions`, `chars` loads
+`reptheory` (and with it `cyclo`), `decompose` loads `decomp` (and `actions`
+for `--ske` only), `siegel`, `curve` and `reproduce` their own layers, and
+`groups` nothing more.  numpy loads only for `siegel locus`, whose
+Gauss-Newton estimator imports it.  `build_parser` is cached, so a process
+that parses its arguments before calling `main` builds the parser once.
 """
 
 from __future__ import annotations
@@ -19,35 +25,21 @@ import math
 import sys
 import time
 from fractions import Fraction
+from functools import cache
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .groups import (
     BudgetExceeded, GroupError, build_named, build_quaternion, named_subgroups, subgroup_by_label,
 )
-from .reptheory import class_data, irreducible_characters, rational_irreducibles
-from .decomp import (
-    MultiplicityVector,
-    factor_dimensions,
-    is_trivial_decomposition,
-    multiplicities,
-)
-from .actions import (
-    Signature,
-    check_extension,
-    classify,
-    extension_data,
-    family_label,
-    family_labels,
-    genus_zero_actions,
-    genus_zero_exhaustive_scan,
-    one_dimensional_families,
-    quotient_data,
-    ske_from_json,
-    validate_ske,
-)
+
+if TYPE_CHECKING:
+    from .actions import Signature
 
 
 def _parse_signature(text: str) -> Signature:
+    from .actions import Signature
+
     head, _, tail = text.partition(":")
     return Signature(int(head), tuple(int(k) for k in tail.split(",") if k))
 
@@ -107,6 +99,8 @@ def cmd_groups(args) -> tuple[int, dict]:
 
 
 def cmd_chars(args) -> tuple[int, dict]:
+    from .reptheory import class_data, irreducible_characters, rational_irreducibles
+
     cd = class_data(args.n)
     G = cd.group
     chars = irreducible_characters(args.n)
@@ -137,7 +131,11 @@ def cmd_chars(args) -> tuple[int, dict]:
 
 
 def cmd_decompose(args) -> tuple[int, dict]:
+    from .decomp import MultiplicityVector, factor_dimensions, is_trivial_decomposition, multiplicities
+
     if args.ske:
+        from .actions import ske_from_json, validate_ske
+
         ske = ske_from_json(_load_json(args.ske))
         ok, msg = validate_ske(ske)
         if not ok:
@@ -160,6 +158,8 @@ def cmd_decompose(args) -> tuple[int, dict]:
 
 
 def cmd_classify(args) -> tuple[int, dict]:
+    from .actions import classify
+
     G = build_quaternion(args.n)
     sig = _parse_signature(args.signature)
     report = classify(G, sig, max_candidates=args.budget)
@@ -167,6 +167,8 @@ def cmd_classify(args) -> tuple[int, dict]:
 
 
 def cmd_families(args) -> tuple[int, dict]:
+    from .actions import one_dimensional_families
+
     fams = one_dimensional_families(args.n)
     return 0, {
         "n": args.n,
@@ -176,6 +178,8 @@ def cmd_families(args) -> tuple[int, dict]:
 
 
 def cmd_genus_zero(args) -> tuple[int, dict]:
+    from .actions import genus_zero_actions, genus_zero_exhaustive_scan
+
     recs = genus_zero_actions(args.n, args.max_b)
     ok = all(r.witness_valid and r.witness_genus_zero for r in recs)
     out = {
@@ -192,6 +196,8 @@ def cmd_genus_zero(args) -> tuple[int, dict]:
 
 
 def cmd_quotient(args) -> tuple[int, dict]:
+    from .actions import quotient_data, ske_from_json, validate_ske
+
     ske = ske_from_json(_load_json(args.ske))
     ok, msg = validate_ske(ske)
     if not ok:
@@ -206,6 +212,8 @@ def cmd_quotient(args) -> tuple[int, dict]:
 
 
 def cmd_extend(args) -> tuple[int, dict]:
+    from .actions import check_extension, extension_data, family_label, family_labels, ske_from_json
+
     ske = ske_from_json(_load_json(args.ske)) if args.ske else None
     if ske is not None and ske.group.kind != "quaternion":
         raise ValueError(f"extend --ske needs a Q(2^n) ske, not one of {ske.group.name}")
@@ -422,7 +430,10 @@ def _emit_csv(results: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qact argument parser, built once per process: parsing never
+    changes it."""
     p = argparse.ArgumentParser(
         prog="qact",
         description="Exact verification suite for generalized quaternion group actions.",

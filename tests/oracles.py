@@ -1,5 +1,8 @@
 """Independent references that the tests compare the program against.
 
+- The genus from Riemann-Hurwitz, 2g - 2 = |G| mu, in Fractions.
+  `qact.actions.genus_from_signature` decides it in integers over the lcm
+  of the periods.
 - The paper's own route to the multiplicities of a Jacobian action:
   dim A_K = <rho_a, rho_K> = genus(S_K) over every named subgroup K, solved
   exactly.  `qact.decomp.multiplicities` uses the Chevalley-Weil formula.
@@ -85,6 +88,23 @@ from qact.groups import (
     subgroup_by_label,
 )
 from qact.reptheory import Character, class_data, fixed_dims, galois_orbit
+
+
+# ---------------------------------------------------------------------------
+# Riemann-Hurwitz in Fractions
+# ---------------------------------------------------------------------------
+
+
+def genus_by_fraction(group_order: int, sig: Signature) -> int | None:
+    """Genus g with 2g - 2 = |G| * mu, when integral and >= 2; None otherwise."""
+    mu = sig.mu()
+    if mu <= 0:
+        return None
+    val = group_order * mu
+    if val.denominator != 1 or val.numerator % 2 != 0:
+        return None
+    g = val.numerator // 2 + 1
+    return g if g >= 2 else None
 
 
 # ---------------------------------------------------------------------------

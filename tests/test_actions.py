@@ -53,6 +53,7 @@ from oracles import (
     classify_by_filter,
     classify_on_tuples,
     count_by_hall,
+    genus_by_fraction,
     multiplicities_from_quotient_genera,
 )
 from paper_tables import (
@@ -79,6 +80,21 @@ def test_genus_from_signature_examples():
             assert g == 2 ** (n - 2) * (b + 1)
     # non-integral case
     assert genus_from_signature(8, Signature(0, (2, 4, 4))) is None
+
+
+def test_integer_riemann_hurwitz_matches_the_fraction_oracle():
+    """Every signature of at most five periods, including periods that do
+    not divide |G|, over group orders with and without odd factors."""
+    periods = (2, 3, 4, 5, 6, 8, 16, 64)
+    cases = 0
+    for order in (1, 2, 6, 8, 12, 16, 32, 64):
+        for gamma in (0, 1, 2):
+            for s in range(6):
+                for ks in itertools.combinations_with_replacement(periods, s):
+                    sig = Signature(gamma, ks)
+                    assert genus_from_signature(order, sig) == genus_by_fraction(order, sig), (order, sig)
+                    cases += 1
+    assert cases == 8 * 3 * 1287
 
 
 def test_signature_mu_and_dimension():

@@ -4,7 +4,7 @@ from importlib import resources
 import pytest
 
 import qact.curves
-from qact.cli import main
+from qact.cli import build_parser, main
 from qact.actions import Signature, Ske, extension_data, family_representative
 from qact.groups import build_named, build_quaternion
 from qact.siegel import fixture_checksum
@@ -314,6 +314,21 @@ def test_decompose_on_a_printed_supergroup_ske_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.splitlines() == ["error: multiplicities are defined for Q(2^n) actions"]
+
+
+@pytest.mark.parametrize("n, message", [
+    ("2", "error: n must be >= 3"),
+    ("7", "error: n must be in 3..6 (groups of order up to 64), got 7"),
+    ("100000", "error: n must be in 3..6 (groups of order up to 64), got 100000"),
+])
+def test_decompose_refuses_n_outside_the_supported_range(capsys, n, message):
+    """n is bounded before the 2^(n-2) b-values are counted, so a huge n
+    fails at once with one error line."""
+    code = main(["decompose", "--n", n, "--a", "1,1,1,1", "--b", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
 
 
 def test_ske_file_not_an_object_exits_2(tmp_path, capsys):
@@ -664,3 +679,30 @@ def test_fixture_commands_load_no_numpy(tmp_path):
     ]
     got = _run_fresh(tmp_path, commands, ["numpy"])
     assert got == {"codes": [0] * len(commands), "loaded": []}
+
+
+LAYER_MODULES = [f"qact.{m}" for m in (
+    "groups", "cyclo", "reptheory", "decomp", "actions", "siegel", "curves", "reproduce",
+)] + ["numpy"]
+
+
+@pytest.mark.parametrize("command, loaded", [
+    (["groups", "--name", "Q16"], ["qact.groups"]),
+    (["genus-zero", "--n", "6", "--exhaustive", "--max-periods", "5"], ["qact.groups", "qact.actions"]),
+    (["classify", "--n", "4", "--signature", "0:4,4,4,4"], ["qact.groups", "qact.actions"]),
+    (["extend", "--n", "4", "--family", "F1", "--super", "G1"], ["qact.groups", "qact.actions"]),
+    (["chars", "--n", "4"], ["qact.groups", "qact.cyclo", "qact.reptheory"]),
+    (["decompose", "--n", "4", "--a", "1,0,0,0", "--b", "1,1,1"],
+     ["qact.groups", "qact.reptheory", "qact.decomp"]),
+    (["siegel", "group", "--fixture", "thm11"], ["qact.groups", "qact.cyclo", "qact.siegel"]),
+], ids=["groups", "genus-zero", "classify", "extend", "chars", "decompose", "siegel-group"])
+def test_each_subcommand_loads_only_its_layers(tmp_path, command, loaded):
+    """`qact.cli` imports only `groups` at the top; each handler imports the
+    layers it runs, so the scan loads no decomposition, character,
+    cyclotomic or fixture code, and `siegel` no action code."""
+    got = _run_fresh(tmp_path, [command], LAYER_MODULES)
+    assert got == {"codes": [0], "loaded": loaded}
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()

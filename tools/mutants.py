@@ -131,6 +131,20 @@ MUTANTS = [
          "tests/test_cli.py::test_genus_one_budget_counts_the_pairs"),
     ),
     Mutant(
+        "riemann-hurwitz-drops-the-divisibility-test",
+        "actions.py",
+        "    if N <= 0 or r or q % 2:\n",
+        "    if N <= 0 or q % 2:\n",
+        ("tests/test_actions.py::test_integer_riemann_hurwitz_matches_the_fraction_oracle",),
+    ),
+    Mutant(
+        "riemann-hurwitz-drops-the-parity-test",
+        "actions.py",
+        "    if N <= 0 or r or q % 2:\n",
+        "    if N <= 0 or r:\n",
+        ("tests/test_actions.py::test_integer_riemann_hurwitz_matches_the_fraction_oracle",),
+    ),
+    Mutant(
         "family-key-ignores-gamma",
         "actions.py",
         "if (family_sig.gamma, family_sig.sorted_periods()) == key:",
@@ -257,6 +271,21 @@ MUTANTS = [
         "        return False\n",
         "",
         ("tests/test_siegel.py::test_non_finite_points_are_not_in_the_upper_half",),
+    ),
+    Mutant(
+        "closure-tree-records-the-wrong-generator",
+        "siegel.py",
+        "                tree.append((i, j))\n",
+        "                tree.append((i, (j + 1) % len(gens)))\n",
+        ("tests/test_siegel.py::test_cayley_table_from_the_tree_matches_matrix_products",
+         "tests/test_siegel.py::test_tree_steps_and_witness_words_are_shortest_products"),
+    ),
+    Mutant(
+        "cayley-row-reads-the-grandparent",
+        "siegel.py",
+        "            row.append(right[row[p]][j])\n",
+        "            row.append(right[row[tree[p][0] if p else p]][j])\n",
+        ("tests/test_siegel.py::test_cayley_table_from_the_tree_matches_matrix_products",),
     ),
     Mutant(
         "family-variant-is-the-family",
