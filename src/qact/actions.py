@@ -13,15 +13,15 @@ stabilizer chain gives (`_canon`).  Quotient surfaces S_K are handled
 through the action on cosets G/K: the cycle structure of each elliptic image
 determines the branch data and hence the genus, for any gamma.
 
-Enumeration walks element tuples in lexicographic order with the last slot
-solved from the long relation, an order filter per slot and a
-maximal-subgroup bitmask for the surjectivity check; the valid last two
-slots are cached per (running product, mask).  Counting needs no walk: a
+One walk builds tuples (`_class_tuples`): element tuples in lexicographic
+order with the last slot solved from the long relation, an order filter per
+slot and a maximal-subgroup bitmask for the surjectivity check.  With its
+stabilizer chain it yields each Aut-class's lex-least member, which is what
+`classify` searches on; with the chain off it yields every valid tuple,
+which only the scan's mismatch listing asks for.  Counting needs no walk: a
 transfer-matrix DP carries the number of prefixes per (running product,
-mask) state (`count_valid_tuples`).  `classify` walks no valid tuple: the
-same stabilizer chain builds each class's lex-least member slot by slot
-(`_class_tuples`), and the counter checks that the classes hold every
-valid ske.
+mask) state (`count_valid_tuples`), and the counter checks that the classes
+hold every valid ske.
 """
 
 from __future__ import annotations
@@ -264,61 +264,6 @@ def _order_buckets(G: FiniteGroup, periods, max_candidates: int | None) -> list[
     return buckets
 
 
-def iter_valid_tuples(G: FiniteGroup, periods, max_candidates: int | None = None):
-    """All (g_1..g_s) with the given exact orders, product 1, generating G.
-
-    Each slot ranges over its order bucket in increasing element index, so
-    the tuples come in lexicographic order; `_order_buckets` checks the
-    budget.  One `itertools.product` runs over the first s - 3 buckets, and
-    each prefix folds into its product and its maximal-subgroup mask
-    (`_maximal_masks`); the loop over slot s - 3 is inline.  The last two
-    slots depend only on (product, mask) after slot s - 3: their valid pairs
-    (g, last), with `last` solved from the long relation and kept in bucket
-    order, are computed once per key into a per-call tail cache.  Each tuple
-    is the prefix through slot s - 3 joined to one cached pair, so it costs
-    one generator resumption.
-    """
-    s = len(periods)
-    if s < 2:
-        return
-    cayley = G.cayley
-    inv = G.inv
-    orders = G.orders
-    buckets = _order_buckets(G, periods, max_candidates)
-    masks, full = _maximal_masks(G)
-    if any(not b for b in buckets):
-        return
-    k_last = periods[-1]
-
-    def tail(pr: int, mk: int) -> list[tuple[int, int]]:
-        row = cayley[pr]
-        pairs = []
-        for g in buckets[-2]:
-            last = inv[row[g]]
-            if orders[last] == k_last and not mk & masks[g] & masks[last]:
-                pairs.append((g, last))
-        return pairs
-
-    if s == 2:
-        yield from tail(0, full)
-        return
-
-    tails: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    bucket = buckets[s - 3]
-    for pre in itertools.product(*buckets[: s - 3]):
-        pr, mk = 0, full
-        for g in pre:
-            pr, mk = cayley[pr][g], mk & masks[g]
-        row = cayley[pr]
-        for g in bucket:
-            key = (row[g], mk & masks[g])
-            pairs = tails.get(key)
-            if pairs is None:
-                pairs = tails[key] = tail(*key)
-            if pairs:
-                yield from map((pre + (g,)).__add__, pairs)
-
-
 @lru_cache(maxsize=None)
 def _prefix_states(G: FiniteGroup, periods: tuple[int, ...]) -> dict[tuple[int, int], int]:
     """The number of tuples with the given exact orders per state (product,
@@ -339,9 +284,10 @@ def _prefix_states(G: FiniteGroup, periods: tuple[int, ...]) -> dict[tuple[int, 
 
 
 def count_valid_tuples(G: FiniteGroup, periods) -> int:
-    """The number of tuples `iter_valid_tuples(G, periods)` yields, without
-    generating them: a transfer-matrix DP over (running product, mask), the
-    last slot solved from the long relation."""
+    """The number of valid tuples with these exact orders, the tuples
+    `_class_tuples(G, periods, chain=False)` yields, without generating
+    them: a transfer-matrix DP over (running product, mask), the last slot
+    solved from the long relation."""
     periods = tuple(periods)
     if len(periods) < 2:
         return 0
@@ -353,19 +299,6 @@ def count_valid_tuples(G: FiniteGroup, periods) -> int:
         if G.orders[last] == k_last and not mk & masks[last]:
             total += count
     return total
-
-
-def iter_genus_one_triples(G: FiniteGroup, k: int):
-    """All (a, b, g) with [alpha,beta]*x = 1, ord(g) = k, <a,b> = G."""
-    masks, _ = _maximal_masks(G)
-    for a in range(G.order):
-        ma = masks[a]
-        for b in range(G.order):
-            if ma & masks[b]:
-                continue
-            g = G.inv[G.commutator(a, b)]
-            if G.orders[g] == k:
-                yield (a, b, g)
 
 
 # ---------------------------------------------------------------------------
@@ -392,35 +325,33 @@ class OrbitReport:
 
 
 @lru_cache(maxsize=None)
-def _aut_chain(G: FiniteGroup) -> tuple[list, list, dict]:
-    """Aut(G); for each element one automorphism taking it to the least
-    element of its Aut-orbit; and for each such least element its
-    stabilizer.  Elements are met in increasing order, so an element no
-    earlier orbit reached is the least of its own; p^-1 takes p(m) to m."""
+def _aut_chain(G: FiniteGroup) -> tuple[list, list]:
+    """Aut(G), and for each element one automorphism taking it to the least
+    element of its Aut-orbit.  Elements are met in increasing order, so an
+    element no earlier orbit reached is the least of its own; p^-1 takes
+    p(m) to m.  The least elements are those taken to themselves."""
     auts = automorphisms(G)
     to_least = [None] * G.order
-    stabilizers = {}
     for m in range(G.order):
         if to_least[m] is None:
-            stabilizers[m] = [p for p in auts if p[m] == m]
             for p in auts:
                 if to_least[p[m]] is None:
                     to_least[p[m]] = tuple(sorted(range(G.order), key=p.__getitem__))
-    return auts, to_least, stabilizers
+    return auts, to_least
 
 
 def _canon(G: FiniteGroup, t: tuple[int, ...]) -> tuple[int, ...]:
     """The lex-least Aut-image of t, one form for its whole Aut-class.
 
     One automorphism p takes slot 0 to the least element m of its orbit;
-    the images with that slot 0 are those of p(t) by Stab(m), which is
-    filtered slot by slot down to the automorphisms giving the least image.
-    Aut(G) acts freely on generating tuples, so there one is left; otherwise
-    those left agree on t."""
-    _, to_least, stabilizers = _aut_chain(G)
+    the images with that slot 0 are those of p(t) by Stab(m)
+    (`_pointwise_stabilizer`), which is filtered slot by slot down to the
+    automorphisms giving the least image.  Aut(G) acts freely on generating
+    tuples, so there one is left; otherwise those left agree on t."""
+    _, to_least = _aut_chain(G)
     p = to_least[t[0]]
     u = [p[g] for g in t]
-    stab = stabilizers[u[0]]
+    stab = _pointwise_stabilizer(G, frozenset({u[0]}))[0]
     for g in u[1:]:
         if len(stab) == 1:
             break
@@ -458,12 +389,13 @@ def _orbit_moves(G: FiniteGroup, sig: Signature):
 def _pointwise_stabilizer(G: FiniteGroup, fixed: frozenset) -> tuple[list, frozenset]:
     """The automorphisms fixing every element of `fixed`, in `automorphisms`
     order, and the least element of each of their orbits on G.  With nothing
-    fixed these are Aut(G) and the keys of `_aut_chain`'s `stabilizers`;
-    otherwise the stabilizer of `fixed` without its largest element is
-    narrowed.  Cached per (group, element set)."""
-    auts, _, stabilizers = _aut_chain(G)
+    fixed these are Aut(G) and the elements `_aut_chain` takes to
+    themselves; otherwise the stabilizer of `fixed` without its largest
+    element is narrowed.  Cached per (group, element set), the one home of
+    each stabilizer list."""
+    auts, to_least = _aut_chain(G)
     if not fixed:
-        return auts, frozenset(stabilizers)
+        return auts, frozenset(m for m, p in enumerate(to_least) if p[m] == m)
     g = max(fixed)
     stab = [p for p in _pointwise_stabilizer(G, fixed - {g})[0] if p[g] == g]
     least, seen = [], set()
@@ -474,7 +406,8 @@ def _pointwise_stabilizer(G: FiniteGroup, fixed: frozenset) -> tuple[list, froze
     return stab, frozenset(least)
 
 
-def _class_tuples(G: FiniteGroup, periods: tuple[int, ...], max_candidates: int | None = None):
+def _class_tuples(G: FiniteGroup, periods: tuple[int, ...], max_candidates: int | None = None,
+                  chain: bool = True):
     """The valid tuples with these exact orders that are their own `_canon`
     form, one per Aut-class, built by a stabilizer chain.
 
@@ -491,9 +424,11 @@ def _class_tuples(G: FiniteGroup, periods: tuple[int, ...], max_candidates: int 
       - if t_i is not least in its H_i-orbit, some p in H_i lowers it, and
         p(t) < t.
     Where H_i is trivial every element is least, so the remaining slots run
-    as a plain product.  The budget is checked on the buckets
-    (`_order_buckets`) before the walk.  `classify` passes at least three
-    periods, since mu > 0.
+    as a plain product.  With `chain` off every H_i is taken as trivial,
+    and the walk yields every valid tuple with these orders, in lex order.
+    The budget is checked on the buckets (`_order_buckets`) before the walk.
+    Both callers pass at least three periods: `classify` since mu > 0, the
+    scan by its range.
     """
     s = len(periods)
     buckets = _order_buckets(G, periods, max_candidates)
@@ -520,18 +455,21 @@ def _class_tuples(G: FiniteGroup, periods: tuple[int, ...], max_candidates: int 
             yield from walk(i + 1, prefix + (g,), row[g], mk & masks[g],
                             None if fixed is None else fixed | {g})
 
-    yield from walk(0, (), 0, full, frozenset())
+    yield from walk(0, (), 0, full, frozenset() if chain else None)
 
 
-def _genus_one_classes(G: FiniteGroup, k: int):
-    """The triples of `iter_genus_one_triples(G, k)` that are their own
-    `_canon` form: a least in its Aut-orbit, b least in its Stab(a)-orbit,
-    and g forced by the long relation, which Stab(a) n Stab(b) fixes.  The
-    argument of `_class_tuples` applies with two free slots."""
+def _genus_one_classes(G: FiniteGroup, k: int, chain: bool = True):
+    """The triples (a, b, g) with [a, b] g = 1, ord(g) = k and <a, b> = G
+    that are their own `_canon` form: a least in its Aut-orbit, b least in
+    its Stab(a)-orbit, and g forced by the long relation, which
+    Stab(a) n Stab(b) fixes.  The argument of `_class_tuples` applies with
+    two free slots.  With `chain` off a and b run over all of G, and the
+    walk yields every such triple, in lex order."""
     masks, _ = _maximal_masks(G)
-    _, least_a = _pointwise_stabilizer(G, frozenset())
+    elements = range(G.order)
+    least_a = _pointwise_stabilizer(G, frozenset())[1] if chain else elements
     for a in sorted(least_a):
-        _, least_b = _pointwise_stabilizer(G, frozenset({a}))
+        least_b = _pointwise_stabilizer(G, frozenset({a}))[1] if chain else elements
         for b in sorted(least_b):
             if not masks[a] & masks[b]:
                 g = G.inv[G.commutator(a, b)]
@@ -547,9 +485,9 @@ def classify(G: FiniteGroup, sig: Signature, max_candidates: int = 5_000_000) ->
     of |Aut| skes, each class held by its lex-least member (`_canon`).  A
     stabilizer chain builds those members directly (`_class_tuples` per
     period arrangement, `_genus_one_classes`).  The valid skes are counted
-    apart from it, by `count_valid_tuples` per arrangement or by the pair
-    walk of `iter_genus_one_triples`, and the count must be |Aut| times the
-    classes.  The orbit search runs on the classes, and an orbit's
+    apart from it, by `count_valid_tuples` per arrangement or by
+    `_genus_one_classes` with the chain off, and the count must be |Aut|
+    times the classes.  The orbit search runs on the classes, and an orbit's
     representative, its least ske, is its least class.  The period
     arrangements are walked lazily, each after its budget check, so the
     budget refuses before they are all listed; for gamma 1 the candidates
@@ -569,9 +507,9 @@ def classify(G: FiniteGroup, sig: Signature, max_candidates: int = 5_000_000) ->
         k = sig.periods[0]
         _check_budget(G.order ** 2, max_candidates)
         nodes.update(_genus_one_classes(G, k))
-        total = sum(1 for _ in iter_genus_one_triples(G, k))
+        total = sum(1 for _ in _genus_one_classes(G, k, chain=False))
         node_of = lambda t: Ske(G, sig, (t[0], t[1]), (t[2],))
-    auts, _, _ = _aut_chain(G)
+    auts, _ = _aut_chain(G)
     if total != len(auts) * len(nodes):
         raise RuntimeError(f"{total} valid skes do not fill {len(nodes)} classes of {len(auts)}")
     orbits = []
@@ -764,7 +702,8 @@ def genus_zero_exhaustive_scan(n: int, max_periods: int = 7) -> GenusZeroScan:
     `_z_cycles_by_order`), so that genus, and the verdict, are computed once
     per signature.  Each signature's skes are counted by
     `count_valid_tuples`, not generated; only a mismatching signature is
-    enumerated, to list the first 20 mismatching skes of the scan.  Tuples
+    walked (`_class_tuples` with the chain off), to list the first 20
+    mismatching skes of the scan.  Tuples
     in sorted period order suffice: braid moves sort the periods of any
     valid ske without changing the action.
     """
@@ -790,7 +729,7 @@ def genus_zero_exhaustive_scan(n: int, max_periods: int = 7) -> GenusZeroScan:
             genus_zero = _genus_from_cycles(G.order // 2, 0, [zcyc[k] for k in multiset]) == 0
             count = count_valid_tuples(G, multiset)
             if genus_zero != expected and len(mismatches) < 20:
-                for t in itertools.islice(iter_valid_tuples(G, multiset), 20 - len(mismatches)):
+                for t in itertools.islice(_class_tuples(G, multiset, chain=False), 20 - len(mismatches)):
                     mismatches.append(
                         {
                             "signature": sig.to_json(),

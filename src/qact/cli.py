@@ -48,13 +48,21 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v != "")
 
 
-def _int_at_least(low: int):
-    """An argparse type for integers no smaller than `low`."""
+# each sigma_b witness holds b + 3 names, so the census's time, memory and
+# report grow as max_b^2; at this ceiling an n = 6 census takes about a second
+MAX_B = 500
+
+
+def _int_in_range(low: int, high: int | None = None):
+    """An argparse type for integers no smaller than `low` and, unless `high`
+    is None, no larger than `high`."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be between {low} and {high}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -445,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--csv", action="store_true", help="CSV output")
     common.add_argument("--out", help="write the report to this path")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized numerics")
-    common.add_argument("--jobs", type=_int_at_least(1), default=1,
+    common.add_argument("--jobs", type=_int_in_range(1), default=1,
                         help="accepted and echoed in the report; the scan runs serially")
     common.add_argument("--timings", action="store_true", help="attach wall-clock runtime")
     sub = p.add_subparsers(dest="command", required=True)
@@ -479,10 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("genus-zero", parents=[common], help="sigma_b census with witnesses")
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--max-b", type=_int_at_least(0), default=4)
+    q.add_argument("--max-b", type=_int_in_range(0, MAX_B), default=4,
+                   help=f"largest b of the sigma_b census, 0..{MAX_B}")
     q.add_argument("--exhaustive", action="store_true",
                    help="also scan every valid ske up to --max-periods periods")
-    q.add_argument("--max-periods", type=_int_at_least(3), default=7)
+    q.add_argument("--max-periods", type=_int_in_range(3), default=7)
     q.set_defaults(fn=cmd_genus_zero)
 
     q = sub.add_parser("quotient", parents=[common], help="quotient genus and branch data")
@@ -500,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("siegel", parents=[common], help="symplectic fixture verification")
     q.add_argument("action", choices=["verify", "group", "locus"])
     q.add_argument("--fixture", required=True)
-    q.add_argument("--starts", type=_int_at_least(0), default=8)
+    q.add_argument("--starts", type=_int_in_range(0), default=8)
     q.add_argument("--tol", type=_positive_float, default=1e-9,
                    help="verify: bound on the period-matrix residual; locus: relative rank tolerance")
     q.set_defaults(fn=cmd_siegel)
@@ -509,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--t", help="complex parameter, e.g. -1 or 0.3+1.1i")
     q.add_argument("--verify", action="store_true")
-    q.add_argument("--samples", type=_int_at_least(1), default=200)
+    q.add_argument("--samples", type=_int_in_range(1), default=200)
     q.set_defaults(fn=cmd_curve)
 
     q = sub.add_parser("reproduce", parents=[common], help="regenerate and diff golden tables")

@@ -17,6 +17,11 @@
 - The subgroup lattice, from closures of at most two elements plus pairwise
   joins, and normality by conjugation.  `qact.groups` finds maximal
   subgroups as kernels onto C2 instead.
+- Every valid tuple of given orders, by a product over all but the last
+  three slots with the valid last two cached per (running product, mask),
+  and every generating genus-one triple by a walk over all pairs (a, b).
+  `qact.actions._class_tuples` and `_genus_one_classes` walk slot by slot,
+  with the stabilizer chain on or off.
 - The orbit classification on every valid tuple, with braid (or elementary)
   moves and a generating set of Aut(G) as relabelling moves.
   `qact.actions.classify` searches on Aut-classes instead.
@@ -68,13 +73,13 @@ from qact.actions import (
     Ske,
     UnsupportedMove,
     _arrangements,
-    _aut_chain,
     _braid_moves,
     _canon,
     _genus_one_moves,
+    _maximal_masks,
     _orbit_moves,
-    iter_genus_one_triples,
-    iter_valid_tuples,
+    _order_buckets,
+    _pointwise_stabilizer,
     quotient_data,
 )
 from qact.cyclo import Cyclotomic, CycloPoly, PolyMatrix, _is_power_of_two
@@ -180,6 +185,79 @@ def _solve_exact(rows, rhs, unknowns) -> list[Fraction]:
     for i, c in enumerate(pivots):
         out[c] = aug[i][unknowns]
     return out
+
+
+# ---------------------------------------------------------------------------
+# every valid tuple: the tail-cached enumerator and the genus-one pair walk
+# ---------------------------------------------------------------------------
+
+
+def iter_valid_tuples(G, periods, max_candidates: int | None = None):
+    """All (g_1..g_s) with the given exact orders, product 1, generating G.
+
+    Each slot ranges over its order bucket in increasing element index, so
+    the tuples come in lexicographic order; `_order_buckets` checks the
+    budget.  One `itertools.product` runs over the first s - 3 buckets, and
+    each prefix folds into its product and its maximal-subgroup mask
+    (`_maximal_masks`); the loop over slot s - 3 is inline.  The last two
+    slots depend only on (product, mask) after slot s - 3: their valid pairs
+    (g, last), with `last` solved from the long relation and kept in bucket
+    order, are computed once per key into a per-call tail cache.  Each tuple
+    is the prefix through slot s - 3 joined to one cached pair, so it costs
+    one generator resumption.
+    """
+    s = len(periods)
+    if s < 2:
+        return
+    cayley = G.cayley
+    inv = G.inv
+    orders = G.orders
+    buckets = _order_buckets(G, periods, max_candidates)
+    masks, full = _maximal_masks(G)
+    if any(not b for b in buckets):
+        return
+    k_last = periods[-1]
+
+    def tail(pr: int, mk: int) -> list[tuple[int, int]]:
+        row = cayley[pr]
+        pairs = []
+        for g in buckets[-2]:
+            last = inv[row[g]]
+            if orders[last] == k_last and not mk & masks[g] & masks[last]:
+                pairs.append((g, last))
+        return pairs
+
+    if s == 2:
+        yield from tail(0, full)
+        return
+
+    tails: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    bucket = buckets[s - 3]
+    for pre in itertools.product(*buckets[: s - 3]):
+        pr, mk = 0, full
+        for g in pre:
+            pr, mk = cayley[pr][g], mk & masks[g]
+        row = cayley[pr]
+        for g in bucket:
+            key = (row[g], mk & masks[g])
+            pairs = tails.get(key)
+            if pairs is None:
+                pairs = tails[key] = tail(*key)
+            if pairs:
+                yield from map((pre + (g,)).__add__, pairs)
+
+
+def iter_genus_one_triples(G, k: int):
+    """All (a, b, g) with [alpha,beta]*x = 1, ord(g) = k, <a,b> = G."""
+    masks, _ = _maximal_masks(G)
+    for a in range(G.order):
+        ma = masks[a]
+        for b in range(G.order):
+            if ma & masks[b]:
+                continue
+            g = G.inv[G.commutator(a, b)]
+            if G.orders[g] == k:
+                yield (a, b, g)
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +375,12 @@ def classify_by_filter(G, sig: Signature, max_candidates: int = 5_000_000) -> Or
     else:
         tuples = iter_genus_one_triples(G, sig.periods[0])
         node_of = lambda t: Ske(G, sig, (t[0], t[1]), (t[2],))
-    auts, _, stabilizers = _aut_chain(G)
+    auts, least = _pointwise_stabilizer(G, frozenset())
     total = 0
     nodes = set()
     for t in tuples:
         total += 1
-        if t[0] in stabilizers and _canon(G, t) == t:
+        if t[0] in least and _canon(G, t) == t:
             nodes.add(t)
     if total != len(auts) * len(nodes):
         raise RuntimeError(f"{total} valid skes do not fill {len(nodes)} classes of {len(auts)}")

@@ -18,6 +18,7 @@ from qact.actions import (
     _braid_moves,
     _canon,
     _class_tuples,
+    _genus_one_classes,
     _genus_one_moves,
     _in_class_orbit,
     _maximal_masks,
@@ -34,8 +35,6 @@ from qact.actions import (
     genus_zero_exhaustive_scan,
     is_genus_zero_action,
     is_sigma_b,
-    iter_genus_one_triples,
-    iter_valid_tuples,
     one_dimensional_families,
     quotient_data,
     sigma_b,
@@ -54,6 +53,8 @@ from oracles import (
     classify_on_tuples,
     count_by_hall,
     genus_by_fraction,
+    iter_genus_one_triples,
+    iter_valid_tuples,
     multiplicities_from_quotient_genera,
 )
 from paper_tables import (
@@ -318,7 +319,7 @@ def test_canon_is_constant_on_aut_classes(n, order, data):
     """`_canon` gives every Aut-image of a valid tuple the same form, and that
     form is the least Aut-image of the tuple."""
     G = Q(n)
-    auts, _, _ = _aut_chain(G)
+    auts, _ = _aut_chain(G)
     assert len(auts) == order
     t = data.draw(st.sampled_from(_census_tuples(n)))
     p = data.draw(st.sampled_from(auts))
@@ -329,18 +330,22 @@ def test_canon_is_constant_on_aut_classes(n, order, data):
 
 def test_aut_chain_takes_each_element_to_the_least_of_its_orbit():
     """Each element's automorphism takes it to the least element of its
-    Aut-orbit, and each such least element keeps its whole stabilizer."""
+    Aut-orbit; the least elements are the orbit minima of the empty set's
+    stabilizer, and each keeps its whole stabilizer, in `automorphisms`
+    order, which is what `_canon` reads."""
     G = Q(4)
     auts = automorphisms(G)
-    chain_auts, to_least, stabilizers = _aut_chain(G)
+    chain_auts, to_least = _aut_chain(G)
     assert chain_auts == auts
     least = [min(p[g] for p in auts) for g in G]
-    assert set(stabilizers) == set(least)
+    everything, minima = _pointwise_stabilizer(G, frozenset())
+    assert everything == auts
+    assert minima == set(least)
     for g in G:
         assert to_least[g] in auts
         assert to_least[g][g] == least[g]
-    for m, stab in stabilizers.items():
-        assert stab == [p for p in auts if p[m] == m]
+    for m in minima:
+        assert _pointwise_stabilizer(G, frozenset({m}))[0] == [p for p in auts if p[m] == m]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -592,6 +597,34 @@ def test_enumerator_sequence_matches_the_reference_dfs():
             assert found == sorted(found), (n, periods)
             total += len(found)
     assert total == 124296
+
+
+def test_chain_off_walk_is_the_enumerator():
+    """With the stabilizer chain off, `_class_tuples` yields the enumerator
+    oracle's list, in the same order, for every ordered list of 3 or 4
+    periods and every sorted list of 5 at n = 3..5: the scan's mismatch
+    listing reads it."""
+    lists = 0
+    for n in (3, 4, 5):
+        G = Q(n)
+        orders = sorted({G.orders[g] for g in range(1, G.order)})
+        cases = [p for s in (3, 4) for p in itertools.product(orders, repeat=s)]
+        cases += list(itertools.combinations_with_replacement(orders, 5))
+        for periods in cases:
+            walked = list(_class_tuples(G, periods, chain=False))
+            assert walked == list(iter_valid_tuples(G, periods)), (n, periods)
+            lists += 1
+    assert lists == 535
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_chain_off_genus_one_walk_is_the_pair_walk(n):
+    """With the chain off, `_genus_one_classes` yields the genus-one pair
+    walk's triples, in the same order, for every element order k: `classify`
+    counts the gamma = 1 total from it."""
+    G = Q(n)
+    for k in sorted(set(G.orders)):
+        assert list(_genus_one_classes(G, k, chain=False)) == list(iter_genus_one_triples(G, k)), k
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -507,6 +507,7 @@ def test_fixture_without_what_the_action_checks_exits_2(tmp_path, capsys, action
     (["genus-zero", "--n", "3", "--exhaustive", "--max-periods", "2"], "--max-periods"),
     (["genus-zero", "--n", "3", "--exhaustive", "--max-periods", "-1"], "--max-periods"),
     (["siegel", "locus", "--fixture", "thm10", "--starts", "-3"], "--starts"),
+    (["genus-zero", "--n", "6", "--max-b", "501"], "--max-b"),
 ])
 def test_counts_that_would_check_nothing_exit_2(capsys, argv, flag):
     with pytest.raises(SystemExit) as err:

@@ -18,11 +18,16 @@ from qact.actions import (
     Signature,
     Ske,
     family_representative,
-    iter_valid_tuples,
     witness_eta,
 )
 
-from oracles import from_orbit_values, multiplicities_from_quotient_genera, random_valid, rep_matrix
+from oracles import (
+    from_orbit_values,
+    iter_valid_tuples,
+    multiplicities_from_quotient_genera,
+    random_valid,
+    rep_matrix,
+)
 from paper_tables import family_labels
 
 

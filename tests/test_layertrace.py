@@ -36,8 +36,9 @@ def test_every_traced_method_is_defined_on_its_class():
 
 
 # per-layer names in BENCHMARK.json whose function has left the package: they
-# read 0 until the benchmark's files are next changed (ROADMAP item 3)
+# read 0 until the benchmark's files are next changed (ROADMAP item 1)
 STALE_PER_LAYER = {
+    "actions.iter_valid_tuples",
     "decomp.multiplicities_from_quotient_genera",
     "reptheory.fixed_subspace_dim",
     "reptheory.rep_matrix",

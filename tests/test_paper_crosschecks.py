@@ -15,12 +15,13 @@ from qact.actions import (
     Signature,
     Ske,
     classify,
-    iter_valid_tuples,
     quotient_data,
     sigma_b,
     validate_ske,
 )
 from qact.groups import build_named, build_quaternion
+
+from oracles import iter_valid_tuples
 
 
 def test_printed_ske_for_order16_supergroup():

@@ -65,9 +65,31 @@ MUTANTS = [
     Mutant(
         "genus-one-chain-skips-the-stab-a-minimum-test",
         "actions.py",
-        "        for b in sorted(least_b):\n",
-        "        for b in range(G.order):\n",
+        "        least_b = _pointwise_stabilizer(G, frozenset({a}))[1] if chain else elements\n",
+        "        least_b = elements\n",
         ("tests/test_actions.py::test_classify_matches_the_filter_oracle",),
+    ),
+    Mutant(
+        "genus-one-walk-drops-the-generation-mask",
+        "actions.py",
+        "            if not masks[a] & masks[b]:\n",
+        "            if True:\n",
+        ("tests/test_actions.py::test_chain_off_genus_one_walk_is_the_pair_walk",
+         "tests/test_actions.py::test_classify_matches_the_filter_oracle"),
+    ),
+    Mutant(
+        "genus-one-count-walks-with-the-chain-on",
+        "actions.py",
+        "        total = sum(1 for _ in _genus_one_classes(G, k, chain=False))\n",
+        "        total = sum(1 for _ in _genus_one_classes(G, k))\n",
+        ("tests/test_actions.py::test_classify_matches_the_filter_oracle",),
+    ),
+    Mutant(
+        "scan-listing-walks-with-the-chain-on",
+        "actions.py",
+        "_class_tuples(G, multiset, chain=False)",
+        "_class_tuples(G, multiset)",
+        ("tests/test_actions.py::test_exhaustive_scan_reports_the_first_20_mismatches",),
     ),
     Mutant(
         "closed-form-aut-lets-u-run-over-even-residues",
