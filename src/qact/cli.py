@@ -51,6 +51,9 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 # each sigma_b witness holds b + 3 names, so the census's time, memory and
 # report grow as max_b^2; at this ceiling an n = 6 census takes about a second
 MAX_B = 500
+# the exhaustive scan caches one state table per period prefix for the whole
+# run; at this ceiling an n = 6 scan takes under 2 s and under 50 MB
+MAX_PERIODS = 12
 
 
 def _int_in_range(low: int, high: int | None = None):
@@ -228,6 +231,7 @@ def cmd_extend(args) -> tuple[int, dict]:
     n = ske.group.params["n"] if ske else args.n
     if n is None:
         raise ValueError("extend needs --ske or --n")
+    build_quaternion(n)  # refuses an n out of range before the family table is built
     fam = args.family or (family_label(n, ske.signature) if ske else None)
     if fam is None:
         raise ValueError("cannot determine the family; pass --family")
@@ -491,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"largest b of the sigma_b census, 0..{MAX_B}")
     q.add_argument("--exhaustive", action="store_true",
                    help="also scan every valid ske up to --max-periods periods")
-    q.add_argument("--max-periods", type=_int_in_range(3), default=7)
+    q.add_argument("--max-periods", type=_int_in_range(3, MAX_PERIODS), default=7,
+                   help=f"most periods of a scanned signature, 3..{MAX_PERIODS}")
     q.set_defaults(fn=cmd_genus_zero)
 
     q = sub.add_parser("quotient", parents=[common], help="quotient genus and branch data")
@@ -511,7 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--fixture", required=True)
     q.add_argument("--starts", type=_int_in_range(0), default=8)
     q.add_argument("--tol", type=_positive_float, default=1e-9,
-                   help="verify: bound on the period-matrix residual; locus: relative rank tolerance")
+                   help="verify: bound on the largest entry of A Z + B - Z (C Z + D) at the "
+                        "period matrix; locus: relative rank tolerance")
     q.set_defaults(fn=cmd_siegel)
 
     q = sub.add_parser("curve", parents=[common], help="hyperelliptic model verification")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .groups import BudgetExceeded
+from .groups import MAX_N, BudgetExceeded
 from .cyclo import Cyclotomic, CycloPoly
 
 
@@ -82,7 +82,7 @@ def build_model(n: int, t: complex | None) -> HyperellipticModel:
     (no coefficients, no radicals) for t None."""
     if n < 3:
         raise ValueError("need n >= 3")
-    if 2 ** (n - 1) > 64:
+    if n - 1 > MAX_N:  # 2^(n-1) > MAX_ORDER
         raise ValueError("n out of supported range")
     xi = cmath.exp(2j * cmath.pi / 2 ** (n - 1))
     if t is None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import MAX_ORDER, build_quaternion, named_subgroups
+from .groups import MAX_N, MAX_ORDER, build_quaternion, named_subgroups
 from .reptheory import fixed_dims, galois_orbit
 
 
@@ -37,10 +37,9 @@ class MultiplicityVector:
         if self.n < 3:
             raise InvalidMultiplicities("n must be >= 3")
         # refused before 2^(n-2) is formed: a huge n would exhaust memory
-        n_max = MAX_ORDER.bit_length() - 1
-        if self.n > n_max:
+        if self.n > MAX_N:
             raise InvalidMultiplicities(
-                f"n must be in 3..{n_max} (groups of order up to {MAX_ORDER}), got {self.n}"
+                f"n must be in 3..{MAX_N} (groups of order up to {MAX_ORDER}), got {self.n}"
             )
         if len(self.a) != 4 or len(self.b) != 2 ** (self.n - 2) - 1:
             raise InvalidMultiplicities(

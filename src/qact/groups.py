@@ -30,6 +30,9 @@ from functools import cache, lru_cache
 
 
 MAX_ORDER = 64
+# the largest n with 2^n <= MAX_ORDER: a range check compares exponents, so a
+# huge n is refused without forming 2^n
+MAX_N = MAX_ORDER.bit_length() - 1
 
 
 class GroupError(ValueError):
@@ -325,7 +328,7 @@ def build_quaternion(n: int, /) -> FiniteGroup:
     """The generalized quaternion group of order 2^n, n >= 3."""
     if n < 3:
         raise GroupError(f"quaternion group needs n >= 3, got {n}")
-    if 2**n > MAX_ORDER:
+    if n > MAX_N:
         raise GroupError(f"order 2^{n} exceeds supported maximum {MAX_ORDER}")
     half = 2 ** (n - 1)
     quarter = 2 ** (n - 2)
@@ -347,7 +350,7 @@ def _build_g1_g2(n: int, variant: int, /) -> FiniteGroup:
     """
     if n < 3:
         raise GroupError(f"G{variant} needs n >= 3, got {n}")
-    if 2 ** (n + 1) > MAX_ORDER:
+    if n + 1 > MAX_N:
         raise GroupError(f"order 2^{n + 1} exceeds supported maximum {MAX_ORDER}")
     half = 2 ** (n - 1)
     quarter = 2 ** (n - 2)

@@ -1,16 +1,18 @@
-"""Integer symplectic matrices, the Siegel upper half-space action, and exact
+"""Integer symplectic matrices, the Siegel upper half-space, and exact
 verification of fixed period-matrix families.
 
-Fixed-family identities R.Z = Z are checked as A Z + B = Z (C Z + D), which
-stays inside exact polynomial arithmetic over Q(i) and never inverts anything.
+Every fixed-point identity R.Z = Z is checked as A Z + B = Z (C Z + D), which
+inverts nothing: exactly in polynomial arithmetic over Q(i) on a printed
+family, as a largest residual entry on a numeric period matrix, and as the
+residual Gauss-Newton drives to zero.
 Group-level claims (closure order, defining relations, isomorphism type) are
 checked on the matrix group generated by the printed integer matrices, whose
 products are exact Python integers (`mat_mul`).  The dimension of the fixed
 locus at a known fixed point Z is read off the character tr(C Z + D) of the
 analytic representation, summed over that matrix group: exactly on a printed
 family, within a stated tolerance on a numeric period matrix.  Numeric points
-of H_g are g x g tuples of Python complex numbers, and the action on them,
-the upper half-space test and the fixed-point residual are plain Python.
+of H_g are g x g tuples of Python complex numbers, and the upper half-space
+test and the fixed-point residual are plain Python.
 
 The Gauss-Newton estimator `fixed_locus_dimension` needs no fixed point:
 `siegel locus` runs it, and the tests hold the character route to it.  It is
@@ -59,6 +61,7 @@ def as_int_matrix(rows) -> IntMatrix:
 
 
 def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    """A B, for integer matrices and for numeric points alike."""
     Bt = list(zip(*B))
     return tuple(tuple(sum(map(mul, row, col)) for col in Bt) for row in A)
 
@@ -110,44 +113,6 @@ def _affine(M: IntMatrix, Z: PointMatrix, N: IntMatrix) -> PointMatrix:
         tuple(sum(map(mul, row, col)) + n for col, n in zip(cols, nrow))
         for row, nrow in zip(M, N)
     )
-
-
-def _right_divide(N: PointMatrix, M: PointMatrix) -> PointMatrix:
-    """N M^-1, by Gaussian elimination with partial pivoting on
-    M^T X^T = N^T; ZeroDivisionError when |det M| < 1e-12."""
-    g = len(M)
-    rows = [list(mcol) + list(ncol) for mcol, ncol in zip(zip(*M), zip(*N))]
-    det = 1.0
-    for k in range(g):
-        p = max(range(k, g), key=lambda r: _modulus(rows[r][k]))
-        if p != k:
-            rows[k], rows[p] = rows[p], rows[k]
-            det = -det
-        pivot = rows[k][k]
-        det *= pivot
-        if pivot == 0:
-            break
-        for r in range(k + 1, g):
-            f = rows[r][k] / pivot
-            if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[k])]
-    if _modulus(det) < 1e-12:
-        raise ZeroDivisionError("C Z + D is numerically singular")
-    sol = [None] * g  # sol[k] is row k of X^T
-    for k in reversed(range(g)):
-        row = rows[k]
-        sol[k] = [
-            (row[g + c] - sum(row[j] * sol[j][c] for j in range(k + 1, g))) / row[k]
-            for c in range(g)
-        ]
-    return tuple(zip(*sol))
-
-
-def act(R, Z) -> PointMatrix:
-    """(A Z + B)(C Z + D)^-1 on a numeric point of H_g (g x g, complex)."""
-    Z = _complex_matrix(Z)
-    A, B, C, D = blocks(as_int_matrix(R), len(Z))
-    return _right_divide(_affine(A, Z, B), _affine(C, Z, D))
 
 
 def in_upper_half(Z) -> bool:
@@ -335,15 +300,17 @@ def verify_group_data(generators, relations=None, target: FiniteGroup | None = N
 
 
 def verify_fixed_point_numeric(generators, Z) -> float:
-    """max over generators of ||R.Z - Z||_inf; Z must lie in H_g.  A residual
-    entry that is not finite makes it inf, so that it never counts as below
-    a tolerance."""
+    """max over generators of the largest entry modulus of A Z + B - Z (C Z + D),
+    the fixed-point equation R.Z = Z with its denominator cleared, so that
+    nothing is inverted; Z must lie in H_g.  A residual entry that is not
+    finite makes it inf, so that it never counts as below a tolerance."""
     Z = _complex_matrix(Z)
     if not in_upper_half(Z):
         raise ValueError("Z is not in the Siegel upper half-space")
     res = 0.0
     for R in generators:
-        for row, zrow in zip(act(R, Z), Z):
+        A, B, C, D = blocks(as_int_matrix(R), len(Z))
+        for row, zrow in zip(_affine(A, Z, B), mat_mul(Z, _affine(C, Z, D))):
             for w, z in zip(row, zrow):
                 d = _modulus(w - z)
                 if not math.isfinite(d):

@@ -51,9 +51,9 @@
   and the integer matrix product by index.  `qact.siegel` multiplies each
   generator's blocks into the whole stacked basis at once and sums rows
   against columns with `map`.
-- The action on H_g and the upper half-space test in numpy, by
-  `np.linalg.inv`, `np.allclose` and `np.linalg.cholesky`.  `qact.siegel`
-  does both in plain Python on tuples of complex numbers.
+- The upper half-space test in numpy, by `np.allclose` and
+  `np.linalg.cholesky`.  `qact.siegel` does it in plain Python on tuples of
+  complex numbers.
 """
 
 from __future__ import annotations
@@ -989,20 +989,8 @@ def mat_mul_by_index(A, B):
 
 
 # ---------------------------------------------------------------------------
-# the Siegel action and the upper half-space test in numpy
+# the upper half-space test in numpy
 # ---------------------------------------------------------------------------
-
-
-def act_numpy(R, Z) -> np.ndarray:
-    """(A Z + B)(C Z + D)^-1; ZeroDivisionError when |det(C Z + D)| < 1e-12."""
-    Z = np.array(Z, dtype=complex)
-    g = len(Z)
-    M = np.array(R, dtype=float)
-    A, B, C, D = M[:g, :g], M[:g, g:], M[g:, :g], M[g:, g:]
-    denom = C @ Z + D
-    if abs(np.linalg.det(denom)) < 1e-12:
-        raise ZeroDivisionError("C Z + D is numerically singular")
-    return (A @ Z + B) @ np.linalg.inv(denom)
 
 
 def in_upper_half_numpy(Z) -> bool:

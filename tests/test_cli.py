@@ -1,4 +1,5 @@
 import json
+import time
 from importlib import resources
 
 import pytest
@@ -7,7 +8,7 @@ import qact.curves
 from qact.cli import build_parser, main
 from qact.actions import Signature, Ske, extension_data, family_representative
 from qact.groups import build_named, build_quaternion
-from qact.siegel import fixture_checksum
+from qact.siegel import fixture_checksum, symplectic_form
 
 
 def run(capsys, *argv):
@@ -331,6 +332,55 @@ def test_decompose_refuses_n_outside_the_supported_range(capsys, n, message):
     assert captured.err.splitlines() == [message]
 
 
+HUGE_N = str(10**9)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chars", "--n", HUGE_N], f"order 2^{HUGE_N} exceeds supported maximum 64"),
+    (["classify", "--n", HUGE_N, "--signature", "0:4,4,4,4"], f"order 2^{HUGE_N} exceeds supported maximum 64"),
+    (["genus-zero", "--n", HUGE_N], f"order 2^{HUGE_N} exceeds supported maximum 64"),
+    (["curve", "--n", HUGE_N], "n out of supported range"),
+    (["groups", "--name", "G1", "--n", HUGE_N], f"order 2^{10**9 + 1} exceeds supported maximum 64"),
+    (["extend", "--n", HUGE_N, "--family", "F0", "--super", "G1"],
+     f"order 2^{HUGE_N} exceeds supported maximum 64"),
+    (["extend", "--n", "2", "--family", "F0", "--super", "G1"], "quaternion group needs n >= 3, got 2"),
+    (["chars", "--n", "7"], "order 2^7 exceeds supported maximum 64"),
+    (["curve", "--n", "8"], "n out of supported range"),
+    (["groups", "--name", "G2", "--n", "6"], "order 2^7 exceeds supported maximum 64"),
+], ids=["chars", "classify", "genus-zero", "curve", "groups-G1", "extend", "extend-n-2", "chars-n-7", "curve-n-8",
+        "groups-G2-n-6"])
+def test_n_outside_the_supported_range_is_refused_at_once(capsys, argv, message):
+    """Range checks compare exponents, and `extend` checks n before it builds
+    the family table, so n = 10^9 fails with one error line before any 2^n
+    is formed."""
+    t0 = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert elapsed < 0.5
+
+
+def test_a_period_matrix_with_a_singular_denominator_fails_verify(tmp_path, capsys):
+    """J = symplectic_form(2) at about 1.03e-7 i I, a point of H_g at which
+    C Z + D = -Z has determinant about 1e-14: the residual I + Z^2 is about 1,
+    so verify reports the erratum (exit 1) with nothing inverted."""
+    tiny, zero = ["0", "0", "1/400000", "0"], ["0", "0", "0", "0"]  # i * lambda / 400000, and 0
+    data = {"generators": [[list(row) for row in symplectic_form(2)]],
+            "period_matrix": [[tiny, zero], [zero, tiny]]}
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(_signed_fixture(data)))
+    code = main(["siegel", "verify", "--fixture", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    results = json.loads(captured.out)["results"]
+    assert results["erratum"] == "printed period matrix is not numerically fixed"
+    assert results["period_matrix_residual_below_tol"] is False
+
+
 def test_ske_file_not_an_object_exits_2(tmp_path, capsys):
     path = tmp_path / "ske.json"
     path.write_text("[1, 2]")
@@ -508,6 +558,7 @@ def test_fixture_without_what_the_action_checks_exits_2(tmp_path, capsys, action
     (["genus-zero", "--n", "3", "--exhaustive", "--max-periods", "-1"], "--max-periods"),
     (["siegel", "locus", "--fixture", "thm10", "--starts", "-3"], "--starts"),
     (["genus-zero", "--n", "6", "--max-b", "501"], "--max-b"),
+    (["genus-zero", "--n", "6", "--exhaustive", "--max-periods", "13"], "--max-periods"),
 ])
 def test_counts_that_would_check_nothing_exit_2(capsys, argv, flag):
     with pytest.raises(SystemExit) as err:

@@ -17,7 +17,6 @@ from qact.siegel import (
     FixtureError,
     _jacobian,
     _sym_basis,
-    act,
     as_int_matrix,
     blocks,
     character_dimension,
@@ -36,7 +35,6 @@ from qact.siegel import (
 )
 
 from oracles import (
-    act_numpy,
     in_upper_half_numpy,
     is_symmetric,
     jacobian_per_basis,
@@ -88,50 +86,20 @@ def _is_point(Z, g):
             and all(type(row) is tuple and len(row) == g and all(type(v) is complex for v in row) for row in Z))
 
 
-def test_act_identity_and_inversion_fixed_point():
-    Z = np.array([[1j, 0.2], [0.2, 1.5j]])
-    I4 = identity_matrix(4)
-    assert _is_point(act(I4, Z), 2)
-    assert np.allclose(act(I4, Z), Z)
+def test_identity_residual_is_exactly_zero():
+    Z = ((1j, 0.2), (0.2, 1.5j))
+    assert verify_fixed_point_numeric([identity_matrix(4)], Z) == 0.0
+
+
+def test_a_singular_denominator_is_a_failed_check():
+    """J acts by Z -> -Z^-1, and C Z + D = -Z is nearly singular at a small
+    multiple of i I; the residual I + Z^2 there is about 1, with nothing
+    inverted."""
     J = symplectic_form(2)
-    Zi = 1j * np.eye(2)
-    assert np.allclose(act(J, Zi), Zi)
-
-
-def test_act_is_group_action_numerically():
-    rng = random.Random(0)
-    gens = load_fixture("thm10").generators
-    words = []
-    for _ in range(12):
-        w = identity_matrix(6)
-        for _ in range(rng.randint(1, 5)):
-            w = mat_mul(w, gens[rng.randrange(3)])
-        words.append(w)
-    nprng = np.random.default_rng(1)
-    for _ in range(12):
-        X = nprng.normal(size=(3, 3))
-        W = nprng.normal(size=(3, 3))
-        Z = (X + X.T) / 2 + 1j * (W @ W.T + np.eye(3))
-        R1, R2 = rng.choice(words), rng.choice(words)
-        lhs = act(mat_mul(R1, R2), Z)
-        rhs = act(R1, act(R2, Z))
-        assert _is_point(lhs, 3) and _is_point(rhs, 3)
-        assert np.max(np.abs(np.array(lhs) - np.array(rhs))) < 1e-9
-
-
-def test_act_preserves_upper_half():
-    gens = load_fixture("thm10").generators
-    Z = np.array([[0.3 + 1j, 0.1, 0.0], [0.1, 1.2j, -0.2], [0.0, -0.2, 0.9j]])
-    assert in_upper_half(Z)
-    for R in gens:
-        assert in_upper_half(act(R, Z))
-
-
-def test_singular_denominator_raises():
-    g = 1
-    R = [[0, 1], [-1, 0]]  # acts by Z -> -1/Z
-    with pytest.raises(ZeroDivisionError):
-        act(R, np.array([[0.0 + 0.0j]]))
+    for eps in (1e-4, 1.03e-7, 2e-10):
+        Z = ((eps * 1j, 0j), (0j, eps * 1j))
+        assert in_upper_half(Z)
+        assert verify_fixed_point_numeric([J], Z) == pytest.approx(1.0, abs=1e-6), eps
 
 
 def _random_point(rng, g, scale=1.0):
@@ -140,30 +108,22 @@ def _random_point(rng, g, scale=1.0):
     return scale * ((X + X.T) / 2 + 1j * (W @ W.T + 0.1 * np.eye(g)))
 
 
-def test_act_matches_the_numpy_route():
-    """On fixture words at random points of H_g, at near-singular
-    denominators and at points that are not in H_g at all."""
+def test_residual_matches_the_numpy_residual():
+    """On pairs of fixture words at random points of H_g at three scales, the
+    plain residual is the largest entry modulus of Gauss-Newton's numpy
+    residual A Z + B - Z (C Z + D)."""
     rng = np.random.default_rng(3)
     prng = random.Random(3)
     for name in ("thm10", "thm11", "prop13"):
         elems, _, _ = matrix_group_closure(load_fixture(name).generators)
         g = len(elems[0]) // 2
-        for _ in range(40):
-            R = prng.choice(elems)
-            Z = _random_point(rng, g, scale=prng.choice((1e-3, 1.0, 1e3)))
-            if prng.random() < 0.25:
-                Z = Z + rng.normal(size=(g, g))  # not symmetric
-            assert np.allclose(np.array(act(R, Z)), act_numpy(R, Z), rtol=1e-9, atol=1e-12), name
-    J = symplectic_form(2)  # C Z + D = -Z, whose determinant here is -eps
-    for eps in (1e-11, 1e-13, 1e-20, 0.0):
-        Z = np.array([[eps * 1j, 0], [0, 1j]])
-        raised = {f: False for f in (act, act_numpy)}
-        for f in raised:
-            try:
-                f(J, Z)
-            except ZeroDivisionError:
-                raised[f] = True
-        assert raised[act] == raised[act_numpy] == (eps < 1e-12), eps
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(12):
+                words = [prng.choice(elems), prng.choice(elems)]
+                Z = _random_point(rng, g, scale)
+                gens_blocks = [tuple(np.array(b, dtype=complex) for b in blocks(R, g)) for R in words]
+                expected = float(np.max(np.abs(siegel._residual(gens_blocks, Z))))
+                assert verify_fixed_point_numeric(words, Z) == pytest.approx(expected, rel=1e-12, abs=0), name
 
 
 def test_in_upper_half_matches_the_numpy_route():
@@ -205,13 +165,13 @@ def test_non_finite_points_are_not_in_the_upper_half(bad):
 
 
 def test_a_non_finite_residual_is_never_below_tolerance(monkeypatch):
-    # -1/Z is tiny, so Z - J.Z has modulus about 2.1e308, past the largest float
+    # for J, A Z + B - Z (C Z + D) is 1 + Z^2, and Z^2 overflows
     Z = ((complex(1.5e308, 1.5e308),),)
     assert in_upper_half(Z)
     assert verify_fixed_point_numeric([symplectic_form(1)], Z) == math.inf
     # a NaN residual entry after a finite one: max(0.0, nan) would keep 0.0
     nan = complex("nan")
-    monkeypatch.setattr(siegel, "act", lambda R, Z: ((Z[0][0], nan), (nan, Z[1][1])))
+    monkeypatch.setattr(siegel, "mat_mul", lambda Z, W: ((Z[0][0], nan), (nan, Z[1][1])))
     res = verify_fixed_point_numeric([identity_matrix(4)], 1j * np.eye(2))
     assert not res < 1e-9
 

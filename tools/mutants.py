@@ -287,6 +287,35 @@ MUTANTS = [
         ("tests/test_siegel.py::test_a_non_finite_residual_is_never_below_tolerance",),
     ),
     Mutant(
+        "residual-adds-the-two-sides",
+        "siegel.py",
+        "                d = _modulus(w - z)\n",
+        "                d = _modulus(w + z)\n",
+        ("tests/test_siegel.py::test_prop13_period_matrix_fixed",
+         "tests/test_siegel.py::test_residual_matches_the_numpy_residual"),
+    ),
+    Mutant(
+        "residual-multiplies-z-on-the-right",
+        "siegel.py",
+        "mat_mul(Z, _affine(C, Z, D))",
+        "mat_mul(_affine(C, Z, D), Z)",
+        ("tests/test_siegel.py::test_residual_matches_the_numpy_residual",),
+    ),
+    Mutant(
+        "quaternion-range-check-admits-one-more-n",
+        "groups.py",
+        "    if n > MAX_N:\n",
+        "    if n > MAX_N + 1:\n",
+        ("tests/test_cli.py::test_n_outside_the_supported_range_is_refused_at_once",),
+    ),
+    Mutant(
+        "max-periods-has-no-ceiling",
+        "cli.py",
+        "type=_int_in_range(3, MAX_PERIODS)",
+        "type=_int_in_range(3)",
+        ("tests/test_cli.py::test_counts_that_would_check_nothing_exit_2",),
+    ),
+    Mutant(
         "upper-half-admits-infinity",
         "siegel.py",
         "    if not all(cmath.isfinite(z) for row in Z for z in row):\n"
