@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .groups import (
     BudgetExceeded,
@@ -55,14 +55,21 @@ class UnsupportedMove(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Signature:
+class _SignatureFields(NamedTuple):
     gamma: int
     periods: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.gamma < 0 or any(k < 2 for k in self.periods):
-            raise ValueError(f"bad signature ({self.gamma}; {self.periods})")
+
+class Signature(_SignatureFields):
+    """(gamma; k_1..k_l), checked on construction.  `_replace` and `_make`
+    skip the check, so nothing calls them on a Signature."""
+
+    __slots__ = ()
+
+    def __new__(cls, gamma: int, periods: tuple[int, ...]):
+        if gamma < 0 or any(k < 2 for k in periods):
+            raise ValueError(f"bad signature ({gamma}; {periods})")
+        return super().__new__(cls, gamma, periods)
 
     def mu(self) -> Fraction:
         return 2 * self.gamma - 2 + sum(Fraction(k - 1, k) for k in self.periods)
@@ -116,8 +123,7 @@ def is_sigma_b(n: int, sig: Signature) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ske:
+class Ske(NamedTuple):
     group: FiniteGroup
     signature: Signature
     hyperbolic: tuple[int, ...]
@@ -306,8 +312,7 @@ def count_valid_tuples(G: FiniteGroup, periods) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     signature: Signature
     total: int
     orbit_count: int
@@ -561,8 +566,7 @@ def _genus_one_moves(G: FiniteGroup):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientData:
+class QuotientData(NamedTuple):
     genus: int
     periods: tuple[int, ...]
 
@@ -624,8 +628,7 @@ def is_genus_zero_action(ske: Ske) -> bool:
     return quotient_data(ske, named_subgroups(ske.group)["Z"]).genus == 0
 
 
-@dataclass(frozen=True)
-class GenusZeroRecord:
+class GenusZeroRecord(NamedTuple):
     b: int
     signature: Signature
     genus: int
@@ -666,8 +669,7 @@ def genus_zero_actions(n: int, max_b: int) -> list[GenusZeroRecord]:
     return out
 
 
-@dataclass
-class GenusZeroScan:
+class GenusZeroScan(NamedTuple):
     """Result of the exhaustive genus-zero-iff-sigma_b confirmation."""
 
     n: int
@@ -769,8 +771,7 @@ def _z_cycles_by_order(G: FiniteGroup, zset: frozenset) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
+class FamilyRecord(NamedTuple):
     label: str
     signature: Signature
     genus: int
@@ -895,8 +896,7 @@ def family_representative(n: int, label: str) -> Ske:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtensionReport:
+class ExtensionReport(NamedTuple):
     ok: bool
     index: int
     mu_ratio: Fraction

@@ -15,6 +15,11 @@ for `--ske` only), `siegel`, `curve` and `reproduce` their own layers, and
 `groups` nothing more.  numpy loads only for `siegel locus`, whose
 Gauss-Newton estimator imports it.  `build_parser` is cached, so a process
 that parses its arguments before calling `main` builds the parser once.
+Every record is a `typing.NamedTuple` (the arithmetic types are `__slots__`
+classes), so no process imports the standard library's data classes module,
+with its `inspect`, `ast` and `dis`.  Every report still goes through its
+records' `to_json`: JSON writes a NamedTuple put in a report as a plain
+list, where `_json_default` raises on any other unknown type.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ tests/oracles.py.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groups import MAX_N, BudgetExceeded
 from .cyclo import Cyclotomic, CycloPoly
@@ -45,8 +45,7 @@ def _monomial_power(X: CycloPoly, k: int) -> CycloPoly:
     return out
 
 
-@dataclass
-class HyperellipticModel:
+class HyperellipticModel(NamedTuple):
     n: int
     t: complex | None
     f_coeffs: list[complex] | None     # degree-indexed; None for the symbolic family
@@ -189,8 +188,7 @@ def _pt_dist(p, q) -> float:
     return max(dx, dy)
 
 
-@dataclass
-class AutomorphismReport:
+class AutomorphismReport(NamedTuple):
     n: int
     samples: int
     max_on_curve_x: float
@@ -311,8 +309,7 @@ def point_map_group_order(model: HyperellipticModel) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BranchConfiguration:
+class BranchConfiguration(NamedTuple):
     n: int
     zero: list[complex]
     infinity: list[str]

@@ -13,7 +13,6 @@ other type (a float above all) is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
@@ -50,7 +49,40 @@ def _make(m: int, num, den: int) -> Cyclotomic:
     return out
 
 
-class Cyclotomic:
+class _Frozen:
+    """Immutable instances: each slot is written once, by `_set`, when the
+    instance is made.  Equality, hashing, the repr and pickling read the
+    slots in order, as a frozen record's would; `Cyclotomic` overrides all
+    four."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+
+class Cyclotomic(_Frozen):
     """An element of Q(zeta_m) for a 2-power conductor m >= 2.
 
     `num` and `den` are the reduced integer form; `coeffs` gives the
@@ -68,12 +100,6 @@ class Cyclotomic:
         _set(self, "m", m)
         _set(self, "num", tuple(c.numerator * (den // c.denominator) for c in coeffs))
         _set(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Cyclotomic is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Cyclotomic is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
         return (Cyclotomic, (self.m, self.coeffs))
@@ -296,8 +322,7 @@ def _coerce(x, m: int) -> Cyclotomic:
 # -- sparse multivariate polynomials over Q(zeta) -----------------------------
 
 
-@dataclass(frozen=True)
-class CycloPoly:
+class CycloPoly(_Frozen):
     """Sparse polynomial in `nvars` parameters with Cyclotomic coefficients.
 
     Terms map an exponent tuple to a nonzero coefficient.  Entries of the
@@ -305,8 +330,11 @@ class CycloPoly:
     sparse map is the natural fit.
     """
 
-    nvars: int
-    terms: tuple[tuple[tuple[int, ...], Cyclotomic], ...]
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms: tuple[tuple[tuple[int, ...], Cyclotomic], ...]):
+        _set(self, "nvars", nvars)
+        _set(self, "terms", terms)
 
     @staticmethod
     def make(nvars: int, terms: Mapping[tuple[int, ...], Cyclotomic]) -> CycloPoly:
@@ -366,13 +394,15 @@ class CycloPoly:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
+class PolyMatrix(_Frozen):
     """Matrix with CycloPoly entries."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[CycloPoly, ...], ...]
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[CycloPoly, ...], ...]):
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "entries", entries)
 
     @staticmethod
     def make(entries: list[list[CycloPoly]]) -> PolyMatrix:

@@ -15,7 +15,7 @@ the Chevalley-Weil formula: mu_1 = gamma, and for nontrivial V
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groups import MAX_N, MAX_ORDER, build_quaternion, named_subgroups
 from .reptheory import fixed_dims, galois_orbit
@@ -25,28 +25,32 @@ class InvalidMultiplicities(ValueError):
     """Multiplicity vector violates the Galois constraints."""
 
 
-@dataclass(frozen=True)
-class MultiplicityVector:
-    """Multiplicities (a; b) of rho_a = sum a_j chi_j + sum b_s Theta_s."""
-
+class _MultiplicityFields(NamedTuple):
     n: int
     a: tuple[int, int, int, int]
     b: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.n < 3:
+
+class MultiplicityVector(_MultiplicityFields):
+    """Multiplicities (a; b) of rho_a = sum a_j chi_j + sum b_s Theta_s,
+    checked on construction.  `_replace` and `_make` skip the check, so
+    nothing calls them on a MultiplicityVector."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, a: tuple[int, int, int, int], b: tuple[int, ...]):
+        if n < 3:
             raise InvalidMultiplicities("n must be >= 3")
         # refused before 2^(n-2) is formed: a huge n would exhaust memory
-        if self.n > MAX_N:
+        if n > MAX_N:
             raise InvalidMultiplicities(
-                f"n must be in 3..{MAX_N} (groups of order up to {MAX_ORDER}), got {self.n}"
+                f"n must be in 3..{MAX_N} (groups of order up to {MAX_ORDER}), got {n}"
             )
-        if len(self.a) != 4 or len(self.b) != 2 ** (self.n - 2) - 1:
-            raise InvalidMultiplicities(
-                f"need 4 a-values and {2 ** (self.n - 2) - 1} b-values for n={self.n}"
-            )
-        if any(v < 0 for v in self.a) or any(v < 0 for v in self.b):
+        if len(a) != 4 or len(b) != 2 ** (n - 2) - 1:
+            raise InvalidMultiplicities(f"need 4 a-values and {2 ** (n - 2) - 1} b-values for n={n}")
+        if any(v < 0 for v in a) or any(v < 0 for v in b):
             raise InvalidMultiplicities("multiplicities must be non-negative")
+        return super().__new__(cls, n, a, b)
 
     def b_at(self, s: int) -> int:
         return self.b[s - 1]
@@ -68,8 +72,7 @@ class MultiplicityVector:
         return {"n": self.n, "a": list(self.a), "b": list(self.b)}
 
 
-@dataclass(frozen=True)
-class FactorTable:
+class FactorTable(NamedTuple):
     """Dimensions of the factors in the group-algebra decomposition."""
 
     n: int
@@ -135,8 +138,7 @@ def dim_fixed_subvariety(mv: MultiplicityVector, K: frozenset) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrivialityReport:
+class TrivialityReport(NamedTuple):
     """The five equivalent triviality statements, evaluated independently."""
 
     decomposition_trivial: bool        # every factor other than Prym(A/A_Z) vanishes

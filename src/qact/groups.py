@@ -482,22 +482,38 @@ def build_dihedral(m: int, /) -> FiniteGroup:
                         kind="dihedral", params={"m": m, "letters": ["r", "s"]})
 
 
+# the parameter each catalogue name needs, None for one that takes none;
+# Q<2^n> (Q8, Q16, ...) takes none either
+_NEEDS = {
+    "G1": "n", "G2": "n", "Dihedral": "m",
+    "QD16": None, "C4xC2_rtimes_C2": None, "D4xC2_rtimes_C2": None,
+}
+
+
 def build_named(name: str, n: int | None = None, m: int | None = None) -> FiniteGroup:
     """Build a group by its catalogue name.
 
-    Names: Q<2^n> or ('Q', n=...), G1/G2 (need n), QD16, C4xC2_rtimes_C2,
-    D4xC2_rtimes_C2, Dihedral (needs m).
+    Names: Q<2^n> (Q8, Q16, ...), QD16, C4xC2_rtimes_C2 and D4xC2_rtimes_C2,
+    which take no parameter; G1 and G2, which need n; Dihedral, which needs
+    m.  A parameter the name does not take is refused, not ignored.
     """
     key = name.strip()
-    if key.upper().startswith("Q") and key[1:].isdigit():
+    quaternion = key.upper().startswith("Q") and key[1:].isdigit()
+    if not quaternion and key not in _NEEDS:
+        raise GroupError(f"unknown group name {name!r}")
+    needs = None if quaternion else _NEEDS[key]
+    for param, value in (("n", n), ("m", m)):
+        if value is not None and param != needs:
+            raise GroupError(f"{key} takes no parameter {param}, got {param}={value}")
+        if value is None and param == needs:
+            raise GroupError(f"{key} needs the parameter {param}")
+    if quaternion:
         order = int(key[1:])
         nn = order.bit_length() - 1
         if 2**nn != order:
             raise GroupError(f"{name}: order must be a power of two")
         return build_quaternion(nn)
     if key in ("G1", "G2"):
-        if n is None:
-            raise GroupError(f"{name} needs the parameter n")
         return _build_g1_g2(n, 1 if key == "G1" else 2)
     if key == "QD16":
         return _build_qd16()
@@ -505,11 +521,7 @@ def build_named(name: str, n: int | None = None, m: int | None = None) -> Finite
         return _build_c4xc2_rtimes_c2()
     if key == "D4xC2_rtimes_C2":
         return _build_d4xc2_rtimes_c2()
-    if key == "Dihedral":
-        if m is None:
-            raise GroupError("Dihedral needs the parameter m")
-        return build_dihedral(m)
-    raise GroupError(f"unknown group name {name!r}")
+    return build_dihedral(m)
 
 
 def group_from_json(data: dict) -> FiniteGroup:
@@ -520,6 +532,8 @@ def group_from_json(data: dict) -> FiniteGroup:
         name = name[:2]
     elif name == f"D{m}":
         name = "Dihedral"
+    elif name[:1] == "Q" and name[1:].isdigit() and n == int(name[1:]).bit_length() - 1:
+        n = None  # Q<2^n>'s n restates its name
     return build_named(name, n=n, m=m)
 
 

@@ -23,10 +23,9 @@ the number of elements of K with e = 0, dim Theta_s^K = (2c/|K|) * [c | s].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .groups import FiniteGroup, _check_subgroup, build_quaternion
 
@@ -34,8 +33,7 @@ if TYPE_CHECKING:
     from .cyclo import Cyclotomic
 
 
-@dataclass(frozen=True)
-class ClassData:
+class ClassData(NamedTuple):
     """Conjugacy classes of Q(2^n) in canonical order."""
 
     group: FiniteGroup
@@ -61,13 +59,28 @@ def class_data(n: int) -> ClassData:
     return ClassData(G, tuple(reps), tuple(sizes), tuple(class_of))
 
 
-@dataclass(frozen=True)
-class Character:
-    """A class function on Q(2^n), stored on the canonical class reps."""
+_set = object.__setattr__
 
-    n: int
-    label: str
-    values: tuple[Cyclotomic, ...]
+
+class Character:
+    """A class function on Q(2^n), stored on the canonical class reps.
+    Instances are immutable; equality and hashing read `n` and `values`."""
+
+    __slots__ = ("n", "label", "values")
+
+    def __init__(self, n: int, label: str, values: tuple[Cyclotomic, ...]):
+        _set(self, "n", n)
+        _set(self, "label", label)
+        _set(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Character is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Character is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (Character, (self.n, self.label, self.values))
 
     @property
     def degree(self) -> Fraction:
@@ -151,8 +164,7 @@ def galois_orbit(n: int, s: int) -> tuple[int, ...]:
     return tuple(sorted(orbit))
 
 
-@dataclass(frozen=True)
-class RationalIrreducible:
+class RationalIrreducible(NamedTuple):
     """A rational irreducible of Q(2^n) with its complex constituents."""
 
     n: int

@@ -34,12 +34,11 @@ import cmath
 import json
 import hashlib
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from operator import mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclo import Cyclotomic, CycloPoly, PolyMatrix
 from .groups import BudgetExceeded, FiniteGroup, find_isomorphism
@@ -145,8 +144,7 @@ def in_upper_half(Z) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FixedFamilyReport:
+class FixedFamilyReport(NamedTuple):
     generator_ok: tuple[bool, ...]
 
     @property
@@ -227,8 +225,7 @@ def matrix_group_as_finite_group(generators) -> tuple[FiniteGroup, tuple]:
     return FiniteGroup("matrix-group", names, cayley, right[0]), tree
 
 
-@dataclass(frozen=True)
-class GroupDataReport:
+class GroupDataReport(NamedTuple):
     order: int
     generators_symplectic: tuple[bool, ...]
     relations_hold: tuple[bool, ...]
@@ -413,8 +410,7 @@ def _jacobian(gens_blocks, Z: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.concatenate(rows, axis=1).T
 
 
-@dataclass
-class LocusReport:
+class LocusReport(NamedTuple):
     dimension: int | None
     point: np.ndarray | None
     max_residual: float | None
@@ -541,8 +537,7 @@ class FixtureError(ValueError):
     """Missing or corrupted fixture data."""
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     """A verification fixture, parsed once by `load_fixture`.  An optional
     field the fixture leaves out (or sets to null) is None."""
 

@@ -39,6 +39,26 @@ def test_groups_dihedral_parameter(capsys):
     assert rep["results"]["order"] == 16
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--name", "Q16", "--n", "5"], "Q16 takes no parameter n, got n=5"),
+    (["--name", "Q16", "--m", "7"], "Q16 takes no parameter m, got m=7"),
+    (["--name", "Q32", "--n", "5"], "Q32 takes no parameter n, got n=5"),
+    (["--name", "QD16", "--n", "4"], "QD16 takes no parameter n, got n=4"),
+    (["--name", "G1", "--n", "3", "--m", "2"], "G1 takes no parameter m, got m=2"),
+    (["--name", "Dihedral", "--n", "3", "--m", "4"], "Dihedral takes no parameter n, got n=3"),
+    (["--name", "Q", "--n", "4"], "unknown group name 'Q'"),
+    (["--name", "G2", "--m", "3"], "G2 needs the parameter n"),
+])
+def test_groups_refuses_a_parameter_the_name_does_not_take(capsys, argv, message):
+    """A parameter is refused, not echoed into a report of another group;
+    Q<2^n> names its order, so there is no ('Q', n) form."""
+    code = main(["groups", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
 def test_chars_command(capsys):
     code, rep = run_json(capsys, "chars", "--n", "4")
     assert code == 0
@@ -658,15 +678,22 @@ def test_siegel_tol_must_be_finite_and_positive(capsys, tol):
     assert "--tol" in capsys.readouterr().err
 
 
-def _run_fresh(tmp_path, commands, watched):
-    """Run `commands` in one fresh interpreter; their exit codes and which of
-    the modules `watched` it loaded."""
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this qact."""
     import os
-    import subprocess
-    import sys
     from pathlib import Path
 
     import qact
+
+    src = str(Path(qact.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _run_fresh(tmp_path, commands, watched):
+    """Run `commands` in one fresh interpreter; their exit codes and which of
+    the modules `watched` it loaded."""
+    import subprocess
+    import sys
 
     outs = [tmp_path / f"{'-'.join(cmd[:2])}.json" for cmd in commands]
     argvs = [cmd + ["--out", str(out)] for cmd, out in zip(commands, outs)]
@@ -677,11 +704,9 @@ def _run_fresh(tmp_path, commands, watched):
         "watched = json.loads(sys.argv[2])\n"
         "print(json.dumps({'codes': codes, 'loaded': [m for m in watched if m in sys.modules]}))\n"
     )
-    src = str(Path(qact.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(argvs), json.dumps(watched)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_fresh_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert all(json.loads(out.read_text())["results"] for out in outs)
@@ -731,6 +756,26 @@ def test_fixture_commands_load_no_numpy(tmp_path):
     ]
     got = _run_fresh(tmp_path, commands, ["numpy"])
     assert got == {"codes": [0] * len(commands), "loaded": []}
+
+
+def test_no_run_imports_dataclasses(tmp_path):
+    """Records are NamedTuples and the arithmetic types `__slots__` classes,
+    so no run imports `dataclasses`, which brings `inspect`, `ast` and `dis`
+    (about 10 ms), or builds classes with `exec`.  `reproduce --n 3` loads
+    every layer.  What a bare interpreter loads under the same environment
+    (a site hook, say) is not held against qact."""
+    import subprocess
+    import sys
+
+    watched = ["dataclasses", "inspect"]
+    script = "import json, sys; print(json.dumps([m for m in sys.argv[1:] if m in sys.modules]))"
+    bare = subprocess.run(
+        [sys.executable, "-c", script, *watched], capture_output=True, text=True, env=_fresh_env(), check=True,
+    )
+    commands = [["reproduce", "--n", "3"], ["genus-zero", "--n", "6", "--exhaustive", "--max-periods", "5"]]
+    got = _run_fresh(tmp_path, commands, watched)
+    assert got["codes"] == [0, 0]
+    assert [m for m in got["loaded"] if m not in json.loads(bare.stdout)] == []
 
 
 LAYER_MODULES = [f"qact.{m}" for m in (

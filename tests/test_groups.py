@@ -426,6 +426,10 @@ def test_group_from_json_rejects_a_mismatched_parameter():
         group_from_json({"name": "G1(n=4)", "order": 64, "n": 5})
     with pytest.raises(GroupError, match="unknown group name"):
         group_from_json({"name": "D4", "order": 16, "m": 8})
+    with pytest.raises(GroupError, match="Q16 takes no parameter n, got n=5"):
+        group_from_json({"name": "Q16", "order": 16, "n": 5})
+    with pytest.raises(GroupError, match="QD16 takes no parameter m, got m=2"):
+        group_from_json({"name": "QD16", "order": 32, "m": 2})
 
 
 def test_element_name_parsing_roundtrip():
@@ -542,7 +546,7 @@ def test_generating_tuple_is_the_first_generating_combination():
     cyclic = FiniteGroup("C8", [str(i) for i in range(8)],
                          [[(i + j) % 8 for j in range(8)] for i in range(8)], [1])
     groups = [build_quaternion(n) for n in (3, 4, 5)] + [
-        build_named(name, n=4) for name in ("G1", "G2", "QD16", "D4xC2_rtimes_C2")
+        build_named("G1", n=4), build_named("G2", n=4), build_named("QD16"), build_named("D4xC2_rtimes_C2"),
     ] + [build_dihedral(4), cyclic]
     for G in groups:
         expected = next(

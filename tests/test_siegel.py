@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -549,7 +548,7 @@ def test_family_variant_differs_in_exactly_the_printed_entry():
 def test_require_names_every_field_it_was_given(fields):
     fx = load_fixture("prop13")
     fx.require("period_matrix", *fields)
-    bare = dataclasses.replace(fx, **{f: None for f in fields})
+    bare = fx._replace(**{f: None for f in fields})
     with pytest.raises(FixtureError) as err:
         bare.require(*fields)
     assert str(err.value) == f"fixture prop13 has no {' or '.join('data.' + f for f in fields)} to check"

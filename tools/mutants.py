@@ -346,6 +346,29 @@ MUTANTS = [
         ("tests/test_siegel.py::test_family_variant_differs_in_exactly_the_printed_entry",
          "tests/test_siegel.py::test_thm10_family_fixed_and_variant_discrepancy"),
     ),
+    Mutant(
+        "signature-admits-period-one",
+        "actions.py",
+        "        if gamma < 0 or any(k < 2 for k in periods):\n",
+        "        if gamma < 0:\n",
+        ("tests/test_records.py::test_signature_refuses_a_negative_genus_or_a_period_below_two",),
+    ),
+    Mutant(
+        "multiplicity-vector-admits-n-above-max",
+        "decomp.py",
+        "        if n > MAX_N:\n",
+        "        if False:\n",
+        # only the n = MAX_N + 1 case: unchecked, n = 10^9 would form 2^(10^9)
+        ("tests/test_records.py::test_multiplicity_vector_refuses_what_it_refused[n-above-max]",),
+    ),
+    Mutant(
+        "named-group-ignores-an-unused-parameter",
+        "groups.py",
+        "        if value is not None and param != needs:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_groups_refuses_a_parameter_the_name_does_not_take",
+         "tests/test_groups.py::test_group_from_json_rejects_a_mismatched_parameter"),
+    ),
 ]
 
 
