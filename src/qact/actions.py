@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .groups import (
     BudgetExceeded,
@@ -43,7 +42,11 @@ from .groups import (
     find_isomorphism,
     group_from_json,
     named_subgroups,
+    record_json,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class UnsupportedMove(ValueError):
@@ -72,6 +75,8 @@ class Signature(_SignatureFields):
         return super().__new__(cls, gamma, periods)
 
     def mu(self) -> Fraction:
+        from fractions import Fraction
+
         return 2 * self.gamma - 2 + sum(Fraction(k - 1, k) for k in self.periods)
 
     def dimension(self) -> int:
@@ -571,7 +576,7 @@ class QuotientData(NamedTuple):
     periods: tuple[int, ...]
 
     def to_json(self) -> dict:
-        return {"genus": self.genus, "periods": list(self.periods)}
+        return record_json(self)
 
 
 def quotient_data(ske: Ske, K: frozenset) -> QuotientData:
@@ -637,14 +642,7 @@ class GenusZeroRecord(NamedTuple):
     witness_genus_zero: bool
 
     def to_json(self) -> dict:
-        return {
-            "b": self.b,
-            "signature": self.signature.to_json(),
-            "genus": self.genus,
-            "witness": self.witness.to_json(),
-            "witness_valid": self.witness_valid,
-            "witness_genus_zero": self.witness_genus_zero,
-        }
+        return record_json(self)
 
 
 def genus_zero_actions(n: int, max_b: int) -> list[GenusZeroRecord]:
@@ -684,15 +682,7 @@ class GenusZeroScan(NamedTuple):
         return not self.mismatches
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "max_periods": self.max_periods,
-            "signatures_checked": self.signatures_checked,
-            "skes_checked": self.skes_checked,
-            "sigma_b_values_seen": self.sigma_b_values_seen,
-            "mismatches": self.mismatches,
-            "ok": self.ok,
-        }
+        return record_json(self, ok=self.ok)
 
 
 def genus_zero_exhaustive_scan(n: int, max_periods: int = 7) -> GenusZeroScan:
@@ -781,15 +771,7 @@ class FamilyRecord(NamedTuple):
     representative: Ske
 
     def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "signature": self.signature.to_json(),
-            "genus": self.genus,
-            "stratum_bound": self.stratum_bound,
-            "orbit_count": self.orbit_count,
-            "ske_count": self.ske_count,
-            "representative": self.representative.to_json(),
-        }
+        return record_json(self)
 
 
 def _families(n: int) -> dict[str, tuple[Signature, int]]:
@@ -907,16 +889,7 @@ class ExtensionReport(NamedTuple):
     restriction: tuple[str, ...]
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "index": self.index,
-            "mu_ratio": str(self.mu_ratio),
-            "mu_ratio_ok": self.mu_ratio_ok,
-            "subgroup_isomorphic": self.subgroup_isomorphic,
-            "restriction_valid": self.restriction_valid,
-            "equivalent_to_theta": self.equivalent_to_theta,
-            "restriction": list(self.restriction),
-        }
+        return record_json(self, mu_ratio=str(self.mu_ratio))
 
 
 class InvalidEmbedding(ValueError):

@@ -17,9 +17,10 @@ Gauss-Newton estimator imports it.  `build_parser` is cached, so a process
 that parses its arguments before calling `main` builds the parser once.
 Every record is a `typing.NamedTuple` (the arithmetic types are `__slots__`
 classes), so no process imports the standard library's data classes module,
-with its `inspect`, `ast` and `dis`.  Every report still goes through its
-records' `to_json`: JSON writes a NamedTuple put in a report as a plain
-list, where `_json_default` raises on any other unknown type.
+with its `inspect`, `ast` and `dis`.  A record enters a report only through
+its `to_json` (a record whose JSON is its fields calls the shared
+`groups.record_json`); there is no fallback converter, so `json.dumps`
+itself raises `TypeError` on any type JSON does not know.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING
 
@@ -576,15 +576,7 @@ def _render(args, results: dict, t0: float) -> str:
         return _emit_markdown(report["results"])
     if args.csv:
         return _emit_csv(report["results"])
-    return json.dumps(report, indent=1, sort_keys=True, default=_json_default) + "\n"
-
-
-def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+    return json.dumps(report, indent=1, sort_keys=True) + "\n"
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 from typing import NamedTuple
 
-from .groups import MAX_N, BudgetExceeded
+from .groups import MAX_N, BudgetExceeded, record_json
 from .cyclo import Cyclotomic, CycloPoly
 
 
@@ -211,18 +211,7 @@ class AutomorphismReport(NamedTuple):
         )
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "samples": self.samples,
-            "max_on_curve_x": self.max_on_curve_x,
-            "max_on_curve_y": self.max_on_curve_y,
-            "max_rel_x_order": self.max_rel_x_order,
-            "max_rel_y_square": self.max_rel_y_square,
-            "max_rel_conjugation": self.max_rel_conjugation,
-            "max_hyperelliptic": self.max_hyperelliptic,
-            "rotation_exact": self.rotation_exact,
-            "max_residual": self.max_residual,
-        }
+        return record_json(self, max_residual=self.max_residual)
 
 
 def random_curve_point(model: HyperellipticModel, rng) -> tuple[complex, complex]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .groups import MAX_N, MAX_ORDER, build_quaternion, named_subgroups
+from .groups import MAX_N, MAX_ORDER, build_quaternion, named_subgroups, record_json
 from .reptheory import fixed_dims, galois_orbit
 
 
@@ -69,7 +69,7 @@ class MultiplicityVector(_MultiplicityFields):
                 )
 
     def to_json(self) -> dict:
-        return {"n": self.n, "a": list(self.a), "b": list(self.b)}
+        return record_json(self)
 
 
 class FactorTable(NamedTuple):
@@ -161,14 +161,7 @@ class TrivialityReport(NamedTuple):
         return len(set(self.flags())) == 1
 
     def to_json(self) -> dict:
-        keys = [
-            "decomposition_trivial",
-            "dim_AZ_zero",
-            "all_dim_AK_zero",
-            "multiplicity_pattern",
-            "fixed_point_free",
-        ]
-        return {k: getattr(self, k) for k in keys} | {"agree": self.agree}
+        return record_json(self, agree=self.agree)
 
 
 def is_trivial_decomposition(mv: MultiplicityVector) -> TrivialityReport:

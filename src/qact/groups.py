@@ -62,6 +62,21 @@ def _orbit(start, moves, valid: set | None = None) -> set:
     return orbit
 
 
+def record_json(record, **override) -> dict:
+    """The JSON form of a NamedTuple record: its fields in order, a nested
+    record as its own `to_json` and a tuple or list as a list.  Each key of
+    `override` then replaces that field's value in place, or is appended."""
+    out = {}
+    for key, value in zip(record._fields, record):
+        if hasattr(value, "to_json"):
+            value = value.to_json()
+        elif isinstance(value, (tuple, list)):
+            value = list(value)
+        out[key] = value
+    out.update(override)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # core types
 # ---------------------------------------------------------------------------
@@ -490,6 +505,18 @@ _NEEDS = {
 }
 
 
+def _quaternion_order(key: str) -> int | None:
+    """The order a Q<2^n> name states in ASCII digits, None for any other
+    name.  A name with more digits than MAX_ORDER is refused before `int`
+    reads it."""
+    digits = key[1:]
+    if not (key.upper().startswith("Q") and digits.isascii() and digits.isdigit()):
+        return None
+    if len(digits.lstrip("0")) > len(str(MAX_ORDER)):
+        raise GroupError(f"{key}: order exceeds supported maximum {MAX_ORDER}")
+    return int(digits)
+
+
 def build_named(name: str, n: int | None = None, m: int | None = None) -> FiniteGroup:
     """Build a group by its catalogue name.
 
@@ -498,17 +525,16 @@ def build_named(name: str, n: int | None = None, m: int | None = None) -> Finite
     m.  A parameter the name does not take is refused, not ignored.
     """
     key = name.strip()
-    quaternion = key.upper().startswith("Q") and key[1:].isdigit()
-    if not quaternion and key not in _NEEDS:
+    order = _quaternion_order(key)
+    if order is None and key not in _NEEDS:
         raise GroupError(f"unknown group name {name!r}")
-    needs = None if quaternion else _NEEDS[key]
+    needs = _NEEDS.get(key)
     for param, value in (("n", n), ("m", m)):
         if value is not None and param != needs:
             raise GroupError(f"{key} takes no parameter {param}, got {param}={value}")
         if value is None and param == needs:
             raise GroupError(f"{key} needs the parameter {param}")
-    if quaternion:
-        order = int(key[1:])
+    if order is not None:
         nn = order.bit_length() - 1
         if 2**nn != order:
             raise GroupError(f"{name}: order must be a power of two")
@@ -532,7 +558,7 @@ def group_from_json(data: dict) -> FiniteGroup:
         name = name[:2]
     elif name == f"D{m}":
         name = "Dihedral"
-    elif name[:1] == "Q" and name[1:].isdigit() and n == int(name[1:]).bit_length() - 1:
+    elif name[:1] == "Q" and (order := _quaternion_order(name)) and n == order.bit_length() - 1:
         n = None  # Q<2^n>'s n restates its name
     return build_named(name, n=n, m=m)
 

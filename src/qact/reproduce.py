@@ -79,18 +79,14 @@ def _dimension_tables(n: int) -> dict:
         mv = multiplicities(ske)
         table = factor_dimensions(mv)
         trivial = is_trivial_decomposition(mv)
-        quot = {}
-        for lbl in labels:
-            qd = quotient_data(ske, subs[lbl])
-            quot[lbl] = {"genus": qd.genus, "periods": list(qd.periods)}
+        quot = {lbl: quotient_data(ske, subs[lbl]).to_json() for lbl in labels}
         tables[fam] = {
             "representative": ske.element_names(),
             "surface_genus": quotient_data(ske, subgroup_by_label(G, "1")).genus,
             "multiplicities": mv.to_json(),
             "factors": table.to_json(),
             "quotients": quot,
-            "trivial_decomposition": trivial.to_json()["agree"]
-            and trivial.to_json()["dim_AZ_zero"],
+            "trivial_decomposition": trivial.agree and trivial.dim_AZ_zero,
         }
     return tables
 
@@ -99,13 +95,8 @@ def _extensions(n: int) -> dict:
     out = {}
     for fam, sup in (("F0", "G1"), ("F1", "G1"), ("F2", "G1"), ("F2", "G2")):
         theta, theta_prime, words = extension_data(n, fam, sup)
-        rep = check_extension(theta, theta_prime, words)
-        out[f"{fam}->{sup}"] = {
-            "ok": rep.ok,
-            "index": rep.index,
-            "mu_ratio": str(rep.mu_ratio),
-            "restriction": list(rep.restriction),
-        }
+        rep = check_extension(theta, theta_prime, words).to_json()
+        out[f"{fam}->{sup}"] = {k: rep[k] for k in ("ok", "index", "mu_ratio", "restriction")}
     return out
 
 

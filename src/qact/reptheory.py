@@ -23,13 +23,14 @@ the number of elements of K with e = 0, dim Theta_s^K = (2c/|K|) * [c | s].
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from .groups import FiniteGroup, _check_subgroup, build_quaternion
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .cyclo import Cyclotomic
 
 

@@ -41,7 +41,7 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclo import Cyclotomic, CycloPoly, PolyMatrix
-from .groups import BudgetExceeded, FiniteGroup, find_isomorphism
+from .groups import BudgetExceeded, FiniteGroup, find_isomorphism, record_json
 
 if TYPE_CHECKING:
     import numpy as np
@@ -242,17 +242,7 @@ class GroupDataReport(NamedTuple):
         )
 
     def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "generators_symplectic": list(self.generators_symplectic),
-            "relations_hold": list(self.relations_hold),
-            "isomorphic_to_target": self.isomorphic_to_target,
-            "target": self.target,
-            "presentation_witness": None
-            if self.presentation_witness is None
-            else list(self.presentation_witness),
-            "ok": self.ok,
-        }
+        return record_json(self, ok=self.ok)
 
 
 def verify_group_data(generators, relations=None, target: FiniteGroup | None = None,

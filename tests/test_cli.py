@@ -59,6 +59,49 @@ def test_groups_refuses_a_parameter_the_name_does_not_take(capsys, argv, message
     assert captured.err.splitlines() == [f"error: {message}"]
 
 
+LONG_Q = "Q" + "1" * 5000
+
+# Q names whose digits `int` would refuse or read as another number
+BAD_Q_NAMES = [
+    (LONG_Q, f"{LONG_Q}: order exceeds supported maximum 64"),
+    ("Q" + "0" * 5000 + "128", "Q" + "0" * 5000 + "128: order exceeds supported maximum 64"),
+    ("Q128", "Q128: order exceeds supported maximum 64"),
+    ("Q²", "unknown group name 'Q²'"),
+    ("Q٨", "unknown group name 'Q٨'"),
+]
+
+
+@pytest.mark.parametrize("name, message", BAD_Q_NAMES, ids=["5000-digits", "zero-padded", "Q128", "superscript",
+                                                            "arabic-indic"])
+def test_a_q_name_with_long_or_non_ascii_digits_names_the_group(capsys, name, message):
+    """Only ASCII digits spell an order, and the digit count bounds it before
+    `int` reads them: no name reaches Python's own conversion message."""
+    code = main(["groups", "--name", name])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+def test_a_zero_padded_q_name_is_its_group(capsys):
+    code, rep = run_json(capsys, "groups", "--name", "Q064")
+    assert code == 0
+    assert rep["results"]["order"] == 64
+
+
+@pytest.mark.parametrize("name, message", [BAD_Q_NAMES[0], BAD_Q_NAMES[3]], ids=["5000-digits", "superscript"])
+@pytest.mark.parametrize("n", [None, 4])
+def test_a_ske_file_with_a_bad_q_name_names_the_group(tmp_path, capsys, name, message, n):
+    data = family_representative(4, "F1").to_json()
+    data["group"] = {"name": name} if n is None else {"name": name, "n": n}
+    path = tmp_path / "ske.json"
+    path.write_text(json.dumps(data))
+    code = main(["quotient", "--ske", str(path), "--subgroup", "Z"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
 def test_chars_command(capsys):
     code, rep = run_json(capsys, "chars", "--n", "4")
     assert code == 0
@@ -758,24 +801,37 @@ def test_fixture_commands_load_no_numpy(tmp_path):
     assert got == {"codes": [0] * len(commands), "loaded": []}
 
 
-def test_no_run_imports_dataclasses(tmp_path):
-    """Records are NamedTuples and the arithmetic types `__slots__` classes,
-    so no run imports `dataclasses`, which brings `inspect`, `ast` and `dis`
-    (about 10 ms), or builds classes with `exec`.  `reproduce --n 3` loads
-    every layer.  What a bare interpreter loads under the same environment
-    (a site hook, say) is not held against qact."""
+def _loaded_beyond_bare(tmp_path, commands, watched) -> list[str]:
+    """The modules of `watched` that one fresh interpreter running `commands`
+    loads and a bare one under the same environment does not: what a bare
+    interpreter loads (a site hook, say) is not held against qact."""
     import subprocess
     import sys
 
-    watched = ["dataclasses", "inspect"]
     script = "import json, sys; print(json.dumps([m for m in sys.argv[1:] if m in sys.modules]))"
     bare = subprocess.run(
         [sys.executable, "-c", script, *watched], capture_output=True, text=True, env=_fresh_env(), check=True,
     )
-    commands = [["reproduce", "--n", "3"], ["genus-zero", "--n", "6", "--exhaustive", "--max-periods", "5"]]
     got = _run_fresh(tmp_path, commands, watched)
-    assert got["codes"] == [0, 0]
-    assert [m for m in got["loaded"] if m not in json.loads(bare.stdout)] == []
+    assert got["codes"] == [0] * len(commands)
+    return [m for m in got["loaded"] if m not in json.loads(bare.stdout)]
+
+
+def test_no_run_imports_dataclasses(tmp_path):
+    """Records are NamedTuples and the arithmetic types `__slots__` classes,
+    so no run imports `dataclasses`, which brings `inspect`, `ast` and `dis`
+    (about 10 ms), or builds classes with `exec`.  `reproduce --n 3` loads
+    every layer."""
+    commands = [["reproduce", "--n", "3"], ["genus-zero", "--n", "6", "--exhaustive", "--max-periods", "5"]]
+    assert _loaded_beyond_bare(tmp_path, commands, ["dataclasses", "inspect"]) == []
+
+
+def test_the_scan_imports_no_fractions(tmp_path):
+    """The scan builds no Fraction, so it loads neither `fractions` nor the
+    `decimal` that `fractions` brings (about 5 ms): `Signature.mu` imports
+    it when called, and the report needs no fallback JSON converter."""
+    commands = [["genus-zero", "--n", "6", "--exhaustive", "--max-periods", "5"]]
+    assert _loaded_beyond_bare(tmp_path, commands, ["fractions", "decimal"]) == []
 
 
 LAYER_MODULES = [f"qact.{m}" for m in (

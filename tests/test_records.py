@@ -1,8 +1,11 @@
 """The record contract.  Records are `typing.NamedTuple`s and the arithmetic
 types `__slots__` classes, so that no run imports `dataclasses`; each keeps
 the constructor, field order, immutability and repr it had as a frozen
-dataclass, and the two validated records keep their checks and messages."""
+dataclass, and the two validated records keep their checks and messages.
+The records whose JSON is exactly their fields share one converter,
+`groups.record_json`; the JSON contract below pins what it writes."""
 
+import json
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -131,3 +134,38 @@ def test_validated_records_are_never_rebuilt_unchecked():
         if "._replace(" in line or "._make(" in line
     ]
     assert calls == []
+
+
+# the records whose JSON is their fields, with the keys each appends
+FIELD_JSON = {
+    QuotientData: (), GenusZeroRecord: (), FamilyRecord: (), MultiplicityVector: (), ExtensionReport: (),
+    GenusZeroScan: ("ok",), GroupDataReport: ("ok",), TrivialityReport: ("agree",),
+    AutomorphismReport: ("max_residual",),
+}
+FIELD_RECORDS = [(cls, fields) for cls, fields in RECORDS if cls in FIELD_JSON]
+
+
+@pytest.mark.parametrize("cls, fields", FIELD_RECORDS, ids=[cls.__name__ for cls, _ in FIELD_RECORDS])
+def test_a_field_record_json_is_its_fields(cls, fields):
+    """Keys in field order, then the extras; a tuple or list field as a list,
+    a nested record as its own `to_json`; and plain JSON, with no converter."""
+    record = cls(**fields)
+    out = record.to_json()
+    assert list(out) == [*fields, *FIELD_JSON[cls]]
+    for name, value in fields.items():
+        if hasattr(value, "to_json"):
+            assert out[name] == value.to_json()
+        elif isinstance(value, (tuple, list)):
+            assert type(out[name]) is list and out[name] == list(value)
+        elif name != "mu_ratio":
+            assert out[name] is value
+    for name in FIELD_JSON[cls]:
+        assert out[name] == getattr(record, name)
+    json.dumps(out)
+
+
+def test_an_override_replaces_a_field_in_place():
+    """`mu_ratio` is written as a string, and keeps its place as the third key."""
+    out = ExtensionReport(**dict(RECORDS)[ExtensionReport]).to_json()
+    assert list(out)[2] == "mu_ratio"
+    assert out["mu_ratio"] == "2"

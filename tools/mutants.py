@@ -369,6 +369,44 @@ MUTANTS = [
         ("tests/test_cli.py::test_groups_refuses_a_parameter_the_name_does_not_take",
          "tests/test_groups.py::test_group_from_json_rejects_a_mismatched_parameter"),
     ),
+    Mutant(
+        "record-json-drops-the-override",
+        "groups.py",
+        "    out.update(override)\n",
+        "",
+        ("tests/test_records.py::test_a_field_record_json_is_its_fields",
+         "tests/test_records.py::test_an_override_replaces_a_field_in_place"),
+    ),
+    Mutant(
+        "record-json-keeps-tuples",
+        "groups.py",
+        "            value = list(value)\n",
+        "            pass\n",
+        ("tests/test_records.py::test_a_field_record_json_is_its_fields",),
+    ),
+    Mutant(
+        "record-json-skips-nested-to-json",
+        "groups.py",
+        '        if hasattr(value, "to_json"):\n',
+        "        if False:\n",
+        ("tests/test_records.py::test_a_field_record_json_is_its_fields",),
+    ),
+    Mutant(
+        "q-name-reads-non-ascii-digits",
+        "groups.py",
+        " and digits.isascii() and digits.isdigit()",
+        " and digits.isdigit()",
+        ("tests/test_cli.py::test_a_q_name_with_long_or_non_ascii_digits_names_the_group",
+         "tests/test_cli.py::test_a_ske_file_with_a_bad_q_name_names_the_group"),
+    ),
+    Mutant(
+        "q-name-skips-the-digit-count",
+        "groups.py",
+        '    if len(digits.lstrip("0")) > len(str(MAX_ORDER)):\n',
+        "    if False:\n",
+        ("tests/test_cli.py::test_a_q_name_with_long_or_non_ascii_digits_names_the_group",
+         "tests/test_cli.py::test_a_ske_file_with_a_bad_q_name_names_the_group"),
+    ),
 ]
 
 
