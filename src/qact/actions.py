@@ -8,16 +8,20 @@ quotient is the orbit structure under braid moves combined with Aut(G)
 relabelings; over a genus-one quotient the two elementary moves
 (a,b,g) -> (a, ba, g) and (ab, b, g) are used instead.  Both commute with
 Aut(G), which acts freely on generating tuples, so the orbit search runs on
-Aut-classes, each held by its lex-least member, the canonical image a
-stabilizer chain gives (`_canon`).  Quotient surfaces S_K are handled
-through the action on cosets G/K: the cycle structure of each elliptic image
-determines the branch data and hence the genus, for any gamma.
+Aut-classes, each held by its lex-least member.  Aut(G) enters through one
+stabilizer chain (`_pointwise_stabilizer`), whose level for a set of fixed
+elements holds their pointwise stabilizer, the least element of each of its
+orbits and a transversal to those minima.  The minima pick the class
+members, and the transversals take any tuple to its class member (`_canon`).
+Quotient surfaces S_K are handled through the action on cosets G/K: the
+cycle structure of each elliptic image determines the branch data and hence
+the genus, for any gamma.
 
 One walk builds tuples (`_class_tuples`): element tuples in lexicographic
 order with the last slot solved from the long relation, an order filter per
-slot and a maximal-subgroup bitmask for the surjectivity check.  With its
-stabilizer chain it yields each Aut-class's lex-least member, which is what
-`classify` searches on; with the chain off it yields every valid tuple,
+slot and a maximal-subgroup bitmask for the surjectivity check.  With the
+chain's orbit minima it yields each Aut-class's lex-least member, which is
+what `classify` searches on; with the chain off it yields every valid tuple,
 which only the scan's mismatch listing asks for.  Counting needs no walk: a
 transfer-matrix DP carries the number of prefixes per (running product,
 mask) state (`count_valid_tuples`), and the counter checks that the classes
@@ -334,41 +338,26 @@ class OrbitReport(NamedTuple):
         }
 
 
-@lru_cache(maxsize=None)
-def _aut_chain(G: FiniteGroup) -> tuple[list, list]:
-    """Aut(G), and for each element one automorphism taking it to the least
-    element of its Aut-orbit.  Elements are met in increasing order, so an
-    element no earlier orbit reached is the least of its own; p^-1 takes
-    p(m) to m.  The least elements are those taken to themselves."""
-    auts = automorphisms(G)
-    to_least = [None] * G.order
-    for m in range(G.order):
-        if to_least[m] is None:
-            for p in auts:
-                if to_least[p[m]] is None:
-                    to_least[p[m]] = tuple(sorted(range(G.order), key=p.__getitem__))
-    return auts, to_least
-
-
 def _canon(G: FiniteGroup, t: tuple[int, ...]) -> tuple[int, ...]:
     """The lex-least Aut-image of t, one form for its whole Aut-class.
 
-    One automorphism p takes slot 0 to the least element m of its orbit;
-    the images with that slot 0 are those of p(t) by Stab(m)
-    (`_pointwise_stabilizer`), which is filtered slot by slot down to the
-    automorphisms giving the least image.  Aut(G) acts freely on generating
-    tuples, so there one is left; otherwise those left agree on t."""
-    _, to_least = _aut_chain(G)
-    p = to_least[t[0]]
-    u = [p[g] for g in t]
-    stab = _pointwise_stabilizer(G, frozenset({u[0]}))[0]
-    for g in u[1:]:
+    A greedy walk down the stabilizer chain (`_pointwise_stabilizer`): once
+    slots 0..i-1 are least, H_i fixes them, and the transversal member p of
+    H_i for slot i links it to the least element of its H_i-orbit, so p^-1
+    (read through `p.index`) takes it there; that slot then joins the fixed
+    set.  Two transversal choices differ by an element of H_(i+1), so every
+    choice gives the same image.  Aut(G) acts freely on generating tuples,
+    so the walk stops once H_i is trivial; on other tuples the last H_i
+    fixes every slot."""
+    fixed = frozenset()
+    for i in range(len(t)):
+        stab, _, link = _pointwise_stabilizer(G, fixed)
         if len(stab) == 1:
             break
-        least = min(s[g] for s in stab)
-        stab = [s for s in stab if s[g] == least]
-    s = stab[0]
-    return tuple(s[g] for g in u)
+        p = link[t[i]]
+        t = tuple(map(p.index, t))
+        fixed |= {t[i]}
+    return t
 
 
 def _arrangements(periods: tuple[int, ...]):
@@ -396,24 +385,29 @@ def _orbit_moves(G: FiniteGroup, sig: Signature):
 
 
 @lru_cache(maxsize=None)
-def _pointwise_stabilizer(G: FiniteGroup, fixed: frozenset) -> tuple[list, frozenset]:
-    """The automorphisms fixing every element of `fixed`, in `automorphisms`
-    order, and the least element of each of their orbits on G.  With nothing
-    fixed these are Aut(G) and the elements `_aut_chain` takes to
-    themselves; otherwise the stabilizer of `fixed` without its largest
-    element is narrowed.  Cached per (group, element set), the one home of
-    each stabilizer list."""
-    auts, to_least = _aut_chain(G)
-    if not fixed:
-        return auts, frozenset(m for m, p in enumerate(to_least) if p[m] == m)
-    g = max(fixed)
-    stab = [p for p in _pointwise_stabilizer(G, fixed - {g})[0] if p[g] == g]
-    least, seen = [], set()
-    for h in range(G.order):
-        if h not in seen:
-            least.append(h)
-            seen.update(p[h] for p in stab)
-    return stab, frozenset(least)
+def _pointwise_stabilizer(G: FiniteGroup, fixed: frozenset) -> tuple[list, frozenset, tuple]:
+    """One level of Aut(G)'s stabilizer chain: the automorphisms fixing every
+    element of `fixed`, in `automorphisms` order; the least element of each
+    of their orbits on G; and a transversal, for each element h one member p
+    of the stabilizer with p(m) = h, m the least of h's orbit.  With nothing
+    fixed the stabilizer is Aut(G); otherwise the stabilizer of `fixed`
+    without its largest element is narrowed.  Elements are met in
+    increasing order, so one no earlier orbit reached is the least of its
+    own.  Cached per (group, element set), the one home of Aut(G) in this
+    module."""
+    if fixed:
+        g = max(fixed)
+        stab = [p for p in _pointwise_stabilizer(G, fixed - {g})[0] if p[g] == g]
+    else:
+        stab = automorphisms(G)
+    least, link = [], [None] * G.order
+    for m in range(G.order):
+        if link[m] is None:
+            least.append(m)
+            for p in stab:
+                if link[p[m]] is None:
+                    link[p[m]] = p
+    return stab, frozenset(least), tuple(link)
 
 
 def _class_tuples(G: FiniteGroup, periods: tuple[int, ...], max_candidates: int | None = None,
@@ -423,10 +417,10 @@ def _class_tuples(G: FiniteGroup, periods: tuple[int, ...], max_candidates: int 
 
     Slot i takes only the elements of its bucket that are least in their
     orbit under H_i, the pointwise stabilizer in Aut(G) of slots 0..i-1
-    (`_pointwise_stabilizer`; H_0 is Aut(G)).  The last slot is solved from
-    the long relation and kept when its order is right and the masks say the
-    tuple generates.  These are exactly the tuples t that are the least of
-    their Aut-images:
+    (`_pointwise_stabilizer`, which gives each level's orbit minima; H_0 is
+    Aut(G)).  The last slot is solved from the long relation and kept when
+    its order is right and the masks say the tuple generates.  These are
+    exactly the tuples t that are the least of their Aut-images:
       - if p(t) < t for some automorphism p, let i be the first slot where
         they differ; p fixes slots 0..i-1, so p lies in H_i and lowers t_i,
         which is then not least in its H_i-orbit.  The last slot cannot be
@@ -449,7 +443,7 @@ def _class_tuples(G: FiniteGroup, periods: tuple[int, ...], max_candidates: int 
     def walk(i, prefix, pr, mk, fixed):
         bucket = buckets[i]
         if fixed is not None:
-            stab, least = _pointwise_stabilizer(G, fixed)
+            stab, least, _ = _pointwise_stabilizer(G, fixed)
             if len(stab) == 1:
                 fixed = None
             else:
@@ -492,10 +486,11 @@ def classify(G: FiniteGroup, sig: Signature, max_candidates: int = 5_000_000) ->
     (gamma 1), both combined with Aut(G).
 
     Aut(G) acts freely on valid skes, so each orbit is a union of Aut-classes
-    of |Aut| skes, each class held by its lex-least member (`_canon`).  A
-    stabilizer chain builds those members directly (`_class_tuples` per
-    period arrangement, `_genus_one_classes`).  The valid skes are counted
-    apart from it, by `count_valid_tuples` per arrangement or by
+    of |Aut| skes, each class held by its lex-least member (`_canon`).  The
+    orbit minima of one stabilizer chain (`_pointwise_stabilizer`, whose
+    first level gives |Aut|) build those members directly (`_class_tuples`
+    per period arrangement, `_genus_one_classes`).  The valid skes are
+    counted apart from the chain, by `count_valid_tuples` per arrangement or by
     `_genus_one_classes` with the chain off, and the count must be |Aut|
     times the classes.  The orbit search runs on the classes, and an orbit's
     representative, its least ske, is its least class.  The period
@@ -519,7 +514,7 @@ def classify(G: FiniteGroup, sig: Signature, max_candidates: int = 5_000_000) ->
         nodes.update(_genus_one_classes(G, k))
         total = sum(1 for _ in _genus_one_classes(G, k, chain=False))
         node_of = lambda t: Ske(G, sig, (t[0], t[1]), (t[2],))
-    auts, _ = _aut_chain(G)
+    auts = _pointwise_stabilizer(G, frozenset())[0]
     if total != len(auts) * len(nodes):
         raise RuntimeError(f"{total} valid skes do not fill {len(nodes)} classes of {len(auts)}")
     orbits = []

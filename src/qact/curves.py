@@ -30,19 +30,14 @@ def model_polynomial(n: int, t: Cyclotomic | None, conductor: int = 4) -> CycloP
     """f as an exact polynomial: in X alone (t exact) or in (X, t) (t None)."""
     q = 2 ** (n - 2)
     nv = 2 if t is None else 1
-    one = CycloPoly.constant(nv, Cyclotomic.one(conductor))
+    unit = Cyclotomic.one(conductor)
+    rest = (0,) * (nv - 1)
+    one = CycloPoly.constant(nv, unit)
     X = CycloPoly.variable(nv, 0, conductor)
     T = CycloPoly.variable(nv, 1, conductor) if t is None else CycloPoly.constant(nv, t)
-    Xq = _monomial_power(X, q)
-    X2q = _monomial_power(X, 2 * q)
+    Xq = CycloPoly.make(nv, {(q, *rest): unit})
+    X2q = CycloPoly.make(nv, {(2 * q, *rest): unit})
     return X * (Xq - one) * (Xq - T) * (X2q - T)
-
-
-def _monomial_power(X: CycloPoly, k: int) -> CycloPoly:
-    out = X
-    for _ in range(k - 1):
-        out = out * X
-    return out
 
 
 class HyperellipticModel(NamedTuple):

@@ -128,14 +128,11 @@ def _siegel() -> dict:
         grp = sg.verify_group_data(
             gens, fx.relations, build_named(fx.target_group), gen_names=fx.generator_names
         )
-        entry: dict = {
-            "sha256": fx.sha256,
-            "generators_symplectic": list(grp.generators_symplectic),
-            "order": grp.order,
-            "relations_hold": list(grp.relations_hold),
-            "isomorphic_to_target": grp.isomorphic_to_target,
-            "presentation_witness": list(grp.presentation_witness or []),
-        }
+        rep = grp.to_json()
+        entry: dict = {"sha256": fx.sha256}
+        for key in ("generators_symplectic", "order", "relations_hold",
+                    "isomorphic_to_target", "presentation_witness"):
+            entry[key] = rep[key]
         if fx.family is not None:
             entry["family_fixed"] = sg.verify_fixed_family(gens, fx.family).ok
             if fx.family_variant is not None:

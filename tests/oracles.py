@@ -375,7 +375,7 @@ def classify_by_filter(G, sig: Signature, max_candidates: int = 5_000_000) -> Or
     else:
         tuples = iter_genus_one_triples(G, sig.periods[0])
         node_of = lambda t: Ske(G, sig, (t[0], t[1]), (t[2],))
-    auts, least = _pointwise_stabilizer(G, frozenset())
+    auts, least, _ = _pointwise_stabilizer(G, frozenset())
     total = 0
     nodes = set()
     for t in tuples:

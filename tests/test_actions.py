@@ -14,7 +14,6 @@ from qact.actions import (
     Ske,
     UnsupportedMove,
     _arrangements,
-    _aut_chain,
     _braid_moves,
     _canon,
     _class_tuples,
@@ -319,33 +318,13 @@ def test_canon_is_constant_on_aut_classes(n, order, data):
     """`_canon` gives every Aut-image of a valid tuple the same form, and that
     form is the least Aut-image of the tuple."""
     G = Q(n)
-    auts, _ = _aut_chain(G)
+    auts = automorphisms(G)
     assert len(auts) == order
     t = data.draw(st.sampled_from(_census_tuples(n)))
     p = data.draw(st.sampled_from(auts))
     canon = _canon(G, t)
     assert _canon(G, tuple(p[g] for g in t)) == canon
     assert canon == min(tuple(q[g] for g in t) for q in auts)
-
-
-def test_aut_chain_takes_each_element_to_the_least_of_its_orbit():
-    """Each element's automorphism takes it to the least element of its
-    Aut-orbit; the least elements are the orbit minima of the empty set's
-    stabilizer, and each keeps its whole stabilizer, in `automorphisms`
-    order, which is what `_canon` reads."""
-    G = Q(4)
-    auts = automorphisms(G)
-    chain_auts, to_least = _aut_chain(G)
-    assert chain_auts == auts
-    least = [min(p[g] for p in auts) for g in G]
-    everything, minima = _pointwise_stabilizer(G, frozenset())
-    assert everything == auts
-    assert minima == set(least)
-    for g in G:
-        assert to_least[g] in auts
-        assert to_least[g][g] == least[g]
-    for m in minima:
-        assert _pointwise_stabilizer(G, frozenset({m}))[0] == [p for p in auts if p[m] == m]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -421,15 +400,55 @@ def test_classify_matches_the_filter_oracle_on_five_periods(n, periods):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_pointwise_stabilizer_by_brute_force(n):
     """For every set of at most two elements, the stabilizer is the
-    automorphisms fixing each of them, and its orbit minima are the elements
-    no member of it lowers."""
+    automorphisms fixing each of them, in `automorphisms` order (all of
+    Aut(G) when nothing is fixed); its orbit minima are the elements no
+    member of it lowers; and each element's transversal member lies in the
+    stabilizer and takes the least of the element's orbit to it."""
     G = Q(n)
     auts = automorphisms(G)
     for size in (0, 1, 2):
         for fixed in itertools.combinations(range(G.order), size):
-            stab, least = _pointwise_stabilizer(G, frozenset(fixed))
+            stab, least, link = _pointwise_stabilizer(G, frozenset(fixed))
             assert stab == [p for p in auts if all(p[g] == g for g in fixed)], fixed
-            assert least == {g for g in G if min(p[g] for p in stab) == g}, fixed
+            minimum = [min(p[g] for p in stab) for g in G]
+            assert least == {g for g in G if minimum[g] == g}, fixed
+            members = set(stab)
+            for g in G:
+                assert link[g] in members and link[g][minimum[g]] == g, (fixed, g)
+
+
+def _class_nodes(G, sig):
+    """The tuples `classify` searches on for sig, one per Aut-class."""
+    if sig.gamma == 1:
+        return list(_genus_one_classes(G, sig.periods[0]))
+    return [t for arrangement in _arrangements(sig.periods) for t in _class_tuples(G, arrangement)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_canon_and_classify_ignore_the_transversal_choice(n, order, monkeypatch):
+    """Listing Aut(G) in another order changes which stabilizer member links
+    each element to its orbit minimum.  That changes neither `_canon` of any
+    census class node or of an Aut-image of it, nor any census report."""
+    G = Q(n)
+    sigs = [f.signature for f in one_dimensional_families(n)]
+    nodes = {sig: _class_nodes(G, sig) for sig in sigs}
+    reports = {sig: classify(G, sig).to_json() for sig in sigs}
+    auts = automorphisms(G)
+    rng = random.Random(7)
+    listed = auts[::-1] if order == "reversed" else rng.sample(auts, len(auts))
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(actions, "automorphisms", lambda H: listed if H is G else automorphisms(H))
+            _pointwise_stabilizer.cache_clear()
+            for sig in sigs:
+                for t in nodes[sig]:
+                    p = rng.choice(auts)
+                    assert _canon(G, t) == t, (sig, t)
+                    assert _canon(G, tuple(p[g] for g in t)) == t, (sig, t, p)
+                assert classify(G, sig).to_json() == reports[sig], sig
+    finally:
+        _pointwise_stabilizer.cache_clear()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -42,10 +42,36 @@ MUTANTS = [
     Mutant(
         "canon-skips-the-stabilizer-filter",
         "actions.py",
-        "        stab = [s for s in stab if s[g] == least]\n",
+        "        fixed |= {t[i]}\n",
         "",
         ("tests/test_actions.py::test_canon_is_the_least_aut_image",
          "tests/test_actions.py::test_canon_is_constant_on_aut_classes"),
+    ),
+    Mutant(
+        "canon-applies-the-transversal-backwards",
+        "actions.py",
+        "        t = tuple(map(p.index, t))\n",
+        "        t = tuple(p[g] for g in t)\n",
+        ("tests/test_actions.py::test_canon_and_classify_ignore_the_transversal_choice",
+         "tests/test_actions.py::test_canon_is_the_least_aut_image"),
+    ),
+    Mutant(
+        "canon-stops-after-slot-0",
+        "actions.py",
+        "    for i in range(len(t)):\n",
+        "    for i in range(1):\n",
+        ("tests/test_actions.py::test_canon_and_classify_ignore_the_transversal_choice",
+         "tests/test_actions.py::test_canon_is_the_least_aut_image"),
+    ),
+    Mutant(
+        "transversal-links-the-wrong-way",
+        "actions.py",
+        "                if link[p[m]] is None:\n"
+        "                    link[p[m]] = p\n",
+        "                if link[p.index(m)] is None:\n"
+        "                    link[p.index(m)] = p\n",
+        ("tests/test_actions.py::test_pointwise_stabilizer_by_brute_force",
+         "tests/test_actions.py::test_canon_is_the_least_aut_image"),
     ),
     Mutant(
         "chain-slot-skips-its-orbit-minimum-test",
@@ -57,8 +83,8 @@ MUTANTS = [
     Mutant(
         "chain-stabilizer-not-narrowed",
         "actions.py",
-        "    stab = [p for p in _pointwise_stabilizer(G, fixed - {g})[0] if p[g] == g]\n",
-        "    stab = list(_pointwise_stabilizer(G, fixed - {g})[0])\n",
+        "        stab = [p for p in _pointwise_stabilizer(G, fixed - {g})[0] if p[g] == g]\n",
+        "        stab = list(_pointwise_stabilizer(G, fixed - {g})[0])\n",
         ("tests/test_actions.py::test_pointwise_stabilizer_by_brute_force",
          "tests/test_actions.py::test_classify_matches_the_filter_oracle"),
     ),
