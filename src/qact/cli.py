@@ -487,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("classify", parents=[common], help="braid x Aut orbit classification")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--signature", required=True, help="gamma:k1,k2,...")
-    q.add_argument("--budget", type=int, default=5_000_000)
+    q.add_argument("--budget", type=_int_in_range(1), default=5_000_000)
     q.set_defaults(fn=cmd_classify)
 
     q = sub.add_parser("families", parents=[common], help="one-dimensional family census")

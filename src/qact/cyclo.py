@@ -1,4 +1,7 @@
-"""Exact arithmetic in 2-power cyclotomic fields and polynomial matrices over them.
+"""Exact arithmetic in 2-power cyclotomic fields, sparse polynomials over them,
+and the product of polynomial matrices (the one matrix operation the exact
+fixed-family check needs: `siegel` applies the integer blocks of a
+symplectic matrix to a family's entries itself).
 
 An element of Q(zeta_m), m a power of two, is the residue class of
 sum c_j zeta^j modulo zeta^(m/2) = -1, stored as m/2 integer numerators over
@@ -412,33 +415,6 @@ class PolyMatrix(_Frozen):
             raise ValueError("ragged matrix")
         return PolyMatrix(rows, cols, tuple(tuple(r) for r in entries))
 
-    @staticmethod
-    def from_int_matrix(mat: list[list[int]], nvars: int) -> PolyMatrix:
-        return PolyMatrix.make(
-            [
-                [CycloPoly.constant(nvars, Cyclotomic.from_rational(v, 4)) for v in row]
-                for row in mat
-            ]
-        )
-
-    def __add__(self, other: PolyMatrix) -> PolyMatrix:
-        self._shape_check(other)
-        return PolyMatrix.make(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __sub__(self, other: PolyMatrix) -> PolyMatrix:
-        self._shape_check(other)
-        return PolyMatrix.make(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
-
     def __matmul__(self, other: PolyMatrix) -> PolyMatrix:
         """The product, each entry summed in one term dict and made once."""
         if self.cols != other.rows:
@@ -459,11 +435,3 @@ class PolyMatrix(_Frozen):
                 out_row.append(CycloPoly.make(nv, acc))
             out.append(out_row)
         return PolyMatrix.make(out)
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def _shape_check(self, other: PolyMatrix):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-

@@ -4,15 +4,20 @@ verification of fixed period-matrix families.
 Every fixed-point identity R.Z = Z is checked as A Z + B = Z (C Z + D), which
 inverts nothing: exactly in polynomial arithmetic over Q(i) on a printed
 family, as a largest residual entry on a numeric period matrix, and as the
-residual Gauss-Newton drives to zero.
+residual Gauss-Newton drives to zero.  One formula (`_affine`) forms M Z + N
+for the exact and the numeric check alike: the integer blocks act on Z's
+entries directly, and are never lifted into polynomial matrices.
 Group-level claims (closure order, defining relations, isomorphism type) are
 checked on the matrix group generated by the printed integer matrices, whose
-products are exact Python integers (`mat_mul`).  The dimension of the fixed
-locus at a known fixed point Z is read off the character tr(C Z + D) of the
-analytic representation, summed over that matrix group: exactly on a printed
-family, within a stated tolerance on a numeric period matrix.  Numeric points
-of H_g are g x g tuples of Python complex numbers, and the upper half-space
-test and the fixed-point residual are plain Python.
+products are exact Python integers (`mat_mul`).  One cached `matrix_group`
+per generator tuple serves the group checks and the character; its closure
+stops at groups.MAX_ORDER elements, the largest group a FiniteGroup holds.
+The dimension of the fixed locus at a known fixed point Z is read off the
+character tr(C Z + D) of the analytic representation, summed over that
+matrix group (chi(R^2) read off the Cayley table's diagonal): exactly on a
+printed family, within a stated tolerance on a numeric period matrix.
+Numeric points of H_g are g x g tuples of Python complex numbers, and the
+upper half-space test and the fixed-point residual are plain Python.
 
 The Gauss-Newton estimator `fixed_locus_dimension` needs no fixed point:
 `siegel locus` runs it, and the tests hold the character route to it.  It is
@@ -41,7 +46,7 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclo import Cyclotomic, CycloPoly, PolyMatrix
-from .groups import BudgetExceeded, FiniteGroup, find_isomorphism, record_json
+from .groups import MAX_ORDER, BudgetExceeded, FiniteGroup, find_isomorphism, record_json
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,9 +55,6 @@ if TYPE_CHECKING:
 IntMatrix = tuple[tuple[int, ...], ...]
 # a numeric point of H_g (or any g x g complex matrix)
 PointMatrix = tuple[tuple[complex, ...], ...]
-
-# the largest matrix group a closure may reach before it is refused
-CLOSURE_BUDGET = 4096
 
 
 def as_int_matrix(rows) -> IntMatrix:
@@ -105,13 +107,16 @@ def _modulus(z: complex) -> float:
     return math.hypot(z.real, z.imag)
 
 
-def _affine(M: IntMatrix, Z: PointMatrix, N: IntMatrix) -> PointMatrix:
-    """M Z + N for integer M and N."""
-    cols = list(zip(*Z))
-    return tuple(
-        tuple(sum(map(mul, row, col)) + n for col, n in zip(cols, nrow))
-        for row, nrow in zip(M, N)
-    )
+def _affine(M: IntMatrix, Z, N: IntMatrix, one=1):
+    """M Z + N for integer M and N, the one formula of every fixed-point
+    residual: Z is a numeric point (`one` = 1) or a printed family's entries
+    (`one` the constant polynomial 1).  The integer entries act on Z's
+    entries directly, and a zero entry of M is skipped."""
+    out = []
+    for row, nrow in zip(M, N):
+        terms = [(c, Z[k]) for k, c in enumerate(row) if c]
+        out.append(tuple(sum((c * zrow[j] for c, zrow in terms), n * one) for j, n in enumerate(nrow)))
+    return tuple(out)
 
 
 def in_upper_half(Z) -> bool:
@@ -156,19 +161,13 @@ class FixedFamilyReport(NamedTuple):
 
 
 def verify_fixed_family(generators, family: PolyMatrix) -> FixedFamilyReport:
-    """For each generator, whether A Z + B - Z (C Z + D) is exactly zero."""
-    g = family.rows
-    nv = family.entries[0][0].nvars
+    """For each generator, whether A F + B = F (C F + D) holds exactly."""
+    F = family.entries
+    one = CycloPoly.constant(F[0][0].nvars, Cyclotomic.one(4))
     flags = []
     for R in generators:
-        R = as_int_matrix(R)
-        A, B, C, D = blocks(R, g)
-        PA = PolyMatrix.from_int_matrix([list(r) for r in A], nv)
-        PB = PolyMatrix.from_int_matrix([list(r) for r in B], nv)
-        PC = PolyMatrix.from_int_matrix([list(r) for r in C], nv)
-        PD = PolyMatrix.from_int_matrix([list(r) for r in D], nv)
-        residual = (PA @ family) + PB - (family @ ((PC @ family) + PD))
-        flags.append(residual.is_zero())
+        A, B, C, D = blocks(as_int_matrix(R), family.rows)
+        flags.append(_affine(A, F, B, one) == (family @ PolyMatrix.make(_affine(C, F, D, one))).entries)
     return FixedFamilyReport(tuple(flags))
 
 
@@ -177,18 +176,17 @@ def verify_fixed_family(generators, family: PolyMatrix) -> FixedFamilyReport:
 # ---------------------------------------------------------------------------
 
 
-def matrix_group_closure(generators):
-    """All products of the generators, by breadth-first closure: the elements
-    in visiting order, `right[i][j]` = index of elems[i] * generators[j], and
-    the BFS tree, `tree[i] = (p, j)` if element i was first reached as
-    elems[p] * generators[j].  All three are tuples, cached per generator
-    tuple, so that a fixture's group checks and its character share one
-    closure."""
-    return _closure(tuple(as_int_matrix(g) for g in generators))
-
-
 @lru_cache(maxsize=16)
-def _closure(gens: tuple[IntMatrix, ...]):
+def matrix_group(gens: tuple[IntMatrix, ...]) -> tuple[FiniteGroup, tuple[IntMatrix, ...], tuple]:
+    """The group generated by integer matrices (tuples of rows, as
+    `Fixture.generators` holds them), by breadth-first closure: the
+    FiniteGroup on the elements in visiting order (its generators in input
+    order), the elements, and the BFS tree, `tree[i] = (p, j)` if element i
+    was first reached as elems[p] * gens[j].  Row a of the Cayley table
+    is read along the tree, a * (p * g_j) = (a * p) * g_j, with no matrix
+    product.  Cached per generator tuple, so that a fixture's group checks
+    and its character share one group.  A closure that reaches more than
+    MAX_ORDER elements, the largest group a FiniteGroup holds, is refused."""
     ident = identity_matrix(len(gens[0]))
     elems = [ident]
     index = {ident: 0}
@@ -200,21 +198,13 @@ def _closure(gens: tuple[IntMatrix, ...]):
         for j, Gm in enumerate(gens):
             P = mat_mul(M, Gm)
             if P not in index:
-                if len(elems) >= CLOSURE_BUDGET:
-                    raise BudgetExceeded(f"matrix group closure exceeded budget {CLOSURE_BUDGET}")
+                if len(elems) >= MAX_ORDER:
+                    raise BudgetExceeded(f"matrix group closure exceeded budget {MAX_ORDER}")
                 index[P] = len(elems)
                 elems.append(P)
                 tree.append((i, j))
             row.append(index[P])
-        right.append(tuple(row))
-    return tuple(elems), tuple(right), tuple(tree)
-
-
-def matrix_group_as_finite_group(generators) -> tuple[FiniteGroup, tuple]:
-    """The generated matrix group as a FiniteGroup (its generators in input
-    order) and the closure's BFS tree.  Row a of the Cayley table is read
-    along the tree, a * (p * g_j) = (a * p) * g_j, with no matrix product."""
-    elems, right, tree = matrix_group_closure(generators)
+        right.append(row)
     cayley = []
     for a in range(len(elems)):
         row = [a]
@@ -222,7 +212,7 @@ def matrix_group_as_finite_group(generators) -> tuple[FiniteGroup, tuple]:
             row.append(right[row[p]][j])
         cayley.append(row)
     names = [f"m{i}" for i in range(len(elems))]
-    return FiniteGroup("matrix-group", names, cayley, right[0]), tree
+    return FiniteGroup("matrix-group", names, cayley, right[0]), tuple(elems), tuple(tree)
 
 
 class GroupDataReport(NamedTuple):
@@ -256,7 +246,7 @@ def verify_group_data(generators, relations=None, target: FiniteGroup | None = N
     printed generators themselves fail the literal relations.
     """
     sympl = tuple(is_symplectic(R) for R in generators)
-    Gm, tree = matrix_group_as_finite_group(generators)
+    Gm, _, tree = matrix_group(generators)
     rel_flags = []
     for word in relations or []:
         rel_flags.append(Gm.evaluate_word(word) == 0)
@@ -340,8 +330,7 @@ def character_dimension(generators, point) -> int:
     and whose average must be a non-negative integer, or a numeric point
     (g x g complex), whose average must lie within CHARACTER_TOL of one.
     ValueError otherwise, since the point is then not fixed by G."""
-    elems, _, _ = matrix_group_closure(generators)
-    index = {M: i for i, M in enumerate(elems)}
+    Gm, elems, _ = matrix_group(generators)
     exact = isinstance(point, PolyMatrix)
     if exact:
         one = CycloPoly.constant(point.entries[0][0].nvars, Cyclotomic.one(4))
@@ -349,7 +338,7 @@ def character_dimension(generators, point) -> int:
     else:
         Z = _complex_matrix(point)
         chi = [_analytic_trace(R, Z, 1 + 0j) for R in elems]
-    total = sum(c * c + chi[index[mat_mul(R, R)]] for c, R in zip(chi, elems))
+    total = sum(c * c + chi[Gm.cayley[i][i]] for i, c in enumerate(chi))
     if exact:
         avg = total.rational_value() / (2 * len(elems)) if total.is_rational() else None
         if avg is None or avg.denominator != 1 or avg < 0:

@@ -51,6 +51,11 @@
   and the integer matrix product by index.  `qact.siegel` multiplies each
   generator's blocks into the whole stacked basis at once and sums rows
   against columns with `map`.
+- The exact fixed-family residual A F + B - F (C F + D) with the integer
+  blocks lifted into constant polynomial matrices, formed by `@` and
+  entrywise + and -.  `qact.siegel` applies the integer entries to F's
+  entries directly (`_affine`, the formula of the numeric residual too) and
+  compares A F + B with F (C F + D).
 - The upper half-space test in numpy, by `np.allclose` and
   `np.linalg.cholesky`.  `qact.siegel` does it in plain Python on tuples of
   complex numbers.
@@ -93,6 +98,7 @@ from qact.groups import (
     subgroup_by_label,
 )
 from qact.reptheory import Character, class_data, fixed_dims, galois_orbit
+from qact.siegel import as_int_matrix, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -986,6 +992,39 @@ def mat_mul_by_index(A, B):
         tuple(sum(A[i][t] * Bt[j][t] for t in range(k)) for j in range(m))
         for i in range(n)
     )
+
+
+# ---------------------------------------------------------------------------
+# the exact fixed-family residual on lifted integer blocks
+# ---------------------------------------------------------------------------
+
+
+def _lift(M, nvars: int) -> PolyMatrix:
+    """An integer matrix as a matrix of constant polynomials."""
+    return PolyMatrix.make(
+        [[CycloPoly.constant(nvars, Cyclotomic.from_rational(v, 4)) for v in row] for row in M]
+    )
+
+
+def _entrywise(op, P: PolyMatrix, Q: PolyMatrix) -> PolyMatrix:
+    assert (P.rows, P.cols) == (Q.rows, Q.cols)
+    return PolyMatrix.make([list(map(op, r, s)) for r, s in zip(P.entries, Q.entries)])
+
+
+def fixed_family_by_lifted_blocks(generators, family: PolyMatrix) -> tuple[bool, ...]:
+    """Per generator R = [[A, B], [C, D]], whether A F + B - F (C F + D) is
+    the zero matrix, with A, B, C, D lifted into constant polynomial matrices
+    and the residual formed by `@` and entrywise + and -."""
+    g = family.rows
+    nv = family.entries[0][0].nvars
+    flags = []
+    for R in generators:
+        A, B, C, D = (_lift(M, nv) for M in blocks(as_int_matrix(R), g))
+        lhs = _entrywise(CycloPoly.__add__, A @ family, B)
+        rhs = family @ _entrywise(CycloPoly.__add__, C @ family, D)
+        residual = _entrywise(CycloPoly.__sub__, lhs, rhs)
+        flags.append(all(e.is_zero() for row in residual.entries for e in row))
+    return tuple(flags)
 
 
 # ---------------------------------------------------------------------------

@@ -549,7 +549,7 @@ def _broken(action, fixture, field, malform, case):
       for action in ("group", "verify", "locus")],
     # [[1, 1], [0, 1]] generates an infinite group
     pytest.param("group", _signed_fixture({"generators": [[[1, 1], [0, 1]]]}),
-                 "matrix group closure exceeded budget 4096", id="group-over-budget"),
+                 "matrix group closure exceeded budget 64", id="group-over-budget"),
     _broken("group", "thm10", "generator_names", lambda d: d["generator_names"].pop(), "names-short"),
     _broken("group", "thm10", "generator_names", lambda d: d.update(generator_names=7), "names-not-a-list"),
     _broken("group", "prop13", "relations", lambda d: d.update(relations=[[[5, 1]]]), "relation-slot-5"),
@@ -597,6 +597,72 @@ def test_malformed_fixture_exits_2(tmp_path, capsys, action, raw, message):
     assert message in captured.err
 
 
+def _rotations(g, minus=()):
+    """One commuting symplectic 2g x 2g generator per symplectic pair
+    (e_i, f_i): it acts on that pair as [[0, -1], [1, 0]], of order 4, or as
+    -I, of order 2, for i in `minus`, and as the identity elsewhere."""
+    gens = []
+    for i in range(g):
+        M = [[int(r == c) for c in range(2 * g)] for r in range(2 * g)]
+        if i in minus:
+            M[i][i] = M[g + i][g + i] = -1
+        else:
+            M[i][i] = M[g + i][g + i] = 0
+            M[i][g + i], M[g + i][i] = -1, 1
+        gens.append(M)
+    return gens
+
+
+def _cycles(*lengths):
+    """One permutation matrix that cycles each block of `lengths` points."""
+    n = sum(lengths)
+    M = [[0] * n for _ in range(n)]
+    start = 0
+    for k in lengths:
+        for i in range(k):
+            M[start + (i + 1) % k][start + i] = 1
+        start += k
+    return [M]
+
+
+def _blocks_of_order_6_and_3():
+    """Four 2 x 2 blocks of order 6 and one of order 3: C6^4 x C3, 3,888
+    elements."""
+    gens = []
+    for b, blk in enumerate([[[1, -1], [1, 0]]] * 4 + [[[0, -1], [1, -1]]]):
+        M = [[int(r == c) for c in range(10)] for r in range(10)]
+        for r in range(2):
+            M[2 * b + r][2 * b:2 * b + 2] = blk[r]
+        gens.append(M)
+    return gens
+
+
+@pytest.mark.parametrize("gens, order", [
+    (_rotations(3), 64),
+    (_cycles(5, 13), 65),
+    (_rotations(4, minus=(3,)), 128),
+    (_blocks_of_order_6_and_3(), 3888),
+], ids=["C4^3", "C65", "C4^3xC2", "C6^4xC3"])
+def test_matrix_group_closure_stops_at_max_order(tmp_path, capsys, gens, order):
+    """A matrix group of MAX_ORDER = 64 elements is accepted; the closure of
+    a larger one stops at its 65th element, before any Cayley table is
+    built, even one of order 65 (which a closure admitting one more element
+    would hand to FiniteGroup) or of 3,888."""
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(_signed_fixture({"generators": gens, "expected_order": order})))
+    t0 = time.perf_counter()
+    code = main(["siegel", "group", "--fixture", str(path)])
+    elapsed = time.perf_counter() - t0
+    out, err = capsys.readouterr()
+    if order <= 64:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["group_data"]["order"] == order
+    else:
+        assert (code, out) == (2, "")
+        assert err == "error: matrix group closure exceeded budget 64\n"
+        assert elapsed < 0.5
+
+
 @pytest.mark.parametrize("action, missing", [
     ("verify", "data.family or data.period_matrix"),
     ("group", "data.expected_order"),
@@ -622,6 +688,8 @@ def test_fixture_without_what_the_action_checks_exits_2(tmp_path, capsys, action
     (["siegel", "locus", "--fixture", "thm10", "--starts", "-3"], "--starts"),
     (["genus-zero", "--n", "6", "--max-b", "501"], "--max-b"),
     (["genus-zero", "--n", "6", "--exhaustive", "--max-periods", "13"], "--max-periods"),
+    (["classify", "--n", "4", "--signature", "0:4,4,4,4", "--budget", "0"], "--budget"),
+    (["classify", "--n", "4", "--signature", "0:4,4,4,4", "--budget", "-1"], "--budget"),
 ])
 def test_counts_that_would_check_nothing_exit_2(capsys, argv, flag):
     with pytest.raises(SystemExit) as err:

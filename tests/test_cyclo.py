@@ -250,11 +250,16 @@ def _t_poly():
 
 
 def test_poly_matrix_zero_detection():
+    """Cancelled terms leave no trace, so a matrix is zero exactly when it
+    equals the matrix of zero polynomials: the exact fixed-family check
+    compares its two sides by equality."""
     t = _t_poly()
     one = CycloPoly.constant(1, Cyclotomic.one(4))
-    zero_m = PolyMatrix.make([[t - t, CycloPoly.zero(1)], [CycloPoly.zero(1), one - one]])
-    assert zero_m.is_zero()
-    assert not PolyMatrix.make([[t]]).is_zero()
+    zero = CycloPoly.zero(1)
+    zero_m = PolyMatrix.make([[t - t, zero], [zero, one - one]])
+    assert zero_m == PolyMatrix.make([[zero, zero], [zero, zero]])
+    assert PolyMatrix.make([[t]]) != PolyMatrix.make([[zero]])
+    assert (t + one) - one == t and hash((t + one) - one) == hash(t)
 
 
 def test_poly_matrix_products_and_symmetry():

@@ -18,7 +18,7 @@ from qact.groups import (
     group_from_json,
     named_subgroups,
 )
-from qact.siegel import load_fixture, matrix_group_as_finite_group
+from qact.siegel import load_fixture, matrix_group
 
 from oracles import all_subgroups, is_associative, is_normal, two_generated_subgroups
 
@@ -374,7 +374,7 @@ def test_catalogue_tables_are_pinned(G):
 
 
 def _matrix_group(fixture):
-    return matrix_group_as_finite_group(load_fixture(fixture).generators)[0]
+    return matrix_group(load_fixture(fixture).generators)[0]
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -25,8 +26,7 @@ from qact.siegel import (
     is_symplectic,
     load_fixture,
     mat_mul,
-    matrix_group_as_finite_group,
-    matrix_group_closure,
+    matrix_group,
     symplectic_form,
     verify_fixed_family,
     verify_fixed_point_numeric,
@@ -34,10 +34,12 @@ from qact.siegel import (
 )
 
 from oracles import (
+    fixed_family_by_lifted_blocks,
     in_upper_half_numpy,
     is_symmetric,
     jacobian_per_basis,
     mat_mul_by_index,
+    poly_eval,
     sym_basis_list,
 )
 
@@ -63,20 +65,24 @@ def test_fixture_generators_symplectic():
 
 def test_symplectic_closure_under_products_and_inverses():
     gens = load_fixture("thm10").generators
-    elems, _, _ = matrix_group_closure(gens)
+    _, elems, _ = matrix_group(gens)
     for M in elems:
         assert is_symplectic(M)
 
 
 def test_one_closure_per_generator_tuple():
     """The group checks and the character route of a fixture share one
-    closure, however the generators are spelled; it is immutable."""
-    gens = load_fixture("thm11").generators
-    closure = matrix_group_closure(gens)
-    assert matrix_group_closure([[list(row) for row in M] for M in gens]) is closure
-    elems, right, tree = closure
-    assert type(elems) is type(right) is type(tree) is tuple
-    assert all(type(row) is tuple for row in right)
+    matrix group, built once per generator tuple; its elements and tree are
+    immutable."""
+    fx = load_fixture("thm11")
+    matrix_group.cache_clear()
+    verify_group_data(fx.generators)
+    character_dimension(fx.generators, fx.family)
+    info = matrix_group.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    Gm, elems, tree = matrix_group(fx.generators)
+    assert matrix_group(tuple(tuple(tuple(row) for row in M) for M in fx.generators))[0] is Gm
+    assert type(elems) is type(tree) is tuple and Gm.order == len(elems) == len(tree)
 
 
 def _is_point(Z, g):
@@ -114,7 +120,7 @@ def test_residual_matches_the_numpy_residual():
     rng = np.random.default_rng(3)
     prng = random.Random(3)
     for name in ("thm10", "thm11", "prop13"):
-        elems, _, _ = matrix_group_closure(load_fixture(name).generators)
+        _, elems, _ = matrix_group(load_fixture(name).generators)
         g = len(elems[0]) // 2
         for scale in (1e-3, 1.0, 1e3):
             for _ in range(12):
@@ -215,6 +221,88 @@ def test_random_matrix_not_fixed():
     assert not verify_fixed_family(gens, bad).ok
 
 
+def _random_symmetric_family(rng, g, nvars):
+    """A g x g symmetric family whose entries have up to three terms of
+    degree at most one in each of `nvars` parameters, with small Gaussian
+    rational coefficients; about one entry in four is zero."""
+    exps = list(itertools.product((0, 1), repeat=nvars))
+    entries = [[None] * g for _ in range(g)]
+    for i in range(g):
+        for j in range(i, g):
+            terms = {} if rng.random() < 0.25 else {
+                e: Cyclotomic.gauss(rng.randint(-3, 3), rng.choice((0, 1, Fraction(-1, 2))))
+                for e in rng.sample(exps, min(3, len(exps)))
+            }
+            entries[i][j] = entries[j][i] = CycloPoly.make(nvars, terms)
+    return PolyMatrix.make(entries)
+
+
+@pytest.mark.parametrize("name", ["thm10", "thm11", "prop13"])
+def test_exact_residual_matches_the_lifted_block_route(name):
+    """Per generator, on every printed family and variant of g x g and on
+    seeded random symmetric families, with the fixture's generators and
+    with every element of its matrix group as the generators."""
+    fx = load_fixture(name)
+    _, elems, _ = matrix_group(fx.generators)
+    g = len(elems[0]) // 2
+    rng = random.Random(g)
+    packaged = [F for other in ("thm10", "thm11")
+                for F in (load_fixture(other).family, load_fixture(other).family_variant)
+                if F is not None and F.rows == g]
+    families = packaged + [_random_symmetric_family(rng, g, nvars) for nvars in (1, 2)]
+    verdicts = set()
+    for F in families:
+        for gens in (fx.generators, elems):
+            flags = verify_fixed_family(gens, F).generator_ok
+            assert flags == fixed_family_by_lifted_blocks(gens, F), name
+            verdicts.update(flags)
+    # the identity fixes every family, and a random family is not fixed
+    assert verdicts == {True, False}
+
+
+def _sampled_points(rng, family, count, scale):
+    """`count` parameter values at which the family lies in H_g, and the
+    family's values there."""
+    nv = family.entries[0][0].nvars
+    out = []
+    for _ in range(500):
+        pt = [complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale)) for _ in range(nv)]
+        Z = tuple(tuple(poly_eval(p, pt) for p in row) for row in family.entries)
+        if in_upper_half(Z):
+            out.append((pt, Z))
+            if len(out) == count:
+                return out
+    raise AssertionError("too few sampled points in H_g")
+
+
+@pytest.mark.parametrize("name, scale", [("thm10", 1.0), ("thm11", 3.0)])
+def test_exact_and_numeric_residuals_agree_at_sampled_parameters(name, scale):
+    """At parameter values where the printed family lies in H_g, the numeric
+    residual of every generator is below 1e-9.  thm10's variant lies outside
+    H_g there, so verify_fixed_point_numeric refuses it; the same residual
+    formula puts it at or above 1e-9 for exactly the generators the exact
+    check finds it not fixed by."""
+    fx = load_fixture(name)
+    points = _sampled_points(random.Random(11), fx.family, 6, scale)
+    for _, Z in points:
+        for R in fx.generators:
+            assert verify_fixed_point_numeric([R], Z) < 1e-9, name
+    if fx.family_variant is None:
+        return
+    flags = verify_fixed_family(fx.generators, fx.family_variant).generator_ok
+    assert not all(flags)
+    g = fx.family.rows
+    for pt, _ in points:
+        V = tuple(tuple(poly_eval(p, pt) for p in row) for row in fx.family_variant.entries)
+        with pytest.raises(ValueError):
+            verify_fixed_point_numeric(fx.generators, V)
+        for R, fixed in zip(fx.generators, flags):
+            A, B, C, D = blocks(R, g)
+            W = zip(siegel._affine(A, V, B), mat_mul(V, siegel._affine(C, V, D)))
+            residual = max(abs(w - z) for row, zrow in W for w, z in zip(row, zrow))
+            assert (residual < 1e-9) == fixed, name
+
+
 # -- group data -----------------------------------------------------------------
 
 
@@ -292,8 +380,7 @@ def _bfs_depths(gens):
 @pytest.mark.parametrize("name", ["thm10", "thm11", "prop13"])
 def test_cayley_table_from_the_tree_matches_matrix_products(name):
     gens = load_fixture(name).generators
-    Gm, _ = matrix_group_as_finite_group(gens)
-    elems, _, _ = matrix_group_closure(gens)
+    Gm, elems, _ = matrix_group(gens)
     index = {M: i for i, M in enumerate(elems)}
     assert Gm.generators == [index[g] for g in gens]
     for a, A in enumerate(elems):
@@ -305,7 +392,7 @@ def test_tree_steps_and_witness_words_are_shortest_products(name):
     fx = load_fixture(name)
     gens = fx.generators
     names = fx.generator_names
-    elems, _, tree = matrix_group_closure(gens)
+    _, elems, tree = matrix_group(gens)
     depth = _bfs_depths(gens)
     assert len(depth) == len(elems)
     for i, (p, j) in enumerate(tree[1:], start=1):
@@ -313,7 +400,7 @@ def test_tree_steps_and_witness_words_are_shortest_products(name):
         assert depth[elems[i]] == depth[elems[p]] + 1
     target = build_named(fx.target_group)
     rep = verify_group_data(gens, [], target, gen_names=names)
-    back = find_isomorphism(target, matrix_group_as_finite_group(gens)[0])
+    back = find_isomorphism(target, matrix_group(gens)[0])
     assert len(rep.presentation_witness) == len(target.generators)
     for g, word in zip(target.generators, rep.presentation_witness):
         M = identity_matrix(len(gens[0]))
@@ -482,7 +569,7 @@ def test_mat_mul_matches_the_indexed_product():
         B = tuple(tuple(rng.randint(-bound, bound) for _ in range(m)) for _ in range(k))
         assert mat_mul(A, B) == mat_mul_by_index(A, B)
     for name in ("thm10", "thm11", "prop13"):
-        elems, _, _ = matrix_group_closure(load_fixture(name).generators)
+        _, elems, _ = matrix_group(load_fixture(name).generators)
         for A, B in zip(elems, elems[1:] + elems[:1]):
             assert mat_mul(A, B) == mat_mul_by_index(A, B)
 

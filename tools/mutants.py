@@ -285,7 +285,7 @@ MUTANTS = [
     Mutant(
         "character-drops-the-square-term",
         "siegel.py",
-        "    total = sum(c * c + chi[index[mat_mul(R, R)]] for c, R in zip(chi, elems))\n",
+        "    total = sum(c * c + chi[Gm.cayley[i][i]] for i, c in enumerate(chi))\n",
         "    total = sum(c * c for c in chi)\n",
         ("tests/test_siegel.py::test_character_dimension_matches_newton",),
     ),
@@ -326,6 +326,36 @@ MUTANTS = [
         "mat_mul(Z, _affine(C, Z, D))",
         "mat_mul(_affine(C, Z, D), Z)",
         ("tests/test_siegel.py::test_residual_matches_the_numpy_residual",),
+    ),
+    Mutant(
+        "affine-drops-the-constant-block",
+        "siegel.py",
+        "for c, zrow in terms), n * one)",
+        "for c, zrow in terms), 0 * one)",
+        ("tests/test_siegel.py::test_thm10_family_fixed_and_variant_discrepancy",
+         "tests/test_siegel.py::test_prop13_period_matrix_fixed"),
+    ),
+    Mutant(
+        "affine-keeps-only-the-zero-entries",
+        "siegel.py",
+        "        terms = [(c, Z[k]) for k, c in enumerate(row) if c]\n",
+        "        terms = [(c, Z[k]) for k, c in enumerate(row) if not c]\n",
+        ("tests/test_siegel.py::test_exact_residual_matches_the_lifted_block_route",
+         "tests/test_siegel.py::test_prop13_period_matrix_fixed"),
+    ),
+    Mutant(
+        "exact-residual-multiplies-the-family-on-the-right",
+        "siegel.py",
+        "(family @ PolyMatrix.make(_affine(C, F, D, one))).entries",
+        "(PolyMatrix.make(_affine(C, F, D, one)) @ family).entries",
+        ("tests/test_siegel.py::test_exact_residual_matches_the_lifted_block_route",),
+    ),
+    Mutant(
+        "matrix-closure-admits-one-more-element",
+        "siegel.py",
+        "                if len(elems) >= MAX_ORDER:\n",
+        "                if len(elems) > MAX_ORDER:\n",
+        ("tests/test_cli.py::test_matrix_group_closure_stops_at_max_order[C65]",),
     ),
     Mutant(
         "quaternion-range-check-admits-one-more-n",
