@@ -176,12 +176,18 @@ def verify_fixed_family(generators, family: PolyMatrix) -> FixedFamilyReport:
 # ---------------------------------------------------------------------------
 
 
+def matrix_group(generators) -> tuple[FiniteGroup, tuple[IntMatrix, ...], tuple]:
+    """The group generated by integer matrices, spelled as tuples or lists of
+    rows or as arrays; they are converted to tuples of int rows before the
+    cache is consulted, so every spelling shares one closure."""
+    return _matrix_group(tuple(as_int_matrix(R) for R in generators))
+
+
 @lru_cache(maxsize=16)
-def matrix_group(gens: tuple[IntMatrix, ...]) -> tuple[FiniteGroup, tuple[IntMatrix, ...], tuple]:
-    """The group generated by integer matrices (tuples of rows, as
-    `Fixture.generators` holds them), by breadth-first closure: the
-    FiniteGroup on the elements in visiting order (its generators in input
-    order), the elements, and the BFS tree, `tree[i] = (p, j)` if element i
+def _matrix_group(gens: tuple[IntMatrix, ...]) -> tuple[FiniteGroup, tuple[IntMatrix, ...], tuple]:
+    """The group generated by integer matrices (tuples of int rows), by
+    breadth-first closure: the FiniteGroup on the elements in visiting order
+    (its generators in input order), the elements, and the BFS tree, `tree[i] = (p, j)` if element i
     was first reached as elems[p] * gens[j].  Row a of the Cayley table
     is read along the tree, a * (p * g_j) = (a * p) * g_j, with no matrix
     product.  Cached per generator tuple, so that a fixture's group checks

@@ -7,8 +7,8 @@ import pytest
 import qact.curves
 from qact.cli import build_parser, main
 from qact.actions import Signature, Ske, extension_data, family_representative
-from qact.groups import build_named, build_quaternion
-from qact.siegel import fixture_checksum, symplectic_form
+from qact.groups import MAX_ORDER, build_named, build_quaternion
+from qact.siegel import fixture_checksum, mat_mul, symplectic_form
 
 
 def run(capsys, *argv):
@@ -643,24 +643,31 @@ def _blocks_of_order_6_and_3():
     (_rotations(4, minus=(3,)), 128),
     (_blocks_of_order_6_and_3(), 3888),
 ], ids=["C4^3", "C65", "C4^3xC2", "C6^4xC3"])
-def test_matrix_group_closure_stops_at_max_order(tmp_path, capsys, gens, order):
+def test_matrix_group_closure_stops_at_max_order(tmp_path, capsys, monkeypatch, gens, order):
     """A matrix group of MAX_ORDER = 64 elements is accepted; the closure of
     a larger one stops at its 65th element, before any Cayley table is
     built, even one of order 65 (which a closure admitting one more element
-    would hand to FiniteGroup) or of 3,888."""
+    would hand to FiniteGroup) or of 3,888.  The closure multiplies at most
+    MAX_ORDER elements by each generator, and the symplectic check forms two
+    products per generator."""
+    products = []
+
+    def counting_mat_mul(X, Y):
+        products.append(None)
+        return mat_mul(X, Y)
+
+    monkeypatch.setattr(qact.siegel, "mat_mul", counting_mat_mul)
     path = tmp_path / "fixture.json"
     path.write_text(json.dumps(_signed_fixture({"generators": gens, "expected_order": order})))
-    t0 = time.perf_counter()
     code = main(["siegel", "group", "--fixture", str(path)])
-    elapsed = time.perf_counter() - t0
     out, err = capsys.readouterr()
+    assert len(products) <= (MAX_ORDER + 2) * len(gens)
     if order <= 64:
         assert (code, err) == (0, "")
         assert json.loads(out)["results"]["group_data"]["order"] == order
     else:
         assert (code, out) == (2, "")
         assert err == "error: matrix group closure exceeded budget 64\n"
-        assert elapsed < 0.5
 
 
 @pytest.mark.parametrize("action, missing", [

@@ -72,16 +72,20 @@ def test_symplectic_closure_under_products_and_inverses():
 
 def test_one_closure_per_generator_tuple():
     """The group checks and the character route of a fixture share one
-    matrix group, built once per generator tuple; its elements and tree are
-    immutable."""
+    matrix group, built once per generator tuple however the generators are
+    spelled; its elements and tree are immutable."""
     fx = load_fixture("thm11")
-    matrix_group.cache_clear()
+    siegel._matrix_group.cache_clear()
     verify_group_data(fx.generators)
     character_dimension(fx.generators, fx.family)
-    info = matrix_group.cache_info()
+    info = siegel._matrix_group.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     Gm, elems, tree = matrix_group(fx.generators)
-    assert matrix_group(tuple(tuple(tuple(row) for row in M) for M in fx.generators))[0] is Gm
+    as_lists = [[list(row) for row in M] for M in fx.generators]
+    assert matrix_group(as_lists)[0] is Gm
+    assert matrix_group([np.array(M) for M in as_lists])[0] is Gm
+    assert verify_group_data(as_lists) == verify_group_data(fx.generators)
+    assert character_dimension(as_lists, fx.family) == character_dimension(fx.generators, fx.family)
     assert type(elems) is type(tree) is tuple and Gm.order == len(elems) == len(tree)
 
 
