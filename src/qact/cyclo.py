@@ -1,17 +1,19 @@
 """Exact arithmetic in 2-power cyclotomic fields, sparse polynomials over them,
-and the product of polynomial matrices (the one matrix operation the exact
-fixed-family check needs: `siegel` applies the integer blocks of a
-symplectic matrix to a family's entries itself).
+integer combinations of polynomials and the product of polynomial matrices
+(the two operations the exact fixed-family check needs: `siegel` applies the
+integer blocks of a symplectic matrix to a family's entries with the first).
 
 An element of Q(zeta_m), m a power of two, is the residue class of
 sum c_j zeta^j modulo zeta^(m/2) = -1, stored as m/2 integer numerators over
 one positive common denominator, reduced so that the denominator and the
 numerators have gcd 1.  That relation makes reduction a sign flip, so
 products are plain integer convolutions, and the reduced form makes equality
-a tuple comparison.  Only 2-power conductors are supported; every exact number
-appearing in this package (roots of unity, Gaussian rationals, character
-values) lives in one.  Coefficients enter and leave as int or Fraction; any
-other type (a float above all) is refused.
+a tuple comparison.  A sum or product of two elements of one conductor, and
+an integer multiple of a polynomial, convert nothing: the numerators are
+combined or scaled directly.  Only 2-power conductors are supported; every
+exact number appearing in this package (roots of unity, Gaussian rationals,
+character values) lives in one.  Coefficients enter and leave as int or
+Fraction; any other type (a float above all) is refused.
 """
 
 from __future__ import annotations
@@ -41,10 +43,11 @@ def _check_rational(q) -> None:
 def _make(m: int, num, den: int) -> Cyclotomic:
     """The element sum num[j] zeta_m^j / den (den > 0), reduced by the gcd,
     with no check of m or of the coefficient count."""
-    g = gcd(den, *num)
-    if g != 1:
-        num = [c // g for c in num]
-        den //= g
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
     out = object.__new__(Cyclotomic)
     _set(out, "m", m)
     _set(out, "num", tuple(num))
@@ -166,7 +169,10 @@ class Cyclotomic(_Frozen):
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> Cyclotomic:
-        a, b = Cyclotomic.common(self, _coerce(other, self.m))
+        if type(other) is Cyclotomic and other.m == self.m:
+            a, b = self, other
+        else:
+            a, b = Cyclotomic.common(self, _coerce(other, self.m))
         if a.den == b.den:
             return _make(a.m, list(map(add, a.num, b.num)), a.den)
         x, y = a.den, b.den
@@ -185,7 +191,10 @@ class Cyclotomic(_Frozen):
         return _coerce(other, self.m) - self
 
     def __mul__(self, other) -> Cyclotomic:
-        a, b = Cyclotomic.common(self, _coerce(other, self.m))
+        if type(other) is Cyclotomic and other.m == self.m:
+            a, b = self, other
+        else:
+            a, b = Cyclotomic.common(self, _coerce(other, self.m))
         d = a.m // 2
         out = [0] * d
         bs = [(j, y) for j, y in enumerate(b.num) if y]
@@ -314,6 +323,14 @@ class Cyclotomic(_Frozen):
         return {"m": self.m, "coeffs": [str(c) for c in self.coeffs]}
 
 
+def _scaled(x: Cyclotomic, k: int) -> Cyclotomic:
+    """k x for an integer k, in conductor max(x.m, 4) as the product with k
+    in Q(i) would be, with no product formed."""
+    if x.m < 4:
+        x = x.lift(4)
+    return _make(x.m, [c * k for c in x.num], x.den)
+
+
 def _coerce(x, m: int) -> Cyclotomic:
     if isinstance(x, Cyclotomic):
         return x
@@ -377,7 +394,24 @@ class CycloPoly(_Frozen):
     def __sub__(self, other: CycloPoly) -> CycloPoly:
         return self + (-other)
 
+    @staticmethod
+    def combination(nvars: int, pairs, constant: int = 0) -> CycloPoly:
+        """constant + sum c p over the (int c, CycloPoly p) pairs, summed in
+        one term dict and made once.  Each coefficient is the one that
+        `constant * 1 + c * p + ...` gives, with 1 the unit of Q(i): integers
+        enter in conductor 4."""
+        acc: dict[tuple[int, ...], Cyclotomic] = {}
+        if constant:
+            acc[(0,) * nvars] = Cyclotomic.from_rational(constant, 4)
+        for c, p in pairs:
+            for e, x in p.terms:
+                y = _scaled(x, c)
+                acc[e] = acc[e] + y if e in acc else y
+        return CycloPoly.make(nvars, acc)
+
     def __mul__(self, other) -> CycloPoly:
+        if type(other) is int:
+            return CycloPoly.make(self.nvars, {e: _scaled(c, other) for e, c in self.terms})
         if isinstance(other, (int, Fraction, Cyclotomic)):
             if isinstance(other, (int, Fraction)):
                 other = Cyclotomic.from_rational(other, 4)

@@ -2,22 +2,25 @@
 
 Each named group is built by one recipe, `_materialize`, from a normal form
 l1^e1 * ... * lk^ek (a tuple of exponents) and a closed-form product rule read
-off its defining relations.  The constructor then materializes the full
-Cayley table and verifies that it is a Latin square with identity 0, that it
-is associative by Light's test on the generators, that every defining
-relation evaluates to the identity and that the generators generate, so a
-mistake in a product rule cannot survive construction.  Each catalogue group
-is built once per parameter value and shared, because skes and the
-group-keyed caches compare groups by identity.
+off its defining relations.  Only the products by a letter are formed: one
+routine, `_tree_table`, reads the full Cayley table along a BFS tree from
+the generators' right action, for these groups and for the matrix groups of
+`siegel` alike.  The constructor then verifies that the table is a Latin
+square with identity 0, that it is associative by Light's test on the
+generators, that every defining relation evaluates to the identity and that
+the generators generate, so a mistake in a product rule cannot survive
+construction.  Each catalogue group is built once per parameter value and
+shared, because skes and the group-keyed caches compare groups by identity.
 
 Generic machinery (closures, conjugacy classes, the action on cosets, and one
 generator-image search that yields both the automorphism group and
 isomorphisms) works on the table alone and is brute force; that is entirely
-adequate at order <= 64.  There are two shortcuts.  Maximal subgroups of
-2-groups are the kernels of the maps onto C2 (the tests check them against a
-brute-force subgroup lattice): a set generates a 2-group exactly when it lies
-in no maximal subgroup, which is how the isomorphism search picks its
-generating tuple.  Aut(Q(2^n)) for n >= 4 is written down in closed form
+adequate at order <= 64.  The center and the commutator subgroup are found
+from the generators, not from all |G|^2 pairs.  There are two shortcuts.  Maximal
+subgroups of 2-groups are the kernels of the maps onto C2 (the tests check
+them against a brute-force subgroup lattice): a set generates a 2-group
+exactly when it lies in no maximal subgroup, which is how the isomorphism
+search picks its generating tuple.  Aut(Q(2^n)) for n >= 4 is written down in closed form
 (the tests check it against the search).  The dihedral groups D_m with m not a power of two are the
 only non-2-groups here; `maximal_subgroups`, `automorphisms` and
 `find_isomorphism` reject them.
@@ -249,15 +252,28 @@ class FiniteGroup:
 
     @lru_cache(maxsize=None)
     def center(self) -> frozenset:
-        return frozenset(
-            g for g in range(self.order)
-            if all(self.cayley[g][h] == self.cayley[h][g] for h in range(self.order))
-        )
+        """The elements that commute with every generator, and so with
+        every element."""
+        c = self.cayley
+        return frozenset(g for g in range(self.order) if all(c[g][s] == c[s][g] for s in self.generators))
 
     @lru_cache(maxsize=None)
     def commutator_subgroup(self) -> frozenset:
-        comms = {self.commutator(a, b) for a in range(self.order) for b in range(self.order)}
-        return self.closure(comms)
+        """The normal closure of the commutators of the generators, since G/N
+        is abelian exactly when the generators commute modulo N: their
+        closure, grown by each conjugate under a generator that it does not
+        hold yet.  Once none is left, every generator maps the closure into
+        itself, so it is normal."""
+        seed = [self.commutator(a, b) for a, b in itertools.combinations(self.generators, 2)]
+        closed = self.closure(seed)
+        # seed grows while it is walked
+        for s in seed:
+            for g in self.generators:
+                c = self.conjugate(s, g)
+                if c not in closed:
+                    seed.append(c)
+                    closed = self.closure(seed)
+        return closed
 
     def order_histogram(self) -> tuple[tuple[int, int], ...]:
         hist = {}
@@ -302,18 +318,48 @@ _C2 = FiniteGroup("C2", ["1", "t"], [[0, 1], [1, 0]], [1])
 # each parameter value has one cache key and one shared group.
 
 
+def _tree_table(right: list[list[int]]) -> tuple[list[list[int]], list]:
+    """The Cayley table of a group from its generators' right action,
+    `right[a][j]` the index of a * g_j (index 0 the identity), and the BFS
+    tree it is read along: `tree[b] = (p, j)` if b was first reached as
+    p * g_j, None at the identity.  Column b of the table is then column p
+    moved by g_j, since a * b = (a * p) * g_j, so the table costs |G|^2
+    lookups and no product.  GroupError if the generators do not reach
+    every index."""
+    n = len(right)
+    tree: list = [None] * n
+    order = [0]
+    # order grows while it is walked, so it is the BFS queue
+    for p in order:
+        for j, b in enumerate(right[p]):
+            if b and tree[b] is None:
+                tree[b] = (p, j)
+                order.append(b)
+    if len(order) != n:
+        raise GroupError(f"the generators reach {len(order)} of {n} elements")
+    moves = [col.__getitem__ for col in zip(*right)]
+    columns: list = [None] * n
+    columns[0] = range(n)
+    for b in order[1:]:
+        p, j = tree[b]
+        columns[b] = list(map(moves[j], columns[p]))
+    return [list(row) for row in zip(*columns)], tree
+
+
 def _materialize(name, bounds, mult, relations, kind, params):
     """The group on the normal forms l1^e1 * ... * lk^ek, 0 <= ei < bounds[i],
     in the letters `params["letters"]`, with `mult` the product of exponent
     tuples.  Elements are indexed in lexicographic order of their tuples, so
-    index 0 is the identity, named "1"; the generators are the letters."""
+    index 0 is the identity, named "1"; the generators are the letters.  Only
+    the products by a letter are formed; `_tree_table` reads the rest."""
     elems = list(itertools.product(*map(range, bounds)))
     index = {e: i for i, e in enumerate(elems)}
-    cayley = [[index[mult(a, b)] for b in elems] for a in elems]
+    units = [tuple(int(i == j) for j in range(len(bounds))) for i in range(len(bounds))]
+    right = [[index[mult(a, u)] for u in units] for a in elems]
+    cayley, _ = _tree_table(right)
     words = [zip(params["letters"], u) for u in elems]
     names = ["*".join(l if e == 1 else f"{l}^{e}" for l, e in w if e) or "1" for w in words]
-    units = [tuple(int(i == j) for j in range(len(bounds))) for i in range(len(bounds))]
-    return FiniteGroup(name, names, cayley, [index[u] for u in units], relations, kind, params)
+    return FiniteGroup(name, names, cayley, right[0], relations, kind, params)
 
 
 def quaternion_mul(n: int):

@@ -6,12 +6,17 @@ inverts nothing: exactly in polynomial arithmetic over Q(i) on a printed
 family, as a largest residual entry on a numeric period matrix, and as the
 residual Gauss-Newton drives to zero.  One formula (`_affine`) forms M Z + N
 for the exact and the numeric check alike: the integer blocks act on Z's
-entries directly, and are never lifted into polynomial matrices.
+entries directly, and are never lifted into polynomial matrices; on a family
+each entry is summed in one term dict (`CycloPoly.combination`).
 Group-level claims (closure order, defining relations, isomorphism type) are
 checked on the matrix group generated by the printed integer matrices, whose
-products are exact Python integers (`mat_mul`).  One cached `matrix_group`
-per generator tuple serves the group checks and the character; its closure
-stops at groups.MAX_ORDER elements, the largest group a FiniteGroup holds.
+products are exact Python integers.  One cached `matrix_group` per generator
+tuple serves the group checks and the character.  Its closure multiplies by
+each generator through a product compiled once from the generator's nonzero
+entries (`_right_multiplier`), `groups._tree_table` reads the Cayley table
+off those products, and the closure stops at groups.MAX_ORDER elements, the
+largest group a FiniteGroup holds.  `mat_mul`, the product for one-off
+uses, skips its right factor's zeros.
 The dimension of the fixed locus at a known fixed point Z is read off the
 character tr(C Z + D) of the analytic representation, summed over that
 matrix group (chi(R^2) read off the Cayley table's diagonal): exactly on a
@@ -38,15 +43,16 @@ from __future__ import annotations
 import cmath
 import json
 import hashlib
+import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclo import Cyclotomic, CycloPoly, PolyMatrix
-from .groups import MAX_ORDER, BudgetExceeded, FiniteGroup, find_isomorphism, record_json
+from .groups import MAX_ORDER, BudgetExceeded, FiniteGroup, _tree_table, find_isomorphism, record_json
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,10 +67,32 @@ def as_int_matrix(rows) -> IntMatrix:
     return tuple(tuple(int(v) for v in row) for row in rows)
 
 
+def _sparse_columns(B) -> tuple:
+    """Each column of B as the (row, entry) pairs of its nonzero entries."""
+    return tuple(tuple((k, v) for k, v in enumerate(col) if v) for col in zip(*B))
+
+
 def mat_mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    """A B, for integer matrices and for numeric points alike."""
-    Bt = list(zip(*B))
-    return tuple(tuple(sum(map(mul, row, col)) for col in Bt) for row in A)
+    """A B, for integer matrices and for numeric points alike.  Only B's
+    nonzero entries are multiplied: each entry sums the dense product's terms
+    in the same order less those by a zero, which leave a sum of finite
+    terms unchanged."""
+    columns = _sparse_columns(B)
+    return tuple(tuple(sum(row[k] * v for k, v in col) for col in columns) for row in A)
+
+
+def _right_multiplier(B: IntMatrix):
+    """M -> M B for integer matrices M, compiled once from B's nonzero
+    entries: entry j of each row r of M B is written out as the sum of
+    r[k] * B[k][j] over the nonzero B[k][j], so that a closure applying it
+    to every element runs no loop per entry.  B's entries are bound as the
+    constants c[i], not written into the source, so entries of any size
+    compile."""
+    columns = _sparse_columns(B)
+    consts = tuple(v for col in columns for _, v in col)
+    slot = itertools.count()
+    sums = [" + ".join(f"r[{k}] * c[{next(slot)}]" for k, _ in col) or "0" for col in columns]
+    return eval(f"lambda M: tuple(({', '.join(sums)},) for r in M)", {"c": consts})
 
 
 def identity_matrix(n: int) -> IntMatrix:
@@ -107,15 +135,21 @@ def _modulus(z: complex) -> float:
     return math.hypot(z.real, z.imag)
 
 
-def _affine(M: IntMatrix, Z, N: IntMatrix, one=1):
+def _numeric_combination(pairs, n: int) -> complex:
+    """n + sum c z over the (integer c, number z) pairs, summed in order."""
+    return sum((c * z for c, z in pairs), n)
+
+
+def _affine(M: IntMatrix, Z, N: IntMatrix, combine=_numeric_combination):
     """M Z + N for integer M and N, the one formula of every fixed-point
-    residual: Z is a numeric point (`one` = 1) or a printed family's entries
-    (`one` the constant polynomial 1).  The integer entries act on Z's
-    entries directly, and a zero entry of M is skipped."""
+    residual: Z is a numeric point, or a printed family's entries with
+    `combine` summing each entry in one term dict
+    (`CycloPoly.combination`).  Entry (i, j) combines N[i][j] with the
+    pairs (M[i][k], Z[k][j]) in k order; a zero entry of M is skipped."""
     out = []
     for row, nrow in zip(M, N):
         terms = [(c, Z[k]) for k, c in enumerate(row) if c]
-        out.append(tuple(sum((c * zrow[j] for c, zrow in terms), n * one) for j, n in enumerate(nrow)))
+        out.append(tuple(combine([(c, zrow[j]) for c, zrow in terms], n) for j, n in enumerate(nrow)))
     return tuple(out)
 
 
@@ -163,11 +197,11 @@ class FixedFamilyReport(NamedTuple):
 def verify_fixed_family(generators, family: PolyMatrix) -> FixedFamilyReport:
     """For each generator, whether A F + B = F (C F + D) holds exactly."""
     F = family.entries
-    one = CycloPoly.constant(F[0][0].nvars, Cyclotomic.one(4))
+    combine = partial(CycloPoly.combination, F[0][0].nvars)
     flags = []
     for R in generators:
         A, B, C, D = blocks(as_int_matrix(R), family.rows)
-        flags.append(_affine(A, F, B, one) == (family @ PolyMatrix.make(_affine(C, F, D, one))).entries)
+        flags.append(_affine(A, F, B, combine) == (family @ PolyMatrix.make(_affine(C, F, D, combine))).entries)
     return FixedFamilyReport(tuple(flags))
 
 
@@ -187,36 +221,35 @@ def matrix_group(generators) -> tuple[FiniteGroup, tuple[IntMatrix, ...], tuple]
 def _matrix_group(gens: tuple[IntMatrix, ...]) -> tuple[FiniteGroup, tuple[IntMatrix, ...], tuple]:
     """The group generated by integer matrices (tuples of int rows), by
     breadth-first closure: the FiniteGroup on the elements in visiting order
-    (its generators in input order), the elements, and the BFS tree, `tree[i] = (p, j)` if element i
-    was first reached as elems[p] * gens[j].  Row a of the Cayley table
-    is read along the tree, a * (p * g_j) = (a * p) * g_j, with no matrix
-    product.  Cached per generator tuple, so that a fixture's group checks
-    and its character share one group.  A closure that reaches more than
-    MAX_ORDER elements, the largest group a FiniteGroup holds, is refused."""
+    (its generators in input order), the elements, and the BFS tree,
+    `tree[i] = (p, j)` if element i was first reached as elems[p] * gens[j].
+    Each element is multiplied by each generator through the generator's
+    nonzero entries (`_right_multiplier`, compiled once per generator);
+    `groups._tree_table` reads the Cayley table off these products with no
+    further matrix product.  Cached per generator tuple, so that a fixture's
+    group checks and its character share one group.  A closure that reaches
+    more than MAX_ORDER elements, the largest group a FiniteGroup holds, is
+    refused."""
     ident = identity_matrix(len(gens[0]))
+    multipliers = [_right_multiplier(Gm) for Gm in gens]
     elems = [ident]
     index = {ident: 0}
     right = []
-    tree = [None]
     # elems grows while it is walked, so it is the BFS queue
-    for i, M in enumerate(elems):
+    for M in elems:
         row = []
-        for j, Gm in enumerate(gens):
-            P = mat_mul(M, Gm)
+        for times in multipliers:
+            P = times(M)
             if P not in index:
                 if len(elems) >= MAX_ORDER:
                     raise BudgetExceeded(f"matrix group closure exceeded budget {MAX_ORDER}")
                 index[P] = len(elems)
                 elems.append(P)
-                tree.append((i, j))
             row.append(index[P])
         right.append(row)
-    cayley = []
-    for a in range(len(elems)):
-        row = [a]
-        for p, j in tree[1:]:
-            row.append(right[row[p]][j])
-        cayley.append(row)
+    # the BFS over `right` visits the elements in index order, so its tree is
+    # the closure's own
+    cayley, tree = _tree_table(right)
     names = [f"m{i}" for i in range(len(elems))]
     return FiniteGroup("matrix-group", names, cayley, right[0]), tuple(elems), tuple(tree)
 

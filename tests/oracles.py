@@ -14,6 +14,13 @@
   integers from the normal form instead.
 - Associativity of a Cayley table over all triples.  `qact.groups` checks
   it on the distinguished generators only (Light's test).
+- A catalogue group's Cayley table from every product of two normal forms,
+  |G|^2 of them.  `qact.groups._materialize` forms only the products by a
+  letter and reads the rest along a BFS tree (`_tree_table`).
+- The center as the elements commuting with every element, and the
+  commutator subgroup as the closure of every commutator.  `qact.groups`
+  tests commutation with the generators only, and takes the normal closure
+  of the commutators of generator pairs.
 - The subgroup lattice, from closures of at most two elements plus pairwise
   joins, and normality by conjugation.  `qact.groups` finds maximal
   subgroups as kernels onto C2 instead.
@@ -597,7 +604,8 @@ def fixed_subspace_dim(V: Character, K: frozenset) -> int:
 
 
 # ---------------------------------------------------------------------------
-# associativity and the subgroup lattice
+# Cayley tables, center, commutator subgroup, associativity and the subgroup
+# lattice
 # ---------------------------------------------------------------------------
 
 
@@ -644,6 +652,27 @@ def two_generated_subgroups(G: FiniteGroup) -> frozenset[frozenset]:
                 continue
             subs.add(G.closure([g, h]))
     return frozenset(subs)
+
+
+def materialize_by_normal_forms(name, bounds, mult, relations, kind, params) -> FiniteGroup:
+    """`qact.groups._materialize` with the Cayley table from every product of
+    two normal forms, indexed and named as there."""
+    elems = list(itertools.product(*map(range, bounds)))
+    index = {e: i for i, e in enumerate(elems)}
+    cayley = [[index[mult(a, b)] for b in elems] for a in elems]
+    words = [zip(params["letters"], u) for u in elems]
+    names = ["*".join(l if e == 1 else f"{l}^{e}" for l, e in w if e) or "1" for w in words]
+    units = [tuple(int(i == j) for j in range(len(bounds))) for i in range(len(bounds))]
+    return FiniteGroup(name, names, cayley, [index[u] for u in units], relations, kind, params)
+
+
+def center_by_brute_force(G: FiniteGroup) -> frozenset:
+    c = G.cayley
+    return frozenset(g for g in G if all(c[g][h] == c[h][g] for h in G))
+
+
+def commutator_subgroup_by_brute_force(G: FiniteGroup) -> frozenset:
+    return G.closure({G.commutator(a, b) for a in G for b in G})
 
 
 def is_normal(G: FiniteGroup, K: frozenset) -> bool:

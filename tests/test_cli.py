@@ -648,15 +648,27 @@ def test_matrix_group_closure_stops_at_max_order(tmp_path, capsys, monkeypatch, 
     a larger one stops at its 65th element, before any Cayley table is
     built, even one of order 65 (which a closure admitting one more element
     would hand to FiniteGroup) or of 3,888.  The closure multiplies at most
-    MAX_ORDER elements by each generator, and the symplectic check forms two
-    products per generator."""
+    MAX_ORDER elements by each generator, through the generator's
+    `_right_multiplier`, and the symplectic check forms two products per
+    generator by `mat_mul`; both are counted."""
     products = []
+    right_multiplier = qact.siegel._right_multiplier
 
     def counting_mat_mul(X, Y):
         products.append(None)
         return mat_mul(X, Y)
 
+    def counting_right_multiplier(B):
+        times = right_multiplier(B)
+
+        def counted(M):
+            products.append(None)
+            return times(M)
+
+        return counted
+
     monkeypatch.setattr(qact.siegel, "mat_mul", counting_mat_mul)
+    monkeypatch.setattr(qact.siegel, "_right_multiplier", counting_right_multiplier)
     path = tmp_path / "fixture.json"
     path.write_text(json.dumps(_signed_fixture({"generators": gens, "expected_order": order})))
     code = main(["siegel", "group", "--fixture", str(path)])

@@ -4,11 +4,17 @@ import json
 
 import pytest
 
+from qact import groups
 from qact.groups import (
     FiniteGroup,
     GroupError,
+    _build_c4xc2_rtimes_c2,
+    _build_d4xc2_rtimes_c2,
+    _build_g1_g2,
+    _build_qd16,
     _generating_tuple,
     _isomorphisms,
+    _tree_table,
     automorphisms,
     build_dihedral,
     build_named,
@@ -20,7 +26,15 @@ from qact.groups import (
 )
 from qact.siegel import load_fixture, matrix_group
 
-from oracles import all_subgroups, is_associative, is_normal, two_generated_subgroups
+from oracles import (
+    all_subgroups,
+    center_by_brute_force,
+    commutator_subgroup_by_brute_force,
+    is_associative,
+    is_normal,
+    materialize_by_normal_forms,
+    two_generated_subgroups,
+)
 
 
 def test_quaternion_basics():
@@ -373,8 +387,46 @@ def test_catalogue_tables_are_pinned(G):
     assert hashlib.sha256(blob).hexdigest() == CATALOGUE_DIGESTS[G.name]
 
 
+# every catalogue constructor with its arguments: Q8..Q64, G1/G2 for n = 3..5,
+# QD16, both semidirect products and the dihedral groups D2..D32
+BUILDS = (
+    [(build_quaternion, (n,)) for n in (3, 4, 5, 6)]
+    + [(_build_g1_g2, (n, v)) for v in (1, 2) for n in (3, 4, 5)]
+    + [(_build_qd16, ()), (_build_c4xc2_rtimes_c2, ()), (_build_d4xc2_rtimes_c2, ())]
+    + [(build_dihedral, (m,)) for m in range(2, 33)]
+)
+
+
+@pytest.mark.parametrize("build, args", [pytest.param(b, a, id=b(*a).name) for b, a in BUILDS])
+def test_tree_filled_tables_match_the_normal_form_products(monkeypatch, build, args):
+    """Each catalogue table, read along the BFS tree from the products by a
+    letter, is the table of every normal-form product, with the same names
+    and generators."""
+    G = build(*args)
+    monkeypatch.setattr(groups, "_materialize", materialize_by_normal_forms)
+    H = build.__wrapped__(*args)
+    assert H is not G
+    assert (G.names, G.cayley, G.generators) == (H.names, H.cayley, H.generators)
+
+
+def test_tree_table_refuses_generators_that_do_not_generate():
+    # C4 = <a> acting on itself by a^2 only: 1 and a^2 are reached, a and a^3 not
+    with pytest.raises(GroupError, match="reach 2 of 4"):
+        _tree_table([[2], [3], [0], [1]])
+
+
 def _matrix_group(fixture):
     return matrix_group(load_fixture(fixture).generators)[0]
+
+
+@pytest.mark.parametrize(
+    "G",
+    [pytest.param(G, id=G.name) for G in (build(*args) for build, args in BUILDS)]
+    + [pytest.param(_matrix_group(f), id=f) for f in ("thm10", "thm11", "prop13")],
+)
+def test_center_and_commutator_subgroup_from_generators(G):
+    assert G.center() == center_by_brute_force(G)
+    assert G.commutator_subgroup() == commutator_subgroup_by_brute_force(G)
 
 
 @pytest.mark.parametrize(

@@ -425,6 +425,13 @@ def test_prop13_period_matrix_fixed():
     assert verify_fixed_point_numeric(gens, Z0) < 1e-9
 
 
+def test_prop13_residual_is_bit_identical_to_the_dense_products():
+    """The residual of the printed prop13 point, as the dense integer
+    products (every term, zeros included) gave it."""
+    fx = load_fixture("prop13")
+    assert verify_fixed_point_numeric(fx.generators, fx.period_matrix).hex() == "0x1.1e3779b97f4a8p-52"
+
+
 def test_prop13_sensitivity_probe():
     fx = load_fixture("prop13")
     gens = fx.generators
@@ -565,13 +572,27 @@ def test_locus_report_is_unchanged_under_the_per_basis_jacobian(name, monkeypatc
 
 
 def test_mat_mul_matches_the_indexed_product():
+    """`mat_mul` and each generator's `_right_multiplier` skip the right
+    factor's zeros; on integer matrices (one entry of 5,000 digits, past
+    int-to-str's limit) and on complex points with zero entries they still
+    give the product by index."""
     rng = random.Random(13)
     for _ in range(200):
         n, k, m = (rng.randint(1, 8) for _ in range(3))
         bound = rng.choice((3, 100, 10**30))
         A = tuple(tuple(rng.randint(-bound, bound) for _ in range(k)) for _ in range(n))
-        B = tuple(tuple(rng.randint(-bound, bound) for _ in range(m)) for _ in range(k))
+        B = tuple(tuple(rng.choice((0, rng.randint(-bound, bound))) for _ in range(m)) for _ in range(k))
         assert mat_mul(A, B) == mat_mul_by_index(A, B)
+        if k == m:
+            assert siegel._right_multiplier(B)(A) == mat_mul_by_index(A, B)
+    huge = ((10**4999, -1), (0, 2))
+    assert siegel._right_multiplier(huge)(huge) == mat_mul(huge, huge) == mat_mul_by_index(huge, huge)
+    for _ in range(100):
+        n, k, m = (rng.randint(1, 6) for _ in range(3))
+        entry = lambda: rng.choice((0j, complex(rng.gauss(0, 1), rng.gauss(0, 1))))
+        Z = tuple(tuple(entry() for _ in range(k)) for _ in range(n))
+        W = tuple(tuple(entry() for _ in range(m)) for _ in range(k))
+        assert mat_mul(Z, W) == mat_mul_by_index(Z, W)
     for name in ("thm10", "thm11", "prop13"):
         _, elems, _ = matrix_group(load_fixture(name).generators)
         for A, B in zip(elems, elems[1:] + elems[:1]):

@@ -263,8 +263,8 @@ MUTANTS = [
     Mutant(
         "cyclotomic-left-unreduced",
         "cyclo.py",
-        "    g = gcd(den, *num)\n    if g != 1:\n",
-        "    g = gcd(den, *num)\n    if False:\n",
+        "        g = gcd(den, *num)\n        if g != 1:\n",
+        "        g = gcd(den, *num)\n        if False:\n",
         ("tests/test_cyclo.py::test_integer_arithmetic_matches_the_fraction_oracle",),
     ),
     Mutant(
@@ -330,8 +330,8 @@ MUTANTS = [
     Mutant(
         "affine-drops-the-constant-block",
         "siegel.py",
-        "for c, zrow in terms), n * one)",
-        "for c, zrow in terms), 0 * one)",
+        "combine([(c, zrow[j]) for c, zrow in terms], n)",
+        "combine([(c, zrow[j]) for c, zrow in terms], 0)",
         ("tests/test_siegel.py::test_thm10_family_fixed_and_variant_discrepancy",
          "tests/test_siegel.py::test_prop13_period_matrix_fixed"),
     ),
@@ -346,8 +346,8 @@ MUTANTS = [
     Mutant(
         "exact-residual-multiplies-the-family-on-the-right",
         "siegel.py",
-        "(family @ PolyMatrix.make(_affine(C, F, D, one))).entries",
-        "(PolyMatrix.make(_affine(C, F, D, one)) @ family).entries",
+        "(family @ PolyMatrix.make(_affine(C, F, D, combine))).entries",
+        "(PolyMatrix.make(_affine(C, F, D, combine)) @ family).entries",
         ("tests/test_siegel.py::test_exact_residual_matches_the_lifted_block_route",),
     ),
     Mutant(
@@ -381,18 +381,53 @@ MUTANTS = [
     ),
     Mutant(
         "closure-tree-records-the-wrong-generator",
-        "siegel.py",
-        "                tree.append((i, j))\n",
-        "                tree.append((i, (j + 1) % len(gens)))\n",
+        "groups.py",
+        "                tree[b] = (p, j)\n",
+        "                tree[b] = (p, (j + 1) % len(right[p]))\n",
         ("tests/test_siegel.py::test_cayley_table_from_the_tree_matches_matrix_products",
          "tests/test_siegel.py::test_tree_steps_and_witness_words_are_shortest_products"),
     ),
     Mutant(
         "cayley-row-reads-the-grandparent",
-        "siegel.py",
-        "            row.append(right[row[p]][j])\n",
-        "            row.append(right[row[tree[p][0] if p else p]][j])\n",
+        "groups.py",
+        "        columns[b] = list(map(moves[j], columns[p]))\n",
+        "        columns[b] = list(map(moves[j], columns[tree[p][0] if p else p]))\n",
         ("tests/test_siegel.py::test_cayley_table_from_the_tree_matches_matrix_products",),
+    ),
+    Mutant(
+        "sparse-column-drops-negative-entries",
+        "siegel.py",
+        "    return tuple(tuple((k, v) for k, v in enumerate(col) if v) for col in zip(*B))\n",
+        "    return tuple(tuple((k, v) for k, v in enumerate(col) if v > 0) for col in zip(*B))\n",
+        ("tests/test_siegel.py::test_mat_mul_matches_the_indexed_product",
+         "tests/test_siegel.py::test_cayley_table_from_the_tree_matches_matrix_products"),
+    ),
+    Mutant(
+        "same-conductor-sum-ignores-the-denominator",
+        "cyclo.py",
+        "            a, b = self, other\n"
+        "        else:\n"
+        "            a, b = Cyclotomic.common(self, _coerce(other, self.m))\n"
+        "        if a.den == b.den:\n",
+        "            a, b = self, _make(other.m, other.num, self.den)\n"
+        "        else:\n"
+        "            a, b = Cyclotomic.common(self, _coerce(other, self.m))\n"
+        "        if a.den == b.den:\n",
+        ("tests/test_cyclo.py::test_integer_arithmetic_matches_the_fraction_oracle",),
+    ),
+    Mutant(
+        "commutator-seed-from-one-generator",
+        "groups.py",
+        "        seed = [self.commutator(a, b) for a, b in itertools.combinations(self.generators, 2)]\n",
+        "        seed = [self.commutator(self.generators[0], b) for b in self.generators]\n",
+        ("tests/test_groups.py::test_center_and_commutator_subgroup_from_generators",),
+    ),
+    Mutant(
+        "center-checks-only-the-first-generator",
+        "groups.py",
+        "if all(c[g][s] == c[s][g] for s in self.generators))",
+        "if all(c[g][s] == c[s][g] for s in self.generators[:1]))",
+        ("tests/test_groups.py::test_center_and_commutator_subgroup_from_generators",),
     ),
     Mutant(
         "family-variant-is-the-family",
