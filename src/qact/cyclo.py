@@ -9,7 +9,7 @@ one positive common denominator, reduced so that the denominator and the
 numerators have gcd 1.  That relation makes reduction a sign flip, so
 products are plain integer convolutions, and the reduced form makes equality
 a tuple comparison.  A sum or product of two elements of one conductor, and
-an integer multiple of a polynomial, convert nothing: the numerators are
+an integer combination of polynomials, convert nothing: the numerators are
 combined or scaled directly.  Only 2-power conductors are supported; every
 exact number appearing in this package (roots of unity, Gaussian rationals,
 character values) lives in one.  Coefficients enter and leave as int or
@@ -410,8 +410,6 @@ class CycloPoly(_Frozen):
         return CycloPoly.make(nvars, acc)
 
     def __mul__(self, other) -> CycloPoly:
-        if type(other) is int:
-            return CycloPoly.make(self.nvars, {e: _scaled(c, other) for e, c in self.terms})
         if isinstance(other, (int, Fraction, Cyclotomic)):
             if isinstance(other, (int, Fraction)):
                 other = Cyclotomic.from_rational(other, 4)

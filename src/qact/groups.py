@@ -16,14 +16,14 @@ Generic machinery (closures, conjugacy classes, the action on cosets, and one
 generator-image search that yields both the automorphism group and
 isomorphisms) works on the table alone and is brute force; that is entirely
 adequate at order <= 64.  The center and the commutator subgroup are found
-from the generators, not from all |G|^2 pairs.  There are two shortcuts.  Maximal
-subgroups of 2-groups are the kernels of the maps onto C2 (the tests check
-them against a brute-force subgroup lattice): a set generates a 2-group
+from the generators, not from all |G|^2 pairs.  There are two shortcuts.
+Maximal subgroups of 2-groups are the kernels of the maps onto C2 (the tests
+check them against a brute-force subgroup lattice): a set generates a 2-group
 exactly when it lies in no maximal subgroup, which is how the isomorphism
-search picks its generating tuple.  Aut(Q(2^n)) for n >= 4 is written down in closed form
-(the tests check it against the search).  The dihedral groups D_m with m not a power of two are the
-only non-2-groups here; `maximal_subgroups`, `automorphisms` and
-`find_isomorphism` reject them.
+search picks its generating tuple.  Aut(Q(2^n)) for n >= 4 is written down in
+closed form (the tests check it against the search).  The dihedral groups D_m
+with m not a power of two are the only non-2-groups here; `maximal_subgroups`,
+`automorphisms` and `find_isomorphism` reject them.
 """
 
 from __future__ import annotations

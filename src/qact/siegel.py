@@ -16,7 +16,9 @@ each generator through a product compiled once from the generator's nonzero
 entries (`_right_multiplier`), `groups._tree_table` reads the Cayley table
 off those products, and the closure stops at groups.MAX_ORDER elements, the
 largest group a FiniteGroup holds.  `mat_mul`, the product for one-off
-uses, skips its right factor's zeros.
+uses, skips its right factor's zeros: compiling costs about five of its
+products, which a closure, applying each generator to every element, pays
+back and a one-off product does not.
 The dimension of the fixed locus at a known fixed point Z is read off the
 character tr(C Z + D) of the analytic representation, summed over that
 matrix group (chi(R^2) read off the Cayley table's diagonal): exactly on a
@@ -135,7 +137,7 @@ def _modulus(z: complex) -> float:
     return math.hypot(z.real, z.imag)
 
 
-def _numeric_combination(pairs, n: int) -> complex:
+def _numeric_combination(pairs, n: complex) -> complex:
     """n + sum c z over the (integer c, number z) pairs, summed in order."""
     return sum((c * z for c, z in pairs), n)
 
@@ -339,16 +341,13 @@ def verify_fixed_point_numeric(generators, Z) -> float:
 CHARACTER_TOL = 1e-6
 
 
-def _analytic_trace(R: IntMatrix, Z, one):
-    """tr(C Z + D) for the lower blocks C, D of R; `one` is the unit of Z's
-    entries."""
+def _analytic_trace(R: IntMatrix, Z, combine=_numeric_combination, one=1 + 0j):
+    """tr(C Z + D) for the lower blocks C, D of R, by `_affine`'s `combine`:
+    the pairs (C[i][j], Z[j][i]) in (i, j) order, summed onto tr D times
+    `one`, the unit its sum starts from."""
     g = len(Z)
-    t = sum(R[g + i][g + i] for i in range(g)) * one
-    for i in range(g):
-        for j, c in enumerate(R[g + i][:g]):
-            if c:
-                t = t + c * Z[j][i]
-    return t
+    pairs = [(c, Z[j][i]) for i in range(g) for j, c in enumerate(R[g + i][:g]) if c]
+    return combine(pairs, sum(R[g + i][g + i] for i in range(g)) * one)
 
 
 def _constant(p: CycloPoly) -> Cyclotomic:
@@ -372,11 +371,11 @@ def character_dimension(generators, point) -> int:
     Gm, elems, _ = matrix_group(generators)
     exact = isinstance(point, PolyMatrix)
     if exact:
-        one = CycloPoly.constant(point.entries[0][0].nvars, Cyclotomic.one(4))
-        chi = [_constant(_analytic_trace(R, point.entries, one)) for R in elems]
+        combine = partial(CycloPoly.combination, point.entries[0][0].nvars)
+        chi = [_constant(_analytic_trace(R, point.entries, combine, 1)) for R in elems]
     else:
         Z = _complex_matrix(point)
-        chi = [_analytic_trace(R, Z, 1 + 0j) for R in elems]
+        chi = [_analytic_trace(R, Z) for R in elems]
     total = sum(c * c + chi[Gm.cayley[i][i]] for i, c in enumerate(chi))
     if exact:
         avg = total.rational_value() / (2 * len(elems)) if total.is_rational() else None

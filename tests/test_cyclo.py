@@ -278,10 +278,10 @@ def _triples(p: CycloPoly):
     return [(e, c.m, c.num, c.den) for e, c in p.terms]
 
 
-def test_integer_scaling_and_combinations_keep_the_products_in_q_i():
-    """`CycloPoly * int` and `CycloPoly.combination` scale numerators with no
-    product formed.  Each coefficient is still the reduced (m, num, den) of
-    the product with the integer taken in Q(i): conductor 4 for a rational
+def test_integer_combinations_keep_the_products_in_q_i():
+    """`CycloPoly.combination` scales numerators with no product formed.
+    Each coefficient is still the reduced (m, num, den) of the sum of
+    products with the integers taken in Q(i): conductor 4 for a rational
     coefficient of conductor 2."""
     rng = random.Random(29)
     for _ in range(60):
@@ -291,10 +291,7 @@ def test_integer_scaling_and_combinations_keep_the_products_in_q_i():
             exps = [tuple(rng.randint(0, 1) for _ in range(nv)) for _ in range(3)]
             return CycloPoly.make(nv, {e: rand_cyc(rng, m) for e in exps})
 
-        p = poly(rng.choice((2, 4, 8)))
-        k = rng.randint(-6, 6)
-        assert _triples(p * k) == _triples(p * Cyclotomic.from_rational(k, 4))
-        pairs = [(rng.choice((-3, -1, 1, 2, 5)), poly(4)) for _ in range(rng.randint(0, 3))]
+        pairs = [(rng.choice((-3, -1, 1, 2, 5)), poly(rng.choice((2, 4, 8)))) for _ in range(rng.randint(0, 3))]
         const = rng.randint(-2, 2)
         expect = CycloPoly.constant(nv, Cyclotomic.from_rational(const, 4))
         for c, q in pairs:
