@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .groups import (
-    BudgetExceeded, GroupError, build_named, build_quaternion, named_subgroups, subgroup_by_label,
+    BudgetExceeded, GroupError, build_named, build_quaternion, named_subgroups, read_int, subgroup_by_label,
 )
 
 if TYPE_CHECKING:
@@ -46,11 +46,11 @@ def _parse_signature(text: str) -> Signature:
     from .actions import Signature
 
     head, _, tail = text.partition(":")
-    return Signature(int(head), tuple(int(k) for k in tail.split(",") if k))
+    return Signature(read_int(head, "--signature"), _parse_ints(tail, "--signature"))
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v != "")
+def _parse_ints(text: str, field: str) -> tuple[int, ...]:
+    return tuple(read_int(v, field) for v in text.split(",") if v != "")
 
 
 # each sigma_b witness holds b + 3 names, so the census's time, memory and
@@ -161,7 +161,7 @@ def cmd_decompose(args) -> tuple[int, dict]:
     else:
         if args.a is None or args.b is None:
             raise ValueError("decompose needs either --ske or both --a and --b")
-        mv = MultiplicityVector(args.n, _parse_ints(args.a), _parse_ints(args.b))
+        mv = MultiplicityVector(args.n, _parse_ints(args.a, "--a"), _parse_ints(args.b, "--b"))
         source = {}
     table = factor_dimensions(mv)
     trivial = is_trivial_decomposition(mv)

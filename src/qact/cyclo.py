@@ -1,7 +1,9 @@
-"""Exact arithmetic in 2-power cyclotomic fields, sparse polynomials over them,
-integer combinations of polynomials and the product of polynomial matrices
-(the two operations the exact fixed-family check needs: `siegel` applies the
-integer blocks of a symplectic matrix to a family's entries with the first).
+"""Exact arithmetic in 2-power cyclotomic fields and sparse polynomials over
+them.  Polynomial arithmetic comes from two primitives, each summing into one
+term dict: `CycloPoly.combination` (sum c p, c an integer), behind `+` and
+`-` and the integer blocks of a symplectic matrix that `siegel` applies to a
+family's entries, and `CycloPoly.dot` (sum p q), behind `*` and each entry of
+a `PolyMatrix` product.
 
 An element of Q(zeta_m), m a power of two, is the residue class of
 sum c_j zeta^j modulo zeta^(m/2) = -1, stored as m/2 integer numerators over
@@ -381,18 +383,13 @@ class CycloPoly(_Frozen):
         return not self.terms
 
     def __add__(self, other: CycloPoly) -> CycloPoly:
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        out = self.termdict()
-        for e, c in other.terms:
-            out[e] = out[e] + c if e in out else c
-        return CycloPoly.make(self.nvars, out)
+        return CycloPoly.combination(self.nvars, [(1, self), (1, other)])
 
     def __neg__(self) -> CycloPoly:
-        return CycloPoly(self.nvars, tuple((e, -c) for e, c in self.terms))
+        return CycloPoly.combination(self.nvars, [(-1, self)])
 
     def __sub__(self, other: CycloPoly) -> CycloPoly:
-        return self + (-other)
+        return CycloPoly.combination(self.nvars, [(1, self), (-1, other)])
 
     @staticmethod
     def combination(nvars: int, pairs, constant: int = 0) -> CycloPoly:
@@ -404,27 +401,34 @@ class CycloPoly(_Frozen):
         if constant:
             acc[(0,) * nvars] = Cyclotomic.from_rational(constant, 4)
         for c, p in pairs:
+            if p.nvars != nvars:
+                raise ValueError("variable count mismatch")
             for e, x in p.terms:
                 y = _scaled(x, c)
                 acc[e] = acc[e] + y if e in acc else y
         return CycloPoly.make(nvars, acc)
 
+    @staticmethod
+    def dot(nvars: int, pairs) -> CycloPoly:
+        """sum p q over the (CycloPoly p, CycloPoly q) pairs, summed in one
+        term dict and made once."""
+        acc: dict[tuple[int, ...], Cyclotomic] = {}
+        for p, q in pairs:
+            if p.nvars != nvars or q.nvars != nvars:
+                raise ValueError("variable count mismatch")
+            for e1, c1 in p.terms:
+                for e2, c2 in q.terms:
+                    e = tuple(map(add, e1, e2))
+                    prod = c1 * c2
+                    acc[e] = acc[e] + prod if e in acc else prod
+        return CycloPoly.make(nvars, acc)
+
     def __mul__(self, other) -> CycloPoly:
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            if isinstance(other, (int, Fraction)):
-                other = Cyclotomic.from_rational(other, 4)
-            return CycloPoly.make(
-                self.nvars, {e: c * other for e, c in self.terms}
-            )
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        out: dict[tuple[int, ...], Cyclotomic] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                out[e] = out[e] + prod if e in out else prod
-        return CycloPoly.make(self.nvars, out)
+        if isinstance(other, (int, Fraction)):
+            other = Cyclotomic.from_rational(other, 4)
+        if isinstance(other, Cyclotomic):
+            other = CycloPoly.constant(self.nvars, other)
+        return CycloPoly.dot(self.nvars, [(self, other)])
 
     __rmul__ = __mul__
 
@@ -453,17 +457,4 @@ class PolyMatrix(_Frozen):
             raise ValueError("shape mismatch in product")
         nv = self.entries[0][0].nvars if self.rows else 0
         columns = list(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            out_row = []
-            for col in columns:
-                acc: dict[tuple[int, ...], Cyclotomic] = {}
-                for p, q in zip(row, col):
-                    for e1, c1 in p.terms:
-                        for e2, c2 in q.terms:
-                            e = tuple(map(add, e1, e2))
-                            prod = c1 * c2
-                            acc[e] = acc[e] + prod if e in acc else prod
-                out_row.append(CycloPoly.make(nv, acc))
-            out.append(out_row)
-        return PolyMatrix.make(out)
+        return PolyMatrix.make([[CycloPoly.dot(nv, zip(row, col)) for col in columns] for row in self.entries])

@@ -13,17 +13,17 @@ construction.  Each catalogue group is built once per parameter value and
 shared, because skes and the group-keyed caches compare groups by identity.
 
 Generic machinery (closures, conjugacy classes, the action on cosets, and one
-generator-image search that yields both the automorphism group and
-isomorphisms) works on the table alone and is brute force; that is entirely
-adequate at order <= 64.  The center and the commutator subgroup are found
-from the generators, not from all |G|^2 pairs.  There are two shortcuts.
-Maximal subgroups of 2-groups are the kernels of the maps onto C2 (the tests
-check them against a brute-force subgroup lattice): a set generates a 2-group
-exactly when it lies in no maximal subgroup, which is how the isomorphism
-search picks its generating tuple.  Aut(Q(2^n)) for n >= 4 is written down in
-closed form (the tests check it against the search).  The dihedral groups D_m
-with m not a power of two are the only non-2-groups here; `maximal_subgroups`,
-`automorphisms` and `find_isomorphism` reject them.
+generator-image search for isomorphisms) works on the table alone and is
+brute force; that is entirely adequate at order <= 64.  The center and the
+commutator subgroup are found from the generators, not from all |G|^2 pairs.
+There are two shortcuts.  Maximal subgroups of 2-groups are the kernels of
+the maps onto C2 (the tests check them against a brute-force subgroup
+lattice): a set generates a 2-group exactly when it lies in no maximal
+subgroup, which is how the isomorphism search picks its generating tuple.
+Aut(Q(2^n)) is read off the presentation at every n >= 3 (the tests check it
+against the search).  The dihedral groups D_m with m not a power of two are
+the only non-2-groups here; `maximal_subgroups` and `find_isomorphism`
+reject them.  Integers read from input pass one digit check, `read_int`.
 """
 
 from __future__ import annotations
@@ -36,10 +36,19 @@ MAX_ORDER = 64
 # the largest n with 2^n <= MAX_ORDER: a range check compares exponents, so a
 # huge n is refused without forming 2^n
 MAX_N = MAX_ORDER.bit_length() - 1
+# no interpreter may be set to convert fewer digits (`sys.set_int_max_str_digits`)
+MAX_DIGITS = 640
 
 
 class GroupError(ValueError):
     """Invalid parameter or malformed group data."""
+
+
+def read_int(text: str, field: str) -> int:
+    """`int(text)`, refused naming `field` when it has more than MAX_DIGITS digits."""
+    if sum(map(str.isdigit, text)) > MAX_DIGITS:
+        raise GroupError(f"{field}: a number has more than {MAX_DIGITS} digits")
+    return int(text)
 
 
 class BudgetExceeded(RuntimeError):
@@ -213,7 +222,7 @@ class FiniteGroup:
                 continue
             if "^" in part:
                 sym, _, exp = part.partition("^")
-                k = int(exp)
+                k = read_int(exp, f"the exponent of {sym} in {self.name}")
             else:
                 sym, k = part, 1
             if sym not in letters:
@@ -560,7 +569,7 @@ def _quaternion_order(key: str) -> int | None:
         return None
     if len(digits.lstrip("0")) > len(str(MAX_ORDER)):
         raise GroupError(f"{key}: order exceeds supported maximum {MAX_ORDER}")
-    return int(digits)
+    return int(digits.lstrip("0") or "0")
 
 
 def build_named(name: str, n: int | None = None, m: int | None = None) -> FiniteGroup:
@@ -760,19 +769,18 @@ def _isomorphisms(G: FiniteGroup, H: FiniteGroup):
 
 
 def automorphisms(G: FiniteGroup) -> list[tuple[int, ...]]:
-    """The full automorphism group, each member as a permutation tuple.
-
-    For n >= 4, Aut(Q(2^n)) is {x -> x^u, y -> x^b y : u odd}, of order
-    2^(2n-3): it sends x^a y^e, index 2a + e, to x^(ua + eb) y^e, and the
-    list is sorted.  Every other group, Q8 among them, is searched."""
-    if G.kind == "quaternion" and G.params["n"] >= 4:
-        half = G.order // 2
-        return sorted(
-            tuple(2 * ((u * a + e * b) % half) + e for a in range(half) for e in (0, 1))
-            for u in range(1, half, 2)
-            for b in range(half)
-        )
-    return [tuple(m) for m in _isomorphisms(G, G)]
+    """Aut(Q(2^n)), n >= 3, read off the presentation as sorted permutation
+    tuples: x -> X, y -> Y extends to an automorphism exactly when X has
+    order 2^(n-1) and Y order 4 outside <X>, and sends x^a y^e (index 2a + e)
+    to X^a Y^e.  GroupError for any other group."""
+    if G.kind != "quaternion":
+        raise GroupError(f"automorphisms are written for Q(2^n) only, not {G.name}")
+    c, half = G.cayley, G.order // 2
+    out = []
+    for X in (g for g in G if G.orders[g] == half):
+        powers = [G.power(X, a) for a in range(half)]
+        out += (tuple(g for p in powers for g in (p, c[p][Y])) for Y in G if G.orders[Y] == 4 and Y not in powers)
+    return sorted(out)
 
 
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> list[int] | None:

@@ -10,7 +10,8 @@ the orbit of Theta_1 carries Schur index two.
 Class functions are stored by value on a canonical list of conjugacy-class
 representatives: x^a for a = 0 .. 2^(n-2), then y, then x*y.  Elements are
 in the lexicographic normal-form order of `groups._materialize`, so element
-i is x^a y^e with (a, e) = divmod(i, 2).
+i is x^a y^e with (a, e) = divmod(i, 2), and `class_data` reads the classes
+off that normal form (the tests compare `FiniteGroup.conjugacy_classes`).
 
 Fixed-space dimensions dim V^K = <Res_K V, 1> (Serre, *Linear
 Representations of Finite Groups*, 1977, Sec. 2) come in integers from the
@@ -45,18 +46,15 @@ class ClassData(NamedTuple):
 
 @lru_cache(maxsize=None)
 def class_data(n: int) -> ClassData:
+    """The classes read off the normal form: x^a is conjugate to x^-a alone,
+    and x^a y to x^b y when a = b mod 2 (x^b y x^-b = x^(2b) y)."""
     G = build_quaternion(n)
-    quarter = 2 ** (n - 2)
-    x, y = G.generators
-    reps = [G.power(x, a) for a in range(quarter + 1)] + [y, G.cayley[x][y]]
-    rep_class = {r: c for c, r in enumerate(reps)}
-    class_of = [0] * G.order
-    sizes = [0] * len(reps)
-    for cls in G.conjugacy_classes():
-        c = next(rep_class[g] for g in cls if g in rep_class)
-        sizes[c] = len(cls)
-        for g in cls:
-            class_of[g] = c
+    half = G.order // 2
+    quarter = half // 2
+    reps = [2 * a for a in range(quarter + 1)] + [1, 3]
+    # element 2a is x^a and element 2a + 1 is x^a y
+    class_of = [c for a in range(half) for c in (min(a, half - a), quarter + 1 + a % 2)]
+    sizes = [class_of.count(c) for c in range(len(reps))]
     return ClassData(G, tuple(reps), tuple(sizes), tuple(class_of))
 
 

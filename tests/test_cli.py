@@ -7,7 +7,7 @@ import pytest
 import qact.curves
 from qact.cli import build_parser, main
 from qact.actions import Signature, Ske, extension_data, family_representative
-from qact.groups import MAX_ORDER, build_named, build_quaternion
+from qact.groups import MAX_DIGITS, MAX_ORDER, build_named, build_quaternion
 from qact.siegel import fixture_checksum, mat_mul, symplectic_form
 
 
@@ -83,10 +83,39 @@ def test_a_q_name_with_long_or_non_ascii_digits_names_the_group(capsys, name, me
     assert captured.err.splitlines() == [f"error: {message}"]
 
 
-def test_a_zero_padded_q_name_is_its_group(capsys):
-    code, rep = run_json(capsys, "groups", "--name", "Q064")
+@pytest.mark.parametrize("name, order", [("Q064", 64), ("Q" + "0" * 5000 + "16", 16)], ids=["Q064", "5000-zeros"])
+def test_a_zero_padded_q_name_is_its_group(capsys, name, order):
+    code, rep = run_json(capsys, "groups", "--name", name)
     assert code == 0
-    assert rep["results"]["order"] == 64
+    assert rep["results"]["order"] == order
+
+
+LONG_NUMBER = "1" * 5000
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["classify", "--n", "4", "--signature", f"0:4,4,{LONG_NUMBER}"], "--signature"),
+    (["decompose", "--n", "4", "--a", f"1,0,0,{LONG_NUMBER}", "--b", "1,1,1"], "--a"),
+], ids=["signature", "multiplicities"])
+def test_a_number_longer_than_max_digits_names_its_field(capsys, argv, field):
+    """One digit check refuses what `int` would refuse with the
+    interpreter's own message."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {field}: a number has more than {MAX_DIGITS} digits"]
+
+
+def test_a_ske_element_with_a_long_exponent_names_it(tmp_path, capsys):
+    data = family_representative(4, "F1").to_json()
+    data["elliptic"][0] = f"x^{LONG_NUMBER}"
+    path = tmp_path / "ske.json"
+    path.write_text(json.dumps(data))
+    code = main(["quotient", "--ske", str(path), "--subgroup", "Z"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == [f"error: the exponent of x in Q16: a number has more than {MAX_DIGITS} digits"]
 
 
 @pytest.mark.parametrize("name, message", [BAD_Q_NAMES[0], BAD_Q_NAMES[3]], ids=["5000-digits", "superscript"])

@@ -304,6 +304,8 @@ def test_poly_eval_consistency():
     t = _t_poly()
     one = CycloPoly.constant(1, Cyclotomic.one(4))
     p = (t - one) * (t + one)
+    q = -p * 3 + t * Cyclotomic.gauss(0, 1)
     for _ in range(20):
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         assert abs(poly_eval(p, [z]) - (z * z - 1)) < 1e-12
+        assert abs(poly_eval(q, [z]) - (3 - 3 * z * z + 1j * z)) < 1e-12

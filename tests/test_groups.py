@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 
 import pytest
 
@@ -271,23 +272,26 @@ def test_identity_automorphism_and_composition_closure():
         assert tuple(a[b[i]] for i in range(G.order)) in perms
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_automorphisms_are_the_closed_form_family(n):
-    """For n >= 4, Aut(Q(2^n)) is x -> x^u, y -> x^v y with u odd: it sends
-    x^a y^e (index 2a + e) to x^(au + ve) y^e.  `automorphisms` writes it
-    down in closed form; the generator-image search gives the same list."""
+    """`automorphisms` reads Aut(Q(2^n)) off the presentation, sorted, and
+    the generator-image search gives the same set: 24 maps at n = 3.  For
+    n >= 4 it is x -> x^u, y -> x^v y with u odd, which sends x^a y^e
+    (index 2a + e) to x^(au + ve) y^e, written here independently."""
     G = build_quaternion(n)
-    half = 2 ** (n - 1)
-    closed = {
-        tuple(2 * ((a * u + v * e) % half) + e for a in range(half) for e in (0, 1))
-        for u in range(1, half, 2)
-        for v in range(half)
-    }
     auts = automorphisms(G)
-    assert len(auts) == len(closed) == 2 ** (2 * n - 3)
-    assert set(auts) == closed
-    assert auts == [tuple(m) for m in _isomorphisms(G, G)]
+    assert auts == sorted(auts)
+    assert len(auts) == (24 if n == 3 else 2 ** (2 * n - 3))
+    assert set(auts) == {tuple(m) for m in _isomorphisms(G, G)}
     assert find_isomorphism(G, G) in map(list, auts)
+    if n >= 4:
+        half = 2 ** (n - 1)
+        closed = {
+            tuple(2 * ((a * u + v * e) % half) + e for a in range(half) for e in (0, 1))
+            for u in range(1, half, 2)
+            for v in range(half)
+        }
+        assert set(auts) == closed
 
 
 def test_x_to_x_y_to_xy_is_automorphism():
@@ -614,16 +618,20 @@ def test_generating_tuple_is_the_first_generating_combination():
 def test_generating_tuple_of_the_trivial_group_is_empty():
     T = FiniteGroup("1", ["1"], [[0]], [])
     assert _generating_tuple(T) == []
-    assert automorphisms(T) == [(0,)]
+    assert [tuple(m) for m in _isomorphisms(T, T)] == [(0,)]
 
 
 def test_automorphism_search_needs_a_2_group():
     """The generating tuple is found through the maximal subgroups, so the
-    search rejects a group whose order is not a power of two."""
+    search rejects a group whose order is not a power of two;
+    `automorphisms` refuses every group but Q(2^n)."""
     D3 = build_dihedral(3)
     with pytest.raises(GroupError, match="2-groups only, not D3"):
-        automorphisms(D3)
+        next(_isomorphisms(D3, D3))
     with pytest.raises(GroupError, match="2-groups only, not D3"):
         find_isomorphism(D3, build_dihedral(3))
     # the invariant rejects come first: a non-2-group is not isomorphic to Q8
     assert find_isomorphism(D3, build_quaternion(3)) is None
+    for G in (D3, build_dihedral(4), build_named("QD16"), build_named("G1", n=3)):
+        with pytest.raises(GroupError, match=rf"Q\(2\^n\) only, not {re.escape(G.name)}"):
+            automorphisms(G)

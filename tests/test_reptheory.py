@@ -59,6 +59,20 @@ def test_class_count_matches_irreducibles():
         assert len(class_data(n).reps) == 2 ** (n - 2) + 3
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_class_data_is_the_conjugacy_partition(n):
+    """The classes read off the normal form are `conjugacy_classes`, each
+    labelled by the class of its representative and sized by its count."""
+    cd = class_data(n)
+    G = cd.group
+    classes = G.conjugacy_classes()
+    for c, r in enumerate(cd.reps):
+        cls = next(cls for cls in classes if r in cls)
+        assert tuple(g for g in G if cd.class_of[g] == c) == cls
+        assert cd.sizes[c] == len(cls)
+    assert len(cd.reps) == len(classes)
+
+
 def test_rational_irreducibles_constituents():
     rats4 = {r.label: r for r in rational_irreducibles(4)}
     assert rats4["W1"].constituents == ("theta1", "theta3")

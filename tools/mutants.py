@@ -11,7 +11,8 @@ never written.
 
 Usage: python3 tools/mutants.py [NAME ...]   (default: every mutant)
 Exit status: 0 every mutant killed, 1 a mutant survived, 2 a patch or a test
-id no longer applies.
+id no longer applies.  A mutant that makes a named test's module fail to
+import counts as killed.
 """
 
 from __future__ import annotations
@@ -118,11 +119,52 @@ MUTANTS = [
         ("tests/test_actions.py::test_exhaustive_scan_reports_the_first_20_mismatches",),
     ),
     Mutant(
+        # X = x^u for every residue u, not only the odd ones, which have
+        # order 2^(n-1)
         "closed-form-aut-lets-u-run-over-even-residues",
         "groups.py",
-        "            for u in range(1, half, 2)\n",
-        "            for u in range(half)\n",
+        "    for X in (g for g in G if G.orders[g] == half):\n",
+        "    for X in (g for g in G if g % 2 == 0):\n",
         ("tests/test_groups.py::test_automorphisms_are_the_closed_form_family",),
+    ),
+    Mutant(
+        "aut-lets-y-map-into-the-image-of-x",
+        "groups.py",
+        " for Y in G if G.orders[Y] == 4 and Y not in powers)\n",
+        " for Y in G if G.orders[Y] == 4)\n",
+        ("tests/test_groups.py::test_automorphisms_are_the_closed_form_family",),
+    ),
+    Mutant(
+        # every catalogue group fails its relations, so tests/test_groups.py
+        # fails to import: pytest exits 4, which counts as killed
+        "materialize-takes-the-wrong-generators",
+        "groups.py",
+        "    return FiniteGroup(name, names, cayley, right[0], relations, kind, params)\n",
+        "    return FiniteGroup(name, names, cayley, right[1], relations, kind, params)\n",
+        ("tests/test_groups.py::test_quaternion_basics",),
+    ),
+    Mutant(
+        "class-data-swaps-the-parities-of-x-a-y",
+        "reptheory.py",
+        "(min(a, half - a), quarter + 1 + a % 2)]\n",
+        "(min(a, half - a), quarter + 2 - a % 2)]\n",
+        ("tests/test_reptheory.py::test_class_data_is_the_conjugacy_partition",
+         "tests/test_reptheory.py::test_rep_matrices_match_characters"),
+    ),
+    Mutant(
+        "dot-drops-the-left-exponent",
+        "cyclo.py",
+        "                    e = tuple(map(add, e1, e2))\n",
+        "                    e = e2\n",
+        ("tests/test_cyclo.py::test_poly_matrix_products_and_symmetry",
+         "tests/test_cyclo.py::test_poly_eval_consistency"),
+    ),
+    Mutant(
+        "negation-keeps-the-sign",
+        "cyclo.py",
+        "        return CycloPoly.combination(self.nvars, [(-1, self)])\n",
+        "        return CycloPoly.combination(self.nvars, [(1, self)])\n",
+        ("tests/test_cyclo.py::test_poly_eval_consistency",),
     ),
     Mutant(
         "arrangements-repeat-an-ordering",
@@ -530,10 +572,13 @@ def run(mutant: Mutant) -> str:
             cwd=dest, env=env, capture_output=True, text=True,
         )
     # pytest exits 1 when a test failed and 2 when collection failed (the
-    # mutant broke an import); 4 and 5 mean the tests were not found.
+    # mutant broke an import).  It exits 4 both when a named test is not
+    # found and when the module holding it failed to import; only the second
+    # prints "ERROR collecting", and tier-1 checks that every named test
+    # exists.  5 means no test was collected.
     if proc.returncode == 0:
         return "survived"
-    if proc.returncode in (1, 2):
+    if proc.returncode in (1, 2) or (proc.returncode == 4 and "ERROR collecting" in proc.stdout):
         return "killed"
     raise ValueError(f"mutant {mutant.name}: pytest exited {proc.returncode}\n{proc.stdout}{proc.stderr}")
 
