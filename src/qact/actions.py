@@ -22,10 +22,11 @@ order with the last slot solved from the long relation, an order filter per
 slot and a maximal-subgroup bitmask for the surjectivity check.  With the
 chain's orbit minima it yields each Aut-class's lex-least member, which is
 what `classify` searches on; with the chain off it yields every valid tuple,
-which only the scan's mismatch listing asks for.  Counting needs no walk: a
-transfer-matrix DP carries the number of prefixes per (running product,
-mask) state (`count_valid_tuples`), and the counter checks that the classes
-hold every valid ske.
+which only the scan's mismatch listing asks for.  Counting needs no walk
+and no group: `count_valid_tuples` is an integer formula in n, the
+class-multiplication count from the characters of Q(2^n) and its subgroups
+over Phi, combined by Hall's Moebius inversion, and the count checks that
+the classes hold every valid ske.
 """
 
 from __future__ import annotations
@@ -82,10 +83,6 @@ class Signature(_SignatureFields):
         from fractions import Fraction
 
         return 2 * self.gamma - 2 + sum(Fraction(k - 1, k) for k in self.periods)
-
-    def dimension(self) -> int:
-        """Complex dimension 3*gamma - 3 + l of the corresponding family."""
-        return 3 * self.gamma - 3 + len(self.periods)
 
     def sorted_periods(self) -> tuple[int, ...]:
         return tuple(sorted(self.periods))
@@ -279,41 +276,85 @@ def _order_buckets(G: FiniteGroup, periods, max_candidates: int | None) -> list[
     return buckets
 
 
-@lru_cache(maxsize=None)
-def _prefix_states(G: FiniteGroup, periods: tuple[int, ...]) -> dict[tuple[int, int], int]:
-    """The number of tuples with the given exact orders per state (product,
-    AND of their `_maximal_masks`).  Cached per prefix: signatures met in
-    lex order share theirs."""
-    masks, full = _maximal_masks(G)
-    if not periods:
-        return {(0, full): 1}
-    cayley = G.cayley
-    bucket = _elements_by_order(G).get(periods[-1], ())
-    out: dict[tuple[int, int], int] = {}
-    for (pr, mk), count in _prefix_states(G, periods[:-1]).items():
-        row = cayley[pr]
-        for g in bucket:
-            key = (row[g], mk & masks[g])
-            out[key] = out.get(key, 0) + count
-    return out
+def _exact(num: int, den: int) -> int:
+    """num / den, which must be an integer."""
+    q, r = divmod(num, den)
+    if r:
+        raise RuntimeError(f"ske count {num}/{den} is not an integer")
+    return q
 
 
-def count_valid_tuples(G: FiniteGroup, periods) -> int:
-    """The number of valid tuples with these exact orders, the tuples
-    `_class_tuples(G, periods, chain=False)` yields, without generating
-    them: a transfer-matrix DP over (running product, mask), the last slot
-    solved from the long relation."""
-    periods = tuple(periods)
-    if len(periods) < 2:
+def _ramanujan(k: int, v: int, N: int) -> int:
+    """The sum of psi_t, x -> zeta_N^t, over the elements of order k of C_N
+    = <x> (N a power of 2), for any t of 2-adic valuation v (v = log2 N for
+    t = 0): the Ramanujan sum c_k(t), which is k/2 when k | t, -k/2 when
+    k/2 exactly divides t, and 0 otherwise or when k does not divide N."""
+    if N % k:
         return 0
-    masks, _ = _maximal_masks(G)
-    k_last = periods[-1]
-    total = 0
-    for (pr, mk), count in _prefix_states(G, periods[:-1]).items():
-        last = G.inv[pr]
-        if G.orders[last] == k_last and not mk & masks[last]:
-            total += count
-    return total
+    if k <= 1 << v:
+        return k // 2
+    if k == 2 << v:
+        return -(k // 2)
+    return 0
+
+
+def _ramanujan_product(N: int, v: int, mult: dict[int, int]) -> int:
+    """`_ramanujan` multiplied over the slots, given as {period: slots}."""
+    return math.prod(_ramanujan(k, v, N) ** e for k, e in mult.items())
+
+
+def _cyclic_count(N: int, gamma: int, mult: dict[int, int]) -> int:
+    """`_quaternion_count` for C_N: N^(2 gamma - 1) times the sum over the
+    characters psi_t, grouped by the valuation v of t (N/2^(v+1) residues
+    for v < log2 N, and t = 0)."""
+    r = N.bit_length() - 1
+    z = _ramanujan_product(N, r, mult)
+    z += sum((N >> (v + 1)) * _ramanujan_product(N, v, mult) for v in range(r))
+    return _exact(N ** (2 * gamma) * z, N)
+
+
+def _quaternion_count(m: int, gamma: int, mult: dict[int, int]) -> int:
+    """The tuples (a_1, b_1, .., a_gamma, b_gamma, c_1..c_s) of Q(2^m), c_i of
+    the given orders, with prod [a_i, b_i] prod c_i = 1, by the
+    class-multiplication formula |H|^(2 gamma - 1) sum over chi of
+    chi(1)^(2 - 2 gamma - s) prod sigma_chi(k_i), sigma_chi(k) the sum of chi
+    over the elements of order k (G. A. Jones, Enumeration of homomorphisms
+    and surface-coverings, Quart. J. Math. 46, 1995).  With M = 2^(m-1) =
+    |<x>|, the characters are:
+      - x -> -1, y -> +-1: psi_(M/2) on <x>, 0 summed over the x^a y;
+      - x -> 1, y -> +-1: psi_0 on <x>, and the M elements x^a y, all of
+        order 4, add +-M at k = 4;
+      - Theta_t, t = 1 .. M/2 - 1, of degree 2: psi_t + psi_-t on <x>, 0 off
+        it, so sigma = 2 c_k(t); M/2^(v+2) of those t have valuation v.
+    At m = 2 there is no Theta_t and the four characters are C4's."""
+    s = sum(mult.values())
+    M = 1 << (m - 1)
+    r = m - 1
+    linear = 2 * _ramanujan_product(M, r - 1, mult)
+    for d in (M, -M):
+        linear += math.prod((_ramanujan(k, r, M) + (d if k == 4 else 0)) ** e for k, e in mult.items())
+    theta = 2 ** s * sum((M >> (v + 2)) * _ramanujan_product(M, v, mult) for v in range(r - 1))
+    # 1 / chi(1)^(2 - 2 gamma - s) at chi(1) = 2 clears the denominator
+    lift = 2 ** (2 * gamma + s - 2)
+    return _exact((2 * M) ** (2 * gamma) * (lift * linear + theta), 2 * M * lift)
+
+
+def count_valid_tuples(n: int, sig: Signature) -> int:
+    """The number of valid skes of Q(2^n) with signature sig: the tuples
+    `_class_tuples(G, sig.periods, chain=False)` yields for gamma = 0, and
+    the generating triples of `_genus_one_classes`' equation for gamma = 1,
+    computed from n alone.  A tuple generates Q(2^n) iff it lies in no
+    maximal subgroup, and each of those contains Phi = <x^2> with quotient
+    C2^2, so Hall's Moebius inversion has five terms (P. Hall, The Eulerian
+    functions of a group, 1936): G with weight 1, <x> and the two
+    Q(2^(n-1)) <x^2, y>, <x^2, x y> (C4 at n = 3) with weight -1, and Phi
+    with weight 2.  The count does not depend on the order of the periods."""
+    if 2 * sig.gamma + len(sig.periods) < 2:
+        return 0
+    mult = {k: sig.periods.count(k) for k in set(sig.periods)}
+    gamma = sig.gamma
+    return (_quaternion_count(n, gamma, mult) - _cyclic_count(2 ** (n - 1), gamma, mult)
+            - 2 * _quaternion_count(n - 1, gamma, mult) + 2 * _cyclic_count(2 ** (n - 2), gamma, mult))
 
 
 # ---------------------------------------------------------------------------
@@ -462,19 +503,15 @@ def _class_tuples(G: FiniteGroup, periods: tuple[int, ...], max_candidates: int 
     yield from walk(0, (), 0, full, frozenset() if chain else None)
 
 
-def _genus_one_classes(G: FiniteGroup, k: int, chain: bool = True):
+def _genus_one_classes(G: FiniteGroup, k: int):
     """The triples (a, b, g) with [a, b] g = 1, ord(g) = k and <a, b> = G
     that are their own `_canon` form: a least in its Aut-orbit, b least in
     its Stab(a)-orbit, and g forced by the long relation, which
     Stab(a) n Stab(b) fixes.  The argument of `_class_tuples` applies with
-    two free slots.  With `chain` off a and b run over all of G, and the
-    walk yields every such triple, in lex order."""
+    two free slots."""
     masks, _ = _maximal_masks(G)
-    elements = range(G.order)
-    least_a = _pointwise_stabilizer(G, frozenset())[1] if chain else elements
-    for a in sorted(least_a):
-        least_b = _pointwise_stabilizer(G, frozenset({a}))[1] if chain else elements
-        for b in sorted(least_b):
+    for a in sorted(_pointwise_stabilizer(G, frozenset())[1]):
+        for b in sorted(_pointwise_stabilizer(G, frozenset({a}))[1]):
             if not masks[a] & masks[b]:
                 g = G.inv[G.commutator(a, b)]
                 if G.orders[g] == k:
@@ -490,9 +527,10 @@ def classify(G: FiniteGroup, sig: Signature, max_candidates: int = 5_000_000) ->
     orbit minima of one stabilizer chain (`_pointwise_stabilizer`, whose
     first level gives |Aut|) build those members directly (`_class_tuples`
     per period arrangement, `_genus_one_classes`).  The valid skes are
-    counted apart from the chain, by `count_valid_tuples` per arrangement or by
-    `_genus_one_classes` with the chain off, and the count must be |Aut|
-    times the classes.  The orbit search runs on the classes, and an orbit's
+    counted apart from the chain, by `count_valid_tuples`, once for the
+    signature and times the number of arrangements walked, since the count
+    does not depend on the order of the periods; it must be |Aut| times the
+    classes.  The orbit search runs on the classes, and an orbit's
     representative, its least ske, is its least class.  The period
     arrangements are walked lazily, each after its budget check, so the
     budget refuses before they are all listed; for gamma 1 the candidates
@@ -503,17 +541,17 @@ def classify(G: FiniteGroup, sig: Signature, max_candidates: int = 5_000_000) ->
     moves = _orbit_moves(G, sig)
     nodes = set()
     if sig.gamma == 0:
-        total = 0
+        arrangements = 0
         for arrangement in _arrangements(sig.periods):
             nodes.update(_class_tuples(G, arrangement, max_candidates))
-            total += count_valid_tuples(G, arrangement)
+            arrangements += 1
         node_of = lambda t: Ske(G, Signature(0, tuple(G.orders[g] for g in t)), (), t)
     else:
-        k = sig.periods[0]
+        arrangements = 1
         _check_budget(G.order ** 2, max_candidates)
-        nodes.update(_genus_one_classes(G, k))
-        total = sum(1 for _ in _genus_one_classes(G, k, chain=False))
+        nodes.update(_genus_one_classes(G, sig.periods[0]))
         node_of = lambda t: Ske(G, sig, (t[0], t[1]), (t[2],))
+    total = arrangements * count_valid_tuples(G.params["n"], sig)
     auts = _pointwise_stabilizer(G, frozenset())[0]
     if total != len(auts) * len(nodes):
         raise RuntimeError(f"{total} valid skes do not fill {len(nodes)} classes of {len(auts)}")
@@ -688,8 +726,8 @@ def genus_zero_exhaustive_scan(n: int, max_periods: int = 7) -> GenusZeroScan:
     element's cycle count on G/Z depends on its order alone (checked by
     `_z_cycles_by_order`), so that genus, and the verdict, are computed once
     per signature.  Each signature's skes are counted by
-    `count_valid_tuples`, not generated; only a mismatching signature is
-    walked (`_class_tuples` with the chain off), to list the first 20
+    `count_valid_tuples` from n alone, not generated; only a mismatching
+    signature is walked (`_class_tuples` with the chain off), to list the first 20
     mismatching skes of the scan.  Tuples
     in sorted period order suffice: braid moves sort the periods of any
     valid ske without changing the action.
@@ -714,7 +752,7 @@ def genus_zero_exhaustive_scan(n: int, max_periods: int = 7) -> GenusZeroScan:
             b = is_sigma_b(n, sig)
             expected = b is not None
             genus_zero = _genus_from_cycles(G.order // 2, 0, [zcyc[k] for k in multiset]) == 0
-            count = count_valid_tuples(G, multiset)
+            count = count_valid_tuples(n, sig)
             if genus_zero != expected and len(mismatches) < 20:
                 for t in itertools.islice(_class_tuples(G, multiset, chain=False), 20 - len(mismatches)):
                     mismatches.append(

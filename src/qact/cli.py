@@ -56,8 +56,9 @@ def _parse_ints(text: str, field: str) -> tuple[int, ...]:
 # each sigma_b witness holds b + 3 names, so the census's time, memory and
 # report grow as max_b^2; at this ceiling an n = 6 census takes about a second
 MAX_B = 500
-# the exhaustive scan caches one state table per period prefix for the whole
-# run; at this ceiling an n = 6 scan takes under 2 s and under 50 MB
+# the exhaustive scan counts each signature's skes by a closed formula and
+# caches nothing; at this ceiling an n = 6 scan took 0.36-0.53 s and 16 MB
+# peak RSS in a fresh process (2-vCPU Xeon VM, Python 3.11)
 MAX_PERIODS = 12
 
 
@@ -86,7 +87,7 @@ def _positive_float(text: str) -> float:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_int=lambda text: read_int(text, path))
 
 
 # ---------------------------------------------------------------------------

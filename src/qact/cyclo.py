@@ -1,7 +1,7 @@
 """Exact arithmetic in 2-power cyclotomic fields and sparse polynomials over
 them.  Polynomial arithmetic comes from two primitives, each summing into one
-term dict: `CycloPoly.combination` (sum c p, c an integer), behind `+` and
-`-` and the integer blocks of a symplectic matrix that `siegel` applies to a
+term dict: `CycloPoly.combination` (sum c p, c an integer), behind `-` and
+the integer blocks of a symplectic matrix that `siegel` applies to a
 family's entries, and `CycloPoly.dot` (sum p q), behind `*` and each entry of
 a `PolyMatrix` product.
 
@@ -186,12 +186,6 @@ class Cyclotomic(_Frozen):
     def __neg__(self) -> Cyclotomic:
         return _make(self.m, [-c for c in self.num], self.den)
 
-    def __sub__(self, other) -> Cyclotomic:
-        return self + (-_coerce(other, self.m))
-
-    def __rsub__(self, other) -> Cyclotomic:
-        return _coerce(other, self.m) - self
-
     def __mul__(self, other) -> Cyclotomic:
         if type(other) is Cyclotomic and other.m == self.m:
             a, b = self, other
@@ -231,17 +225,9 @@ class Cyclotomic(_Frozen):
             raise RuntimeError(f"tower norm of {self} does not lie in Q(zeta_{self.m // 2})")
         return _make(self.m // 2, norm.num[0::2], norm.den).inverse().lift(self.m) * conj
 
-    def __truediv__(self, other) -> Cyclotomic:
-        other = _coerce(other, self.m)
-        a, b = Cyclotomic.common(self, other)
-        return a * b.inverse()
-
-    def __rtruediv__(self, other) -> Cyclotomic:
-        return _coerce(other, self.m) / self
-
     def __pow__(self, k: int) -> Cyclotomic:
         if k < 0:
-            return self.inverse() ** (-k)
+            raise ValueError(f"negative exponent {k}: take `inverse` first")
         out = Cyclotomic.one(self.m)
         base = self
         while k:
@@ -372,21 +358,8 @@ class CycloPoly(_Frozen):
         e = tuple(1 if i == idx else 0 for i in range(nvars))
         return CycloPoly.make(nvars, {e: Cyclotomic.one(m)})
 
-    @staticmethod
-    def zero(nvars: int) -> CycloPoly:
-        return CycloPoly(nvars, ())
-
-    def termdict(self) -> dict[tuple[int, ...], Cyclotomic]:
-        return dict(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __add__(self, other: CycloPoly) -> CycloPoly:
-        return CycloPoly.combination(self.nvars, [(1, self), (1, other)])
-
-    def __neg__(self) -> CycloPoly:
-        return CycloPoly.combination(self.nvars, [(-1, self)])
 
     def __sub__(self, other: CycloPoly) -> CycloPoly:
         return CycloPoly.combination(self.nvars, [(1, self), (-1, other)])

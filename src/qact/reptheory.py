@@ -63,7 +63,7 @@ _set = object.__setattr__
 
 class Character:
     """A class function on Q(2^n), stored on the canonical class reps.
-    Instances are immutable; equality and hashing read `n` and `values`."""
+    Instances are immutable."""
 
     __slots__ = ("n", "label", "values")
 
@@ -85,30 +85,12 @@ class Character:
     def degree(self) -> Fraction:
         return self.values[0].rational_value()
 
-    def value_at(self, g: int) -> Cyclotomic:
-        return self.values[class_data(self.n).class_of[g]]
-
     def __add__(self, other: "Character") -> "Character":
         self._check(other)
         return Character(self.n, "virtual", tuple(a + b for a, b in zip(self.values, other.values)))
 
-    def __sub__(self, other: "Character") -> "Character":
-        self._check(other)
-        return Character(self.n, "virtual", tuple(a - b for a, b in zip(self.values, other.values)))
-
     def __rmul__(self, k: int) -> "Character":
         return Character(self.n, "virtual", tuple(k * v for v in self.values))
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Character) and self.n == other.n and all(
-            a == b for a, b in zip(self.values, other.values)
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.values))
 
     def _check(self, other: "Character"):
         if self.n != other.n:

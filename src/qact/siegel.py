@@ -54,7 +54,7 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclo import Cyclotomic, CycloPoly, PolyMatrix
-from .groups import MAX_ORDER, BudgetExceeded, FiniteGroup, _tree_table, find_isomorphism, record_json
+from .groups import MAX_ORDER, BudgetExceeded, FiniteGroup, _tree_table, find_isomorphism, read_int, record_json
 
 if TYPE_CHECKING:
     import numpy as np
@@ -658,15 +658,16 @@ def load_fixture(name_or_path: str) -> Fixture:
     parse each field once.  FixtureError names the first fault: the file's
     shape, the generators, the checksum, then the first malformed optional
     field, so that no action trips over it or reads a wrong verdict off it."""
+    parse_int = lambda text: read_int(text, name_or_path)
     if name_or_path.endswith(".json") and "/" in name_or_path:
         with open(name_or_path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_int=parse_int)
     else:
         base = name_or_path[:-5] if name_or_path.endswith(".json") else name_or_path
         ref = resources.files("qact").joinpath(f"fixtures/{base}.json")
         if not ref.is_file():
             raise FixtureError(f"no fixture named {base!r}")
-        raw = json.loads(ref.read_text())
+        raw = json.loads(ref.read_text(), parse_int=parse_int)
     data = raw.get("data") if isinstance(raw, dict) else None
     if not (isinstance(data, dict) and isinstance(raw.get("name"), str)):
         raise FixtureError(f"fixture {name_or_path} is not an object with a name and a data object")

@@ -27,8 +27,8 @@
 - Every valid tuple of given orders, by a product over all but the last
   three slots with the valid last two cached per (running product, mask),
   and every generating genus-one triple by a walk over all pairs (a, b).
-  `qact.actions._class_tuples` and `_genus_one_classes` walk slot by slot,
-  with the stabilizer chain on or off.
+  `qact.actions._class_tuples` walks slot by slot, with the stabilizer
+  chain on or off, and `_genus_one_classes` with the chain on.
 - The orbit classification on every valid tuple, with braid (or elementary)
   moves and a generating set of Aut(G) as relabelling moves.
   `qact.actions.classify` searches on Aut-classes instead.
@@ -40,10 +40,12 @@
   keeping those that are their own `_canon` form, with the class count taken
   from the same walk.  `qact.actions.classify` builds the classes by a
   stabilizer chain and counts the tuples apart from it.
-- The number of generating product-one tuples of given orders by Hall's
-  Moebius inversion over the subgroups containing Phi(G), each counted with
-  no generation test.  `qact.actions.count_valid_tuples` carries a
-  maximal-subgroup mask through a DP instead.
+- The number of generating product-one tuples of given orders twice: by a
+  transfer-matrix DP over (running product, maximal-subgroup mask) states,
+  and by Hall's Moebius inversion over the subgroups containing Phi(G),
+  each counted by a product of step matrices with no generation test.
+  `qact.actions.count_valid_tuples` uses Hall's inversion too, but counts
+  each subgroup's tuples from its characters in closed form, from n alone.
 - The explicit representing matrices of the irreducibles of Q(2^n), and
   fixed-space dimensions as ranks of averaged projectors.  `qact.reptheory`
   works with characters only.
@@ -414,8 +416,44 @@ def classify_by_filter(G, sig: Signature, max_candidates: int = 5_000_000) -> Or
 
 
 # ---------------------------------------------------------------------------
-# generating tuples by Hall's Moebius inversion
+# generating tuples by a (product, mask) DP and by Hall's Moebius inversion
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _prefix_states(G, periods: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    """The number of tuples with the given exact orders per state (product,
+    AND of their `_maximal_masks`).  Cached per prefix: signatures met in
+    lex order share theirs."""
+    masks, full = _maximal_masks(G)
+    if not periods:
+        return {(0, full): 1}
+    cayley = G.cayley
+    bucket = [g for g in range(G.order) if G.orders[g] == periods[-1]]
+    out: dict[tuple[int, int], int] = {}
+    for (pr, mk), count in _prefix_states(G, periods[:-1]).items():
+        row = cayley[pr]
+        for g in bucket:
+            key = (row[g], mk & masks[g])
+            out[key] = out.get(key, 0) + count
+    return out
+
+
+def count_by_dp(G, periods) -> int:
+    """The number of valid tuples with these exact orders, the tuples
+    `iter_valid_tuples` yields, without generating them: a transfer-matrix
+    DP over (running product, mask), the last slot solved from the long
+    relation."""
+    periods = tuple(periods)
+    if len(periods) < 2:
+        return 0
+    masks, _ = _maximal_masks(G)
+    total = 0
+    for (pr, mk), count in _prefix_states(G, periods[:-1]).items():
+        last = G.inv[pr]
+        if G.orders[last] == periods[-1] and not mk & masks[last]:
+            total += count
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -533,8 +571,7 @@ def fixed_dim_by_averaging(n: int, label: str, K: frozenset) -> int:
     # rank of a matrix of size <= 2 over a field
     if size == 1:
         return 0 if avg[0][0].is_zero() else 1
-    det = avg[0][0] * avg[1][1] - avg[0][1] * avg[1][0]
-    if not det.is_zero():
+    if avg[0][0] * avg[1][1] != avg[0][1] * avg[1][0]:
         return 2
     if any(not avg[i][j].is_zero() for i in range(2) for j in range(2)):
         return 1
@@ -593,7 +630,7 @@ def fixed_subspace_dim(V: Character, K: frozenset) -> int:
     """dim V^K = (1/|K|) sum_{k in K} V(k) for the element set K, exactly."""
     total = Cyclotomic.zero(2)
     for k in K:
-        total = total + V.value_at(k)
+        total = total + V.values[class_data(V.n).class_of[k]]
     total = total.reduce_conductor()
     if not total.is_rational():
         raise ValueError("averaged character value must be rational")
@@ -713,8 +750,8 @@ def _poly_gcd(a: list[Cyclotomic], b: list[Cyclotomic]) -> list[Cyclotomic]:
     a, b = trim(a), trim(b)
     while b:
         a, b = b, trim(_poly_mod(a, b))
-    lead = a[-1]
-    return [c / lead for c in a]
+    lead = a[-1].inverse()
+    return [c * lead for c in a]
 
 
 def _poly_mod(a: list[Cyclotomic], b: list[Cyclotomic]) -> list[Cyclotomic]:
@@ -723,10 +760,10 @@ def _poly_mod(a: list[Cyclotomic], b: list[Cyclotomic]) -> list[Cyclotomic]:
         if a[-1].is_zero():
             a.pop()
             continue
-        factor = a[-1] / b[-1]
+        factor = -a[-1] * b[-1].inverse()
         shift = len(a) - len(b)
         for i, c in enumerate(b):
-            a[shift + i] = a[shift + i] - factor * c
+            a[shift + i] = a[shift + i] + factor * c
         a.pop()
     return a
 
@@ -1035,6 +1072,10 @@ def _lift(M, nvars: int) -> PolyMatrix:
     )
 
 
+def _plus(p: CycloPoly, q: CycloPoly) -> CycloPoly:
+    return CycloPoly.combination(p.nvars, [(1, p), (1, q)])
+
+
 def _entrywise(op, P: PolyMatrix, Q: PolyMatrix) -> PolyMatrix:
     assert (P.rows, P.cols) == (Q.rows, Q.cols)
     return PolyMatrix.make([list(map(op, r, s)) for r, s in zip(P.entries, Q.entries)])
@@ -1049,8 +1090,8 @@ def fixed_family_by_lifted_blocks(generators, family: PolyMatrix) -> tuple[bool,
     flags = []
     for R in generators:
         A, B, C, D = (_lift(M, nv) for M in blocks(as_int_matrix(R), g))
-        lhs = _entrywise(CycloPoly.__add__, A @ family, B)
-        rhs = family @ _entrywise(CycloPoly.__add__, C @ family, D)
+        lhs = _entrywise(_plus, A @ family, B)
+        rhs = family @ _entrywise(_plus, C @ family, D)
         residual = _entrywise(CycloPoly.__sub__, lhs, rhs)
         flags.append(all(e.is_zero() for row in residual.entries for e in row))
     return tuple(flags)

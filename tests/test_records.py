@@ -77,11 +77,14 @@ CUSTOM_REPRS = {
     Character: "Character(chi2, n=3)",
 }
 
+# records with no equality of their own: class functions compare by values
+BY_VALUES = {Character}
+
 
 @pytest.mark.parametrize("cls, fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
 def test_record_contract(cls, fields):
-    record = cls(*fields.values())
-    assert record == cls(**fields)
+    record, twin = cls(*fields.values()), cls(**fields)
+    assert record.values == twin.values if cls in BY_VALUES else record == twin
     for name, value in fields.items():
         assert getattr(record, name) is value
         with pytest.raises(AttributeError):

@@ -92,8 +92,8 @@ MUTANTS = [
     Mutant(
         "genus-one-chain-skips-the-stab-a-minimum-test",
         "actions.py",
-        "        least_b = _pointwise_stabilizer(G, frozenset({a}))[1] if chain else elements\n",
-        "        least_b = elements\n",
+        "        for b in sorted(_pointwise_stabilizer(G, frozenset({a}))[1]):\n",
+        "        for b in range(G.order):\n",
         ("tests/test_actions.py::test_classify_matches_the_filter_oracle",),
     ),
     Mutant(
@@ -101,15 +101,17 @@ MUTANTS = [
         "actions.py",
         "            if not masks[a] & masks[b]:\n",
         "            if True:\n",
-        ("tests/test_actions.py::test_chain_off_genus_one_walk_is_the_pair_walk",
-         "tests/test_actions.py::test_classify_matches_the_filter_oracle"),
+        ("tests/test_actions.py::test_classify_matches_the_filter_oracle",),
     ),
     Mutant(
-        "genus-one-count-walks-with-the-chain-on",
+        # the gamma = 1 total loses the |H|^(2 gamma) of the hyperbolic pair,
+        # which leaves every gamma = 0 count as it was
+        "genus-one-count-drops-the-hyperbolic-factor",
         "actions.py",
-        "        total = sum(1 for _ in _genus_one_classes(G, k, chain=False))\n",
-        "        total = sum(1 for _ in _genus_one_classes(G, k))\n",
-        ("tests/test_actions.py::test_classify_matches_the_filter_oracle",),
+        "    return _exact((2 * M) ** (2 * gamma) * (lift * linear + theta), 2 * M * lift)\n",
+        "    return _exact(lift * linear + theta, 2 * M * lift)\n",
+        ("tests/test_actions.py::test_genus_one_count_is_the_pair_walk",
+         "tests/test_actions.py::test_classify_matches_the_filter_oracle"),
     ),
     Mutant(
         "scan-listing-walks-with-the-chain-on",
@@ -162,8 +164,8 @@ MUTANTS = [
     Mutant(
         "negation-keeps-the-sign",
         "cyclo.py",
-        "        return CycloPoly.combination(self.nvars, [(-1, self)])\n",
-        "        return CycloPoly.combination(self.nvars, [(1, self)])\n",
+        "        return CycloPoly.combination(self.nvars, [(1, self), (-1, other)])\n",
+        "        return CycloPoly.combination(self.nvars, [(1, self), (1, other)])\n",
         ("tests/test_cyclo.py::test_poly_eval_consistency",),
     ),
     Mutant(
@@ -182,20 +184,47 @@ MUTANTS = [
         ("tests/test_actions.py::test_dropped_tuple_fails_the_class_count",),
     ),
     Mutant(
-        "count-drops-the-generation-mask",
+        # Hall's inversion reduced to its first term: no generation test
+        "count-drops-the-generation-test",
         "actions.py",
-        "        if G.orders[last] == k_last and not mk & masks[last]:\n",
-        "        if G.orders[last] == k_last:\n",
+        "    return (_quaternion_count(n, gamma, mult) - _cyclic_count(2 ** (n - 1), gamma, mult)\n"
+        "            - 2 * _quaternion_count(n - 1, gamma, mult) + 2 * _cyclic_count(2 ** (n - 2), gamma, mult))\n",
+        "    return _quaternion_count(n, gamma, mult)\n",
         ("tests/test_actions.py::test_counter_matches_the_enumerator",
          "tests/test_actions.py::test_counter_matches_hall_inversion"),
     ),
     Mutant(
-        "count-skips-the-last-order-check",
+        "count-skips-the-order-check",
         "actions.py",
-        "        if G.orders[last] == k_last and not mk & masks[last]:\n",
-        "        if not mk & masks[last]:\n",
+        "    if N % k:\n        return 0\n",
+        "",
         ("tests/test_actions.py::test_counter_matches_the_enumerator",
          "tests/test_actions.py::test_counter_matches_hall_inversion"),
+    ),
+    Mutant(
+        "hall-weights-phi-by-one",
+        "actions.py",
+        "+ 2 * _cyclic_count(2 ** (n - 2), gamma, mult))\n",
+        "+ _cyclic_count(2 ** (n - 2), gamma, mult))\n",
+        ("tests/test_actions.py::test_counter_matches_hall_inversion",),
+    ),
+    Mutant(
+        # it changes the product-one counts of every subgroup but, at n = 3..6
+        # and up to 7 periods, no gamma = 0 generating count: only gamma = 1
+        # sees it
+        "ramanujan-sum-keeps-the-sign",
+        "actions.py",
+        "        return -(k // 2)\n",
+        "        return k // 2\n",
+        ("tests/test_actions.py::test_genus_one_count_is_the_pair_walk",),
+    ),
+    Mutant(
+        # chi(1)^(2 - 2 gamma - s) read as chi(1)^(2 gamma + s - 2)
+        "frobenius-degree-power-inverted",
+        "actions.py",
+        "    lift = 2 ** (2 * gamma + s - 2)\n",
+        "    lift = 2 ** (2 - 2 * gamma - s)\n",
+        ("tests/test_actions.py::test_counter_matches_hall_inversion",),
     ),
     Mutant(
         "orbit-leaves-the-valid-set-silently",
