@@ -340,10 +340,10 @@ def _quaternion_count(m: int, gamma: int, mult: dict[int, int]) -> int:
 
 
 def count_valid_tuples(n: int, sig: Signature) -> int:
-    """The number of valid skes of Q(2^n) with signature sig: the tuples
-    `_class_tuples(G, sig.periods, chain=False)` yields for gamma = 0, and
-    the generating triples of `_genus_one_classes`' equation for gamma = 1,
-    computed from n alone.  A tuple generates Q(2^n) iff it lies in no
+    """The number of valid skes of Q(2^n) with signature sig, from n alone:
+    for gamma = 0 the tuples `_class_tuples(G, sig.periods, chain=False)`
+    yields, for gamma = 1 the generating triples (a, b, g) with
+    [a, b] g = 1 and g of order k.  A tuple generates Q(2^n) iff it lies in no
     maximal subgroup, and each of those contains Phi = <x^2> with quotient
     C2^2, so Hall's Moebius inversion has five terms (P. Hall, The Eulerian
     functions of a group, 1936): G with weight 1, <x> and the two
