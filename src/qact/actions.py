@@ -79,11 +79,6 @@ class Signature(_SignatureFields):
             raise ValueError(f"bad signature ({gamma}; {periods})")
         return super().__new__(cls, gamma, periods)
 
-    def mu(self) -> Fraction:
-        from fractions import Fraction
-
-        return 2 * self.gamma - 2 + sum(Fraction(k - 1, k) for k in self.periods)
-
     def sorted_periods(self) -> tuple[int, ...]:
         return tuple(sorted(self.periods))
 
@@ -94,14 +89,20 @@ class Signature(_SignatureFields):
         return {"genus": self.gamma, "periods": list(self.periods)}
 
 
+def _mu_over_lcm(sig: Signature) -> tuple[int, int]:
+    """(L mu, L), L = lcm(periods): mu = 2 gamma - 2 + sum (1 - 1/k_i) over L."""
+    L = math.lcm(*sig.periods)
+    return L * (2 * sig.gamma - 2) + sum(L - L // k for k in sig.periods), L
+
+
 def genus_from_signature(group_order: int, sig: Signature) -> int | None:
     """Genus g with 2g - 2 = |G| * mu, when integral and >= 2; None otherwise.
 
     In integers: with L = lcm(periods), N = |G| * L * mu is an integer, and
     g exists iff N > 0, L | N and N / L is even; then g = N / (2L) + 1 >= 2.
     """
-    L = math.lcm(*sig.periods)
-    N = group_order * (L * (2 * sig.gamma - 2) + sum(L - L // k for k in sig.periods))
+    num, L = _mu_over_lcm(sig)
+    N = group_order * num
     q, r = divmod(N, L)
     if N <= 0 or r or q % 2:
         return None
@@ -276,6 +277,29 @@ def _order_buckets(G: FiniteGroup, periods, max_candidates: int | None) -> list[
     return buckets
 
 
+@lru_cache(maxsize=None)
+def _generates_mod_frattini(G: FiniteGroup, periods: tuple[int, ...]) -> bool:
+    """Whether some elements of these orders, one per period, have images in
+    G/Phi(G) = C2^2 that span it and sum to 0.  By Burnside's basis theorem
+    a tuple of a 2-group generates iff its images in G/Phi span, so a
+    signature that fails carries no ske.  An element's image is its
+    `_maximal_masks` mask, and a product's mask is read off one
+    representative per mask.  A DP over (mask of the running product, AND
+    of the masks), one period at a time from (full, full), asks whether
+    (full, 0) is reached."""
+    masks, full = _maximal_masks(G)
+    rep = {mk: g for g, mk in enumerate(masks)}
+    if len(rep) != 4:
+        raise RuntimeError(f"{G.name} / Phi(G) has {len(rep)} elements, not 4")
+    times = {(a, b): masks[G.cayley[rep[a]][rep[b]]] for a in rep for b in rep}
+    by_order = _elements_by_order(G)
+    states = {(full, full)}
+    for k in periods:
+        images = {masks[g] for g in by_order.get(k, ())}
+        states = {(times[p, mk], a & mk) for p, a in states for mk in images}
+    return (full, 0) in states
+
+
 def _exact(num: int, den: int) -> int:
     """num / den, which must be an integer."""
     q, r = divmod(num, den)
@@ -284,33 +308,29 @@ def _exact(num: int, den: int) -> int:
     return q
 
 
-def _ramanujan(k: int, v: int, N: int) -> int:
-    """The sum of psi_t, x -> zeta_N^t, over the elements of order k of C_N
-    = <x> (N a power of 2), for any t of 2-adic valuation v (v = log2 N for
-    t = 0): the Ramanujan sum c_k(t), which is k/2 when k | t, -k/2 when
-    k/2 exactly divides t, and 0 otherwise or when k does not divide N."""
-    if N % k:
-        return 0
-    if k <= 1 << v:
-        return k // 2
-    if k == 2 << v:
-        return -(k // 2)
-    return 0
-
-
-def _ramanujan_product(N: int, v: int, mult: dict[int, int]) -> int:
-    """`_ramanujan` multiplied over the slots, given as {period: slots}."""
-    return math.prod(_ramanujan(k, v, N) ** e for k, e in mult.items())
+def _ramanujan_classes(N: int, mult: dict[int, int]) -> tuple[int, int, int]:
+    """The product over the slots, given as {period: slots}, of the Ramanujan
+    sums c_k(t), each the sum of psi_t, x -> zeta_N^t, over the elements of
+    order k of C_N = <x> (N a power of 2): k/2 when k | t, -k/2 when k/2
+    exactly divides t, and 0 otherwise or when k does not divide N.  With K
+    the largest period (2 with none) this returns (K, P, Q): the product is
+    P = prod (k/2)^e_k when K | t, Q = (-1)^e_K P when t has 2-adic
+    valuation log2 K - 1 (N/K residues each), 0 otherwise, and P = Q = 0
+    unless every period divides N."""
+    if any(N % k for k in mult):
+        return 2, 0, 0
+    K = max(mult, default=2)
+    P = math.prod((k // 2) ** e for k, e in mult.items())
+    return K, P, (-1) ** mult.get(K, 0) * P
 
 
 def _cyclic_count(N: int, gamma: int, mult: dict[int, int]) -> int:
     """`_quaternion_count` for C_N: N^(2 gamma - 1) times the sum over the
-    characters psi_t, grouped by the valuation v of t (N/2^(v+1) residues
-    for v < log2 N, and t = 0)."""
-    r = N.bit_length() - 1
-    z = _ramanujan_product(N, r, mult)
-    z += sum((N >> (v + 1)) * _ramanujan_product(N, v, mult) for v in range(r))
-    return _exact(N ** (2 * gamma) * z, N)
+    characters psi_t of the product of the c_k(t), which is N/K (P + Q) by
+    `_ramanujan_classes`: 2 P N/K when the largest period occurs an even
+    number of times, 0 when odd, and N with no periods."""
+    K, P, Q = _ramanujan_classes(N, mult)
+    return _exact(N ** (2 * gamma) * (N // K) * (P + Q), N)
 
 
 def _quaternion_count(m: int, gamma: int, mult: dict[int, int]) -> int:
@@ -325,15 +345,18 @@ def _quaternion_count(m: int, gamma: int, mult: dict[int, int]) -> int:
       - x -> 1, y -> +-1: psi_0 on <x>, and the M elements x^a y, all of
         order 4, add +-M at k = 4;
       - Theta_t, t = 1 .. M/2 - 1, of degree 2: psi_t + psi_-t on <x>, 0 off
-        it, so sigma = 2 c_k(t); M/2^(v+2) of those t have valuation v.
+        it, so sigma = 2 c_k(t).  For K <= M/2, M/2K - 1 of those t give P
+        and M/2K give Q (`_ramanujan_classes`): 2^s P (M/K - 1) for e_K
+        even, -2^s P for e_K odd; 0 for K >= M.
     At m = 2 there is no Theta_t and the four characters are C4's."""
     s = sum(mult.values())
     M = 1 << (m - 1)
-    r = m - 1
-    linear = 2 * _ramanujan_product(M, r - 1, mult)
+    K, P, Q = _ramanujan_classes(M, mult)
+    # psi_(M/2) at t = M/2, a multiple of K unless K = M; psi_0 at t = 0
+    linear = 2 * (P if K < M else Q)
     for d in (M, -M):
-        linear += math.prod((_ramanujan(k, r, M) + (d if k == 4 else 0)) ** e for k, e in mult.items())
-    theta = 2 ** s * sum((M >> (v + 2)) * _ramanujan_product(M, v, mult) for v in range(r - 1))
+        linear += math.prod(((k // 2 if M % k == 0 else 0) + (d if k == 4 else 0)) ** e for k, e in mult.items())
+    theta = 2 ** s * ((M // (2 * K) - 1) * P + M // (2 * K) * Q) if K < M else 0
     # 1 / chi(1)^(2 - 2 gamma - s) at chi(1) = 2 clears the denominator
     lift = 2 ** (2 * gamma + s - 2)
     return _exact((2 * M) ** (2 * gamma) * (lift * linear + theta), 2 * M * lift)
@@ -348,7 +371,9 @@ def count_valid_tuples(n: int, sig: Signature) -> int:
     C2^2, so Hall's Moebius inversion has five terms (P. Hall, The Eulerian
     functions of a group, 1936): G with weight 1, <x> and the two
     Q(2^(n-1)) <x^2, y>, <x^2, x y> (C4 at n = 3) with weight -1, and Phi
-    with weight 2.  The count does not depend on the order of the periods."""
+    with weight 2.  Each subgroup's count sums its characters in closed
+    form (`_ramanujan_classes`), with no loop over them.  The count does
+    not depend on the order of the periods."""
     if 2 * sig.gamma + len(sig.periods) < 2:
         return 0
     mult = {k: sig.periods.count(k) for k in set(sig.periods)}
@@ -451,8 +476,7 @@ def _pointwise_stabilizer(G: FiniteGroup, fixed: frozenset) -> tuple[list, froze
     return stab, frozenset(least), tuple(link)
 
 
-def _class_tuples(G: FiniteGroup, periods: tuple[int, ...], max_candidates: int | None = None,
-                  chain: bool = True):
+def _class_tuples(G: FiniteGroup, periods: tuple[int, ...], chain: bool = True):
     """The valid tuples with these exact orders that are their own `_canon`
     form, one per Aut-class, built by a stabilizer chain.
 
@@ -471,12 +495,12 @@ def _class_tuples(G: FiniteGroup, periods: tuple[int, ...], max_candidates: int 
     Where H_i is trivial every element is least, so the remaining slots run
     as a plain product.  With `chain` off every H_i is taken as trivial,
     and the walk yields every valid tuple with these orders, in lex order.
-    The budget is checked on the buckets (`_order_buckets`) before the walk.
+    `classify` checks the budget on the buckets (`_order_buckets`) first.
     Both callers pass at least three periods: `classify` since mu > 0, the
     scan by its range.
     """
     s = len(periods)
-    buckets = _order_buckets(G, periods, max_candidates)
+    buckets = _order_buckets(G, periods, None)
     cayley, inv, orders = G.cayley, G.inv, G.orders
     masks, full = _maximal_masks(G)
     k_last = periods[-1]
@@ -528,22 +552,27 @@ def classify(G: FiniteGroup, sig: Signature, max_candidates: int = 5_000_000) ->
     first level gives |Aut|) build those members directly (`_class_tuples`
     per period arrangement, `_genus_one_classes`).  The valid skes are
     counted apart from the chain, by `count_valid_tuples`, once for the
-    signature and times the number of arrangements walked, since the count
-    does not depend on the order of the periods; it must be |Aut| times the
+    signature and times the number of arrangements, since the count does
+    not depend on the order of the periods; it must be |Aut| times the
     classes.  The orbit search runs on the classes, and an orbit's
     representative, its least ske, is its least class.  The period
-    arrangements are walked lazily, each after its budget check, so the
+    arrangements are taken lazily, each after its budget check, so the
     budget refuses before they are all listed; for gamma 1 the candidates
-    are the |G|^2 pairs (a, b).
+    are the |G|^2 pairs (a, b).  A gamma = 0 signature that the Frattini
+    test `_generates_mod_frattini` rules out gets its budget checks but no
+    walk and no orbit moves; its count must then be 0.
     """
-    if sig.mu() <= 0:
+    if _mu_over_lcm(sig)[0] <= 0:
         raise ValueError(f"signature {sig} has mu <= 0: no surface of genus >= 2 carries it")
-    moves = _orbit_moves(G, sig)
+    spans = sig.gamma != 0 or _generates_mod_frattini(G, sig.sorted_periods())
+    moves = _orbit_moves(G, sig) if spans else []
     nodes = set()
     if sig.gamma == 0:
         arrangements = 0
         for arrangement in _arrangements(sig.periods):
-            nodes.update(_class_tuples(G, arrangement, max_candidates))
+            _order_buckets(G, arrangement, max_candidates)
+            if spans:
+                nodes.update(_class_tuples(G, arrangement))
             arrangements += 1
         node_of = lambda t: Ske(G, Signature(0, tuple(G.orders[g] for g in t)), (), t)
     else:
@@ -835,7 +864,9 @@ def family_label(n: int, sig: Signature) -> str:
 
 def one_dimensional_families(n: int) -> list[FamilyRecord]:
     """Census of signatures with 3*gamma - 3 + l = 1 carrying at least one
-    valid ske: (0; k1..k4) and (1; k)."""
+    valid ske: (0; k1..k4) and (1; k).  `classify` walks no candidate that
+    the Frattini test `_generates_mod_frattini` rules out; at n = 3..6 that
+    is every empty gamma = 0 one (2, 10, 29 and 63 of them)."""
     if not 3 <= n <= 6:
         raise ValueError("census supported for 3 <= n <= 6")
     G = build_quaternion(n)
@@ -914,7 +945,7 @@ def family_representative(n: int, label: str) -> Ske:
 class ExtensionReport(NamedTuple):
     ok: bool
     index: int
-    mu_ratio: Fraction
+    mu_ratio: int | Fraction
     mu_ratio_ok: bool
     subgroup_isomorphic: bool
     restriction_valid: bool
@@ -945,7 +976,8 @@ def check_extension(theta: Ske, theta_prime: Ske, words) -> ExtensionReport:
     isomorphic to theta's group, the restricted tuple is a valid ske of
     theta's signature, it lies in theta's (braid x Aut)-orbit, and the
     Riemann-Hurwitz index identity mu(Delta)/mu(Delta') = [Delta':Delta]
-    holds exactly.
+    holds exactly.  The ratio is compared in integers, and is an int when
+    it is integral; a Fraction otherwise.
     """
     Gp = theta_prime.group
     ok_prime, msg = validate_ske(theta_prime)
@@ -956,8 +988,12 @@ def check_extension(theta: Ske, theta_prime: Ske, words) -> ExtensionReport:
     imgs = [Gp.evaluate_word(word, images) for word in words]
     sub = Gp.closure(imgs)
     index = Gp.order // len(sub)
-    mu_ratio = theta.signature.mu() / theta_prime.signature.mu()
-    mu_ok = mu_ratio == index
+    (a, L), (b, L_prime) = _mu_over_lcm(theta.signature), _mu_over_lcm(theta_prime.signature)
+    mu_ok = a * L_prime == index * b * L
+    mu_ratio, r = divmod(a * L_prime, b * L)
+    if r:
+        from fractions import Fraction
+        mu_ratio = Fraction(a * L_prime, b * L)
 
     H, pos = subgroup_as_group(Gp, sub, imgs)
     iso = find_isomorphism(H, theta.group)

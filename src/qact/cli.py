@@ -57,7 +57,7 @@ def _parse_ints(text: str, field: str) -> tuple[int, ...]:
 # report grow as max_b^2; at this ceiling an n = 6 census takes about a second
 MAX_B = 500
 # the exhaustive scan counts each signature's skes by a closed formula and
-# caches nothing; at this ceiling an n = 6 scan took 0.36-0.53 s and 16 MB
+# caches nothing; at this ceiling an n = 6 scan took 0.21-0.24 s and 17 MB
 # peak RSS in a fresh process (2-vCPU Xeon VM, Python 3.11)
 MAX_PERIODS = 12
 

@@ -45,10 +45,13 @@ class GroupError(ValueError):
 
 
 def read_int(text: str, field: str) -> int:
-    """`int(text)`, refused naming `field` when it has more than MAX_DIGITS digits."""
+    """`int(text)`, refused naming `field` when it is no integer or has more than MAX_DIGITS digits."""
     if sum(map(str.isdigit, text)) > MAX_DIGITS:
         raise GroupError(f"{field}: a number has more than {MAX_DIGITS} digits")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise GroupError(f"{field}: {text!r} is not an integer") from None
 
 
 class BudgetExceeded(RuntimeError):

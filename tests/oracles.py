@@ -1,8 +1,8 @@
 """Independent references that the tests compare the program against.
 
-- The genus from Riemann-Hurwitz, 2g - 2 = |G| mu, in Fractions.
+- mu and the genus from Riemann-Hurwitz, 2g - 2 = |G| mu, in Fractions.
   `qact.actions.genus_from_signature` decides it in integers over the lcm
-  of the periods.
+  of the periods, and `classify` and `check_extension` compare mu there.
 - The paper's own route to the multiplicities of a Jacobian action:
   dim A_K = <rho_a, rho_K> = genus(S_K) over every named subgroup K, solved
   exactly.  `qact.decomp.multiplicities` uses the Chevalley-Weil formula.
@@ -46,6 +46,9 @@
   each counted by a product of step matrices with no generation test.
   `qact.actions.count_valid_tuples` uses Hall's inversion too, but counts
   each subgroup's tuples from its characters in closed form, from n alone.
+- Each subgroup's character sum for that count, summed over the 2-adic
+  valuation v of t, one Ramanujan product per v.  `qact.actions` sums the
+  valuations in closed form (`_ramanujan_classes`).
 - The explicit representing matrices of the irreducibles of Q(2^n), and
   fixed-space dimensions as ranks of averaged projectors.  `qact.reptheory`
   works with characters only.
@@ -74,6 +77,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,9 +119,14 @@ from qact.siegel import as_int_matrix, blocks
 # ---------------------------------------------------------------------------
 
 
+def mu_by_fraction(sig: Signature) -> Fraction:
+    """mu = 2 gamma - 2 + sum (1 - 1/k_i)."""
+    return 2 * sig.gamma - 2 + sum(Fraction(k - 1, k) for k in sig.periods)
+
+
 def genus_by_fraction(group_order: int, sig: Signature) -> int | None:
     """Genus g with 2g - 2 = |G| * mu, when integral and >= 2; None otherwise."""
-    mu = sig.mu()
+    mu = mu_by_fraction(sig)
     if mu <= 0:
         return None
     val = group_order * mu
@@ -341,7 +350,7 @@ def classify_by_canon(G, sig: Signature, max_candidates: int = 5_000_000) -> Orb
     """The search on Aut-classes, with each class found as the `_canon` form
     of its tuples and each representative the least relabelling over its
     orbit's classes."""
-    if sig.mu() <= 0:
+    if mu_by_fraction(sig) <= 0:
         raise ValueError(f"signature {sig} has mu <= 0: no surface of genus >= 2 carries it")
     moves = _orbit_moves(G, sig)
     if sig.gamma == 0:
@@ -378,7 +387,7 @@ def classify_by_filter(G, sig: Signature, max_candidates: int = 5_000_000) -> Or
     """The search on Aut-classes, with the classes found by walking every
     valid tuple and keeping one whose slot 0 is the least of its Aut-orbit
     and that is its own `_canon` form; the walk also counts the tuples."""
-    if sig.mu() <= 0:
+    if mu_by_fraction(sig) <= 0:
         raise ValueError(f"signature {sig} has mu <= 0: no surface of genus >= 2 carries it")
     moves = _orbit_moves(G, sig)
     if sig.gamma == 0:
@@ -497,6 +506,53 @@ def count_by_hall(G, periods) -> int:
             v = v @ _step_matrix(G, H, k)
         total += mu * int(v[0])
     return total
+
+
+def _ramanujan(k: int, v: int, N: int) -> int:
+    """The sum of psi_t, x -> zeta_N^t, over the elements of order k of C_N
+    = <x> (N a power of 2), for any t of 2-adic valuation v (v = log2 N for
+    t = 0): the Ramanujan sum c_k(t), which is k/2 when k | t, -k/2 when
+    k/2 exactly divides t, and 0 otherwise or when k does not divide N."""
+    if N % k:
+        return 0
+    if k <= 1 << v:
+        return k // 2
+    if k == 2 << v:
+        return -(k // 2)
+    return 0
+
+
+def _ramanujan_product(N: int, v: int, mult: dict[int, int]) -> int:
+    """`_ramanujan` multiplied over the slots, given as {period: slots}."""
+    return math.prod(_ramanujan(k, v, N) ** e for k, e in mult.items())
+
+
+def cyclic_count_by_valuation(N: int, gamma: int, mult: dict[int, int]) -> int:
+    """`qact.actions._cyclic_count` with the characters psi_t of C_N summed
+    by the valuation v of t: N/2^(v+1) residues for v < log2 N, and t = 0."""
+    r = N.bit_length() - 1
+    z = _ramanujan_product(N, r, mult)
+    z += sum((N >> (v + 1)) * _ramanujan_product(N, v, mult) for v in range(r))
+    q, rem = divmod(N ** (2 * gamma) * z, N)
+    assert rem == 0
+    return q
+
+
+def quaternion_count_by_valuation(m: int, gamma: int, mult: dict[int, int]) -> int:
+    """`qact.actions._quaternion_count` with the Theta_t summed by the
+    valuation v of t: M/2^(v+2) of the t = 1 .. M/2 - 1 have valuation v,
+    M = 2^(m-1)."""
+    s = sum(mult.values())
+    M = 1 << (m - 1)
+    r = m - 1
+    linear = 2 * _ramanujan_product(M, r - 1, mult)
+    for d in (M, -M):
+        linear += math.prod((_ramanujan(k, r, M) + (d if k == 4 else 0)) ** e for k, e in mult.items())
+    theta = 2 ** s * sum((M >> (v + 2)) * _ramanujan_product(M, v, mult) for v in range(r - 1))
+    lift = 2 ** (2 * gamma + s - 2)
+    q, rem = divmod((2 * M) ** (2 * gamma) * (lift * linear + theta), 2 * M * lift)
+    assert rem == 0
+    return q
 
 
 # ---------------------------------------------------------------------------

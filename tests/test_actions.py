@@ -17,10 +17,12 @@ from qact.actions import (
     _braid_moves,
     _canon,
     _class_tuples,
+    _generates_mod_frattini,
     _genus_one_classes,
     _genus_one_moves,
     _in_class_orbit,
     _maximal_masks,
+    _mu_over_lcm,
     _orbit_moves,
     _pointwise_stabilizer,
     check_extension,
@@ -42,7 +44,7 @@ from qact.actions import (
     witness_eta,
 )
 from qact.decomp import multiplicities
-from qact.groups import _orbit, automorphisms, build_quaternion, named_subgroups
+from qact.groups import _orbit, automorphisms, build_named, build_quaternion, named_subgroups
 
 from oracles import (
     aut_generators,
@@ -52,10 +54,13 @@ from oracles import (
     classify_on_tuples,
     count_by_dp,
     count_by_hall,
+    cyclic_count_by_valuation,
     genus_by_fraction,
     iter_genus_one_triples,
     iter_valid_tuples,
+    mu_by_fraction,
     multiplicities_from_quotient_genera,
+    quaternion_count_by_valuation,
 )
 from paper_tables import (
     expected_prym_dims,
@@ -99,9 +104,14 @@ def test_integer_riemann_hurwitz_matches_the_fraction_oracle():
 
 
 def test_signature_mu_and_dimension():
-    """mu, and the census's signatures are of dimension 3 gamma - 3 + l = 1."""
+    """mu in integers over the lcm of the periods is the Fraction oracle's,
+    and the census's signatures are of dimension 3 gamma - 3 + l = 1."""
     sig = Signature(0, (4, 4, 4, 4))
-    assert sig.mu() == Fraction(2 * 0 - 2) + 4 * Fraction(3, 4)
+    assert mu_by_fraction(sig) == Fraction(2 * 0 - 2) + 4 * Fraction(3, 4) == Fraction(*_mu_over_lcm(sig))
+    for gamma in (0, 1, 2):
+        for s in range(6):
+            for ks in itertools.combinations_with_replacement((2, 3, 4, 6, 8, 64), s):
+                assert Fraction(*_mu_over_lcm(Signature(gamma, ks))) == mu_by_fraction(Signature(gamma, ks))
     signatures = {f.signature for f in one_dimensional_families(4)}
     assert {3 * s.gamma - 3 + len(s.periods) for s in signatures} == {1}
     assert {sig, Signature(1, (4,))} <= signatures
@@ -720,14 +730,85 @@ def test_counter_matches_the_dp_on_every_census_arrangement(n):
     assert arrangements == {3: 15, 4: 80, 5: 255, 6: 624}[n]
 
 
+def test_closed_form_matches_the_valuation_loops():
+    """Each subgroup's count, with its characters summed in closed form, is
+    the sum over the 2-adic valuations of t, for Q(2^m), m = 2..8, and
+    C_N, N = 2^(m-1), at gamma = 0..2, on every sorted list of up to 7
+    periods from the element orders, and on lists with an order of no
+    element (3 or 2^m)."""
+    checked = 0
+    for m in range(2, 9):
+        N = 2 ** (m - 1)
+        orders = sorted({2 ** j for j in range(1, m)} | {4})
+        cases = [ms for s in range(8) for ms in itertools.combinations_with_replacement(orders, s)]
+        cases += [ms + (bad,) for bad in (3, 2 ** m) for s in range(4)
+                  for ms in itertools.combinations_with_replacement(orders, s)]
+        for periods in cases:
+            mult = {k: periods.count(k) for k in set(periods)}
+            for gamma in (0, 1, 2):
+                assert actions._quaternion_count(m, gamma, mult) == quaternion_count_by_valuation(m, gamma, mult)
+                assert actions._cyclic_count(N, gamma, mult) == cyclic_count_by_valuation(N, gamma, mult)
+                checked += 1
+    assert checked == 21396
+
+
+# observed, not a theorem: at n = 3..6 the Frattini test rules out every
+# empty candidate of the census, 2, 10, 29 and 63 of them
+CENSUS_RULED_OUT = {3: 2, 4: 10, 5: 29, 6: 63}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_the_frattini_test_rules_out_only_empty_signatures(n):
+    """Every sorted signature of 3 to 7 periods that `_generates_mod_frattini`
+    rules out has no valid tuple by the (product, mask) DP.  On the census's
+    four-period candidates of integral genus it rules out the empty ones
+    (`CENSUS_RULED_OUT`), so `classify` walks none of them."""
+    G = Q(n)
+    avail = sorted({G.orders[g] for g in range(1, G.order)})
+    for s in range(3, 8):
+        for periods in itertools.combinations_with_replacement(avail, s):
+            if not _generates_mod_frattini(G, periods):
+                assert count_by_dp(G, periods) == 0, periods
+    ruled_out = empty = 0
+    for periods in itertools.combinations_with_replacement(avail, 4):
+        sig = Signature(0, periods)
+        if genus_from_signature(G.order, sig) is not None:
+            ruled_out += not _generates_mod_frattini(G, periods)
+            empty += count_valid_tuples(n, sig) == 0
+    assert ruled_out == empty == CENSUS_RULED_OUT[n]
+
+
+def test_the_frattini_test_needs_the_running_product():
+    """(0; 2,2,4,8) is ruled out at n = 4 and n = 5.  At n = 4 an element of
+    order 8 maps to x and one of order 4 to y or x y, so the images span
+    G/Phi = C2^2 but cannot sum to 0; at n = 5 the elements of order 8 lie
+    in Phi and the images cannot span.  (0; 2,4,4,8), the family C3 at
+    n = 4, passes."""
+    assert not _generates_mod_frattini(Q(4), (2, 2, 4, 8))
+    assert not _generates_mod_frattini(Q(5), (2, 2, 4, 8))
+    assert _generates_mod_frattini(Q(4), (2, 4, 4, 8))
+    assert classify(Q(5), Signature(0, (2, 2, 4, 8))).total == 0
+
+
+@pytest.mark.parametrize("name", ["C4xC2_rtimes_C2", "D4xC2_rtimes_C2"])
+def test_the_frattini_test_refuses_a_quotient_other_than_c2_squared(name):
+    with pytest.raises(RuntimeError, match="has 8 elements, not 4"):
+        _generates_mod_frattini(build_named(name), (2, 2, 4))
+
+
 def test_an_inexact_count_raises(monkeypatch):
-    """Every division in the count must be exact: a character sum off by
-    one at t = 0 leaves a remainder, which raises instead of rounding."""
-    real = actions._ramanujan_product
-    off_at_zero = lambda N, v, mult: real(N, v, mult) + (1 << v == N)
-    monkeypatch.setattr(actions, "_ramanujan_product", off_at_zero)
+    """Every division in the count must be exact: a Ramanujan product off
+    by one on the multiples of the largest period leaves a remainder, which
+    raises instead of rounding."""
+    real = actions._ramanujan_classes
+
+    def off_by_one(N, mult):
+        K, P, Q = real(N, mult)
+        return K, P + 1, Q
+
+    monkeypatch.setattr(actions, "_ramanujan_classes", off_by_one)
     with pytest.raises(RuntimeError, match="is not an integer"):
-        count_valid_tuples(4, Signature(0, (4, 4, 8)))
+        count_valid_tuples(4, Signature(0, (4, 8, 8)))
 
 
 # -- the family census ----------------------------------------------------------

@@ -107,6 +107,21 @@ def test_a_number_longer_than_max_digits_names_its_field(capsys, argv, field):
     assert captured.err.splitlines() == [f"error: {field}: a number has more than {MAX_DIGITS} digits"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--n", "3", "--signature", "abc"], "--signature: 'abc' is not an integer"),
+    (["classify", "--n", "3", "--signature", "0:4,x,4"], "--signature: 'x' is not an integer"),
+    (["decompose", "--n", "4", "--a", "x", "--b", "1,1,1"], "--a: 'x' is not an integer"),
+    (["decompose", "--n", "4", "--a", "1,0,0,0", "--b", "1,1.5,1"], "--b: '1.5' is not an integer"),
+], ids=["signature-genus", "signature-period", "a", "b"])
+def test_a_non_integer_names_its_field(capsys, argv, message):
+    """Not `int`'s own message, which names no field."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
 def test_a_ske_element_with_a_long_exponent_names_it(tmp_path, capsys):
     data = family_representative(4, "F1").to_json()
     data["elliptic"][0] = f"x^{LONG_NUMBER}"
@@ -566,6 +581,16 @@ def test_budget_refuses_before_listing_the_arrangements(capsys):
     assert err == "error: 100 candidates exceed budget 10\n"
 
 
+def test_the_budget_refuses_a_signature_the_frattini_test_rules_out(capsys):
+    """No element of Q8 has order 8, so the signature carries no ske and is
+    not walked; its first arrangement's 6^9 candidates still exceed the
+    budget, as they did when every signature was walked."""
+    code = main(["classify", "--n", "3", "--signature", "0:4,4,4,4,4,4,4,4,4,8"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: 10077696 candidates exceed budget 5000000\n"
+
+
 @pytest.mark.parametrize("signature", ["0:", "0:2,2", "1:"])
 def test_classify_with_mu_at_most_0_exits_2(capsys, signature):
     """2g - 2 = |G| * mu <= 0 leaves no surface of genus >= 2 to classify."""
@@ -972,10 +997,19 @@ def test_no_run_imports_dataclasses(tmp_path):
 
 
 def test_the_scan_imports_no_fractions(tmp_path):
-    """The scan builds no Fraction, so it loads neither `fractions` nor the
-    `decimal` that `fractions` brings (about 5 ms): `Signature.mu` imports
-    it when called, and the report needs no fallback JSON converter."""
-    commands = [["genus-zero", "--n", "6", "--exhaustive", "--max-periods", "5"]]
+    """The scan, the census and the action commands build no Fraction, so
+    they load neither `fractions` nor the `decimal` that `fractions` brings
+    (about 5 ms): mu is compared in integers, an integral mu ratio is an
+    int, and the report needs no fallback JSON converter.  `reproduce` at
+    n = 3 and 4 checks curve models in `cyclo`, whose coefficients are
+    Fractions."""
+    commands = [
+        ["genus-zero", "--n", "6", "--exhaustive", "--max-periods", "5"],
+        ["reproduce", "--n", "5"],
+        ["families", "--n", "5"],
+        ["classify", "--n", "4", "--signature", "0:4,4,8,8"],
+        ["extend", "--n", "4", "--family", "F2", "--super", "G2"],
+    ]
     assert _loaded_beyond_bare(tmp_path, commands, ["fractions", "decimal"]) == []
 
 

@@ -27,12 +27,19 @@ OUT = ROOT / "tests" / "transcripts"
 ARGV = {
     "families-n3": ["families", "--n", "3"],
     "families-n4": ["families", "--n", "4"],
+    "families-n5": ["families", "--n", "5"],
+    "families-n6": ["families", "--n", "6"],
     "classify-n3": ["classify", "--n", "3", "--signature", "0:4,4,4,4"],
     "classify-n4": ["classify", "--n", "4", "--signature", "0:8,8,4,4"],
     "classify-n4-genus-one": ["classify", "--n", "4", "--signature", "1:4"],
     "classify-n5": ["classify", "--n", "5", "--signature", "0:16,16,4,4"],
+    "classify-n4-empty": ["classify", "--n", "4", "--signature", "0:2,2,4,8"],
+    "classify-n5-empty": ["classify", "--n", "5", "--signature", "0:2,2,4,8"],
+    "classify-n3-empty-over-budget": ["classify", "--n", "3", "--signature", "0:4,4,4,4,4,4,4,4,4,8"],
     "classify-n6": ["classify", "--n", "6", "--signature", "0:32,32,4,4"],
     "genus-zero-n6-scan": ["genus-zero", "--n", "6", "--exhaustive", "--max-periods", "5"],
+    "genus-zero-n5-scan": ["genus-zero", "--n", "5", "--exhaustive"],
+    "genus-zero-n6-scan-12": ["genus-zero", "--n", "6", "--exhaustive", "--max-periods", "12"],
     "chars-n3": ["chars", "--n", "3"],
     "chars-n4": ["chars", "--n", "4"],
     "chars-n5": ["chars", "--n", "5"],

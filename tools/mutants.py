@@ -196,10 +196,11 @@ MUTANTS = [
     Mutant(
         "count-skips-the-order-check",
         "actions.py",
-        "    if N % k:\n        return 0\n",
+        "    if any(N % k for k in mult):\n        return 2, 0, 0\n",
         "",
         ("tests/test_actions.py::test_counter_matches_the_enumerator",
-         "tests/test_actions.py::test_counter_matches_hall_inversion"),
+         "tests/test_actions.py::test_counter_matches_hall_inversion",
+         "tests/test_actions.py::test_closed_form_matches_the_valuation_loops"),
     ),
     Mutant(
         "hall-weights-phi-by-one",
@@ -209,14 +210,44 @@ MUTANTS = [
         ("tests/test_actions.py::test_counter_matches_hall_inversion",),
     ),
     Mutant(
-        # it changes the product-one counts of every subgroup but, at n = 3..6
-        # and up to 7 periods, no gamma = 0 generating count: only gamma = 1
-        # sees it
+        # psi_(M/2), x -> -1, read with c_M(M/2) = +M/2 in place of -M/2
         "ramanujan-sum-keeps-the-sign",
         "actions.py",
-        "        return -(k // 2)\n",
-        "        return k // 2\n",
-        ("tests/test_actions.py::test_genus_one_count_is_the_pair_walk",),
+        "    linear = 2 * (P if K < M else Q)\n",
+        "    linear = 2 * P\n",
+        ("tests/test_actions.py::test_counter_matches_hall_inversion",
+         "tests/test_actions.py::test_closed_form_matches_the_valuation_loops"),
+    ),
+    Mutant(
+        # every Ramanujan sum -k/2 read as +k/2, so Q = P.  It changes the
+        # product-one counts of every subgroup but, at n = 3..6 and up to 7
+        # periods, no gamma = 0 generating count (the enumerator, DP, Hall
+        # and scan tests all pass): only the per-subgroup comparison with
+        # the valuation loops, the gamma = 1 and gamma = 2 counts and the
+        # census, through its gamma = 1 family F0, kill it
+        "closed-form-ignores-the-top-parity",
+        "actions.py",
+        "    return K, P, (-1) ** mult.get(K, 0) * P\n",
+        "    return K, P, P\n",
+        ("tests/test_actions.py::test_closed_form_matches_the_valuation_loops",
+         "tests/test_actions.py::test_genus_one_count_is_the_pair_walk"),
+    ),
+    Mutant(
+        # the DP keeps only the running AND of the masks: images that span
+        # G/Phi but cannot sum to 0 pass
+        "frattini-test-drops-the-product",
+        "actions.py",
+        "        states = {(times[p, mk], a & mk) for p, a in states for mk in images}\n",
+        "        states = {(full, a & mk) for p, a in states for mk in images}\n",
+        ("tests/test_actions.py::test_the_frattini_test_needs_the_running_product",),
+    ),
+    Mutant(
+        "frattini-test-accepts-every-signature",
+        "actions.py",
+        "    return (full, 0) in states\n",
+        "    return True\n",
+        ("tests/test_actions.py::test_the_frattini_test_needs_the_running_product",
+         "tests/test_actions.py::test_the_frattini_test_rules_out_only_empty_signatures"),
     ),
     Mutant(
         # chi(1)^(2 - 2 gamma - s) read as chi(1)^(2 gamma + s - 2)
